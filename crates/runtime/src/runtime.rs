@@ -13,7 +13,7 @@ use synctime_core::wire::{
 use synctime_core::{CoreError, MessageTimestamps, VectorTime};
 use synctime_graph::{Edge, EdgeDecomposition, Graph, GroupRemap};
 use synctime_obs::{DeadlockDiagnosis, Recorder, RunStats, WaitEdge, WaitOp};
-use synctime_trace::{EventKind, MessageId, ProcessId, SyncComputation, TraceError};
+use synctime_trace::{EventId, EventKind, MessageId, ProcessId, SyncComputation, TraceError};
 
 use crate::fault::{FaultAction, FaultInjector};
 use crate::matcher::ChannelSlot;
@@ -1636,36 +1636,35 @@ pub fn reconstruct_from_logs(
         })
         .collect();
     let computation = SyncComputation::from_process_sequences(sequences)?;
-    // Re-associate stamps: process p's i-th logged rendezvous is its
-    // i-th message in the rebuilt computation's local order.
-    let mut stamps: Vec<Option<VectorTime>> = vec![None; computation.message_count()];
-    for (p, log) in logs.iter().enumerate() {
-        let local = computation.process_messages(p);
-        let mut next = 0usize;
-        for entry in log {
-            let stamp = match entry {
-                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => stamp,
-                LogEntry::Internal => continue,
+    // Re-associate stamps: a message's stamp is the one its endpoint on
+    // the lower-numbered process logged (both endpoints log the same
+    // one). The rebuilt histories index the logs slot for slot.
+    let vectors: Vec<VectorTime> = (0..computation.message_count())
+        .map(|id| {
+            let (send, receive) = computation.message_endpoints(MessageId(id));
+            let (first, other) = if send.process < receive.process {
+                (send, receive)
+            } else {
+                (receive, send)
             };
-            let id = local[next];
-            next += 1;
-            match &stamps[id.0] {
-                None => stamps[id.0] = Some(stamp.clone()),
-                Some(prev) => {
-                    // Both endpoints logged the same timestamp.
-                    debug_assert_eq!(prev, stamp, "endpoint stamps disagree for {id}");
-                }
-            }
-        }
-    }
-    // `from_process_sequences` already validated that every message
-    // appears at both endpoints, so a missing stamp is unreachable —
-    // but surfaced as a typed error, not a panic, to keep the runtime
-    // crate panic-free.
-    let vectors: Vec<VectorTime> = stamps
-        .into_iter()
-        .enumerate()
-        .map(|(id, s)| s.ok_or(TraceError::MalformedSequences { message: id }))
+            let stamp_at = |e: EventId| match logs.get(e.process)?.get(e.index)? {
+                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => Some(stamp),
+                LogEntry::Internal => None,
+            };
+            debug_assert_eq!(
+                stamp_at(first),
+                stamp_at(other),
+                "endpoint stamps disagree for {}",
+                MessageId(id)
+            );
+            // `from_process_sequences` built the computation from these
+            // very logs, so a missing stamp is unreachable — but surfaced
+            // as a typed error, not a panic, to keep the runtime crate
+            // panic-free.
+            stamp_at(first)
+                .cloned()
+                .ok_or(TraceError::MalformedSequences { message: id })
+        })
         .collect::<Result<_, _>>()?;
     Ok((computation, MessageTimestamps::new(vectors)))
 }

@@ -43,18 +43,15 @@
 //!
 //! [`reconstruct_from_logs`]: synctime_runtime::reconstruct_from_logs
 
-use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use synctime_core::wire;
-use synctime_runtime::LogEntry;
-use synctime_trace::ProcessId;
+use synctime_runtime::{LogEntry, PersistEvent};
 
 use crate::record::{
-    encode_meta, encode_reconfig, encode_record, scan_file, scan_meta, scan_tail, Meta,
-    ReconfigRecord, StampRecord, FORMAT_VERSION,
+    encode_meta, encode_reconfig, encode_record, scan_meta, scan_records, Meta, ReconfigRecord,
+    StampRecord, FORMAT_VERSION,
 };
 use crate::StoreError;
 
@@ -370,35 +367,6 @@ pub struct RecoveredTrace {
     pub reconfigs: Vec<ReconfigRecord>,
 }
 
-/// Converts a surviving record into the [`LogEntry`] replay feeds to
-/// reconstruction. Stamp bytes were validated at scan time, so a decode
-/// failure here means the scan let something through — surfaced as a
-/// typed corruption error, never a panic.
-fn entry_of(rec: &StampRecord) -> Result<LogEntry, StoreError> {
-    let stamp_of = |bytes: &[u8]| {
-        wire::decode_full(bytes).ok_or_else(|| {
-            StoreError::Corrupt("stamp bytes failed to decode after a valid scan".to_string())
-        })
-    };
-    Ok(match rec {
-        StampRecord::Sent {
-            peer, key, stamp, ..
-        } => LogEntry::Sent {
-            to: *peer as ProcessId,
-            key: *key,
-            stamp: stamp_of(stamp)?,
-        },
-        StampRecord::Received {
-            peer, key, stamp, ..
-        } => LogEntry::Received {
-            from: *peer as ProcessId,
-            key: *key,
-            stamp: stamp_of(stamp)?,
-        },
-        StampRecord::Internal { .. } => LogEntry::Internal,
-    })
-}
-
 /// Recovers one trace directory into per-process logs. See the module
 /// docs for the recovery invariants; this function is the crash-recovery
 /// entry point (`serve-query --store-dir` calls it per trace, and again
@@ -412,28 +380,17 @@ fn entry_of(rec: &StampRecord) -> Result<LogEntry, StoreError> {
 /// Torn tails and partial records are *not* errors — they shorten the
 /// recovered prefix instead.
 pub fn read_trace_dir(dir: &Path) -> Result<RecoveredTrace, StoreError> {
-    let read_scan = |name: &str| -> Result<Option<crate::record::FileScan>, StoreError> {
-        let path = dir.join(name);
-        if !path.exists() {
-            return Ok(None);
-        }
-        Ok(Some(scan_file(&fs::read(&path)?)))
-    };
-    let snap = read_scan(SNAPSHOT_FILE)?;
-    let log = read_scan(LOG_FILE)?;
-    let mut torn_bytes = 0usize;
-    let mut metas: Vec<Meta> = Vec::new();
-    let mut all: Vec<StampRecord> = Vec::new();
-    let mut reconfigs: Vec<ReconfigRecord> = Vec::new();
-    for scan in [snap, log].into_iter().flatten() {
-        torn_bytes += scan.torn_bytes;
-        if let Some(meta) = scan.meta {
-            metas.push(meta);
-            all.extend(scan.records);
-            reconfigs.extend(scan.reconfigs);
-        }
-    }
-    assemble(dir, &metas, all, reconfigs, torn_bytes)
+    // One full read, as a tailing reader's first poll makes, but the
+    // scanned records are moved into recovery rather than kept.
+    let mut reader = TraceTailReader::new(dir);
+    let log_torn = reader.full_read()?;
+    assemble(
+        dir,
+        &reader.metas,
+        reader.records,
+        reader.reconfigs,
+        reader.snap_torn + log_torn,
+    )
 }
 
 /// The pure half of recovery: applies the dedup / dense-prefix /
@@ -445,7 +402,7 @@ pub fn read_trace_dir(dir: &Path) -> Result<RecoveredTrace, StoreError> {
 fn assemble(
     dir: &Path,
     metas: &[Meta],
-    all: Vec<StampRecord>,
+    records: Records,
     reconfigs: Vec<ReconfigRecord>,
     torn_bytes: usize,
 ) -> Result<RecoveredTrace, StoreError> {
@@ -469,31 +426,12 @@ fn assemble(
     let process_count = first.process_count as usize;
     let generation = metas.iter().map(|m| m.generation).max().unwrap_or(0);
 
-    // Dedup by (process, pseq), first occurrence wins (snapshot records
-    // precede log records, so a stale-log overlap resolves to the
-    // snapshot's copy — which is byte-identical anyway).
-    let parsed = all.len();
-    let mut per: Vec<BTreeMap<u64, StampRecord>> =
-        (0..process_count).map(|_| BTreeMap::new()).collect();
-    for rec in all {
-        let Some(map) = per.get_mut(rec.process() as usize) else {
-            continue; // record names a process beyond the META's count
-        };
-        map.entry(rec.pseq()).or_insert(rec);
-    }
-
-    // Longest dense pseq prefix per process.
-    let mut logs: Vec<Vec<LogEntry>> = Vec::with_capacity(process_count);
-    for map in &per {
-        let mut log = Vec::with_capacity(map.len());
-        for (i, (&pseq, rec)) in map.iter().enumerate() {
-            if pseq != i as u64 {
-                break;
-            }
-            log.push(entry_of(rec)?);
-        }
-        logs.push(log);
-    }
+    let Records { parsed, mut per } = records;
+    per.resize_with(process_count, Default::default);
+    let mut logs: Vec<Vec<LogEntry>> = per
+        .into_iter()
+        .map(|(pseqs, entries)| dense_prefix(&pseqs, entries))
+        .collect();
 
     match_keys_fixpoint(&mut logs);
 
@@ -523,39 +461,132 @@ fn assemble(
     })
 }
 
+/// Scanned entry records, bucketed by process as they are scanned.
+#[derive(Debug, Clone, Default)]
+struct Records {
+    /// Entry records scanned, those naming a process beyond the count
+    /// included.
+    parsed: usize,
+    /// Per process below the count, the `pseq`s and entries of its
+    /// records in file order.
+    per: Vec<(Vec<u64>, Vec<LogEntry>)>,
+}
+
+impl Records {
+    /// Files one scanned record; a record naming a process beyond
+    /// `process_count` (the first META's) is counted but dropped.
+    fn push(&mut self, process_count: usize, rec: PersistEvent) {
+        self.parsed += 1;
+        if rec.process >= process_count {
+            return;
+        }
+        if self.per.len() <= rec.process {
+            self.per.resize_with(rec.process + 1, Default::default);
+        }
+        let (pseqs, entries) = &mut self.per[rec.process];
+        pseqs.push(rec.pseq);
+        entries.push(rec.entry);
+    }
+}
+
+/// Dedup and dense prefix for one process's records, given as their
+/// `pseq`s and entries in file order: one entry per `pseq`, the first
+/// occurrence winning (snapshot records precede log records, so a
+/// stale-log overlap resolves to the snapshot's copy — which is
+/// byte-identical anyway), then the longest gap-free prefix `0, 1, 2, …`
+/// (a gap means later records of the process are unanchored). A store
+/// written in order already holds exactly that prefix, and its entries
+/// are returned as they are.
+fn dense_prefix(pseqs: &[u64], entries: Vec<LogEntry>) -> Vec<LogEntry> {
+    if pseqs.iter().zip(0u64..).all(|(&pseq, i)| pseq == i) {
+        return entries;
+    }
+    // Stable, so each run of equal `pseq`s keeps file order.
+    let mut order: Vec<usize> = (0..pseqs.len()).collect();
+    order.sort_by_key(|&i| pseqs[i]);
+    order.dedup_by_key(|i| pseqs[*i]);
+    let mut entries: Vec<Option<LogEntry>> = entries.into_iter().map(Some).collect();
+    order
+        .iter()
+        .zip(0u64..)
+        .take_while(|&(&i, n)| pseqs[i] == n)
+        .filter_map(|(&i, _)| entries[i].take())
+        .collect()
+}
+
+/// A rendezvous entry's key and side (0 sent, 1 received).
+fn endpoint(entry: &LogEntry) -> Option<(u64, usize)> {
+    match entry {
+        LogEntry::Sent { key, .. } => Some((*key, 0)),
+        LogEntry::Received { key, .. } => Some((*key, 1)),
+        LogEntry::Internal => None,
+    }
+}
+
 /// Fixpoint: truncate each log at its first entry whose rendezvous
-/// partner is missing, until no truncation happens. Terminates because
-/// every round that changes anything strictly shrinks the total. Shared
-/// by whole-trace recovery and per-epoch segment materialisation
+/// partner is missing, until no truncation happens — the greatest prefix
+/// family in which every kept SENT or RECEIVED entry has a kept entry of
+/// the same key on the other side. Terminates because every round that
+/// changes anything strictly shrinks the total. Shared by whole-trace
+/// recovery and per-epoch segment materialisation
 /// ([`materialize_latest_epoch`](crate::materialize_latest_epoch)), which
 /// must re-run it because message keys are only unique within an epoch.
+///
+/// Keys are mapped to dense ids with one sort, and each id's kept
+/// `[sent, received]` counts are decremented as entries are cut, so a
+/// round is one pass over plain arrays.
 pub(crate) fn match_keys_fixpoint(logs: &mut [Vec<LogEntry>]) {
+    // Log p's entries are numbered from `starts[p]`. Sorting the
+    // endpoints by key makes each run of equal keys one dense id (the
+    // sort is stable, and merges the runs of keys that already increase
+    // along a log).
+    let mut starts = Vec::with_capacity(logs.len());
+    let mut ends: Vec<(u64, usize)> = Vec::new();
+    let mut total = 0usize;
+    for log in logs.iter() {
+        starts.push(total);
+        for (i, entry) in log.iter().enumerate() {
+            if let Some((key, _)) = endpoint(entry) {
+                ends.push((key, total + i));
+            }
+        }
+        total += log.len();
+    }
+    ends.sort_by_key(|&(key, _)| key);
+    let mut id_of = vec![0usize; total];
+    let mut ids = 0usize;
+    for (j, &(key, pos)) in ends.iter().enumerate() {
+        ids += usize::from(j > 0 && ends[j - 1].0 != key);
+        id_of[pos] = ids;
+    }
+    let mut live = vec![[0usize; 2]; ids + 1];
+    for (log, &start) in logs.iter().zip(&starts) {
+        for (entry, &id) in log.iter().zip(&id_of[start..]) {
+            if let Some((_, side)) = endpoint(entry) {
+                live[id][side] += 1;
+            }
+        }
+    }
     loop {
-        let mut sent: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut received: BTreeMap<u64, usize> = BTreeMap::new();
-        for log in logs.iter() {
-            for entry in log {
-                match entry {
-                    LogEntry::Sent { key, .. } => *sent.entry(*key).or_default() += 1,
-                    LogEntry::Received { key, .. } => *received.entry(*key).or_default() += 1,
-                    LogEntry::Internal => {}
+        let mut changed = false;
+        for (log, &start) in logs.iter_mut().zip(&starts) {
+            let ids = &id_of[start..start + log.len()];
+            let lonely = |(entry, &id): (&LogEntry, &usize)| {
+                endpoint(entry).is_some_and(|(_, side)| live[id][1 - side] == 0)
+            };
+            let Some(cut) = log.iter().zip(ids).position(lonely) else {
+                continue;
+            };
+            for (entry, &id) in log[cut..].iter().zip(&ids[cut..]) {
+                if let Some((_, side)) = endpoint(entry) {
+                    live[id][side] -= 1;
                 }
             }
-        }
-        let mut changed = false;
-        for log in logs.iter_mut() {
-            let cut = log.iter().position(|entry| match entry {
-                LogEntry::Sent { key, .. } => received.get(key).copied().unwrap_or(0) == 0,
-                LogEntry::Received { key, .. } => sent.get(key).copied().unwrap_or(0) == 0,
-                LogEntry::Internal => false,
-            });
-            if let Some(cut) = cut {
-                log.truncate(cut);
-                changed = true;
-            }
+            log.truncate(cut);
+            changed = true;
         }
         if !changed {
-            break;
+            return;
         }
     }
 }
@@ -570,12 +601,12 @@ const META_HEAD_BYTES: usize = 8 + 1 + 3 * 10;
 /// [`read_trace_dir`] re-reads and re-scans both files on every call —
 /// fine for one-shot recovery, quadratic for a tailer polling a live
 /// trace. This reader remembers the log's scanned byte offset and, while
-/// the generation is unchanged, recovers only the appended tail
-/// ([`scan_tail`]); a generation bump (compaction) or a shrunk log falls
-/// back to one full re-read. Either way the accumulated record sequence
-/// fed to [`assemble`] is byte-for-byte the sequence a fresh
-/// [`read_trace_dir`] would scan, so every poll's answer is identical to
-/// a full re-read's (asserted by this crate's tests).
+/// the generation is unchanged, scans only the appended tail; a
+/// generation bump (compaction) or a shrunk log falls back to one full
+/// re-read. Either way the records recovery assembles are exactly those
+/// a fresh [`read_trace_dir`] would scan, in the same file order per
+/// process, so every poll's answer is identical to a full re-read's
+/// (asserted by this crate's tests).
 #[derive(Debug)]
 pub struct TraceTailReader {
     dir: PathBuf,
@@ -587,7 +618,7 @@ pub struct TraceTailReader {
     /// re-tried on the next poll, once its bytes complete.
     log_offset: usize,
     metas: Vec<Meta>,
-    records: Vec<StampRecord>,
+    records: Records,
     reconfigs: Vec<ReconfigRecord>,
     /// Torn bytes of the snapshot file (the log's torn tail is recomputed
     /// per poll — it may still complete).
@@ -605,7 +636,7 @@ impl TraceTailReader {
             generation: None,
             log_offset: 0,
             metas: Vec::new(),
-            records: Vec::new(),
+            records: Records::default(),
             reconfigs: Vec::new(),
             snap_torn: 0,
         }
@@ -616,7 +647,7 @@ impl TraceTailReader {
         self.generation = None;
         self.log_offset = 0;
         self.metas.clear();
-        self.records.clear();
+        self.records = Records::default();
         self.reconfigs.clear();
         self.snap_torn = 0;
     }
@@ -629,29 +660,48 @@ impl TraceTailReader {
         self.reset();
         let snap_path = self.dir.join(SNAPSHOT_FILE);
         if snap_path.exists() {
-            let scan = scan_file(&fs::read(&snap_path)?);
-            self.snap_torn = scan.torn_bytes;
-            if let Some(meta) = scan.meta {
-                self.metas.push(meta);
-                self.records.extend(scan.records);
-                self.reconfigs.extend(scan.reconfigs);
-            }
+            // Each file's bytes are freed as soon as they are scanned.
+            let bytes = fs::read(&snap_path)?;
+            self.snap_torn = bytes.len() - self.scan(&bytes).map_or(0, |(_, valid)| valid);
         }
         let mut log_torn = 0usize;
         let log_path = self.dir.join(LOG_FILE);
         if log_path.exists() {
             let bytes = fs::read(&log_path)?;
-            let scan = scan_file(&bytes);
-            if let Some(meta) = scan.meta {
-                self.generation = Some(meta.generation);
-                self.log_offset = bytes.len() - scan.torn_bytes;
-                log_torn = scan.torn_bytes;
-                self.metas.push(meta);
-                self.records.extend(scan.records);
-                self.reconfigs.extend(scan.reconfigs);
-            }
+            // A log without a readable META is torn as a whole.
+            let valid = match self.scan(&bytes) {
+                Some((meta, valid)) => {
+                    self.generation = Some(meta.generation);
+                    self.log_offset = valid;
+                    valid
+                }
+                None => 0,
+            };
+            log_torn = bytes.len() - valid;
         }
         Ok(log_torn)
+    }
+
+    /// Scans one whole file into the accumulated state: its META, then
+    /// its valid record prefix. Returns the META and how many bytes were
+    /// valid, or `None` (taking nothing) when no META is readable.
+    fn scan(&mut self, bytes: &[u8]) -> Option<(Meta, usize)> {
+        let (meta, at) = scan_meta(bytes)?;
+        self.metas.push(meta);
+        let valid = at + self.accumulate(&bytes[at..]);
+        Some((meta, valid))
+    }
+
+    /// Scans records that follow a META into the accumulated state,
+    /// returning how many bytes formed valid records.
+    fn accumulate(&mut self, bytes: &[u8]) -> usize {
+        let process_count = self.metas.first().map_or(0, |m| m.process_count as usize);
+        let records = &mut self.records;
+        scan_records(
+            bytes,
+            |rec| records.push(process_count, rec),
+            &mut self.reconfigs,
+        )
     }
 
     /// Recovers the trace as of now: a full read on the first call or
@@ -684,10 +734,7 @@ impl TraceTailReader {
                     // the protocol produces, but never serve stale state.
                     self.full_read()?
                 } else {
-                    let tail = scan_tail(&bytes[self.log_offset..]);
-                    self.records.extend(tail.records);
-                    self.reconfigs.extend(tail.reconfigs);
-                    self.log_offset += tail.consumed;
+                    self.log_offset += self.accumulate(&bytes[self.log_offset..]);
                     bytes.len() - self.log_offset
                 };
                 self.assemble_current(log_torn)

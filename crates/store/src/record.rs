@@ -20,12 +20,16 @@
 //! The stamp is **last** and runs to the end of the payload: it is exactly
 //! the bytes the clock seam (`Clock::encode_wire`, i.e.
 //! [`wire::encode_full`]) produces, so every `--clock` backend round-trips
-//! byte-identically and [`wire::decode_full`]'s exact-consumption check
-//! validates it in place. Record sizes are priced byte-for-byte by
-//! `wire::store_meta_record_bytes` / `store_stamp_record_bytes` /
-//! `store_internal_record_bytes` (asserted by this module's tests).
+//! byte-identically. Scanning decodes it once, straight into the
+//! [`LogEntry`] replay consumes, and [`wire::decode_full`]'s
+//! exact-consumption check is what validates it. Record sizes are priced
+//! byte-for-byte by `wire::store_meta_record_bytes` /
+//! `store_stamp_record_bytes` / `store_internal_record_bytes` (asserted by
+//! this module's tests).
 
 use synctime_core::wire;
+use synctime_runtime::{LogEntry, PersistEvent};
+use synctime_trace::ProcessId;
 
 use crate::crc::crc32;
 
@@ -61,10 +65,10 @@ pub struct Meta {
     pub generation: u64,
 }
 
-/// One durable execution-log record: a [`LogEntry`] plus the
-/// `(process, pseq)` coordinates that make replay order-independent.
-///
-/// [`LogEntry`]: synctime_runtime::LogEntry
+/// One durable execution-log record, as appended: a [`LogEntry`] plus the
+/// `(process, pseq)` coordinates that make replay order-independent, its
+/// stamp already encoded. Scanning yields the decoded form, a
+/// [`PersistEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StampRecord {
     /// The process sent a message (the OFFER side of a rendezvous).
@@ -259,8 +263,9 @@ pub fn encode_reconfig(out: &mut Vec<u8>, rec: &ReconfigRecord) {
 pub struct FileScan {
     /// The file's META record, if its first record parsed as one.
     pub meta: Option<Meta>,
-    /// Every entry record of the valid prefix, in file order.
-    pub records: Vec<StampRecord>,
+    /// Every entry record of the valid prefix, in file order, decoded
+    /// into the event it persisted.
+    pub records: Vec<PersistEvent>,
     /// Every RECONFIG epoch-boundary record of the valid prefix, in file
     /// order. Kept apart from `records`: a boundary's position in a
     /// process log is given by its `cuts`, not by its interleaving in the
@@ -274,13 +279,20 @@ pub struct FileScan {
 
 /// One decoded non-META payload: an entry record or an epoch boundary.
 enum Decoded {
-    Stamp(StampRecord),
+    Entry(PersistEvent),
     Reconfig(ReconfigRecord),
 }
 
+/// Converts a stored process id. An id too large for `usize` becomes
+/// `ProcessId::MAX`, which — like any id beyond the META's count — names
+/// no process of the run.
+fn process_id(stored: u64) -> ProcessId {
+    ProcessId::try_from(stored).unwrap_or(ProcessId::MAX)
+}
+
 /// Decodes one record payload (tag + fields), or `None` for a malformed
-/// payload. Stamp bytes are validated against [`wire::decode_full`] here
-/// so replay never meets an undecodable stamp.
+/// payload. A stamp is decoded here, once, so replay never meets an
+/// undecodable one.
 fn decode_payload(payload: &[u8]) -> Option<Decoded> {
     let (&tag, rest) = payload.split_first()?;
     let mut pos = 0usize;
@@ -288,32 +300,36 @@ fn decode_payload(payload: &[u8]) -> Option<Decoded> {
         TAG_SENT | TAG_RECEIVED => {
             let process = wire::read_varint(rest, &mut pos)?;
             let pseq = wire::read_varint(rest, &mut pos)?;
-            let peer = wire::read_varint(rest, &mut pos)?;
+            let peer = process_id(wire::read_varint(rest, &mut pos)?);
             let key = wire::read_varint(rest, &mut pos)?;
-            let stamp = rest[pos..].to_vec();
-            wire::decode_full(&stamp)?;
-            Some(Decoded::Stamp(if tag == TAG_SENT {
-                StampRecord::Sent {
-                    process,
-                    pseq,
-                    peer,
+            let stamp = wire::decode_full(&rest[pos..])?;
+            let entry = if tag == TAG_SENT {
+                LogEntry::Sent {
+                    to: peer,
                     key,
                     stamp,
                 }
             } else {
-                StampRecord::Received {
-                    process,
-                    pseq,
-                    peer,
+                LogEntry::Received {
+                    from: peer,
                     key,
                     stamp,
                 }
+            };
+            Some(Decoded::Entry(PersistEvent {
+                process: process_id(process),
+                pseq,
+                entry,
             }))
         }
         TAG_INTERNAL => {
             let process = wire::read_varint(rest, &mut pos)?;
             let pseq = wire::read_varint(rest, &mut pos)?;
-            (pos == rest.len()).then_some(Decoded::Stamp(StampRecord::Internal { process, pseq }))
+            (pos == rest.len()).then_some(Decoded::Entry(PersistEvent {
+                process: process_id(process),
+                pseq,
+                entry: LogEntry::Internal,
+            }))
         }
         TAG_RECONFIG => {
             let epoch = wire::read_varint(rest, &mut pos)?;
@@ -394,8 +410,7 @@ fn next_payload<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 /// pass ([`read_trace_dir`](crate::read_trace_dir)) that decides what the
 /// surviving records mean.
 pub fn scan_file(bytes: &[u8]) -> FileScan {
-    let mut pos = 0usize;
-    let Some(meta) = next_payload(bytes, &mut pos).and_then(decode_meta_payload) else {
+    let Some((meta, at)) = scan_meta(bytes) else {
         return FileScan {
             meta: None,
             records: Vec::new(),
@@ -403,35 +418,42 @@ pub fn scan_file(bytes: &[u8]) -> FileScan {
             torn_bytes: bytes.len(),
         };
     };
-    let (records, reconfigs) = scan_entries(bytes, &mut pos);
+    let mut records = Vec::new();
+    let mut reconfigs = Vec::new();
+    let valid = scan_records(&bytes[at..], |rec| records.push(rec), &mut reconfigs);
     FileScan {
         meta: Some(meta),
         records,
         reconfigs,
-        torn_bytes: bytes.len() - pos,
+        torn_bytes: bytes.len() - at - valid,
     }
 }
 
-/// Takes entry and RECONFIG records from `bytes[*pos..]` until the first
-/// framing violation, checksum failure, or malformed payload, leaving the
-/// cursor at the end of the valid prefix.
-fn scan_entries(bytes: &[u8], pos: &mut usize) -> (Vec<StampRecord>, Vec<ReconfigRecord>) {
-    let mut records = Vec::new();
-    let mut reconfigs = Vec::new();
-    while let Some(payload) = next_payload(bytes, pos) {
+/// The store's one scanner: takes entry and RECONFIG records from the
+/// start of `bytes`, handing each entry to `entry` and pushing each
+/// boundary onto `reconfigs`, until the first framing violation, checksum
+/// failure, or malformed payload. Returns how many bytes formed valid
+/// records.
+pub(crate) fn scan_records(
+    bytes: &[u8],
+    mut entry: impl FnMut(PersistEvent),
+    reconfigs: &mut Vec<ReconfigRecord>,
+) -> usize {
+    let mut pos = 0usize;
+    while let Some(payload) = next_payload(bytes, &mut pos) {
         match decode_payload(payload) {
-            Some(Decoded::Stamp(rec)) => records.push(rec),
+            Some(Decoded::Entry(rec)) => entry(rec),
             Some(Decoded::Reconfig(rec)) => reconfigs.push(rec),
             None => {
                 // A checksum-valid but malformed payload still ends the
                 // prefix: trusting anything after an undecodable record
                 // would re-order the stream.
-                *pos -= 8 + payload.len();
+                pos -= 8 + payload.len();
                 break;
             }
         }
     }
-    (records, reconfigs)
+    pos
 }
 
 /// Decodes only a file's leading META record, returning it together with
@@ -447,8 +469,9 @@ pub fn scan_meta(bytes: &[u8]) -> Option<(Meta, usize)> {
 /// a known-good offset, with no META record in front of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailScan {
-    /// Entry records of the tail's valid prefix, in file order.
-    pub records: Vec<StampRecord>,
+    /// Entry records of the tail's valid prefix, in file order, decoded
+    /// into the events they persisted.
+    pub records: Vec<PersistEvent>,
     /// RECONFIG records of the tail's valid prefix, in file order.
     pub reconfigs: Vec<ReconfigRecord>,
     /// How many of the given bytes formed valid records. The caller
@@ -462,12 +485,13 @@ pub struct TailScan {
 /// remember a byte offset and only re-read what appended since. Same
 /// torn-tail rule: keep the valid prefix, report how far it reached.
 pub fn scan_tail(bytes: &[u8]) -> TailScan {
-    let mut pos = 0usize;
-    let (records, reconfigs) = scan_entries(bytes, &mut pos);
+    let mut records = Vec::new();
+    let mut reconfigs = Vec::new();
+    let consumed = scan_records(bytes, |rec| records.push(rec), &mut reconfigs);
     TailScan {
         records,
         reconfigs,
-        consumed: pos,
+        consumed,
     }
 }
 
@@ -476,35 +500,50 @@ mod tests {
     use super::*;
     use synctime_core::VectorTime;
 
-    fn sample_records() -> Vec<StampRecord> {
-        let stamp = |v: Vec<u64>| wire::encode_full(&VectorTime::from(v));
+    /// The events the sample records persist, in order.
+    fn sample_events() -> Vec<PersistEvent> {
+        let event = |process, pseq, entry| PersistEvent {
+            process,
+            pseq,
+            entry,
+        };
         vec![
-            StampRecord::Sent {
-                process: 0,
-                pseq: 0,
-                peer: 1,
-                key: 0,
-                stamp: stamp(vec![1, 0]),
-            },
-            StampRecord::Received {
-                process: 1,
-                pseq: 0,
-                peer: 0,
-                key: 0,
-                stamp: stamp(vec![1, 0]),
-            },
-            StampRecord::Internal {
-                process: 1,
-                pseq: 1,
-            },
-            StampRecord::Sent {
-                process: 1,
-                pseq: 2,
-                peer: 0,
-                key: 1 << 32,
-                stamp: stamp(vec![1, 300]),
-            },
+            event(
+                0,
+                0,
+                LogEntry::Sent {
+                    to: 1,
+                    key: 0,
+                    stamp: VectorTime::from(vec![1, 0]),
+                },
+            ),
+            event(
+                1,
+                0,
+                LogEntry::Received {
+                    from: 0,
+                    key: 0,
+                    stamp: VectorTime::from(vec![1, 0]),
+                },
+            ),
+            event(1, 1, LogEntry::Internal),
+            event(
+                1,
+                2,
+                LogEntry::Sent {
+                    to: 0,
+                    key: 1 << 32,
+                    stamp: VectorTime::from(vec![1, 300]),
+                },
+            ),
         ]
+    }
+
+    fn sample_records() -> Vec<StampRecord> {
+        sample_events()
+            .iter()
+            .map(crate::record_from_event)
+            .collect()
     }
 
     fn encode_file(meta: &Meta, records: &[StampRecord]) -> Vec<u8> {
@@ -533,7 +572,7 @@ mod tests {
         assert_eq!(bytes.len() as u64, expected);
         let scan = scan_file(&bytes);
         assert_eq!(scan.meta, Some(meta));
-        assert_eq!(scan.records, records);
+        assert_eq!(scan.records, sample_events());
         assert_eq!(scan.torn_bytes, 0);
     }
 
@@ -545,13 +584,14 @@ mod tests {
             generation: 0,
         };
         let records = sample_records();
+        let events = sample_events();
         let bytes = encode_file(&meta, &records);
         for cut in 0..bytes.len() {
             let scan = scan_file(&bytes[..cut]);
             assert!(scan.records.len() <= records.len());
             assert_eq!(
                 scan.records,
-                records[..scan.records.len()],
+                events[..scan.records.len()],
                 "prefix property violated at cut {cut}"
             );
         }
@@ -575,7 +615,7 @@ mod tests {
         let mut bytes = clean.clone();
         bytes[off] ^= 0xff;
         let scan = scan_file(&bytes);
-        assert_eq!(scan.records, records[..2]);
+        assert_eq!(scan.records, sample_events()[..2]);
         assert!(scan.torn_bytes > 0);
         // A file whose META itself is unreadable yields nothing.
         let scan = scan_file(&clean[3..]);
@@ -609,7 +649,7 @@ mod tests {
         );
         let scan = scan_file(&bytes);
         assert_eq!(scan.meta, Some(meta));
-        assert_eq!(scan.records, records[..3]);
+        assert_eq!(scan.records, sample_events()[..3]);
         assert_eq!(scan.reconfigs, vec![boundary]);
         assert_eq!(scan.torn_bytes, 0);
     }
@@ -637,7 +677,7 @@ mod tests {
         encode_reconfig(&mut tail, &boundary);
         encode_record(&mut tail, &records[3]);
         let tail_scan = scan_tail(&tail);
-        assert_eq!(tail_scan.records, records[2..]);
+        assert_eq!(tail_scan.records, sample_events()[2..]);
         assert_eq!(tail_scan.reconfigs, vec![boundary.clone()]);
         assert_eq!(tail_scan.consumed, tail.len());
         // Head-scan + tail-scan agree with one scan of the whole file.

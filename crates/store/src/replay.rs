@@ -250,11 +250,18 @@ pub fn spawn_writer(
 mod tests {
     use super::*;
     use crate::read_trace_dir;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
 
+    /// Suffix that keeps every test's directory distinct within a process.
+    static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
     fn temp_root(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("synctime-store-test-{}-{tag}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "synctime-store-test-{}-{}-{tag}",
+            std::process::id(),
+            NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp root");
         dir

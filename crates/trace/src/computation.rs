@@ -28,6 +28,14 @@ impl fmt::Display for MessageId {
     }
 }
 
+/// Tag bit marking a receive endpoint in
+/// [`SyncComputation::from_process_sequences`]'s sorted endpoint list.
+const RECEIVE: usize = 1 << (usize::BITS - 1);
+
+/// An empty successor slot in
+/// [`SyncComputation::from_process_sequences`]'s constraint graph.
+const NO_MESSAGE: usize = usize::MAX;
+
 /// A synchronous message: a rendezvous between `sender` and `receiver`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Message {
@@ -224,113 +232,148 @@ impl SyncComputation {
     ///   e.g. the classic *crossing* pair where each process sends before it
     ///   receives; no rendezvous schedule realizes that.
     pub fn from_process_sequences(
-        sequences: Vec<Vec<EventKind>>,
+        mut sequences: Vec<Vec<EventKind>>,
     ) -> Result<SyncComputation, TraceError> {
         let process_count = sequences.len();
-        // Collect per-key endpoints.
-        use std::collections::BTreeMap;
-        let mut sends: BTreeMap<usize, (ProcessId, usize)> = BTreeMap::new();
-        let mut recvs: BTreeMap<usize, (ProcessId, usize)> = BTreeMap::new();
-        for (p, seq) in sequences.iter().enumerate() {
-            for (i, ev) in seq.iter().enumerate() {
-                match ev {
+        // Number the external events in scan order (process by process,
+        // slot by slot); process p's are numbered from `starts[p]`. Tag each
+        // with its key and sort by key: equal keys become adjacent, still
+        // in scan order (the sort is stable, and merges the runs of keys
+        // that already increase along a history).
+        let mut starts = Vec::with_capacity(process_count + 1);
+        let mut ends: Vec<(usize, usize)> = Vec::new();
+        for seq in &sequences {
+            starts.push(ends.len());
+            for ev in seq {
+                match *ev {
                     EventKind::Internal => {}
-                    EventKind::Send(MessageId(k)) => {
-                        if sends.insert(*k, (p, i)).is_some() {
-                            return Err(TraceError::MalformedSequences { message: *k });
-                        }
-                    }
-                    EventKind::Receive(MessageId(k)) => {
-                        if recvs.insert(*k, (p, i)).is_some() {
-                            return Err(TraceError::MalformedSequences { message: *k });
-                        }
-                    }
+                    EventKind::Send(MessageId(k)) => ends.push((k, ends.len())),
+                    EventKind::Receive(MessageId(k)) => ends.push((k, RECEIVE | ends.len())),
                 }
             }
         }
-        if sends.len() != recvs.len() {
-            let lonely = sends
-                .keys()
-                .find(|k| !recvs.contains_key(k))
-                .or_else(|| recvs.keys().find(|k| !sends.contains_key(k)))
-                .copied()
-                .unwrap_or(0);
+        starts.push(ends.len());
+        ends.sort_by_key(|&(key, _)| key);
+        let process_of = |event: usize| starts.partition_point(|&s| s <= event) - 1;
+
+        // One dense id per key, in key order. Errors are collected during
+        // the walk and reported in a fixed precedence: the earliest
+        // repeated endpoint in scan order; then, when the numbers of sent
+        // and received keys differ, the smallest unmatched key; then the
+        // smallest sent key that is unmatched or a self-message.
+        let mut keys = Vec::new();
+        let mut participants: Vec<(ProcessId, ProcessId)> = Vec::new();
+        let mut id_of = vec![0usize; ends.len()];
+        let mut repeat: Option<(usize, usize)> = None; // (event, key)
+        let (mut sent_keys, mut received_keys) = (0usize, 0usize);
+        let (mut lonely_send, mut lonely_receive) = (None, None);
+        let mut bad_send: Option<TraceError> = None;
+        for group in ends.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            // The first send and the first receive, as event numbers; a
+            // later endpoint on the same side repeats the key.
+            let (mut send, mut receive) = (None, None);
+            for &(_, tag) in group {
+                let (first, event) = if tag & RECEIVE == 0 {
+                    (&mut send, tag)
+                } else {
+                    (&mut receive, tag & !RECEIVE)
+                };
+                if first.is_none() {
+                    *first = Some(event);
+                } else if repeat.is_none_or(|(earliest, _)| event < earliest) {
+                    repeat = Some((event, key));
+                }
+            }
+            sent_keys += usize::from(send.is_some());
+            received_keys += usize::from(receive.is_some());
+            match (send, receive) {
+                (Some(_), None) => {
+                    lonely_send.get_or_insert(key);
+                    bad_send.get_or_insert(TraceError::MalformedSequences { message: key });
+                }
+                (None, Some(_)) => {
+                    lonely_receive.get_or_insert(key);
+                }
+                (Some(send), Some(receive)) => {
+                    let (sender, receiver) = (process_of(send), process_of(receive));
+                    if sender == receiver {
+                        bad_send.get_or_insert(TraceError::SelfMessage(sender));
+                    }
+                    id_of[send] = keys.len();
+                    id_of[receive] = keys.len();
+                    keys.push(key);
+                    participants.push((sender, receiver));
+                }
+                (None, None) => unreachable!("a key group holds at least one endpoint"),
+            }
+        }
+        if let Some((_, key)) = repeat {
+            return Err(TraceError::MalformedSequences { message: key });
+        }
+        if sent_keys != received_keys {
+            let lonely = lonely_send.or(lonely_receive).unwrap_or(0);
             return Err(TraceError::MalformedSequences { message: lonely });
         }
-        let keys: Vec<usize> = sends.keys().copied().collect();
-        for &k in &keys {
-            if !recvs.contains_key(&k) {
-                return Err(TraceError::MalformedSequences { message: k });
-            }
-            if sends[&k].0 == recvs[&k].0 {
-                return Err(TraceError::SelfMessage(sends[&k].0));
+        if let Some(err) = bad_send {
+            return Err(err);
+        }
+
+        // "Must rendezvous earlier" constraints: each message has one
+        // successor slot per endpoint — the next message in its sender's
+        // order and the next in its receiver's. Kahn's algorithm with a
+        // min-heap takes the smallest-keyed ready message first.
+        let m = keys.len();
+        let mut next = vec![[NO_MESSAGE; 2]; m];
+        let mut indegree = vec![0usize; m];
+        for (p, range) in starts.windows(2).enumerate() {
+            for pair in id_of[range[0]..range[1]].windows(2) {
+                let slot = usize::from(participants[pair[0]].0 != p);
+                next[pair[0]][slot] = pair[1];
+                indegree[pair[1]] += 1;
             }
         }
-        // Build the per-process message orders and topologically sort the
-        // "must rendezvous earlier" constraints.
-        let key_index: BTreeMap<usize, usize> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let mut per_process: Vec<Vec<usize>> = vec![Vec::new(); process_count];
-        for (p, seq) in sequences.iter().enumerate() {
-            for ev in seq {
-                if let Some(MessageId(k)) = ev.message() {
-                    per_process[p].push(key_index[&k]);
-                }
-            }
-        }
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); keys.len()];
-        let mut indegree = vec![0usize; keys.len()];
-        for order in &per_process {
-            for w in order.windows(2) {
-                successors[w[0]].push(w[1]);
-                indegree[w[1]] += 1;
-            }
-        }
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..keys.len())
+        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..m)
             .filter(|&v| indegree[v] == 0)
             .map(std::cmp::Reverse)
             .collect();
-        let mut order = Vec::with_capacity(keys.len());
+        let mut rank = vec![0usize; m];
+        let mut placed = 0usize;
         while let Some(std::cmp::Reverse(v)) = ready.pop() {
-            order.push(v);
-            for &w in &successors[v] {
-                indegree[w] -= 1;
-                if indegree[w] == 0 {
-                    ready.push(std::cmp::Reverse(w));
+            rank[v] = placed;
+            placed += 1;
+            for w in next[v] {
+                if w != NO_MESSAGE {
+                    indegree[w] -= 1;
+                    if indegree[w] == 0 {
+                        ready.push(std::cmp::Reverse(w));
+                    }
                 }
             }
         }
-        if order.len() != keys.len() {
-            let culprit = (0..keys.len())
+        if placed != m {
+            let culprit = (0..m)
                 .find(|&v| indegree[v] > 0)
                 .expect("a cycle leaves positive indegree");
             return Err(TraceError::NotSynchronous {
                 message: keys[culprit],
             });
         }
-        // Renumber messages into rendezvous order and rebuild via Builder.
-        let mut rank = vec![0usize; keys.len()];
-        for (pos, &v) in order.iter().enumerate() {
-            rank[v] = pos;
+        // Renumber messages into rendezvous order, in place.
+        let mut message_meta = vec![(0usize, 0usize); m]; // (sender, receiver) by rank
+        for (id, &pair) in participants.iter().enumerate() {
+            message_meta[rank[id]] = pair;
         }
-        let mut message_meta = vec![(0usize, 0usize); keys.len()]; // (sender, receiver) by rank
-        for &k in &keys {
-            let idx = key_index[&k];
-            message_meta[rank[idx]] = (sends[&k].0, recvs[&k].0);
-        }
-        let mut histories: Vec<Vec<EventKind>> = vec![Vec::new(); process_count];
-        for (p, seq) in sequences.iter().enumerate() {
-            for ev in seq {
-                histories[p].push(match ev {
-                    EventKind::Internal => EventKind::Internal,
-                    EventKind::Send(MessageId(k)) => EventKind::Send(MessageId(rank[key_index[k]])),
-                    EventKind::Receive(MessageId(k)) => {
-                        EventKind::Receive(MessageId(rank[key_index[k]]))
-                    }
-                });
+        let mut event = 0usize;
+        for seq in &mut sequences {
+            for ev in seq.iter_mut() {
+                if let EventKind::Send(id) | EventKind::Receive(id) = ev {
+                    *id = MessageId(rank[id_of[event]]);
+                    event += 1;
+                }
             }
         }
-        Ok(Self::assemble(process_count, message_meta, histories))
+        Ok(Self::assemble(process_count, message_meta, sequences))
     }
 
     fn assemble(

@@ -8,16 +8,19 @@
 #   2. release build (tier-1)
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
 #   4. full workspace tests
-#   5. workspace doctests
-#   6. strict doc build: `cargo doc --no-deps` with rustdoc warnings as errors
-#   7. bench-smoke: the online_runtime suite at 1-iteration scale, checking
+#   5. test-registration gate: no test binary of the workspace lists the
+#      same test name twice (a doubly registered test runs twice at once
+#      and races itself on shared temp state)
+#   6. workspace doctests
+#   7. strict doc build: `cargo doc --no-deps` with rustdoc warnings as errors
+#   8. bench-smoke: the online_runtime suite at 1-iteration scale, checking
 #      both its own smoke report and the checked-in results/ JSON against
 #      the synctime/bench_online_runtime/v1 schema
-#   8. bench-smoke: the offline_pipeline suite at CI scale, checking both
+#   9. bench-smoke: the offline_pipeline suite at CI scale, checking both
 #      its own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_offline_pipeline/v1 schema (including the >= 10x
 #      sparse-vs-dense speedup claim in the full report)
-#   9. bench-smoke: the net_query suite at CI scale, checking both its own
+#  10. bench-smoke: the net_query suite at CI scale, checking both its own
 #      smoke report and the checked-in results/ JSON against the
 #      synctime/bench_net/v3 schema (full reports must clear the >= 10k
 #      single-query floor, >= 3x batch-256 speedup over single-connection
@@ -25,48 +28,48 @@
 #      >= 1.5x W=16 pipelined speedup over lock-step batch-256, >= 1.3x
 #      vectorized merge-kernel speedup at d=256, and zero steady-state
 #      serving allocations)
-#  10. bench-smoke: the clock_backends suite at CI scale, checking both its
+#  11. bench-smoke: the clock_backends suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_clocks/v1 schema (full reports must clear the >= 2x
 #      TreeClock-over-DenseVec sparse-delta merge floor at N=256 and agree
 #      bit-for-bit on final clocks across backends)
-#  11. fault-smoke: ring and gossip workloads under fixed crash and desync
+#  12. fault-smoke: ring and gossip workloads under fixed crash and desync
 #      plans must exit 0 with typed outcomes, inject every scheduled fault,
 #      and recover desyncs through full-vector resync frames
-#  12. net-smoke: `launch --transport tcp` (one OS process per synchronous
+#  13. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`; `serve-query` must answer the fixture's three
 #      known precedence queries over the wire; a 2-trace `--traces-dir`
 #      catalog must answer named-trace and batched queries with the same
 #      verdicts
-#  13. pipeline-smoke: against the live catalog server, a `--window 16`
+#  14. pipeline-smoke: against the live catalog server, a `--window 16`
 #      pipelined (protocol v3) batch must print byte-identical output to
 #      the same batch over lock-step v2 frames; the dedicated
 #      counting-allocator test must prove the steady-state serving path
 #      performs zero heap allocations
-#  14. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
+#  15. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
 #      produce byte-identical output under every `--clock` backend
 #      (dense / tree / fixed / auto), and an unknown backend name must be
 #      refused with a diagnostic
-#  15. bench-smoke: the store_replay suite at CI scale, checking both its
+#  16. bench-smoke: the store_replay suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_store/v1 schema (full reports must recover byte-
 #      identical logs, clear the >= 20k records/s replay floor, and keep
 #      ingest overhead <= 1.10 on hosts with a second hardware thread —
 #      <= 1.5 on single-thread hosts, where the writer's CPU serialises
 #      with the run)
-#  16. bench-smoke: the reconfig_churn suite at CI scale, checking both
+#  17. bench-smoke: the reconfig_churn suite at CI scale, checking both
 #      its own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_churn/v1 schema (full reports must keep reconfigure
 #      p99 <= 50ms and the rebased clock dimension within 2*alpha in
 #      every epoch)
-#  17. store-smoke: a ring run with `--persist` is served from its store
+#  18. store-smoke: a ring run with `--persist` is served from its store
 #      by `serve-query --store-dir`; the serving node is killed with
 #      SIGKILL mid-ingest while a second persisted run grows the store,
 #      restarted from the store alone, and must then answer the same
 #      batched + chain queries byte-identically to a server over an
 #      uninterrupted copy of the run (ROADMAP item 3's recovery gate)
-#  18. churn-smoke: a churned run (join + leave + swap across three
+#  19. churn-smoke: a churned run (join + leave + swap across three
 #      epochs) must produce byte-identical final-epoch traces over the
 #      distributed TCP path, the in-process engine, and an uninterrupted
 #      reference run whose membership is the final active set (the
@@ -74,7 +77,7 @@
 #      report every epoch; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
-#  19. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
+#  20. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
 #      non-test source (typed RuntimeError paths only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -92,6 +95,15 @@ run cargo build --release
 run cargo build --release --workspace
 run cargo test -q
 run cargo test --workspace -q
+
+echo "==> test-registration gate: every test registered once per binary"
+# Without -q each binary's list ends in its "N tests, M benchmarks" line,
+# so a name is only a duplicate within one binary.
+cargo test --workspace -- --list 2>/dev/null | awk '
+  / tests?, [0-9]+ benchmarks?$/ { split("", seen); next }
+  /: (test|bench)$/ { if ($0 in seen) { print "duplicate: " $0; dup = 1 }; seen[$0] = 1 }
+  END { exit dup }' || {
+  echo "verify: a test binary registers a test more than once" >&2; exit 1; }
 run cargo test --doc --workspace -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 

@@ -246,8 +246,10 @@ where
     }
 }
 
-/// Defines property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running [`ProptestConfig::cases`] random cases.
+/// Defines property tests: each `#[test] fn name(arg in strategy, ...) { body }`
+/// runs [`ProptestConfig::cases`] random cases. As in real proptest, the
+/// caller's attributes (`#[test]` included) pass through unchanged and the
+/// macro adds none of its own, so each test is registered exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -265,7 +267,6 @@ macro_rules! __proptest_impl {
     (cfg = $cfg:expr; $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config: $crate::ProptestConfig = $cfg;
                 $crate::run_proptest(&__config, stringify!($name), |__rng| {
@@ -389,16 +390,19 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
         fn ranges_in_bounds(n in 3usize..10, p in 0.1f64..0.9, s in 0u64..1000) {
             prop_assert!((3..10).contains(&n));
             prop_assert!((0.1..0.9).contains(&p));
             prop_assert!(s < 1000);
         }
 
+        #[test]
         fn vec_strategy_sizes(bytes in collection::vec(any::<u8>(), 0..40)) {
             prop_assert!(bytes.len() < 40);
         }
 
+        #[test]
         fn assume_retries(n in 0usize..100) {
             prop_assume!(n % 2 == 0);
             prop_assert!(n % 2 == 0);
@@ -412,6 +416,7 @@ mod tests {
     }
 
     proptest! {
+        #[test]
         fn composed(pair in arb_pair(5)) {
             prop_assert!(pair.0 <= 5);
             prop_assert_eq!(pair.1.len(), 3);

@@ -19,6 +19,8 @@
 //! 16-lane array under a wide epoch) is a legitimate typed outcome and
 //! skips that backend, never a failure.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +35,10 @@ const BACKENDS: [ClockBackend; 4] = [
     ClockBackend::Tree,
     ClockBackend::Fixed,
 ];
+
+/// Suffix that keeps every case's store directory distinct, even when two
+/// cases draw the same inputs in one process.
+static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
 fn backend_name(b: ClockBackend) -> &'static str {
     match b {
@@ -120,8 +126,9 @@ proptest! {
         let plan = ChurnPlan::random(universe, boundaries, 2, &mut rng);
         let fault = FaultPlan::random(universe, 4, crashes, 0, &mut rng);
         let root = std::env::temp_dir().join(format!(
-            "synctime-churn-diff-{}-{seed}-{universe}-{boundaries}-{crashes}",
-            std::process::id()
+            "synctime-churn-diff-{}-{}-{seed}-{universe}-{boundaries}-{crashes}",
+            std::process::id(),
+            NEXT_DIR.fetch_add(1, Ordering::Relaxed)
         ));
         for backend in BACKENDS {
             let Some(run) = run_backend(&plan, backend, &fault)? else {
