@@ -63,6 +63,7 @@ USAGE:
                       | --churn-plan <FILE>)
                      [--transport tcp|local] [--stats] [--seed <S>]
                      [--topology <SPEC>] [--establish-timeout-ms <MS>]
+                     [--watchdog-ms <MS>]
                      [--persist <DIR> [--trace-name <NAME>]]
   synctime serve-node --process <P> (--programs <FILE> | --ring <N> | --gossip <N>
                       | --churn-plan <FILE>)
@@ -97,7 +98,11 @@ ALGORITHMS: online (default), offline, fm, lamport
 RUN:
   Executes programs on real OS threads (one per process) with the Figure 5
   rendezvous protocol; a watchdog aborts stalled runs with a wait-for-graph
-  diagnosis. `--ring N` is a built-in token-ring workload over cycle:N.
+  diagnosis. `--watchdog-ms MS` (default 10000, must be above zero) is how
+  long a wait-for cycle must stay parked before the run is aborted; only
+  waits the channel confirms count (an untaken offer, or an empty slot
+  for a receiver), so live runs are never flagged at any timeout above
+  zero. `--ring N` is a built-in token-ring workload over cycle:N.
   `--stats` prints the run's observability summary as JSON (message counts,
   p50/p99 ack and rendezvous-wakeup latency, wire bytes, max vector
   component) instead of the reconstructed trace. `--matcher` selects how
@@ -848,16 +853,31 @@ fn run_topology(
     Ok(topo)
 }
 
+/// Parses `--watchdog-ms`, refusing zero with the runtime's typed
+/// diagnostic.
+fn parse_watchdog(opts: &BTreeMap<String, String>) -> Result<Option<std::time::Duration>, String> {
+    let Some(ms) = opts.get("watchdog-ms") else {
+        return Ok(None);
+    };
+    let ms: u64 = ms
+        .parse()
+        .map_err(|_| "--watchdog-ms expects milliseconds".to_string())?;
+    if ms == 0 {
+        return Err(format!(
+            "--watchdog-ms 0: {}",
+            synctime_runtime::RuntimeError::ZeroWatchdogTimeout
+        ));
+    }
+    Ok(Some(std::time::Duration::from_millis(ms)))
+}
+
 /// Applies the runtime tuning flags shared by `run` and `serve-node`.
 fn configure_runtime(
     mut rt: synctime_runtime::Runtime,
     opts: &BTreeMap<String, String>,
 ) -> Result<synctime_runtime::Runtime, String> {
-    if let Some(ms) = opts.get("watchdog-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| "--watchdog-ms expects milliseconds".to_string())?;
-        rt = rt.with_watchdog(std::time::Duration::from_millis(ms));
+    if let Some(timeout) = parse_watchdog(opts)? {
+        rt = rt.with_watchdog(timeout).map_err(|e| e.to_string())?;
     }
     if let Some(matcher) = opts.get("matcher") {
         rt = rt.with_matcher(match matcher.as_str() {
@@ -1257,6 +1277,8 @@ fn cmd_serve_churn_node(opts: &BTreeMap<String, String>) -> Result<String, Strin
 /// spawns `serve-node` children, wires them into a loopback mesh, and
 /// merges their reports into the same outputs `run` produces.
 fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
+    // Checked before any path runs, so a bad timeout never spawns a node.
+    parse_watchdog(opts)?;
     let churn = opts.contains_key("churn-plan");
     match opts.get("transport").map(String::as_str).unwrap_or("tcp") {
         "local" => {
@@ -2496,6 +2518,27 @@ mod tests {
         // Mismatched topology is rejected before spawning threads.
         let err = run_strs(&["run", "--ring", "4", "--topology", "cycle:5"]).unwrap_err();
         assert!(err.contains("5 nodes"), "{err}");
+    }
+
+    #[test]
+    fn zero_watchdog_timeout_is_refused() {
+        for cmd in [
+            &["run", "--ring", "3", "--watchdog-ms", "0"][..],
+            &["launch", "--ring", "3", "--watchdog-ms", "0"][..],
+            &[
+                "launch",
+                "--ring",
+                "3",
+                "--transport",
+                "local",
+                "--watchdog-ms",
+                "0",
+            ][..],
+        ] {
+            let err = run_strs(cmd).unwrap_err();
+            assert!(err.contains("watchdog timeout must be above zero"), "{err}");
+        }
+        assert!(run_strs(&["run", "--ring", "3", "--watchdog-ms", "1"]).is_ok());
     }
 
     #[test]

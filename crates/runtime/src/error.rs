@@ -88,6 +88,11 @@ pub enum RuntimeError {
         /// The backend's maximum dimension.
         capacity: usize,
     },
+    /// `Runtime::with_watchdog` was given a zero timeout. Every wait is
+    /// parked for at least 0 ms the moment it begins, so a zero timeout
+    /// would make every registered wait a deadlock candidate; use
+    /// `Runtime::without_watchdog` to turn the watchdog off instead.
+    ZeroWatchdogTimeout,
     /// A reconfiguration was applied out of order: `Runtime::apply_reconfigure`
     /// requires each applied epoch to be the successor of the runtime's
     /// current epoch, so no topology change can be skipped or replayed.
@@ -145,6 +150,12 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "clock backend holds at most {capacity} components, but the decomposition has {dim} edge groups"
+                )
+            }
+            RuntimeError::ZeroWatchdogTimeout => {
+                write!(
+                    f,
+                    "watchdog timeout must be above zero (every wait is parked for at least 0 ms)"
                 )
             }
             RuntimeError::EpochMismatch { expected, got } => {

@@ -118,6 +118,14 @@ impl ChannelSlot {
         self.cond.notify_all();
     }
 
+    /// Whether the slot holds an offer its receiver has not taken yet —
+    /// the watchdog's confirmation of a wait on this channel: the sender
+    /// is still waiting on the receiver, and the receiver, if it waits
+    /// here, is about to take the offer.
+    pub(crate) fn holds_offer(&self) -> bool {
+        matches!(*self.lock(), SlotState::Offered { .. })
+    }
+
     /// Wakes any thread parked on this slot without changing its state.
     /// Used by the watchdog (abort) and by exiting processes so parked
     /// peers re-check their abort/liveness conditions promptly.

@@ -40,11 +40,33 @@ const MAX_RESYNC: u32 = 4;
 pub const DEFAULT_RENDEZVOUS_RETRIES: u32 = 3;
 
 /// A process's registered wait while parked in a rendezvous operation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockedOn {
     op: WaitOp,
     peer: ProcessId,
     since: Instant,
+}
+
+impl BlockedOn {
+    /// The directed channel `(from, to)` this wait of process `p` is on.
+    fn channel(&self, p: ProcessId) -> (ProcessId, ProcessId) {
+        match self.op {
+            WaitOp::ReceiveFrom => (self.peer, p),
+            WaitOp::SendTo | WaitOp::AckFrom => (p, self.peer),
+        }
+    }
+
+    /// Whether the channel state confirms the wait: a sender waits on its
+    /// receiver only while its offer sits untaken, and a receiver waits on
+    /// its sender only while no offer sits in the slot. Anything else is a
+    /// rendezvous in progress — an offer about to be taken, or one already
+    /// taken and acknowledged whose sender is not yet rescheduled.
+    fn confirmed_by(&self, holds_offer: bool) -> bool {
+        match self.op {
+            WaitOp::ReceiveFrom => !holds_offer,
+            WaitOp::SendTo | WaitOp::AckFrom => holds_offer,
+        }
+    }
 }
 
 /// State shared between the process threads and the watchdog.
@@ -60,14 +82,15 @@ struct RunShared {
     finished: AtomicBool,
     /// The diagnosis backing `abort`, filled in before the flag is set.
     diagnosis: Mutex<Option<DeadlockDiagnosis>>,
-    /// Every channel slot of the run, so aborts and process exits can wake
-    /// parked threads promptly (the park backstop makes this best-effort
-    /// redundancy, not a correctness requirement).
-    slots: Vec<Arc<ChannelSlot>>,
+    /// Every channel slot of the run keyed by `(from, to)`: the watchdog
+    /// reads them to confirm waits, and aborts and process exits wake
+    /// parked threads through them promptly (the park backstop makes the
+    /// wakeup best-effort redundancy, not a correctness requirement).
+    slots: HashMap<(ProcessId, ProcessId), Arc<ChannelSlot>>,
 }
 
 impl RunShared {
-    fn new(n: usize, slots: Vec<Arc<ChannelSlot>>) -> Self {
+    fn new(n: usize, slots: HashMap<(ProcessId, ProcessId), Arc<ChannelSlot>>) -> Self {
         RunShared {
             blocked: (0..n).map(|_| Mutex::new(None)).collect(),
             live: (0..n).map(|_| AtomicBool::new(true)).collect(),
@@ -85,7 +108,7 @@ impl RunShared {
     /// Wakes every thread parked on any slot so it re-checks abort and
     /// peer-liveness conditions.
     fn wake_all(&self) {
-        for slot in &self.slots {
+        for slot in self.slots.values() {
             slot.wake();
         }
     }
@@ -112,32 +135,65 @@ impl RunShared {
 /// processes keep computing — and never flags slow-but-live runs: a chain
 /// of parked threads whose head is merely napping has no cycle, no matter
 /// how long the chain has been parked.
+///
+/// A registration alone does not make an edge: the thread registers when
+/// its first poll comes back pending and clears the registration only
+/// after it has been rescheduled, so a rendezvous in progress can look
+/// like two peers waiting on each other. Each snapshot therefore reads
+/// every candidate registration, then each candidate's channel slot once
+/// (both endpoints of a channel see the same reading), then every
+/// registration again, and keeps an edge only if the registration did not
+/// change and the slot confirms the wait (see [`BlockedOn::confirmed_by`]).
+/// Every kept edge then held over one common interval, and none of the
+/// waits in a kept cycle can end before its successor's does: the cycle
+/// is a deadlock, not a rendezvous caught mid-flight.
+///
+/// The thread parks between polls; [`Runtime::run_tolerant`] unparks it as
+/// soon as the last behavior has been joined, so a run ends with its
+/// behaviors rather than at the next poll boundary.
 fn watchdog_loop(shared: &RunShared, timeout: Duration) {
     let poll = (timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
     loop {
-        std::thread::sleep(poll);
+        std::thread::park_timeout(poll);
         if shared.finished.load(Ordering::Acquire) || shared.aborted() {
             return;
         }
-        let mut expired = Vec::new();
+        let mut candidates = Vec::new();
         let mut terminated = Vec::new();
         for (p, live) in shared.live.iter().enumerate() {
             if !live.load(Ordering::Acquire) {
                 terminated.push(p);
                 continue;
             }
-            let slot = lock_recover(&shared.blocked[p]);
-            if let Some(b) = &*slot {
+            if let Some(b) = *lock_recover(&shared.blocked[p]) {
                 if b.since.elapsed() >= timeout {
-                    expired.push(WaitEdge {
-                        process: p,
-                        op: b.op,
-                        peer: b.peer,
-                        blocked_ms: b.since.elapsed().as_millis() as u64,
-                    });
+                    candidates.push((p, b));
                 }
             }
         }
+        if candidates.is_empty() {
+            continue;
+        }
+        let mut holds_offer = HashMap::with_capacity(candidates.len());
+        for (p, b) in &candidates {
+            let channel = b.channel(*p);
+            holds_offer
+                .entry(channel)
+                .or_insert_with(|| shared.slots.get(&channel).is_some_and(|s| s.holds_offer()));
+        }
+        let expired: Vec<WaitEdge> = candidates
+            .into_iter()
+            .filter(|(p, b)| {
+                *lock_recover(&shared.blocked[*p]) == Some(*b)
+                    && b.confirmed_by(holds_offer[&b.channel(*p)])
+            })
+            .map(|(p, b)| WaitEdge {
+                process: p,
+                op: b.op,
+                peer: b.peer,
+                blocked_ms: b.since.elapsed().as_millis() as u64,
+            })
+            .collect();
         if expired.is_empty() {
             continue;
         }
@@ -1144,10 +1200,21 @@ impl Runtime {
 
     /// Aborts a run with [`RuntimeError::Deadlock`] once a wait-for cycle
     /// of processes has been parked in rendezvous operations for `timeout`.
-    #[must_use]
-    pub fn with_watchdog(mut self, timeout: Duration) -> Self {
+    /// The watchdog looks every `timeout / 8` (clamped to 1–50 ms), and
+    /// only at waits the channel confirms (see [`Runtime::run`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::ZeroWatchdogTimeout`] when `timeout` is zero: every
+    /// registered wait would be parked "long enough" the instant it began,
+    /// leaving nothing but the channel confirmation between a live run and
+    /// an abort. Use [`Runtime::without_watchdog`] to turn it off.
+    pub fn with_watchdog(mut self, timeout: Duration) -> Result<Self, RuntimeError> {
+        if timeout.is_zero() {
+            return Err(RuntimeError::ZeroWatchdogTimeout);
+        }
         self.watchdog = Some(timeout);
-        self
+        Ok(self)
     }
 
     /// Disables the deadlock watchdog: mismatched behaviors block forever,
@@ -1241,9 +1308,13 @@ impl Runtime {
     /// real CSP programs do. A watchdog thread monitors the parked-thread
     /// registry and, once the wait-for graph contains a cycle whose members
     /// have all been parked beyond the configured timeout, aborts the run
-    /// with [`RuntimeError::Deadlock`] carrying the diagnosis. Slow-but-live
-    /// runs — arbitrarily long parks whose wait chains end in a running
-    /// process — are never aborted. The `synctime-sim` crate's scheduler
+    /// with [`RuntimeError::Deadlock`] carrying the diagnosis. A wait counts
+    /// as an edge only while its channel confirms it: a sender's offer sits
+    /// untaken, or a receiver's slot holds no offer. Slow-but-live runs —
+    /// arbitrarily long parks whose wait chains end in a running process,
+    /// and rendezvous caught mid-flight at any timeout — are never aborted.
+    /// The watchdog is woken as soon as the last behavior returns, so it
+    /// adds no tail to the run. The `synctime-sim` crate's scheduler
     /// detects the same deadlocks deterministically and instantly; the
     /// runtime's watchdog is the wall-clock analogue for real threads.
     ///
@@ -1287,7 +1358,7 @@ impl Runtime {
             (0..n).map(|_| HashMap::new()).collect();
         let mut rx_maps: Vec<HashMap<ProcessId, Arc<dyn RxChannel>>> =
             (0..n).map(|_| HashMap::new()).collect();
-        let mut slots = Vec::with_capacity(2 * self.topology.edge_count());
+        let mut slots = HashMap::with_capacity(2 * self.topology.edge_count());
         for e in self.topology.edges() {
             for (u, v) in [(e.lo(), e.hi()), (e.hi(), e.lo())] {
                 let slot = Arc::new(ChannelSlot::new());
@@ -1299,7 +1370,7 @@ impl Runtime {
                     u,
                     Arc::new(LocalRx::new(Arc::clone(&slot), self.matcher)) as _,
                 );
-                slots.push(slot);
+                slots.insert((u, v), slot);
             }
         }
         let shared = Arc::new(RunShared::new(n, slots));
@@ -1311,10 +1382,10 @@ impl Runtime {
 
         let results: Vec<(Vec<LogEntry>, VectorTime, Option<RuntimeError>)> =
             std::thread::scope(|s| {
-                if let Some(timeout) = self.watchdog {
+                let watchdog = self.watchdog.map(|timeout| {
                     let shared = Arc::clone(&shared);
-                    s.spawn(move || watchdog_loop(&shared, timeout));
-                }
+                    s.spawn(move || watchdog_loop(&shared, timeout))
+                });
                 let handles: Vec<_> = behaviors
                     .into_iter()
                     .zip(ctxs)
@@ -1358,6 +1429,11 @@ impl Runtime {
                     })
                     .collect();
                 shared.finished.store(true, Ordering::Release);
+                // The scope joins the watchdog: wake it now rather than
+                // letting the run wait out the rest of its poll.
+                if let Some(watchdog) = &watchdog {
+                    watchdog.thread().unpark();
+                }
                 results
             });
 
@@ -1470,7 +1546,7 @@ impl Runtime {
     ) -> ProcessRun {
         let n = self.topology.node_count();
         assert!(id < n, "process id {id} out of range for {n} processes");
-        let shared = Arc::new(RunShared::new(n, Vec::new()));
+        let shared = Arc::new(RunShared::new(n, HashMap::new()));
         let recorder = Arc::new(Recorder::new(n, self.ring_capacity));
         let mut ctx = self.process_ctx(id, tx, rx, Arc::clone(&shared), Arc::clone(&recorder));
         let outcome = catch_unwind(AssertUnwindSafe(|| behavior(&mut ctx)))
@@ -1951,7 +2027,9 @@ mod tests {
     fn mutual_receive_deadlock_is_diagnosed() {
         let topo = topology::path(2);
         let dec = decompose::best_known(&topo);
-        let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(100));
+        let rt = Runtime::new(&topo, &dec)
+            .with_watchdog(Duration::from_millis(100))
+            .unwrap();
         let started = Instant::now();
         let err = rt
             .run(vec![
@@ -1980,7 +2058,9 @@ mod tests {
     fn mutual_send_deadlock_is_diagnosed() {
         let topo = topology::path(2);
         let dec = decompose::best_known(&topo);
-        let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(100));
+        let rt = Runtime::new(&topo, &dec)
+            .with_watchdog(Duration::from_millis(100))
+            .unwrap();
         let err = rt
             .run(vec![
                 Box::new(|ctx| ctx.send(1, 0).map(|_| ())),
@@ -2003,7 +2083,9 @@ mod tests {
         // P0 forever; the cycle detector aborts on the {1, 2} cycle alone.
         let topo = topology::path(3);
         let dec = decompose::best_known(&topo);
-        let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(100));
+        let rt = Runtime::new(&topo, &dec)
+            .with_watchdog(Duration::from_millis(100))
+            .unwrap();
         let err = rt
             .run(vec![
                 Box::new(|_| {
@@ -2027,7 +2109,7 @@ mod tests {
         // A tight watchdog over many rounds: every rendezvous completes well
         // inside the timeout, so the run must finish normally.
         let (rt, behaviors) = ping_pong(200);
-        let rt = rt.with_watchdog(Duration::from_millis(250));
+        let rt = rt.with_watchdog(Duration::from_millis(250)).unwrap();
         let run = rt.run(behaviors).expect("clean run aborted by watchdog");
         assert_eq!(run.stats().messages, 400);
     }
@@ -2039,7 +2121,9 @@ mod tests {
         // ends at the napper, which is not parked — no cycle.
         let topo = topology::path(2);
         let dec = decompose::best_known(&topo);
-        let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(100));
+        let rt = Runtime::new(&topo, &dec)
+            .with_watchdog(Duration::from_millis(100))
+            .unwrap();
         let run = rt
             .run(vec![
                 Box::new(|ctx| {
@@ -2079,6 +2163,7 @@ mod tests {
         let dec = decompose::best_known(&topo);
         let rt = Runtime::new(&topo, &dec)
             .with_watchdog(Duration::from_millis(100))
+            .unwrap()
             .with_fault_injector(Arc::new(InjectAt {
                 process: 1,
                 at_op: 0,

@@ -35,7 +35,12 @@
 #      bit-for-bit on final clocks across backends)
 #  12. fault-smoke: ring and gossip workloads under fixed crash and desync
 #      plans must exit 0 with typed outcomes, inject every scheduled fault,
-#      and recover desyncs through full-vector resync frames
+#      and recover desyncs through full-vector resync frames; 20 live
+#      `run --ring 6 --rounds 2000` and 20 live `run --gossip 8 --rounds
+#      500` runs under `--watchdog-ms 1` must all exit 0 (the watchdog
+#      counts only waits the channel confirms, so no rendezvous in flight
+#      reads as a deadlock); `run` and `launch` with `--watchdog-ms 0`
+#      must exit non-zero with the typed zero-timeout diagnostic
 #  13. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`; `serve-query` must answer the fixture's three
@@ -170,6 +175,24 @@ stat_check "$FAULT_DIR/desync-gossip.out" faults_injected ge 1
 stat_check "$FAULT_DIR/desync-gossip.out" resync_frames ge 1
 grep -q '"outcomes": \[null, null, null, null\]' "$FAULT_DIR/desync-gossip.out" || {
   echo "verify: desync gossip run did not recover cleanly" >&2; exit 1; }
+
+echo "==> fault-smoke: live ring and gossip runs are never flagged at --watchdog-ms 1"
+for i in $(seq 1 20); do
+  "$SYNCTIME" run --ring 6 --rounds 2000 --watchdog-ms 1 > /dev/null || {
+    echo "verify: live ring run $i failed under --watchdog-ms 1" >&2; exit 1; }
+  "$SYNCTIME" run --gossip 8 --rounds 500 --watchdog-ms 1 > /dev/null || {
+    echo "verify: live gossip run $i failed under --watchdog-ms 1" >&2; exit 1; }
+done
+
+echo "==> fault-smoke: a zero watchdog timeout is refused"
+for cmd in run launch; do
+  if "$SYNCTIME" "$cmd" --ring 4 --rounds 1 --watchdog-ms 0 \
+      > /dev/null 2> "$FAULT_DIR/zero-$cmd.err"; then
+    echo "verify: $cmd accepted --watchdog-ms 0" >&2; exit 1
+  fi
+  grep -q 'watchdog timeout must be above zero' "$FAULT_DIR/zero-$cmd.err" || {
+    echo "verify: $cmd --watchdog-ms 0 lacks the typed diagnostic" >&2; exit 1; }
+done
 
 # --- net-smoke: the distributed path must match the in-process run, and
 # --- the query server must answer known-precedence queries over TCP.

@@ -314,6 +314,7 @@ proptest! {
         let dec = decompose::best_known(&topo);
         let run = Runtime::new(&topo, &dec)
             .with_watchdog(Duration::from_secs(1))
+            .unwrap()
             .with_fault_injector(Arc::new(plan))
             .run_tolerant(behaviors);
         for (p, o) in run.outcomes().iter().enumerate() {
@@ -540,6 +541,7 @@ proptest! {
         let dec = decompose::best_known(&topo);
         let run = Runtime::new(&topo, &dec)
             .with_watchdog(Duration::from_secs(1))
+            .unwrap()
             .with_fault_injector(Arc::new(plan))
             .run_tolerant(behaviors);
         let (prefix, run_stamps) = run.reconstruct().expect("two-sided logs reconstruct");

@@ -1,11 +1,16 @@
 //! The runtime's observability layer end to end: the deadlock watchdog
-//! turns stalled rendezvous into diagnosed errors, and clean runs produce
-//! consistent `RunStats` summaries.
+//! turns stalled rendezvous into diagnosed errors, never flags a live run,
+//! and adds no tail to a finished one; clean runs produce consistent
+//! `RunStats` summaries.
 
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use synctime::prelude::*;
 use synctime::runtime::{Matcher, RunStats, RuntimeError, WaitOp};
+use synctime::sim::programs;
 use synctime_graph::{decompose, topology};
 
 /// A deliberately deadlocked 2-process program: both sides block in
@@ -15,7 +20,9 @@ use synctime_graph::{decompose, topology};
 fn deadlocked_program_aborts_with_cycle() {
     let topo = topology::path(2);
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(150));
+    let rt = Runtime::new(&topo, &dec)
+        .with_watchdog(Duration::from_millis(150))
+        .unwrap();
     let started = Instant::now();
     let err = rt
         .run(vec![
@@ -43,7 +50,9 @@ fn deadlocked_program_aborts_with_cycle() {
 fn three_process_send_cycle_is_diagnosed() {
     let topo = topology::triangle();
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(150));
+    let rt = Runtime::new(&topo, &dec)
+        .with_watchdog(Duration::from_millis(150))
+        .unwrap();
     let err = rt
         .run(vec![
             Box::new(|ctx| ctx.send(1, 0).map(|_| ())),
@@ -66,7 +75,9 @@ fn three_process_send_cycle_is_diagnosed() {
 fn slow_but_live_pipeline_is_never_flagged() {
     let topo = topology::path(3);
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(40));
+    let rt = Runtime::new(&topo, &dec)
+        .with_watchdog(Duration::from_millis(40))
+        .unwrap();
     let run = rt
         .run(vec![
             Box::new(|ctx| {
@@ -102,7 +113,9 @@ fn slow_but_live_pipeline_is_never_flagged() {
 fn partial_deadlock_is_diagnosed_despite_live_bystander() {
     let topo = topology::path(3);
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(150));
+    let rt = Runtime::new(&topo, &dec)
+        .with_watchdog(Duration::from_millis(150))
+        .unwrap();
     let err = rt
         .run(vec![
             Box::new(|_ctx| {
@@ -119,6 +132,114 @@ fn partial_deadlock_is_diagnosed_despite_live_bystander() {
     };
     assert_eq!(diagnosis.cycle, vec![1, 2]);
     assert!(!diagnosis.cycle.contains(&0), "P0 was never waiting");
+}
+
+/// Replays one directed script per process on the runtime under a 1 ms
+/// watchdog — the tightest timeout the CLI accepts.
+fn run_scripts_at_1ms(topo: &Graph, scripts: &[Program]) -> Result<RuntimeRun, RuntimeError> {
+    let dec = decompose::best_known(topo);
+    let behaviors: Vec<Behavior> = scripts
+        .iter()
+        .map(|script| -> Behavior {
+            let ops = script.ops().to_vec();
+            Box::new(move |ctx| {
+                for op in &ops {
+                    match op {
+                        Op::SendTo(q) => {
+                            ctx.send(*q, 0)?;
+                        }
+                        Op::ReceiveFrom(q) => {
+                            ctx.receive_from(*q)?;
+                        }
+                        Op::Internal => ctx.internal(),
+                        Op::ReceiveAny => unreachable!("directed scripts only"),
+                    }
+                }
+                Ok(())
+            })
+        })
+        .collect();
+    Runtime::new(topo, &dec)
+        .with_watchdog(Duration::from_millis(1))?
+        .run(behaviors)
+}
+
+/// `laps` trips of a token from P0 around `cycle(n)`.
+fn token_ring(n: usize, laps: usize) -> (Graph, SyncComputation) {
+    let topo = topology::cycle(n);
+    let mut b = Builder::with_topology(&topo);
+    for _ in 0..laps {
+        for p in 0..n {
+            b.message(p, (p + 1) % n).expect("ring channel exists");
+        }
+    }
+    (topo, b.build())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Live schedules are never flagged, however tight the watchdog. Token
+    /// rings and client–server RPC scripts are deadlock-free by
+    /// construction, yet at 1 ms their threads are routinely parked past
+    /// the timeout mid-rendezvous — a receiver whose offer has just
+    /// arrived, a sender whose offer was taken and acknowledged but who is
+    /// not yet rescheduled. Only waits the channel confirms may form a
+    /// cycle, so every run must finish and replay its scripts.
+    #[test]
+    fn live_schedules_are_never_flagged_at_1ms(
+        ring_size in 3usize..=8,
+        laps in 50usize..400,
+        servers in 1usize..=3,
+        clients in 2usize..=6,
+        rpcs in 100usize..1500,
+        seed in 0u64..10_000,
+    ) {
+        let ring = token_ring(ring_size, laps);
+        let rpc = scenarios::client_server_rpc(
+            servers,
+            clients,
+            rpcs,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        for (name, topo, computation) in [
+            ("token ring", &ring.0, &ring.1),
+            ("client-server", &rpc.topology, &rpc.computation),
+        ] {
+            let run = run_scripts_at_1ms(topo, &programs::from_computation(computation))
+                .map_err(|e| TestCaseError::Fail(format!("{name}: {e}")))?;
+            let (replayed, _) = run
+                .reconstruct()
+                .map_err(|e| TestCaseError::Fail(format!("{name}: {e}")))?;
+            prop_assert!(
+                programs::roundtrips(computation, &replayed),
+                "{} replay diverged from its scripts", name
+            );
+        }
+    }
+}
+
+/// A run ends when its last behavior does. Under the default 10 s timeout
+/// the watchdog polls every 50 ms; it is woken as the run finishes, so
+/// twenty runs of no-op behaviors take milliseconds, not the full second
+/// that waiting out one poll per run would cost.
+#[test]
+fn runs_end_with_their_behaviors_not_at_the_next_watchdog_poll() {
+    let topo = topology::cycle(3);
+    let dec = decompose::best_known(&topo);
+    let rt = Runtime::new(&topo, &dec);
+    let started = Instant::now();
+    for _ in 0..20 {
+        let behaviors: Vec<Behavior> = (0..3)
+            .map(|_| -> Behavior { Box::new(|_| Ok(())) })
+            .collect();
+        rt.run(behaviors).expect("no-op behaviors cannot fail");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "20 no-op runs took {elapsed:?}"
+    );
 }
 
 /// Both matchers produce the same computation; the parking matcher's stats
@@ -172,7 +293,9 @@ fn clean_run_stats_are_consistent() {
     let topo = topology::cycle(4);
     let dec = decompose::best_known(&topo);
     let rounds = 25u64;
-    let rt = Runtime::new(&topo, &dec).with_watchdog(Duration::from_millis(500));
+    let rt = Runtime::new(&topo, &dec)
+        .with_watchdog(Duration::from_millis(500))
+        .unwrap();
     let behaviors: Vec<Behavior> = (0..4)
         .map(|p| -> Behavior {
             Box::new(move |ctx| {
