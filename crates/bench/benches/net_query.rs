@@ -1,25 +1,24 @@
 //! Experiment N1: the network layer — precedence-query server throughput
-//! (single queries, v2 batches, v3 pipelined windows, and the sharded
+//! (single queries, lock-step batches, pipelined windows, and the sharded
 //! multi-trace fabric), the allocation-free serving hot path, the
 //! vectorized clock kernels, and the TCP transport's overhead against the
-//! in-process baseline.
+//! in-process baseline. Every query travels as QUERY3/ANSWER3 frames.
 //!
 //! Workload families, self-timed and exported as machine-readable JSON:
 //!
 //! * `query` — a stamped trace served over loopback TCP; closed-loop
-//!   client connections hammer it with v1 `precedes` (one query per
-//!   frame, plus a `chain-of` variant), reporting queries/sec and
-//!   nearest-rank p50/p99 latency. The paper's selling point is O(d)
-//!   comparisons per query; the server should sustain well over 10k
-//!   queries/sec even with framing and socket hops in the path.
-//! * `query_batch` — the same trace asked over v2 QUERY2/ANSWER2 batch
-//!   frames on a **single** connection, at batch sizes 16 and 256. This
-//!   isolates the syscall-amortisation win: one `write`/`read` pair per
-//!   N queries instead of per query. Latency is reported **amortised**
+//!   client connections hammer it with single `precedes` queries (a batch
+//!   of one per frame, lock-step, plus a `chain-of` variant), reporting
+//!   queries/sec and nearest-rank p50/p99 latency. The paper's selling
+//!   point is O(d) comparisons per query; the server should sustain well
+//!   over 10k queries/sec even with framing and socket hops in the path.
+//! * `query_batch` — the same trace asked in lock-step batches, one frame
+//!   in flight, on a **single** connection, at batch sizes 16 and 256.
+//!   This isolates the syscall-amortisation win: one `write`/`read` pair
+//!   per N queries instead of per query. Latency is reported **amortised**
 //!   (batch round trip / batch size) — the per-query cost a caller with
 //!   N outstanding questions actually pays.
-//! * `query_pipeline` — the same single connection asked over
-//!   correlation-tagged v3 QUERY3/ANSWER3 frames with a window of W
+//! * `query_pipeline` — the same single connection with a window of W
 //!   batches in flight (W ∈ {1, 4, 16}): requests stream without waiting
 //!   for answers, the server answers every buffered frame in one write,
 //!   and the client decodes answers as borrowed views straight into
@@ -47,12 +46,12 @@
 //!
 //! `--smoke` shrinks the workloads for CI; `--validate PATH` checks an
 //! existing report (e.g. `results/BENCH_net.json`) against the
-//! `synctime/bench_net/v3` schema. The full run additionally enforces the
+//! `synctime/bench_net/v4` schema. The full run additionally enforces the
 //! acceptance floors: `query/precedes` above 10_000 queries/sec,
-//! `batch_256` at least 3x the single-connection v1 rate, the fabric at
-//! 500_000+ aggregate queries/sec with amortised p99 at or below 250us,
-//! the W=16 pipeline at least 1.5x the same run's `batch_256` rate, the
-//! vectorized merge kernel at least 1.3x scalar at d=256, and **zero**
+//! `batch_256` at least 3x the single-connection single-query rate, the
+//! fabric at 500_000+ aggregate queries/sec with amortised p99 at or below
+//! 250us, the W=16 pipeline at least 1.5x the same run's `batch_256` rate,
+//! the vectorized merge kernel at least 1.3x scalar at d=256, and **zero**
 //! steady-state serving allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,13 +68,14 @@ use synctime_core::online::OnlineStamper;
 use synctime_core::{kernel, wire, MessageTimestamps};
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
 use synctime_net::{
-    encode_query_batch_into, pump_frames, serve_fabric, topology_hash_of, BatchQuery, FrameReader,
-    FrameScratch, QueryClient, QueryFabric, QueryService, TcpMeshBuilder,
+    default_pool_size, encode_query_batch_into, pump_frames, serve_fabric, topology_hash_of,
+    BatchQuery, FrameReader, FrameScratch, QueryClient, QueryFabric, TcpMeshBuilder,
+    DEFAULT_TRACE_NAME,
 };
 use synctime_obs::{nearest_rank_percentile, RunStats};
 use synctime_runtime::{Behavior, Runtime};
 
-const SCHEMA: &str = "synctime/bench_net/v3";
+const SCHEMA: &str = "synctime/bench_net/v4";
 const QPS_FLOOR: f64 = 10_000.0;
 const BATCH_SPEEDUP_FLOOR: f64 = 3.0;
 const FABRIC_QPS_FLOOR: f64 = 500_000.0;
@@ -224,8 +224,9 @@ fn stamped_trace(processes: usize, messages: usize, seed: u64) -> (MessageTimest
 }
 
 /// Spawns a query server over a freshly stamped random trace and runs
-/// `connections` closed-loop clients, each issuing `per_client` v1 queries
-/// of the given kind. Latency percentiles are nearest-rank over every
+/// `connections` closed-loop clients, each issuing `per_client` single
+/// queries of the given kind against the server's default trace (the
+/// empty trace id). Latency percentiles are nearest-rank over every
 /// query.
 fn bench_query(
     processes: usize,
@@ -240,8 +241,9 @@ fn bench_query(
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
+    let fabric = Arc::new(QueryFabric::single(DEFAULT_TRACE_NAME, stamps));
     std::thread::spawn(move || {
-        let _ = synctime_net::query::serve(listener, QueryService::new(stamps));
+        let _ = serve_fabric(listener, fabric, default_pool_size());
     });
 
     let started = Instant::now();
@@ -257,9 +259,11 @@ fn bench_query(
                     let m2 = rng.gen_range(0..m);
                     let at = Instant::now();
                     if chain {
-                        client.chain_of(m1).expect("chain query");
+                        client.chain_of("", m1).expect("chain query");
                     } else {
-                        client.precedes(m1, m2).expect("precedes query");
+                        client
+                            .precedes_many_pipelined("", &[(m1, m2)], 1, 1)
+                            .expect("precedes query");
                     }
                     latencies.push(at.elapsed().as_nanos() as u64);
                 }
@@ -342,7 +346,9 @@ fn bench_batch(
                         .map(|_| (rng.gen_range(0..m), rng.gen_range(0..m)))
                         .collect();
                     let at = Instant::now();
-                    let verdicts = client.precedes_many(&trace, &pairs).expect("batch query");
+                    let verdicts = client
+                        .precedes_many_pipelined(&trace, &pairs, batch_size, 1)
+                        .expect("batch query");
                     let rtt = at.elapsed().as_nanos() as u64;
                     assert_eq!(verdicts.len(), batch_size);
                     amortised.push(rtt / batch_size as u64);
@@ -361,8 +367,8 @@ fn bench_batch(
     // Wire cost per query, priced by the core model: the batch request and
     // its all-boolean answer, spread over the batch.
     let trace_id_bytes = "trace-0".len();
-    let bytes_per_query = (wire::batch_query_frame_bytes(trace_id_bytes, batch_size)
-        + wire::batch_answer_frame_bytes(batch_size, batch_size)) as f64
+    let bytes_per_query = (wire::batch_query3_frame_bytes(trace_id_bytes, batch_size)
+        + wire::batch_answer3_frame_bytes(batch_size, batch_size)) as f64
         / batch_size as f64;
     Record {
         workload,
@@ -383,9 +389,9 @@ fn bench_batch(
     }
 }
 
-// ------------------------------------------------- pipelined v3 windows
+// ------------------------------------------------- pipelined windows
 
-/// A single connection to a one-trace fabric, asked over v3 pipelined
+/// A single connection to a one-trace fabric, asked over pipelined
 /// frames: each call streams `chunks_per_call` QUERY3 batches of
 /// `batch_size` precedes queries with `window` in flight. Latency is
 /// amortised per query across the whole call; `ops_per_sec` is the
@@ -428,8 +434,8 @@ fn bench_pipeline(
     let elapsed_ns = started.elapsed().as_nanos();
     amortised.sort_unstable();
     let ops = (calls * pairs.len()) as u64;
-    // v3 wire cost per query: the correlation id adds 4 bytes to each
-    // direction of every batch frame.
+    // Wire cost per query: the batch request and its all-boolean answer,
+    // spread over the batch.
     let trace_id_bytes = "trace-0".len();
     let bytes_per_query = (wire::batch_query3_frame_bytes(trace_id_bytes, batch_size)
         + wire::batch_answer3_frame_bytes(batch_size, batch_size)) as f64
@@ -684,7 +690,7 @@ fn run_suite(smoke: bool) -> Value {
     };
     let mut records = Vec::new();
     eprintln!(
-        "net_query: v1 query server ({connections} connections x {per_client} queries, \
+        "net_query: single queries ({connections} connections x {per_client} queries, \
          {messages}-message trace)"
     );
     records.push(bench_query(
@@ -711,7 +717,7 @@ fn run_suite(smoke: bool) -> Value {
         true,
         "chain_of",
     ));
-    eprintln!("net_query: v2 batches (single connection, batch 16 and 256)");
+    eprintln!("net_query: lock-step batches (single connection, batch 16 and 256)");
     records.push(bench_batch(
         1,
         1,
@@ -738,7 +744,7 @@ fn run_suite(smoke: bool) -> Value {
         (32, 24, 4_096, 400_000)
     };
     eprintln!(
-        "net_query: v3 pipelined windows (single connection, batch 256 x \
+        "net_query: pipelined windows (single connection, batch 256 x \
          {pipe_chunks} chunks, W in {{1, 4, 16}})"
     );
     records.push(bench_pipeline(
@@ -808,12 +814,14 @@ fn run_suite(smoke: bool) -> Value {
             .unwrap_or(0.0)
     };
     let tcp_rate = rate("ring_transport", "tcp");
-    let v1_single = rate("query", "precedes_1conn");
+    let single = rate("query", "precedes_1conn");
     let batch256 = rate("query_batch", "batch_256");
-    // Wire cost of one v1 precedes exchange, from the same pricing model.
-    let bytes_per_query_v1 = (wire::query_frame_bytes() + wire::answer_frame_bytes(1)) as f64;
-    let bytes_per_query_batch256 = (wire::batch_query_frame_bytes("trace-0".len(), 256)
-        + wire::batch_answer_frame_bytes(256, 256)) as f64
+    // Wire cost of one lone precedes exchange (a batch of one against the
+    // default trace), from the same pricing model.
+    let bytes_per_query_single =
+        (wire::batch_query3_frame_bytes(0, 1) + wire::batch_answer3_frame_bytes(1, 1)) as f64;
+    let bytes_per_query_batch256 = (wire::batch_query3_frame_bytes("trace-0".len(), 256)
+        + wire::batch_answer3_frame_bytes(256, 256)) as f64
         / 256.0;
     let bytes_per_query_pipeline256 = (wire::batch_query3_frame_bytes("trace-0".len(), 256)
         + wire::batch_answer3_frame_bytes(256, 256)) as f64
@@ -833,9 +841,9 @@ fn run_suite(smoke: bool) -> Value {
                 ("batch16_qps", float(rate("query_batch", "batch_16"))),
                 ("batch256_qps", float(rate("query_batch", "batch_256"))),
                 (
-                    "batch256_speedup_vs_v1",
-                    float(if v1_single > 0.0 {
-                        rate("query_batch", "batch_256") / v1_single
+                    "batch256_speedup_vs_single",
+                    float(if single > 0.0 {
+                        rate("query_batch", "batch_256") / single
                     } else {
                         0.0
                     }),
@@ -873,7 +881,7 @@ fn run_suite(smoke: bool) -> Value {
                     "fabric_p99_ns",
                     uint(detail_u64("fabric", "shards_4", "p99_ns")),
                 ),
-                ("bytes_per_query_v1", float(bytes_per_query_v1)),
+                ("bytes_per_query_single", float(bytes_per_query_single)),
                 ("bytes_per_query_batch256", float(bytes_per_query_batch256)),
                 (
                     "bytes_per_query_pipeline256",
@@ -894,7 +902,7 @@ fn run_suite(smoke: bool) -> Value {
 
 // ---------------------------------------------------------- validation
 
-/// Checks a report against the v2 schema. Returns every violation found.
+/// Checks a report against the v4 schema. Returns every violation found.
 fn validate_report(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
@@ -1078,7 +1086,7 @@ fn validate_report(doc: &Value) -> Vec<String> {
     for key in [
         "batch16_qps",
         "batch256_qps",
-        "batch256_speedup_vs_v1",
+        "batch256_speedup_vs_single",
         "pipeline_window1_qps",
         "pipeline_window4_qps",
         "pipeline_window16_qps",
@@ -1087,7 +1095,7 @@ fn validate_report(doc: &Value) -> Vec<String> {
         "kernel_merge_speedup_d256",
         "fabric_aggregate_qps",
         "fabric_p99_ns",
-        "bytes_per_query_v1",
+        "bytes_per_query_single",
         "bytes_per_query_batch256",
         "bytes_per_query_pipeline256",
     ] {
@@ -1114,13 +1122,13 @@ fn validate_report(doc: &Value) -> Vec<String> {
             )),
             None => errs.push("full report has no query/precedes record".to_string()),
         }
-        match derived_f64("batch256_speedup_vs_v1") {
+        match derived_f64("batch256_speedup_vs_single") {
             Some(x) if x >= BATCH_SPEEDUP_FLOOR => {}
             Some(x) => errs.push(format!(
                 "full-mode batch256 speedup {x:.2}x is below the {BATCH_SPEEDUP_FLOOR:.1}x floor \
-                 over single-connection v1"
+                 over single-connection single queries"
             )),
-            None => errs.push("full report has no batch256_speedup_vs_v1".to_string()),
+            None => errs.push("full report has no batch256_speedup_vs_single".to_string()),
         }
         match derived_f64("fabric_aggregate_qps") {
             Some(qps) if qps >= FABRIC_QPS_FLOOR => {}

@@ -5,12 +5,10 @@
 //! numbers can be exported as machine-readable JSON:
 //!
 //! * `ring` — a token circulating a cycle of processes; strict alternation
-//!   means one endpoint of every rendezvous parks, making the matcher's
-//!   wakeup path the whole game. Run under both the parking matcher and the
-//!   polling baseline; their ratio is the headline speedup.
+//!   means one endpoint of every rendezvous parks, making the parking
+//!   matcher's wakeup path the whole game.
 //! * `client_server` — servers round-robining request/reply pairs over
-//!   their clients (the paper's client–server discussion), again under both
-//!   matchers.
+//!   their clients (the paper's client–server discussion).
 //! * `dynamic` — a random edge-edit sequence over a connected topology,
 //!   maintained by `IncrementalDecomposition` + `OnlineSession::reconfigure`
 //!   versus re-running the Figure 7 greedy algorithm from scratch per edit.
@@ -35,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_core::online::OnlineSession;
 use synctime_graph::{decompose, topology, Edge, Graph, IncrementalDecomposition};
-use synctime_runtime::{Behavior, Matcher, Runtime};
+use synctime_runtime::{Behavior, Runtime};
 
 const SCHEMA: &str = "synctime/bench_online_runtime/v1";
 
@@ -138,10 +136,10 @@ fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
         .collect()
 }
 
-fn bench_ring(n: usize, rounds: u64, matcher: Matcher) -> Record {
+fn bench_ring(n: usize, rounds: u64) -> Record {
     let topo = topology::cycle(n);
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_matcher(matcher);
+    let rt = Runtime::new(&topo, &dec);
     let started = Instant::now();
     let run = rt.run(ring_behaviors(n, rounds)).expect("ring run failed");
     let elapsed_ns = started.elapsed().as_nanos();
@@ -149,7 +147,7 @@ fn bench_ring(n: usize, rounds: u64, matcher: Matcher) -> Record {
     assert_eq!(stats.messages, n as u64 * rounds);
     Record {
         workload: "ring",
-        variant: matcher_name(matcher),
+        variant: "parking",
         processes: n,
         ops: stats.messages,
         elapsed_ns,
@@ -199,10 +197,10 @@ fn client_server_behaviors(servers: usize, clients: usize, rounds: u64) -> Vec<B
     behaviors
 }
 
-fn bench_client_server(servers: usize, clients: usize, rounds: u64, matcher: Matcher) -> Record {
+fn bench_client_server(servers: usize, clients: usize, rounds: u64) -> Record {
     let topo = topology::client_server(servers, clients);
     let dec = decompose::best_known(&topo);
-    let rt = Runtime::new(&topo, &dec).with_matcher(matcher);
+    let rt = Runtime::new(&topo, &dec);
     let started = Instant::now();
     let run = rt
         .run(client_server_behaviors(servers, clients, rounds))
@@ -212,7 +210,7 @@ fn bench_client_server(servers: usize, clients: usize, rounds: u64, matcher: Mat
     assert_eq!(stats.messages, 2 * clients as u64 * rounds);
     Record {
         workload: "client_server",
-        variant: matcher_name(matcher),
+        variant: "parking",
         processes: servers + clients,
         ops: stats.messages,
         elapsed_ns,
@@ -330,13 +328,6 @@ fn bench_dynamic(edits: usize) -> (Record, Record) {
     (incremental, recompute)
 }
 
-fn matcher_name(m: Matcher) -> &'static str {
-    match m {
-        Matcher::Parking => "parking",
-        Matcher::Polling => "polling",
-    }
-}
-
 // ------------------------------------------------------------ the report
 
 fn run_suite(smoke: bool) -> Value {
@@ -346,12 +337,10 @@ fn run_suite(smoke: bool) -> Value {
         (2000, 200, 1200)
     };
     let mut records = Vec::new();
-    eprintln!("online_runtime: ring ({ring_rounds} rounds x 6 processes, both matchers)");
-    records.push(bench_ring(6, ring_rounds, Matcher::Parking));
-    records.push(bench_ring(6, ring_rounds, Matcher::Polling));
-    eprintln!("online_runtime: client_server ({cs_rounds} rounds, 3x12, both matchers)");
-    records.push(bench_client_server(3, 12, cs_rounds, Matcher::Parking));
-    records.push(bench_client_server(3, 12, cs_rounds, Matcher::Polling));
+    eprintln!("online_runtime: ring ({ring_rounds} rounds x 6 processes)");
+    records.push(bench_ring(6, ring_rounds));
+    eprintln!("online_runtime: client_server ({cs_rounds} rounds, 3x12)");
+    records.push(bench_client_server(3, 12, cs_rounds));
     eprintln!("online_runtime: dynamic ({edits} edits, incremental vs recompute)");
     let (inc, rec) = bench_dynamic(edits);
     records.push(inc);
@@ -381,20 +370,10 @@ fn run_suite(smoke: bool) -> Value {
         ),
         (
             "derived",
-            obj(vec![
-                (
-                    "ring_speedup_parking_vs_polling",
-                    float(speedup("ring", "parking", "polling")),
-                ),
-                (
-                    "client_server_speedup_parking_vs_polling",
-                    float(speedup("client_server", "parking", "polling")),
-                ),
-                (
-                    "dynamic_speedup_incremental_vs_recompute",
-                    float(speedup("dynamic", "incremental", "recompute")),
-                ),
-            ]),
+            obj(vec![(
+                "dynamic_speedup_incremental_vs_recompute",
+                float(speedup("dynamic", "incremental", "recompute")),
+            )]),
         ),
     ])
 }

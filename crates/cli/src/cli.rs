@@ -51,7 +51,7 @@ USAGE:
   synctime simulate  --programs <FILE> [--topology <SPEC>] [--seed <S>]
   synctime run       (--programs <FILE> | --ring <N> | --gossip <N> [--rounds <R>])
                      [--topology <SPEC>] [--stats] [--watchdog-ms <MS>]
-                     [--matcher parking|polling] [--fault-plan <FILE>]
+                     [--fault-plan <FILE>]
                      [--rendezvous-timeout <MS>] [--rendezvous-retries <K>]
                      [--clock dense|tree|fixed|auto] [--seed <S>]
                      [--persist <DIR> [--trace-name <NAME>]]
@@ -105,12 +105,11 @@ RUN:
   zero. `--ring N` is a built-in token-ring workload over cycle:N.
   `--stats` prints the run's observability summary as JSON (message counts,
   p50/p99 ack and rendezvous-wakeup latency, wire bytes, max vector
-  component) instead of the reconstructed trace. `--matcher` selects how
-  blocked endpoints wait: `parking` (default; park on the channel slot's
-  condvar, zero idle CPU) or `polling` (re-poll the slot, the benchmark
-  baseline). `--gossip N` runs a seeded random pairwise-gossip workload
-  over complete:N. `--fault-plan FILE` injects a deterministic fault
-  schedule (see `faultplan`); the run then tolerates per-process failures
+  component) instead of the reconstructed trace. Blocked endpoints park on
+  their channel slot's condvar (zero idle CPU). `--gossip N` runs a
+  seeded random pairwise-gossip workload over complete:N.
+  `--fault-plan FILE` injects a deterministic fault schedule (see
+  `faultplan`); the run then tolerates per-process failures
   and prints {\"stats\": .., \"outcomes\": [null | \"error\", ..]} instead
   of a trace — the process exits 0 because typed failures are the expected
   result. `--rendezvous-timeout MS` bounds every blocking rendezvous, with
@@ -163,9 +162,9 @@ QUERY FABRIC:
   targets one trace with `--trace NAME` and asks many questions per round
   trip with `--batch \"1:2,3:4\"` (pairs of 1-based message numbers; each
   line answers whether the first synchronously precedes the second).
-  `--window W` pipelines the batch over protocol v3: up to W frames stay
-  in flight on the one connection, so the wire never idles for a round
-  trip. Answers (and output) are identical to the unpipelined batch.
+  `--window W` pipelines the batch instead: one pair per frame, up to W
+  frames in flight on the one connection, so the wire never idles for a
+  round trip. Answers (and output) are identical to the lock-step batch.
 "
     .to_string()
 }
@@ -532,9 +531,9 @@ fn cmd_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
 /// `query --connect HOST:PORT`: ask a running `serve-query` instead of
 /// stamping locally. Message numbers stay 1-based on the command line; the
 /// wire protocol is 0-based. `--trace NAME` targets one trace of a
-/// multi-trace catalog (routed over v2 batch frames); `--batch` asks many
-/// precedence questions in one round trip, and `--window W` pipelines
-/// them over correlation-tagged v3 frames with W in flight.
+/// multi-trace catalog; `--batch` asks many precedence questions in one
+/// lock-step QUERY3 frame, and `--window W` pipelines them instead, one
+/// pair per frame with W in flight.
 fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let addr = require(opts, "connect")?;
     let mut client = synctime_net::QueryClient::connect(addr)
@@ -549,7 +548,7 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
         Ok(k - 1)
     };
     let parse_m = |name: &str| -> Result<u32, String> { parse_1based(name, require(opts, name)?) };
-    // Empty trace id = the server's default trace (v1-compatible).
+    // Empty trace id = the server's default trace.
     let trace = opts.get("trace").map(String::as_str).unwrap_or("");
     if let Some(spec) = opts.get("batch") {
         let pairs: Vec<(u32, u32)> = spec
@@ -568,15 +567,15 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
                     .ok()
                     .filter(|&w| w > 0)
                     .ok_or_else(|| "--window expects a positive number".to_string())?;
-                // One pair per v3 frame, `window` frames in flight: the
-                // answers are byte-identical to the v2 batch, only the
-                // wire schedule changes.
+                // One pair per frame, `window` frames in flight: the
+                // answers are byte-identical to the lock-step batch, only
+                // the wire schedule changes.
                 client
                     .precedes_many_pipelined(trace, &pairs, 1, window)
                     .map_err(|e| e.to_string())?
             }
             None => client
-                .precedes_many(trace, &pairs)
+                .precedes_many_pipelined(trace, &pairs, synctime_net::MAX_BATCH, 1)
                 .map_err(|e| e.to_string())?,
         };
         let mut out = String::new();
@@ -594,12 +593,8 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
     }
     if opts.contains_key("chain") {
         let m = parse_m("chain")?;
-        let ids = if trace.is_empty() {
-            client.chain_of(m)
-        } else {
-            client.chain_of_on(trace, m)
-        };
-        let chain: Vec<String> = ids
+        let chain: Vec<String> = client
+            .chain_of(trace, m)
             .map_err(|e| e.to_string())?
             .iter()
             .map(|id| format!("m{}", id + 1))
@@ -607,21 +602,13 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
         return Ok(format!("chain of m{}: {}\n", m + 1, chain.join(" ")));
     }
     let (m1, m2) = (parse_m("m1")?, parse_m("m2")?);
-    let (forward, backward) = if trace.is_empty() {
-        (
-            client.precedes(m1, m2).map_err(|e| e.to_string())?,
-            client.precedes(m2, m1).map_err(|e| e.to_string())?,
-        )
-    } else {
-        // One round trip for both directions over a v2 batch.
-        let verdicts = client
-            .precedes_many(trace, &[(m1, m2), (m2, m1)])
-            .map_err(|e| e.to_string())?;
-        (verdicts[0], verdicts[1])
-    };
-    let verdict = if forward {
+    // One round trip for both directions: a two-query batch.
+    let verdicts = client
+        .precedes_many_pipelined(trace, &[(m1, m2), (m2, m1)], 2, 1)
+        .map_err(|e| e.to_string())?;
+    let verdict = if verdicts[0] {
         "m1 synchronously precedes m2"
-    } else if backward {
+    } else if verdicts[1] {
         "m2 synchronously precedes m1"
     } else {
         "m1 and m2 are concurrent"
@@ -878,17 +865,6 @@ fn configure_runtime(
 ) -> Result<synctime_runtime::Runtime, String> {
     if let Some(timeout) = parse_watchdog(opts)? {
         rt = rt.with_watchdog(timeout).map_err(|e| e.to_string())?;
-    }
-    if let Some(matcher) = opts.get("matcher") {
-        rt = rt.with_matcher(match matcher.as_str() {
-            "parking" => synctime_runtime::Matcher::Parking,
-            "polling" => synctime_runtime::Matcher::Polling,
-            other => {
-                return Err(format!(
-                    "--matcher expects `parking` or `polling`, got `{other}`"
-                ))
-            }
-        });
     }
     if let Some(ms) = opts.get("rendezvous-timeout") {
         let ms: u64 = ms
@@ -2281,28 +2257,13 @@ mod tests {
     }
 
     #[test]
-    fn run_matcher_flag_selects_strategy() {
-        // The parking matcher (default) reports wakeups in --stats; the
-        // polling baseline is selectable and produces the same counters.
+    fn run_stats_report_parking_wakeups() {
+        // Blocked endpoints park on their slot, and --stats reports the
+        // wakeups that parking took.
         let parked = run_strs(&["run", "--ring", "3", "--rounds", "4", "--stats"]).unwrap();
         let parked = synctime_obs::RunStats::from_json(&parked).unwrap();
-        assert!(parked.wakeups > 0, "parking matcher should park threads");
+        assert!(parked.wakeups > 0, "parked threads should report wakeups");
         assert!(parked.wakeup_max_ns >= parked.wakeup_p50_ns);
-        let polled = run_strs(&[
-            "run",
-            "--ring",
-            "3",
-            "--rounds",
-            "4",
-            "--matcher",
-            "polling",
-            "--stats",
-        ])
-        .unwrap();
-        let polled = synctime_obs::RunStats::from_json(&polled).unwrap();
-        assert_eq!(polled.messages, parked.messages);
-        let err = run_strs(&["run", "--ring", "3", "--matcher", "spinning"]).unwrap_err();
-        assert!(err.contains("--matcher"), "{err}");
     }
 
     /// The combined output `run --fault-plan` prints: stats plus one typed
@@ -2597,8 +2558,9 @@ mod tests {
         let stamps = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        let fabric = synctime_net::QueryFabric::single(synctime_net::DEFAULT_TRACE_NAME, stamps);
         std::thread::spawn(move || {
-            let _ = synctime_net::query::serve(listener, synctime_net::QueryService::new(stamps));
+            let _ = synctime_net::serve_fabric(listener, std::sync::Arc::new(fabric), 2);
         });
         let out = run_strs(&["query", "--connect", &addr, "--m1", "1", "--m2", "2"]).unwrap();
         assert_eq!(out, "m1 and m2 are concurrent\n");
@@ -2696,7 +2658,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(out, "m1 -> m2: yes\nm2 -> m1: no\nm1 -> m3: yes\n");
-        // The pipelined (v3, --window) batch prints the identical output.
+        // The pipelined (--window) batch prints the identical output.
         let piped = run_strs(&[
             "query",
             "--connect",

@@ -167,46 +167,21 @@ pub fn resync_frame_bytes() -> u64 {
     FRAME_HEADER_BYTES + 8
 }
 
-/// On-wire cost of one v1 QUERY frame: frame header + 1-byte query kind +
-/// two 4-byte message ids. The per-query price the batch frames amortise.
-pub fn query_frame_bytes() -> u64 {
-    FRAME_HEADER_BYTES + 9
-}
-
-/// On-wire cost of one v1 ANSWER frame carrying a `body_bytes`-byte
-/// kind-specific answer body.
-pub fn answer_frame_bytes(body_bytes: usize) -> u64 {
-    FRAME_HEADER_BYTES + body_bytes as u64
-}
-
-/// On-wire cost of one v2 batched QUERY frame naming a
-/// `trace_bytes`-byte trace id and carrying `count` queries: frame header
-/// + 2-byte trace-id length + the trace id + 4-byte query count + 9 bytes
-/// (kind, m1, m2) per query. The trace id and framing are paid once per
-/// batch, so the marginal cost per query is 9 bytes against
-/// [`query_frame_bytes`]'s 14.
-pub fn batch_query_frame_bytes(trace_bytes: usize, count: usize) -> u64 {
-    FRAME_HEADER_BYTES + 2 + trace_bytes as u64 + 4 + 9 * count as u64
-}
-
-/// On-wire cost of one v2 batched ANSWER frame whose `count` entries carry
-/// `entry_body_bytes` answer bytes in total: frame header + 4-byte entry
-/// count + a 5-byte (status, length) prefix per entry + the bodies.
-pub fn batch_answer_frame_bytes(entry_body_bytes: usize, count: usize) -> u64 {
-    FRAME_HEADER_BYTES + 4 + 5 * count as u64 + entry_body_bytes as u64
-}
-
-/// On-wire cost of one v3 pipelined QUERY frame: a v2 batched QUERY frame
-/// plus the 4-byte correlation id that lets the client keep a window of
-/// batches in flight and match answers out of order.
+/// On-wire cost of one QUERY3 frame naming a `trace_bytes`-byte trace id
+/// and carrying `count` queries: frame header + 4-byte correlation id +
+/// 2-byte trace-id length + the trace id + 4-byte query count + 9 bytes
+/// (kind, m1, m2) per query. The framing, correlation id and trace id are
+/// paid once per batch, so the marginal cost per query is 9 bytes.
 pub fn batch_query3_frame_bytes(trace_bytes: usize, count: usize) -> u64 {
-    batch_query_frame_bytes(trace_bytes, count) + 4
+    FRAME_HEADER_BYTES + 4 + 2 + trace_bytes as u64 + 4 + 9 * count as u64
 }
 
-/// On-wire cost of one v3 pipelined ANSWER frame: a v2 batched ANSWER
-/// frame plus the echoed 4-byte correlation id.
+/// On-wire cost of one ANSWER3 frame whose `count` entries carry
+/// `entry_body_bytes` answer bytes in total: frame header + 4-byte echoed
+/// correlation id + 4-byte entry count + a 5-byte (status, length) prefix
+/// per entry + the bodies.
 pub fn batch_answer3_frame_bytes(entry_body_bytes: usize, count: usize) -> u64 {
-    batch_answer_frame_bytes(entry_body_bytes, count) + 4
+    FRAME_HEADER_BYTES + 4 + 4 + 5 * count as u64 + entry_body_bytes as u64
 }
 
 /// Number of bytes [`push_varint`] emits for `x` (1 for values under 128,
@@ -597,26 +572,15 @@ mod tests {
 
     #[test]
     fn query_frame_pricing_is_consistent() {
-        // v1: one query per frame, 14 bytes of request either way.
-        assert_eq!(query_frame_bytes(), 14);
-        assert_eq!(answer_frame_bytes(1), 6);
-        // v2: the batch amortises framing — per-query request cost tends
-        // to 9 bytes as the batch grows.
-        assert_eq!(batch_query_frame_bytes(0, 0), 11);
-        assert_eq!(batch_query_frame_bytes(5, 1), 25);
+        // A lone query with an empty trace id: 24 bytes out, and a one-byte
+        // boolean answer costs 19 bytes back.
+        assert_eq!(batch_query3_frame_bytes(0, 1), 24);
+        assert_eq!(batch_answer3_frame_bytes(1, 1), 19);
+        // The batch amortises framing: per-query request cost tends to 9
+        // bytes as the batch grows.
+        assert_eq!(batch_query3_frame_bytes(0, 0), 15);
         for n in [1u64, 16, 256] {
-            let batched = batch_query_frame_bytes(5, n as usize);
-            assert_eq!(batched, 11 + 5 + 9 * n);
-            assert!(batched < n * query_frame_bytes() + 5 + 11 || n == 1);
-        }
-        assert_eq!(batch_answer_frame_bytes(256, 256), 5 + 4 + 5 * 256 + 256);
-        // v3: pipelining costs exactly one 4-byte correlation id per frame
-        // over v2, request and answer alike.
-        for (trace, n) in [(0usize, 0usize), (5, 1), (5, 256)] {
-            assert_eq!(
-                batch_query3_frame_bytes(trace, n),
-                batch_query_frame_bytes(trace, n) + 4
-            );
+            assert_eq!(batch_query3_frame_bytes(5, n as usize), 15 + 5 + 9 * n);
         }
         assert_eq!(
             batch_answer3_frame_bytes(256, 256),

@@ -20,10 +20,9 @@
 //!   deterministic, balanced, and stable under reshardings (growing from
 //!   S to S+1 shards moves ~1/(S+1) of the traces, not all of them).
 //!
-//! The fabric answers v1 single-trace queries too: the empty trace id
-//! resolves to the **default trace** when the catalog holds exactly one,
-//! which is what keeps a single-trace `serve-query` wire-compatible with
-//! the PR 5 behaviour.
+//! The empty trace id resolves to the **default trace** when the catalog
+//! holds exactly one, so a client of a single-trace `serve-query` need
+//! not know the trace's name.
 
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -31,8 +30,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 use synctime_core::MessageTimestamps;
 
 use crate::error::NetError;
-use crate::frame::{BatchEntry, BatchQuery};
-use crate::query::answer_query;
 
 /// Shard count `serve-query` uses when `--shards` is not given.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -220,7 +217,7 @@ impl QueryFabric {
     }
 
     /// A single-trace catalog: one shard holding `name`, the configuration
-    /// every v1 `serve-query` invocation maps onto.
+    /// every single-trace `serve-query` invocation maps onto.
     pub fn single(name: &str, stamps: MessageTimestamps) -> Self {
         let fabric = QueryFabric::new(1);
         fabric.publish(name, stamps);
@@ -308,8 +305,7 @@ impl QueryFabric {
     }
 
     /// Resolves a wire trace id to a snapshot. The empty id means "the
-    /// default trace": legal only when the catalog holds exactly one trace
-    /// (the v1 single-trace semantics).
+    /// default trace": legal only when the catalog holds exactly one trace.
     ///
     /// # Errors
     ///
@@ -318,7 +314,7 @@ impl QueryFabric {
     pub fn resolve(&self, trace: &str) -> Result<Arc<MessageTimestamps>, NetError> {
         if trace.is_empty() {
             // Walk the shards for the lone snapshot directly — no name
-            // list is materialised, so the v1 hot path stays
+            // list is materialised, so the serving hot path stays
             // allocation-free (an `Arc` clone is the entire cost).
             let mut only: Option<Arc<MessageTimestamps>> = None;
             let mut count = 0usize;
@@ -339,30 +335,6 @@ impl QueryFabric {
         }
         self.snapshot(trace)
             .ok_or_else(|| NetError::Query(format!("unknown trace `{trace}`")))
-    }
-
-    /// Answers a whole batch against one trace snapshot: one `resolve`,
-    /// then one constant-time comparison per query. Entries fail
-    /// independently — a bad message id poisons its own entry only.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] when the trace id itself does not resolve (the
-    /// whole batch is unanswerable).
-    pub fn answer_batch(
-        &self,
-        trace: &str,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<BatchEntry>, NetError> {
-        let snapshot = self.resolve(trace)?;
-        Ok(queries
-            .iter()
-            .map(|q| match answer_query(&snapshot, q.kind, q.m1, q.m2) {
-                Ok(body) => BatchEntry::Answer(body),
-                Err(NetError::Query(detail)) => BatchEntry::Error(detail),
-                Err(e) => BatchEntry::Error(e.to_string()),
-            })
-            .collect())
     }
 }
 
@@ -436,36 +408,5 @@ mod tests {
         assert!(err.to_string().contains("2 traces"), "{err}");
         assert!(fabric.resolve("missing").is_err());
         assert_eq!(fabric.trace_names(), vec!["only", "second"]);
-    }
-
-    #[test]
-    fn batch_entries_fail_independently() {
-        let fabric = QueryFabric::single("t", stamps(0));
-        let entries = fabric
-            .answer_batch(
-                "t",
-                &[
-                    BatchQuery {
-                        kind: 0,
-                        m1: 0,
-                        m2: 1,
-                    },
-                    BatchQuery {
-                        kind: 0,
-                        m1: 0,
-                        m2: 99,
-                    },
-                    BatchQuery {
-                        kind: 77,
-                        m1: 0,
-                        m2: 1,
-                    },
-                ],
-            )
-            .expect("trace resolves");
-        assert_eq!(entries[0], BatchEntry::Answer(vec![1]));
-        assert!(matches!(&entries[1], BatchEntry::Error(m) if m.contains("out of range")));
-        assert!(matches!(&entries[2], BatchEntry::Error(m) if m.contains("unknown query kind")));
-        assert!(fabric.answer_batch("nope", &[]).is_err());
     }
 }

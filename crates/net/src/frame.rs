@@ -1,7 +1,8 @@
 //! The length-prefixed frame protocol every `synctime-net` socket speaks.
 //!
 //! A frame is `[u32 le length][u8 type][body]`, where `length` counts the
-//! type byte plus the body. Thirteen frame types exist:
+//! type byte plus the body. Nine frame types exist; four type bytes are
+//! retired and stay unassigned:
 //!
 //! | type | name    | body (little-endian)                                              |
 //! |------|---------|-------------------------------------------------------------------|
@@ -9,34 +10,28 @@
 //! | 1    | OFFER   | `u64` key, `u64` payload, delta-encoded vector                    |
 //! | 2    | ACK     | `u64` key, delta-encoded acknowledgement vector                   |
 //! | 3    | RESYNC  | `u64` key                                                         |
-//! | 4    | QUERY   | `u8` kind, `u32` m1, `u32` m2                                     |
-//! | 5    | ANSWER  | kind-specific answer bytes                                        |
+//! | 4    | —       | retired (v1 QUERY); decodes as an unknown frame type              |
+//! | 5    | —       | retired (v1 ANSWER); decodes as an unknown frame type             |
 //! | 6    | ERROR   | UTF-8 diagnostic                                                  |
-//! | 7    | QUERY2  | `u16` trace len, trace id, `u32` count, count × (`u8` kind, `u32` m1, `u32` m2) |
-//! | 8    | ANSWER2 | `u32` count, count × (`u8` status, `u32` len, body)               |
-//! | 9    | QUERY3  | `u32` correlation id, then a QUERY2 body                          |
-//! | 10   | ANSWER3 | `u32` correlation id, then an ANSWER2 body                        |
+//! | 7    | —       | retired (v2 QUERY2); decodes as an unknown frame type             |
+//! | 8    | —       | retired (v2 ANSWER2); decodes as an unknown frame type            |
+//! | 9    | QUERY3  | `u32` correlation id, `u16` trace len, trace id, `u32` count, count × (`u8` kind, `u32` m1, `u32` m2) |
+//! | 10   | ANSWER3 | `u32` correlation id, `u32` count, count × (`u8` status, `u32` len, body) |
 //! | 11   | RECONFIGURE | `u8` phase, `u64` epoch; phase 0 (prepare): `u64` topology hash, `u32` op count, count × (`u8` kind, `u32` u, `u32` v), `u32` old dim, `u32` new dim, old dim × `u32` remap slot; phase 1 (commit): full-encoded baseline vector |
 //! | 12   | RECONFIG_ACK | `u64` epoch, `u32` process, `u8` status, `u64` current epoch, full-encoded clock |
 //!
-//! QUERY2/ANSWER2 are the **batch** query frames (protocol v2): one frame
-//! carries up to [`MAX_BATCH`] queries against one named trace of a
-//! multi-trace catalog, so framing, the trace id, and the syscall are paid
-//! once per batch instead of once per query. The trace id is UTF-8, at
-//! most [`MAX_TRACE_NAME`] bytes (enforced on the encode and decode
-//! paths, so the `u16` length prefix can never silently truncate it); the
-//! empty id means "the catalog's default trace" and gives a batch the v1
-//! single-trace semantics. Each ANSWER2 entry is either status 0 followed
-//! by the same kind-specific answer bytes a v1 ANSWER frame would carry for
-//! that query, or status 1 followed by a UTF-8 diagnostic — one bad message
-//! id fails its entry, not the batch.
-//!
-//! QUERY3/ANSWER3 are the **pipelined** batch frames (protocol v3): the
-//! same bodies as QUERY2/ANSWER2 prefixed by a 4-byte correlation id the
-//! server echoes verbatim, so a client can keep a window of batches in
-//! flight on one connection and match answers that complete out of order.
-//! Entry bodies are byte-identical to their v2 (and thus v1) counterparts;
-//! only the correlation prefix differs.
+//! QUERY3/ANSWER3 are the only query frames. One QUERY3 carries up to
+//! [`MAX_BATCH`] queries against one named trace of a multi-trace catalog,
+//! tagged with a correlation id the server echoes verbatim, so a client
+//! can keep a window of batches in flight on one connection and match
+//! answers that complete out of order. A single query is a batch of one;
+//! lock-step is a window of one. The trace id is UTF-8, at most
+//! [`MAX_TRACE_NAME`] bytes (enforced on the encode and decode paths, so
+//! the `u16` length prefix can never silently truncate it); the empty id
+//! means "the catalog's default trace". Each ANSWER3 entry is either
+//! status 0 followed by the kind-specific answer bytes, or status 1
+//! followed by a UTF-8 diagnostic — one bad message id fails its entry,
+//! not the batch.
 //!
 //! RECONFIGURE/RECONFIG_ACK are the **reconfiguration control plane**
 //! frames (see [`crate::reconfig`]): a coordinator ships an
@@ -48,11 +43,10 @@
 //!
 //! OFFER/ACK/RESYNC body layouts match `synctime_core::wire`'s frame
 //! pricing helpers (`offer_frame_bytes` and friends) byte for byte, and
-//! QUERY/ANSWER/QUERY2/ANSWER2/QUERY3/ANSWER3 match `query_frame_bytes` /
-//! `batch_query_frame_bytes` / `batch_query3_frame_bytes` and friends the
-//! same way, so the byte counts the in-process runtime reports are exactly
-//! what a TCP run moves on the wire — and bytes-per-query is a measured,
-//! not estimated, metric.
+//! QUERY3/ANSWER3 match `batch_query3_frame_bytes` /
+//! `batch_answer3_frame_bytes` the same way, so the byte counts the
+//! in-process runtime reports are exactly what a TCP run moves on the
+//! wire — and bytes-per-query is a measured, not estimated, metric.
 //!
 //! Decoding is incremental: a [`FrameReader`] is fed arbitrary chunks as
 //! they arrive from a socket and yields complete frames as soon as their
@@ -70,16 +64,12 @@
 use crate::error::NetError;
 
 /// The protocol version carried in every HELLO. Bumped on any frame-layout
-/// change; transport endpoints refuse to talk across versions. Version 2
-/// added the batched QUERY2/ANSWER2 frames; version 3 added the pipelined
-/// QUERY3/ANSWER3 frames. Query servers still accept v2 clients (every v2
-/// frame is valid v3), but the mesh transport stays exact-match.
-pub const PROTOCOL_VERSION: u16 = 3;
-
-/// The oldest client protocol version a query server still accepts. v2
-/// clients never send QUERY3, and every frame they do send means the same
-/// thing under v3, so serving them costs nothing.
-pub const MIN_QUERY_VERSION: u16 = 2;
+/// change; transport endpoints and query servers refuse to talk across
+/// versions. Version 2 added the batched QUERY2/ANSWER2 frames, version 3
+/// the pipelined QUERY3/ANSWER3 frames, and version 4 retired the v1
+/// QUERY/ANSWER and v2 QUERY2/ANSWER2 frames, leaving QUERY3/ANSWER3 the
+/// only query frames.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a frame's length prefix: 16 MiB. A prefix beyond this is
 /// a desynchronised or hostile stream, not a real frame (the largest
@@ -90,13 +80,13 @@ pub const MAX_FRAME_LEN: u32 = 1 << 24;
 /// Bytes of the fixed frame prefix: the `u32` length plus the type byte.
 pub const FRAME_HEADER_BYTES: usize = 5;
 
-/// Upper bound on the queries one QUERY2 frame may carry (and on the
-/// entries one ANSWER2 frame may carry). A larger declared count is a
+/// Upper bound on the queries one QUERY3 frame may carry (and on the
+/// entries one ANSWER3 frame may carry). A larger declared count is a
 /// protocol violation, rejected before any allocation; clients split
 /// larger batches across frames transparently.
 pub const MAX_BATCH: usize = 4096;
 
-/// Upper bound on a QUERY2/QUERY3 trace id in bytes. Well under the
+/// Upper bound on a QUERY3 trace id in bytes. Well under the
 /// `u16` length prefix's 65535-byte ceiling, so an in-bounds name can
 /// never be silently truncated by the cast into the prefix; longer names
 /// are a typed [`NetError::Query`] at encode time on the client and a
@@ -107,11 +97,7 @@ const TYPE_HELLO: u8 = 0;
 const TYPE_OFFER: u8 = 1;
 const TYPE_ACK: u8 = 2;
 const TYPE_RESYNC: u8 = 3;
-const TYPE_QUERY: u8 = 4;
-const TYPE_ANSWER: u8 = 5;
 const TYPE_ERROR: u8 = 6;
-const TYPE_QUERY_BATCH: u8 = 7;
-const TYPE_ANSWER_BATCH: u8 = 8;
 /// Wire type byte of a QUERY3 frame — `pub(crate)` so the serving hot
 /// path can dispatch on a peeked type without constructing a [`Frame`].
 pub(crate) const TYPE_QUERY_PIPELINED: u8 = 9;
@@ -122,8 +108,8 @@ pub(crate) const TYPE_RECONFIGURE: u8 = 11;
 /// Wire type byte of a RECONFIG_ACK control frame.
 pub(crate) const TYPE_RECONFIG_ACK: u8 = 12;
 
-/// One question inside a QUERY2 batch frame: the same `(kind, m1, m2)`
-/// triple a v1 QUERY frame carries (see `query::QueryKind` constants).
+/// One question inside a QUERY3 batch frame: a `(kind, m1, m2)` triple
+/// (see the `query::QUERY_*` kind constants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchQuery {
     /// The question: see `query::QUERY_PRECEDES` and friends.
@@ -134,12 +120,12 @@ pub struct BatchQuery {
     pub m2: u32,
 }
 
-/// One reply inside an ANSWER2 batch frame: positionally matched to the
+/// One reply inside an ANSWER3 batch frame: positionally matched to the
 /// batch's queries, each entry succeeds or fails independently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchEntry {
-    /// The query succeeded; the bytes are exactly what a v1 ANSWER frame
-    /// would carry for the same query.
+    /// The query succeeded; the bytes are the kind-specific answer body
+    /// (see `query::answer_query`).
     Answer(Vec<u8>),
     /// The query was rejected (out-of-range id, unknown kind); the batch's
     /// other entries are unaffected.
@@ -181,41 +167,14 @@ pub enum Frame {
         /// The bounced offer's key.
         key: u64,
     },
-    /// A precedence query against a stamped trace.
-    Query {
-        /// The question: see `query::QueryKind`.
-        kind: u8,
-        /// First message number (0-based id).
-        m1: u32,
-        /// Second message number (ignored by single-message kinds).
-        m2: u32,
-    },
-    /// A query server's reply; the body layout depends on the query kind.
-    Answer {
-        /// Kind-specific answer bytes.
-        body: Vec<u8>,
-    },
     /// A typed failure (bad query, out-of-range message, ...).
     Error {
         /// Human-readable diagnostic.
         message: String,
     },
-    /// A v2 batch of queries against one named trace of the catalog.
-    QueryBatch {
-        /// The trace id the batch targets; empty means the catalog's
-        /// default trace.
-        trace: String,
-        /// The questions, answered positionally (at most [`MAX_BATCH`]).
-        queries: Vec<BatchQuery>,
-    },
-    /// A v2 batch of replies, positionally matched to a QUERY2 frame.
-    AnswerBatch {
-        /// One entry per query, in query order.
-        entries: Vec<BatchEntry>,
-    },
-    /// A v3 pipelined batch of queries: a [`Frame::QueryBatch`] carrying a
-    /// correlation id the server echoes, so several batches can be in
-    /// flight on one connection at once.
+    /// A QUERY3 batch of queries against one named trace of the catalog,
+    /// carrying a correlation id the server echoes, so several batches can
+    /// be in flight on one connection at once.
     QueryPipelined {
         /// Client-chosen correlation id, echoed verbatim in the answer.
         corr: u32,
@@ -225,7 +184,7 @@ pub enum Frame {
         /// The questions, answered positionally (at most [`MAX_BATCH`]).
         queries: Vec<BatchQuery>,
     },
-    /// A v3 pipelined batch of replies, matched to its QUERY3 frame by
+    /// An ANSWER3 batch of replies, matched to its QUERY3 frame by
     /// correlation id rather than by position in the stream.
     AnswerPipelined {
         /// The correlation id of the QUERY3 frame being answered.
@@ -258,23 +217,29 @@ pub(crate) fn end_frame(out: &mut Vec<u8>, start: usize) {
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Appends a QUERY2 (`corr == None`) or QUERY3 (`corr == Some`) frame to
-/// `out` from borrowed parts — the allocation-free form of encoding
-/// [`Frame::QueryBatch`] / [`Frame::QueryPipelined`], used by the client
-/// hot path (and reusable by tests and benches to build request streams).
+/// Appends a QUERY3 frame with correlation id `corr` to `out` from
+/// borrowed parts — the allocation-free form of encoding
+/// [`Frame::QueryPipelined`], used by the client hot path (and reusable by
+/// tests and benches to build request streams).
 ///
 /// # Errors
 ///
-/// [`NetError::Query`] when the trace id exceeds [`MAX_TRACE_NAME`] bytes
-/// (the `u16` length prefix would otherwise truncate ids past 65535
-/// bytes and desynchronise the frame) or the batch exceeds [`MAX_BATCH`]
-/// queries. Nothing is appended to `out` on error.
+/// [`NetError::Query`] when `corr` is `None` (every query frame carries a
+/// correlation id), the trace id exceeds [`MAX_TRACE_NAME`] bytes (the
+/// `u16` length prefix would otherwise truncate ids past 65535 bytes and
+/// desynchronise the frame) or the batch exceeds [`MAX_BATCH`] queries.
+/// Nothing is appended to `out` on error.
 pub fn encode_query_batch_into(
     out: &mut Vec<u8>,
     corr: Option<u32>,
     trace: &str,
     queries: &[BatchQuery],
 ) -> Result<(), NetError> {
+    let Some(corr) = corr else {
+        return Err(NetError::Query(
+            "a QUERY3 frame needs a correlation id".to_string(),
+        ));
+    };
     if trace.len() > MAX_TRACE_NAME {
         return Err(NetError::Query(format!(
             "trace id of {} bytes exceeds the {MAX_TRACE_NAME}-byte bound",
@@ -287,15 +252,8 @@ pub fn encode_query_batch_into(
             queries.len()
         )));
     }
-    let ty = if corr.is_some() {
-        TYPE_QUERY_PIPELINED
-    } else {
-        TYPE_QUERY_BATCH
-    };
-    let start = begin_frame(out, ty);
-    if let Some(corr) = corr {
-        out.extend_from_slice(&corr.to_le_bytes());
-    }
+    let start = begin_frame(out, TYPE_QUERY_PIPELINED);
+    out.extend_from_slice(&corr.to_le_bytes());
     out.extend_from_slice(&(trace.len() as u16).to_le_bytes());
     out.extend_from_slice(trace.as_bytes());
     out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
@@ -412,36 +370,18 @@ impl Frame {
             } => encode_offer_into(out, *key, *payload, vector),
             Frame::Ack { key, ack } => encode_ack_into(out, *key, ack),
             Frame::Resync { key } => encode_resync_into(out, *key),
-            Frame::Query { kind, m1, m2 } => {
-                let start = begin_frame(out, TYPE_QUERY);
-                out.push(*kind);
-                out.extend_from_slice(&m1.to_le_bytes());
-                out.extend_from_slice(&m2.to_le_bytes());
-                end_frame(out, start);
-            }
-            Frame::Answer { body } => {
-                let start = begin_frame(out, TYPE_ANSWER);
-                out.extend_from_slice(body);
-                end_frame(out, start);
-            }
             Frame::Error { message } => {
                 let start = begin_frame(out, TYPE_ERROR);
                 out.extend_from_slice(message.as_bytes());
                 end_frame(out, start);
-            }
-            Frame::QueryBatch { trace, queries } => {
-                encode_query_batch_into(out, None, trace, queries)?;
             }
             Frame::QueryPipelined {
                 corr,
                 trace,
                 queries,
             } => encode_query_batch_into(out, Some(*corr), trace, queries)?,
-            Frame::AnswerBatch { entries } => {
-                Self::encode_entries(out, TYPE_ANSWER_BATCH, None, entries)?;
-            }
             Frame::AnswerPipelined { corr, entries } => {
-                Self::encode_entries(out, TYPE_ANSWER_PIPELINED, Some(*corr), entries)?;
+                Self::encode_answers(out, *corr, entries)?;
             }
             Frame::Reconfigure(frame) => {
                 crate::reconfig::encode_reconfigure_into(out, TYPE_RECONFIGURE, frame);
@@ -453,10 +393,9 @@ impl Frame {
         Ok(())
     }
 
-    fn encode_entries(
+    fn encode_answers(
         out: &mut Vec<u8>,
-        ty: u8,
-        corr: Option<u32>,
+        corr: u32,
         entries: &[BatchEntry],
     ) -> Result<(), NetError> {
         if entries.len() > MAX_BATCH {
@@ -465,10 +404,8 @@ impl Frame {
                 entries.len()
             )));
         }
-        let start = begin_frame(out, ty);
-        if let Some(corr) = corr {
-            out.extend_from_slice(&corr.to_le_bytes());
-        }
+        let start = begin_frame(out, TYPE_ANSWER_PIPELINED);
+        out.extend_from_slice(&corr.to_le_bytes());
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for e in entries {
             let (status, bytes): (u8, &[u8]) = match e {
@@ -541,29 +478,10 @@ impl Frame {
                 exact(8)?;
                 Ok(Frame::Resync { key: u64_at(0) })
             }
-            TYPE_QUERY => {
-                exact(9)?;
-                Ok(Frame::Query {
-                    kind: body[0],
-                    m1: u32_at(1),
-                    m2: u32_at(5),
-                })
-            }
-            TYPE_ANSWER => Ok(Frame::Answer {
-                body: body.to_vec(),
-            }),
             TYPE_ERROR => Ok(Frame::Error {
                 message: String::from_utf8(body.to_vec())
                     .map_err(|_| NetError::Protocol("ERROR frame body is not UTF-8".to_string()))?,
             }),
-            TYPE_QUERY_BATCH => {
-                let (trace, queries) = Self::decode_query_batch(body)?;
-                Ok(Frame::QueryBatch { trace, queries })
-            }
-            TYPE_ANSWER_BATCH => {
-                let entries = Self::decode_answer_batch(body)?;
-                Ok(Frame::AnswerBatch { entries })
-            }
             TYPE_QUERY_PIPELINED => {
                 at_least(4)?;
                 let (trace, queries) = Self::decode_query_batch(&body[4..])?;
@@ -575,7 +493,7 @@ impl Frame {
             }
             TYPE_ANSWER_PIPELINED => {
                 at_least(4)?;
-                let entries = Self::decode_answer_batch(&body[4..])?;
+                let entries = Self::decode_answers(&body[4..])?;
                 Ok(Frame::AnswerPipelined {
                     corr: u32_at(0),
                     entries,
@@ -591,27 +509,25 @@ impl Frame {
         }
     }
 
-    /// Parses a QUERY2/QUERY3 batch body (correlation id, if any, already
-    /// split off).
+    /// Parses a QUERY3 batch body (correlation id already split off).
     fn decode_query_batch(body: &[u8]) -> Result<(String, Vec<BatchQuery>), NetError> {
         let view = QueryBatchView::parse(body)?;
         Ok((view.trace().to_string(), view.queries().collect()))
     }
 
-    /// Parses an ANSWER2/ANSWER3 entry list (correlation id, if any,
-    /// already split off).
-    fn decode_answer_batch(body: &[u8]) -> Result<Vec<BatchEntry>, NetError> {
+    /// Parses an ANSWER3 entry list (correlation id already split off).
+    fn decode_answers(body: &[u8]) -> Result<Vec<BatchEntry>, NetError> {
         let view = AnswerBatchView::parse(body)?;
         let mut entries = Vec::with_capacity(view.count());
         for (i, (status, bytes)) in view.entries().enumerate() {
             entries.push(match status {
                 0 => BatchEntry::Answer(bytes.to_vec()),
                 1 => BatchEntry::Error(String::from_utf8(bytes.to_vec()).map_err(|_| {
-                    NetError::Protocol(format!("ANSWER2 entry {i} error text is not UTF-8"))
+                    NetError::Protocol(format!("ANSWER3 entry {i} error text is not UTF-8"))
                 })?),
                 other => {
                     return Err(NetError::Protocol(format!(
-                        "ANSWER2 entry {i} has unknown status {other}"
+                        "ANSWER3 entry {i} has unknown status {other}"
                     )))
                 }
             });
@@ -620,9 +536,9 @@ impl Frame {
     }
 }
 
-/// A borrowed, validated view over a QUERY2/QUERY3 batch body — the
+/// A borrowed, validated view over a QUERY3 batch body — the
 /// allocation-free decode the serving hot path uses instead of
-/// materialising a [`Frame::QueryBatch`].
+/// materialising a [`Frame::QueryPipelined`].
 #[derive(Debug, Clone, Copy)]
 pub struct QueryBatchView<'a> {
     trace: &'a str,
@@ -631,8 +547,8 @@ pub struct QueryBatchView<'a> {
 }
 
 impl<'a> QueryBatchView<'a> {
-    /// Validates and wraps a batch body (the bytes after the type byte and,
-    /// for QUERY3, after the correlation id).
+    /// Validates and wraps a batch body (the bytes after the type byte and
+    /// the correlation id).
     ///
     /// # Errors
     ///
@@ -642,34 +558,34 @@ impl<'a> QueryBatchView<'a> {
     pub fn parse(body: &'a [u8]) -> Result<Self, NetError> {
         if body.len() < 2 {
             return Err(NetError::Protocol(
-                "QUERY2 body too short for trace length".to_string(),
+                "QUERY3 body too short for trace length".to_string(),
             ));
         }
         let trace_len = u16::from_le_bytes([body[0], body[1]]) as usize;
         if trace_len > MAX_TRACE_NAME {
             return Err(NetError::Protocol(format!(
-                "QUERY2 trace id of {trace_len} bytes exceeds the {MAX_TRACE_NAME}-byte bound"
+                "QUERY3 trace id of {trace_len} bytes exceeds the {MAX_TRACE_NAME}-byte bound"
             )));
         }
         if body.len() < 2 + trace_len + 4 {
             return Err(NetError::Protocol(
-                "QUERY2 body too short for trace id and count".to_string(),
+                "QUERY3 body too short for trace id and count".to_string(),
             ));
         }
         let trace = std::str::from_utf8(&body[2..2 + trace_len])
-            .map_err(|_| NetError::Protocol("QUERY2 trace id is not UTF-8".to_string()))?;
+            .map_err(|_| NetError::Protocol("QUERY3 trace id is not UTF-8".to_string()))?;
         let at = 2 + trace_len;
         let count =
             u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]) as usize;
         if count > MAX_BATCH {
             return Err(NetError::Protocol(format!(
-                "QUERY2 batch of {count} queries exceeds the {MAX_BATCH}-query bound"
+                "QUERY3 batch of {count} queries exceeds the {MAX_BATCH}-query bound"
             )));
         }
         let records = &body[at + 4..];
         if records.len() != 9 * count {
             return Err(NetError::Protocol(format!(
-                "QUERY2 batch of {count} queries carries {} record bytes, expected {}",
+                "QUERY3 batch of {count} queries carries {} record bytes, expected {}",
                 records.len(),
                 9 * count
             )));
@@ -701,7 +617,7 @@ impl<'a> QueryBatchView<'a> {
     }
 }
 
-/// A borrowed, validated view over an ANSWER2/ANSWER3 entry list — the
+/// A borrowed, validated view over an ANSWER3 entry list — the
 /// allocation-free decode the pipelined client uses instead of
 /// materialising [`BatchEntry`] values.
 #[derive(Debug, Clone, Copy)]
@@ -712,7 +628,7 @@ pub struct AnswerBatchView<'a> {
 
 impl<'a> AnswerBatchView<'a> {
     /// Validates and wraps an entry list (the bytes after the type byte
-    /// and, for ANSWER3, after the correlation id). Walks every entry once
+    /// and the correlation id). Walks every entry once
     /// so [`AnswerBatchView::entries`] can iterate infallibly.
     ///
     /// # Errors
@@ -722,13 +638,13 @@ impl<'a> AnswerBatchView<'a> {
     pub fn parse(body: &'a [u8]) -> Result<Self, NetError> {
         if body.len() < 4 {
             return Err(NetError::Protocol(
-                "ANSWER2 body too short for entry count".to_string(),
+                "ANSWER3 body too short for entry count".to_string(),
             ));
         }
         let count = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
         if count > MAX_BATCH {
             return Err(NetError::Protocol(format!(
-                "ANSWER2 batch of {count} entries exceeds the {MAX_BATCH}-entry bound"
+                "ANSWER3 batch of {count} entries exceeds the {MAX_BATCH}-entry bound"
             )));
         }
         let entries = &body[4..];
@@ -736,7 +652,7 @@ impl<'a> AnswerBatchView<'a> {
         for _ in 0..count {
             if entries.len() < at + 5 {
                 return Err(NetError::Protocol(
-                    "ANSWER2 entry truncated at its prefix".to_string(),
+                    "ANSWER3 entry truncated at its prefix".to_string(),
                 ));
             }
             let len = u32::from_le_bytes([
@@ -747,14 +663,14 @@ impl<'a> AnswerBatchView<'a> {
             ]) as usize;
             if entries.len() < at + 5 + len {
                 return Err(NetError::Protocol(
-                    "ANSWER2 entry truncated in its body".to_string(),
+                    "ANSWER3 entry truncated in its body".to_string(),
                 ));
             }
             at += 5 + len;
         }
         if at != entries.len() {
             return Err(NetError::Protocol(format!(
-                "ANSWER2 batch carries {} trailing bytes",
+                "ANSWER3 batch carries {} trailing bytes",
                 entries.len() - at
             )));
         }
@@ -953,40 +869,13 @@ mod tests {
                 ack: vec![9],
             },
             Frame::Resync { key: 7 },
-            Frame::Query {
-                kind: 0,
-                m1: 1,
-                m2: 2,
-            },
-            Frame::Answer { body: vec![1] },
             Frame::Error {
                 message: "nope".to_string(),
             },
-            Frame::QueryBatch {
-                trace: "ring-a".to_string(),
-                queries: vec![
-                    BatchQuery {
-                        kind: 0,
-                        m1: 1,
-                        m2: 2,
-                    },
-                    BatchQuery {
-                        kind: 2,
-                        m1: 7,
-                        m2: 0,
-                    },
-                ],
-            },
-            Frame::QueryBatch {
+            Frame::QueryPipelined {
+                corr: 0,
                 trace: String::new(),
                 queries: vec![],
-            },
-            Frame::AnswerBatch {
-                entries: vec![
-                    BatchEntry::Answer(vec![1]),
-                    BatchEntry::Error("message 9 out of range".to_string()),
-                    BatchEntry::Answer(vec![]),
-                ],
             },
             Frame::QueryPipelined {
                 corr: 0xfeed_beef,
@@ -1028,6 +917,23 @@ mod tests {
         reader.feed(&[99, 0]); // unknown type 99
         assert!(matches!(reader.next_frame(), Err(NetError::Protocol(_))));
 
+        // The retired v1/v2 query type bytes are unknown types now, whatever
+        // body they carry.
+        for ty in [4u8, 5, 7, 8] {
+            for body_len in [0usize, 9, 64] {
+                let mut reader = FrameReader::new();
+                reader.feed(&(1 + body_len as u32).to_le_bytes());
+                reader.feed(&[ty]);
+                reader.feed(&vec![0u8; body_len]);
+                match reader.next_frame() {
+                    Err(NetError::Protocol(m)) => {
+                        assert!(m.contains("unknown frame type"), "type {ty}: {m}");
+                    }
+                    other => panic!("type {ty} decoded as {other:?}"),
+                }
+            }
+        }
+
         let mut reader = FrameReader::new();
         reader.feed(&0u32.to_le_bytes());
         assert!(matches!(reader.next_frame(), Err(NetError::Protocol(_))));
@@ -1035,30 +941,33 @@ mod tests {
 
     #[test]
     fn oversized_batches_are_rejected() {
-        // A QUERY2 declaring more than MAX_BATCH queries is refused from
+        // A QUERY3 declaring more than MAX_BATCH queries is refused from
         // the count field alone, before any body is even present.
-        let mut body = vec![0u8, 0]; // empty trace id
+        let mut body = 7u32.to_le_bytes().to_vec(); // correlation id
+        body.extend_from_slice(&[0u8, 0]); // empty trace id
         body.extend_from_slice(&((MAX_BATCH as u32) + 1).to_le_bytes());
         let mut framed = ((1 + body.len()) as u32).to_le_bytes().to_vec();
-        framed.push(7); // TYPE_QUERY_BATCH
+        framed.push(TYPE_QUERY_PIPELINED);
         framed.extend_from_slice(&body);
         let mut reader = FrameReader::new();
         reader.feed(&framed);
         let err = reader.next_frame().unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
 
-        // Same for an ANSWER2 entry count.
-        let mut body = ((MAX_BATCH as u32) + 1).to_le_bytes().to_vec();
+        // Same for an ANSWER3 entry count.
+        let mut body = 7u32.to_le_bytes().to_vec(); // correlation id
+        body.extend_from_slice(&((MAX_BATCH as u32) + 1).to_le_bytes());
         body.extend_from_slice(&[0; 16]);
         let mut framed = ((1 + body.len()) as u32).to_le_bytes().to_vec();
-        framed.push(8); // TYPE_ANSWER_BATCH
+        framed.push(TYPE_ANSWER_PIPELINED);
         framed.extend_from_slice(&body);
         let mut reader = FrameReader::new();
         reader.feed(&framed);
         assert!(matches!(reader.next_frame(), Err(NetError::Protocol(_))));
 
         // Exactly MAX_BATCH round-trips.
-        let max = Frame::QueryBatch {
+        let max = Frame::QueryPipelined {
+            corr: 1,
             trace: "t".to_string(),
             queries: vec![
                 BatchQuery {
@@ -1100,46 +1009,6 @@ mod tests {
         assert_eq!(ack.encode().unwrap().len() as u64, ack_frame_bytes(5));
         let resync = Frame::Resync { key: 1 };
         assert_eq!(resync.encode().unwrap().len() as u64, resync_frame_bytes());
-    }
-
-    #[test]
-    fn batch_frame_sizes_match_core_wire_pricing() {
-        use synctime_core::wire::{
-            answer_frame_bytes, batch_answer_frame_bytes, batch_query_frame_bytes,
-            query_frame_bytes,
-        };
-        let query = Frame::Query {
-            kind: 0,
-            m1: 1,
-            m2: 2,
-        };
-        assert_eq!(query.encode().unwrap().len() as u64, query_frame_bytes());
-        let answer = Frame::Answer { body: vec![1] };
-        assert_eq!(answer.encode().unwrap().len() as u64, answer_frame_bytes(1));
-        for count in [0usize, 1, 16, 256] {
-            let batch = Frame::QueryBatch {
-                trace: "alpha".to_string(),
-                queries: vec![
-                    BatchQuery {
-                        kind: 0,
-                        m1: 3,
-                        m2: 4,
-                    };
-                    count
-                ],
-            };
-            assert_eq!(
-                batch.encode().unwrap().len() as u64,
-                batch_query_frame_bytes(5, count)
-            );
-            let answers = Frame::AnswerBatch {
-                entries: vec![BatchEntry::Answer(vec![1]); count],
-            };
-            assert_eq!(
-                answers.encode().unwrap().len() as u64,
-                batch_answer_frame_bytes(count, count)
-            );
-        }
     }
 
     #[test]
@@ -1283,64 +1152,20 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_bodies_differ_from_v2_only_by_correlation_prefix() {
-        let queries = vec![
-            BatchQuery {
-                kind: 0,
-                m1: 1,
-                m2: 2,
-            },
-            BatchQuery {
-                kind: 2,
-                m1: 9,
-                m2: 0,
-            },
-        ];
-        let v2 = Frame::QueryBatch {
-            trace: "t".to_string(),
-            queries: queries.clone(),
-        }
-        .encode()
-        .unwrap();
-        let v3 = Frame::QueryPipelined {
-            corr: 0x0102_0304,
-            trace: "t".to_string(),
-            queries,
-        }
-        .encode()
-        .unwrap();
-        // Same body after the 4-byte correlation id; length prefix 4 larger.
-        assert_eq!(&v3[FRAME_HEADER_BYTES + 4..], &v2[FRAME_HEADER_BYTES..]);
-        assert_eq!(
-            &v3[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + 4],
-            &[4, 3, 2, 1]
-        );
-        let entries = vec![
-            BatchEntry::Answer(vec![1]),
-            BatchEntry::Error("bad".to_string()),
-        ];
-        let v2 = Frame::AnswerBatch {
-            entries: entries.clone(),
-        }
-        .encode()
-        .unwrap();
-        let v3 = Frame::AnswerPipelined { corr: 5, entries }
-            .encode()
-            .unwrap();
-        assert_eq!(&v3[FRAME_HEADER_BYTES + 4..], &v2[FRAME_HEADER_BYTES..]);
-    }
-
-    #[test]
     fn peek_and_consume_walk_the_stream_without_decoding() {
-        let frames = [
-            Frame::Resync { key: 3 },
-            Frame::Query {
+        let query = Frame::QueryPipelined {
+            corr: 5,
+            trace: "t".to_string(),
+            queries: vec![BatchQuery {
                 kind: 0,
                 m1: 1,
                 m2: 2,
-            },
-            Frame::Answer { body: vec![1] },
-        ];
+            }],
+        };
+        let error = Frame::Error {
+            message: "x".to_string(),
+        };
+        let frames = [Frame::Resync { key: 3 }, query.clone(), error];
         let mut reader = FrameReader::new();
         for f in &frames {
             reader.feed(&f.encode().unwrap());
@@ -1352,16 +1177,9 @@ mod tests {
         assert_eq!(ty2, TYPE_RESYNC);
         reader.consume_frame();
         // Peek and owned decode interleave on one stream.
-        assert_eq!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Query {
-                kind: 0,
-                m1: 1,
-                m2: 2
-            })
-        );
+        assert_eq!(reader.next_frame().unwrap(), Some(query));
         let (ty, body) = reader.peek_frame().unwrap().unwrap();
-        assert_eq!((ty, body), (TYPE_ANSWER, &[1u8][..]));
+        assert_eq!((ty, body), (TYPE_ERROR, &b"x"[..]));
         reader.consume_frame();
         assert_eq!(reader.peek_frame().unwrap(), None);
         assert_eq!(reader.pending_bytes(), 0);

@@ -8,14 +8,13 @@
 //! protocol — plus a network query service over stamped traces:
 //!
 //! * [`frame`] — the wire protocol: `[u32 len][u8 type][body]` frames
-//!   (HELLO, OFFER, ACK, RESYNC, QUERY, ANSWER, ERROR, the batched
-//!   QUERY2/ANSWER2 pair, the correlation-tagged pipelined
-//!   QUERY3/ANSWER3 pair, and the RECONFIGURE/RECONFIG_ACK control
+//!   (HELLO, OFFER, ACK, RESYNC, ERROR, the correlation-tagged
+//!   QUERY3/ANSWER3 query pair, and the RECONFIGURE/RECONFIG_ACK control
 //!   pair), an incremental [`FrameReader`] with
 //!   zero-copy [`peek_frame`](frame::FrameReader::peek_frame) access,
 //!   borrowed batch views, reusable [`FrameScratch`] buffers, and
 //!   [`topology_hash`] for handshake validation. OFFER/ACK/RESYNC and
-//!   QUERY/ANSWER byte layouts match `synctime-core`'s wire-cost model
+//!   QUERY3/ANSWER3 byte layouts match `synctime-core`'s wire-cost model
 //!   *exactly*, so [`RunStats`] wire accounting is identical whether a
 //!   run is local or distributed.
 //! * [`tcp`] — [`TcpMeshBuilder`] / [`TcpMesh`]: bind-then-establish
@@ -38,9 +37,9 @@
 //! * [`pool`] — [`serve_fabric`], the fixed-size worker pool that
 //!   replaced PR 5's thread-per-connection accept loop.
 //! * [`query`] — the precedence-query protocol: Theorem 4 of the paper
-//!   as a service ([`QueryService`], [`serve_queries`],
-//!   [`QueryClient`] with single, batched, multi-trace, and pipelined
-//!   calls — [`Pipeline`] keeps a window of batches in flight on one
+//!   as a service over QUERY3/ANSWER3 ([`pump_frames`], and
+//!   [`QueryClient`] with lock-step and pipelined batches —
+//!   [`Pipeline`] keeps a window of batches in flight on one
 //!   connection, completing out of order by correlation id).
 //! * [`report`] — [`NodeReport`], the JSON document each OS process
 //!   prints so a launcher can merge a distributed run back into one
@@ -52,9 +51,8 @@
 //!
 //! [`Behavior`]: synctime_runtime::Behavior
 //! [`RunStats`]: synctime_obs::RunStats
-//! [`QueryService`]: query::QueryService
 //! [`QueryClient`]: query::QueryClient
-//! [`serve_queries`]: query::serve
+//! [`pump_frames`]: query::pump_frames
 //! [`QueryFabric`]: catalog::QueryFabric
 //! [`ShardRing`]: catalog::ShardRing
 //! [`serve_fabric`]: pool::serve_fabric
@@ -85,12 +83,11 @@ pub use error::NetError;
 pub use frame::{
     encode_ack_into, encode_offer_into, encode_query_batch_into, encode_resync_into, topology_hash,
     topology_hash_of, AnswerBatchView, BatchEntry, BatchQuery, Frame, FrameReader, FrameScratch,
-    QueryBatchView, MAX_BATCH, MAX_FRAME_LEN, MAX_TRACE_NAME, MIN_QUERY_VERSION, PROTOCOL_VERSION,
+    QueryBatchView, MAX_BATCH, MAX_FRAME_LEN, MAX_TRACE_NAME, PROTOCOL_VERSION,
 };
 pub use pool::{default_pool_size, serve_fabric};
 pub use query::{
-    answer_query, answer_query_into, pump_frames, Pipeline, QueryClient, QueryService,
-    DEFAULT_TRACE_NAME,
+    answer_query, answer_query_into, pump_frames, Pipeline, QueryClient, DEFAULT_TRACE_NAME,
 };
 pub use reconfig::{
     coordinate_reconfigure, follow_reconfigure, remap_vector, ReconfigAckFrame, ReconfigCommit,

@@ -2,8 +2,8 @@
 //!
 //! The paper's punchline is that a d-dimensional vector per message
 //! answers `m1 ↦ m2` with a constant-time comparison. This module serves
-//! that comparison over the frame protocol: a [`QueryServer`] holds the
-//! stamped trace in memory and answers three query kinds —
+//! that comparison over the frame protocol against a [`QueryFabric`]
+//! catalog of stamped traces, answering three query kinds —
 //!
 //! * **precedes** `m1 m2` — does `m1` synchronously precede `m2`?
 //! * **concurrent** `m1 m2` — is neither ordered before the other?
@@ -11,42 +11,37 @@
 //!   and future, `m` included), ascending by message id; the complement
 //!   of `m`'s concurrency set.
 //!
-//! A v1 query is one QUERY frame and one ANSWER (or ERROR) frame; clients
-//! keep a connection open and pipeline queries sequentially, so the
-//! closed-loop cost is one round trip plus two vector comparisons. A v2
-//! **batch** is one QUERY2 frame carrying up to `MAX_BATCH` queries
-//! against one named trace of the catalog and one ANSWER2 frame carrying
-//! positionally matched entries — the round trip, the framing, and the
-//! trace lookup are paid once per batch, which is what takes a
-//! single connection from ~10⁵ to ~10⁶ queries/sec on loopback.
-//!
-//! A v3 **pipelined** connection removes the remaining lock-step: a
-//! [`Pipeline`] keeps up to W correlation-tagged QUERY3 batches in flight
-//! at once, the server answers frames *as they decode* (every batch read
-//! off the socket in one `read` is answered in one `write`), and answers
-//! complete out of order, matched by correlation id. The serving hot path
-//! is allocation-free in steady state: [`pump_frames`] decodes borrowed
-//! [`QueryBatchView`]s straight out of the receive buffer and appends
-//! ANSWER3 frames to a per-connection [`FrameScratch`], whose buffers are
-//! reused across frames and connections (see
-//! `crates/net/tests/zero_alloc.rs` for the counting-allocator proof).
+//! There is one query protocol. A client sends QUERY3 frames, each a
+//! correlation-tagged batch of up to `MAX_BATCH` queries against one named
+//! trace of the catalog, and the server answers each with one ANSWER3
+//! frame of positionally matched entries — the round trip, the framing
+//! and the trace lookup are paid once per batch. A single query is a batch
+//! of one, and lock-step is a window of one: a [`Pipeline`] keeps up to W
+//! batches in flight at once, the server answers frames *as they decode*
+//! (every batch read off the socket in one `read` is answered in one
+//! `write`), and answers complete out of order, matched by correlation id.
+//! The serving hot path is allocation-free in steady state:
+//! [`pump_frames`] decodes borrowed [`QueryBatchView`]s straight out of
+//! the receive buffer and appends ANSWER3 frames to a per-connection
+//! [`FrameScratch`], whose buffers are reused across frames and
+//! connections (see `crates/net/tests/zero_alloc.rs` for the
+//! counting-allocator proof).
 //!
 //! Every connection is served by the fixed worker pool in [`crate::pool`]
-//! against a shared [`QueryFabric`] catalog; the single-trace [`serve`]
-//! entry point is the same machinery over a one-trace catalog.
+//! against a shared [`QueryFabric`] catalog.
 //!
 //! Query connections handshake like transport connections, but a client
 //! is not a process of any computation: it identifies as process
 //! `u32::MAX` with topology hash `0`, and the server validates the
-//! protocol version only — accepting [`MIN_QUERY_VERSION`] up to
-//! [`PROTOCOL_VERSION`], so v2 clients keep working across the v3 bump.
+//! protocol version only — accepting exactly [`PROTOCOL_VERSION`], so an
+//! older client is refused with a typed version-mismatch ERROR at the
+//! handshake instead of being dropped on its first query.
 //!
 //! [`QueryBatchView`]: crate::frame::QueryBatchView
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::TcpStream;
 
 use synctime_core::MessageTimestamps;
 use synctime_trace::MessageId;
@@ -55,8 +50,8 @@ use crate::catalog::QueryFabric;
 use crate::error::NetError;
 use crate::frame::{
     begin_frame, encode_query_batch_into, end_frame, AnswerBatchView, BatchEntry, BatchQuery,
-    Frame, FrameReader, FrameScratch, QueryBatchView, MAX_BATCH, MIN_QUERY_VERSION,
-    PROTOCOL_VERSION, TYPE_ANSWER_PIPELINED, TYPE_QUERY_PIPELINED,
+    Frame, FrameReader, FrameScratch, QueryBatchView, MAX_BATCH, PROTOCOL_VERSION,
+    TYPE_ANSWER_PIPELINED, TYPE_QUERY_PIPELINED,
 };
 
 /// Query kind byte: does `m1` precede `m2`?
@@ -69,11 +64,12 @@ pub const QUERY_CHAIN_OF: u8 = 2;
 /// The process id query clients identify with: not a process at all.
 pub const QUERY_CLIENT_ID: u32 = u32::MAX;
 
-/// The trace id a single-trace [`serve`] registers its one trace under.
+/// The trace id a single-trace `serve-query --trace` registers its one
+/// trace under.
 pub const DEFAULT_TRACE_NAME: &str = "default";
 
-/// Answers one query against a stamped trace, returning the bytes a v1
-/// ANSWER frame (or a v2 ANSWER2 entry — they are identical) carries:
+/// Answers one query against a stamped trace, returning the bytes an
+/// ANSWER3 entry carries:
 ///
 /// * `precedes` / `concurrent` — a single `0`/`1` byte;
 /// * `chain-of` — `u32` count, then the ordered message ids as `u32`s.
@@ -149,61 +145,8 @@ pub fn answer_query_into(
     }
 }
 
-/// Answers queries against one stamped trace (the single-trace façade
-/// over [`answer_query`]; the multi-trace catalog is [`QueryFabric`]).
-#[derive(Debug, Clone)]
-pub struct QueryService {
-    stamps: Arc<MessageTimestamps>,
-}
-
-impl QueryService {
-    /// Wraps a stamped trace.
-    pub fn new(stamps: MessageTimestamps) -> Self {
-        QueryService {
-            stamps: Arc::new(stamps),
-        }
-    }
-
-    /// Number of stamped messages served.
-    pub fn message_count(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Answers one query, returning the ANSWER body (see [`answer_query`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] on an unknown kind or out-of-range message id
-    /// (0-based).
-    pub fn answer(&self, kind: u8, m1: u32, m2: u32) -> Result<Vec<u8>, NetError> {
-        answer_query(&self.stamps, kind, m1, m2)
-    }
-}
-
-/// Accepts query connections forever against a single stamped trace,
-/// registered in a one-shard catalog under [`DEFAULT_TRACE_NAME`] and
-/// served by a default-sized worker pool — the PR 5 entry point, now on
-/// the fabric machinery. v1 clients are unaffected (a single-trace
-/// catalog answers empty-trace-id queries); batch clients may address the
-/// trace as `"default"` or `""`.
-///
-/// Returns only when the listener itself fails; callers wanting a
-/// bounded server should drop the listener from another thread or kill
-/// the process (the CLI's `serve-query` does the latter).
-///
-/// # Errors
-///
-/// [`NetError::Io`] when accepting fails for a reason other than a
-/// transient client error.
-pub fn serve(listener: TcpListener, service: QueryService) -> Result<(), NetError> {
-    let fabric = QueryFabric::new(1);
-    fabric.publish_shared(DEFAULT_TRACE_NAME, Arc::clone(&service.stamps));
-    crate::pool::serve_fabric(listener, Arc::new(fabric), crate::pool::default_pool_size())
-}
-
 /// Runs one client connection against the catalog: handshake, then a
-/// query/answer loop (v1 single queries, v2 batches, and v3 pipelined
-/// batches interleave freely) until the client disconnects.
+/// QUERY3/ANSWER3 loop until the client disconnects.
 ///
 /// The loop never lock-steps: every complete frame already buffered is
 /// answered into `scratch.out` before the reply bytes leave in a single
@@ -214,14 +157,13 @@ pub fn serve(listener: TcpListener, service: QueryService) -> Result<(), NetErro
 /// allocation-free.
 ///
 /// Rejected queries — bad ids, unknown kinds, unresolvable trace ids —
-/// answer with ERROR frames (or error entries) and keep the connection
-/// alive; only protocol violations and socket failures end it.
+/// answer with error entries and keep the connection alive; only
+/// protocol violations and socket failures end it.
 ///
 /// # Errors
 ///
 /// [`NetError::Handshake`] when the client's HELLO is missing or speaks
-/// an unsupported protocol version (anything outside
-/// [`MIN_QUERY_VERSION`]..=[`PROTOCOL_VERSION`]), [`NetError::Protocol`]
+/// any protocol version but [`PROTOCOL_VERSION`], [`NetError::Protocol`]
 /// on frame violations, [`NetError::Io`] on socket failures.
 pub fn serve_fabric_connection(
     mut stream: TcpStream,
@@ -237,11 +179,11 @@ pub fn serve_fabric_connection(
             "expected HELLO, got {hello:?}"
         )));
     };
-    if !(MIN_QUERY_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         let refusal = Frame::Error {
             message: format!(
-                "protocol version mismatch: client speaks {version}, server accepts \
-                 {MIN_QUERY_VERSION}..={PROTOCOL_VERSION}"
+                "protocol version mismatch: client speaks {version}, server speaks \
+                 {PROTOCOL_VERSION}"
             ),
         };
         stream.write_all(&refusal.encode()?)?;
@@ -274,8 +216,8 @@ pub fn serve_fabric_connection(
 
 /// Answers every complete frame buffered in `reader`, appending the reply
 /// bytes to `scratch.out` (the caller flushes them in one write). Returns
-/// `false` when the connection should close after the flush — an
-/// unexpected frame type was answered with a final ERROR frame.
+/// `false` when the connection should close after the flush — a frame
+/// other than QUERY3 was answered with a final ERROR frame.
 ///
 /// This is the serving hot path: QUERY3 frames are decoded as borrowed
 /// [`QueryBatchView`]s straight out of the receive buffer and answered
@@ -296,8 +238,8 @@ pub fn pump_frames(
     scratch: &mut FrameScratch,
 ) -> Result<bool, NetError> {
     loop {
-        // Fast path: answer a pipelined batch without materialising a
-        // Frame. Everything else falls back to the owned decode below.
+        // Answer a QUERY3 batch without materialising a Frame; anything
+        // else falls through to the owned decode below.
         if let Some((TYPE_QUERY_PIPELINED, body)) = reader.peek_frame()? {
             if body.len() < 4 {
                 return Err(NetError::Protocol(
@@ -353,43 +295,12 @@ pub fn pump_frames(
             Some(f) => f,
             None => return Ok(true),
         };
-        let reply = match frame {
-            Frame::Query { kind, m1, m2 } => {
-                // v1: resolve the default trace, answer one query.
-                match fabric
-                    .resolve("")
-                    .and_then(|stamps| answer_query(&stamps, kind, m1, m2))
-                {
-                    Ok(body) => Frame::Answer { body },
-                    // The wire carries the bare detail; the client re-wraps
-                    // it in NetError::Query, which adds the "query
-                    // rejected:" prefix.
-                    Err(NetError::Query(detail)) => Frame::Error { message: detail },
-                    Err(e) => Frame::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
-            Frame::QueryBatch { trace, queries } => {
-                // v2: one trace resolution, then every entry answered
-                // independently.
-                match fabric.answer_batch(&trace, &queries) {
-                    Ok(entries) => Frame::AnswerBatch { entries },
-                    Err(NetError::Query(detail)) => Frame::Error { message: detail },
-                    Err(e) => Frame::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
-            other => {
-                Frame::Error {
-                    message: format!("expected QUERY, QUERY2, or QUERY3, got {other:?}"),
-                }
-                .encode_into(&mut scratch.out)?;
-                return Ok(false);
-            }
-        };
-        reply.encode_into(&mut scratch.out)?;
+        // Anything but QUERY3 is a protocol violation: say so, then close.
+        Frame::Error {
+            message: format!("expected QUERY3, got {frame:?}"),
+        }
+        .encode_into(&mut scratch.out)?;
+        return Ok(false);
     }
 }
 
@@ -410,13 +321,17 @@ fn read_frame(
     }
 }
 
-/// A blocking query connection: one handshake, then sequential queries —
-/// or up to W overlapping batches via [`QueryClient::pipeline`].
+/// A blocking query connection: one handshake, then QUERY3 batches —
+/// lock-step, or up to W in flight via [`QueryClient::pipeline`].
 #[derive(Debug)]
 pub struct QueryClient {
     stream: TcpStream,
     reader: FrameReader,
     scratch: FrameScratch,
+    /// Socket read buffer of [`QueryClient::precedes_many_pipelined`],
+    /// allocated on its first call and kept: every lone query is such a
+    /// call.
+    recv: Vec<u8>,
 }
 
 impl QueryClient {
@@ -444,6 +359,7 @@ impl QueryClient {
                 stream,
                 reader,
                 scratch: FrameScratch::new(),
+                recv: Vec::new(),
             }),
             Frame::Error { message } => Err(NetError::Handshake(message)),
             other => Err(NetError::Handshake(format!(
@@ -452,205 +368,29 @@ impl QueryClient {
         }
     }
 
-    fn ask(&mut self, kind: u8, m1: u32, m2: u32) -> Result<Vec<u8>, NetError> {
-        self.stream
-            .write_all(&Frame::Query { kind, m1, m2 }.encode()?)?;
-        let mut buf = [0u8; 4096];
-        match read_frame(&mut self.stream, &mut self.reader, &mut buf)? {
-            Frame::Answer { body } => Ok(body),
-            Frame::Error { message } => Err(NetError::Query(message)),
-            other => Err(NetError::Protocol(format!(
-                "expected ANSWER, got {other:?}"
-            ))),
-        }
-    }
-
-    fn ask_bool(&mut self, kind: u8, m1: u32, m2: u32) -> Result<bool, NetError> {
-        let body = self.ask(kind, m1, m2)?;
-        match body.as_slice() {
-            [0] => Ok(false),
-            [1] => Ok(true),
-            _ => Err(NetError::Protocol(
-                "boolean answer body is not a single 0/1 byte".to_string(),
-            )),
-        }
-    }
-
-    /// Does message `m1` synchronously precede `m2`? (0-based ids.)
+    /// Every message ordered with `m` (see the module docs), ascending,
+    /// from one trace of the server's catalog; the empty trace id targets
+    /// the catalog's default trace. Sent as a one-query QUERY3 batch.
     ///
     /// # Errors
     ///
-    /// [`NetError::Query`] when the server rejects the ids, transport
-    /// errors otherwise.
-    pub fn precedes(&mut self, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool(QUERY_PRECEDES, m1, m2)
-    }
-
-    /// Are messages `m1` and `m2` concurrent? (0-based ids.)
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes`].
-    pub fn concurrent(&mut self, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool(QUERY_CONCURRENT, m1, m2)
-    }
-
-    /// Every message ordered with `m` (see the module docs), ascending.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes`].
-    pub fn chain_of(&mut self, m: u32) -> Result<Vec<u32>, NetError> {
-        let body = self.ask(QUERY_CHAIN_OF, m, 0)?;
-        parse_chain_body(&body)
-    }
-
-    /// Sends one v2 batch of queries against a named trace of the server's
-    /// catalog and returns the positionally matched entries. Batches
-    /// larger than [`MAX_BATCH`] are split across frames transparently;
-    /// the empty trace id targets the catalog's default trace.
-    ///
-    /// ```no_run
-    /// use synctime_net::{BatchEntry, BatchQuery, QueryClient};
-    ///
-    /// # fn main() -> Result<(), synctime_net::NetError> {
-    /// let mut client = QueryClient::connect("127.0.0.1:4100")?;
-    /// // 3 precedence questions against trace "ring-a", one round trip.
-    /// let queries: Vec<BatchQuery> = [(0, 1), (1, 2), (2, 0)]
-    ///     .iter()
-    ///     .map(|&(m1, m2)| BatchQuery { kind: 0, m1, m2 })
-    ///     .collect();
-    /// for (q, entry) in queries.iter().zip(client.batch("ring-a", &queries)?) {
-    ///     match entry {
-    ///         BatchEntry::Answer(body) => {
-    ///             println!("m{} precedes m{}: {}", q.m1, q.m2, body == [1]);
-    ///         }
-    ///         BatchEntry::Error(why) => println!("rejected: {why}"),
-    ///     }
-    /// }
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] when the trace id itself is rejected (the
-    /// per-query failures come back as [`BatchEntry::Error`] entries
-    /// instead), [`NetError::Protocol`] on a malformed or mismatched
-    /// reply, transport errors otherwise.
-    pub fn batch(
-        &mut self,
-        trace: &str,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<BatchEntry>, NetError> {
-        let mut entries = Vec::with_capacity(queries.len());
-        // Explicit cursor instead of `chunks()`: an exact multiple of
-        // MAX_BATCH sends exactly len/MAX_BATCH frames (no trailing empty
-        // frame), and an empty batch still sends one frame so a bad trace
-        // id surfaces as the error it is rather than silently succeeding.
-        let mut sent = 0usize;
-        loop {
-            let chunk = &queries[sent..queries.len().min(sent + MAX_BATCH)];
-            self.scratch.out.clear();
-            encode_query_batch_into(&mut self.scratch.out, None, trace, chunk)?;
-            self.stream.write_all(&self.scratch.out)?;
-            let mut buf = [0u8; 65536];
-            match read_frame(&mut self.stream, &mut self.reader, &mut buf)? {
-                Frame::AnswerBatch { entries: got } => {
-                    if got.len() != chunk.len() {
-                        return Err(NetError::Protocol(format!(
-                            "batch of {} queries answered with {} entries",
-                            chunk.len(),
-                            got.len()
-                        )));
-                    }
-                    entries.extend(got);
-                }
-                Frame::Error { message } => return Err(NetError::Query(message)),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected ANSWER2, got {other:?}"
-                    )))
-                }
-            }
-            sent += chunk.len();
-            if sent >= queries.len() {
-                return Ok(entries);
-            }
-        }
-    }
-
-    /// Batched `precedes`: one boolean per `(m1, m2)` pair, in order, via
-    /// as few round trips as [`MAX_BATCH`] allows.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] if the trace id or *any* pair is rejected (use
-    /// [`QueryClient::batch`] to observe per-query failures
-    /// independently), transport errors otherwise.
-    pub fn precedes_many(
-        &mut self,
-        trace: &str,
-        pairs: &[(u32, u32)],
-    ) -> Result<Vec<bool>, NetError> {
-        let queries: Vec<BatchQuery> = pairs
-            .iter()
-            .map(|&(m1, m2)| BatchQuery {
-                kind: QUERY_PRECEDES,
-                m1,
-                m2,
-            })
-            .collect();
-        self.batch(trace, &queries)?
-            .into_iter()
-            .map(|entry| match entry {
-                BatchEntry::Answer(body) => match body.as_slice() {
-                    [0] => Ok(false),
-                    [1] => Ok(true),
-                    _ => Err(NetError::Protocol(
-                        "boolean answer body is not a single 0/1 byte".to_string(),
-                    )),
-                },
-                BatchEntry::Error(message) => Err(NetError::Query(message)),
-            })
-            .collect()
-    }
-
-    /// [`QueryClient::precedes`] against a named trace of a multi-trace
-    /// catalog (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn precedes_on(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool_on(trace, QUERY_PRECEDES, m1, m2)
-    }
-
-    /// [`QueryClient::concurrent`] against a named trace (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn concurrent_on(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool_on(trace, QUERY_CONCURRENT, m1, m2)
-    }
-
-    /// [`QueryClient::chain_of`] against a named trace (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn chain_of_on(&mut self, trace: &str, m: u32) -> Result<Vec<u32>, NetError> {
-        let entry = self
-            .batch(
-                trace,
-                &[BatchQuery {
-                    kind: QUERY_CHAIN_OF,
-                    m1: m,
-                    m2: 0,
-                }],
-            )?
+    /// [`NetError::Query`] when the server rejects the trace id or `m`,
+    /// [`NetError::Protocol`] on a malformed answer, transport errors
+    /// otherwise.
+    pub fn chain_of(&mut self, trace: &str, m: u32) -> Result<Vec<u32>, NetError> {
+        let mut pipeline = self.pipeline(1);
+        pipeline.submit(
+            trace,
+            &[BatchQuery {
+                kind: QUERY_CHAIN_OF,
+                m1: m,
+                m2: 0,
+            }],
+        )?;
+        let entry = pipeline
+            .finish()?
             .pop()
+            .and_then(|mut entries| entries.pop())
             .ok_or_else(|| NetError::Protocol("empty batch answer".to_string()))?;
         match entry {
             BatchEntry::Answer(body) => parse_chain_body(&body),
@@ -658,33 +398,17 @@ impl QueryClient {
         }
     }
 
-    fn ask_bool_on(&mut self, trace: &str, kind: u8, m1: u32, m2: u32) -> Result<bool, NetError> {
-        let entry = self
-            .batch(trace, &[BatchQuery { kind, m1, m2 }])?
-            .pop()
-            .ok_or_else(|| NetError::Protocol("empty batch answer".to_string()))?;
-        match entry {
-            BatchEntry::Answer(body) => match body.as_slice() {
-                [0] => Ok(false),
-                [1] => Ok(true),
-                _ => Err(NetError::Protocol(
-                    "boolean answer body is not a single 0/1 byte".to_string(),
-                )),
-            },
-            BatchEntry::Error(message) => Err(NetError::Query(message)),
-        }
-    }
-
-    /// Opens a pipelined (protocol v3) session on this connection: up to
-    /// `window` batches stay in flight at once, each tagged with a
+    /// Opens a pipelined session on this connection: up to `window`
+    /// QUERY3 batches stay in flight at once, each tagged with a
     /// correlation id the server echoes, so the wire never idles for a
     /// round trip between batches. Answers complete out of order; the
     /// [`Pipeline`] reassembles them by submission slot.
     ///
     /// Dropping a [`Pipeline`] with batches still in flight leaves their
     /// answers unread in the stream — call [`Pipeline::finish`] (or
-    /// [`Pipeline::drain`]) before issuing non-pipelined queries on this
-    /// client again.
+    /// [`Pipeline::drain`]) before using this client again, whether for
+    /// another pipeline, [`QueryClient::precedes_many_pipelined`] or
+    /// [`QueryClient::chain_of`].
     pub fn pipeline(&mut self, window: usize) -> Pipeline<'_> {
         self.pipeline_at(window, 0)
     }
@@ -714,8 +438,13 @@ impl QueryClient {
     /// per-entry allocation.
     ///
     /// `batch` is clamped to `1..=`[`MAX_BATCH`]; `window` to at least 1
-    /// (`window == 1` degenerates to [`QueryClient::precedes_many`]'s
-    /// lock-step, still on v3 frames).
+    /// (`window == 1` is lock-step: one frame, one answer, the next frame).
+    ///
+    /// A failed batch stops the submission of further batches, but the
+    /// call still receives (and discards) the answer to every batch it
+    /// already sent before it returns the first error. So unless the
+    /// connection itself failed, the stream holds no answer to any frame
+    /// this call sent, and the client stays usable.
     ///
     /// # Errors
     ///
@@ -735,11 +464,14 @@ impl QueryClient {
         let mut results = vec![false; pairs.len()];
         let chunk_count = pairs.len().div_ceil(batch);
         let mut done = vec![false; chunk_count];
-        let mut buf = vec![0u8; 65536];
+        self.recv.resize(65536, 0);
         let mut submitted = 0usize;
-        let mut completed = 0usize;
-        while completed < chunk_count {
-            while submitted < chunk_count && submitted - completed < window {
+        let mut answered = 0usize;
+        // The first failed batch; once set, nothing more is submitted and
+        // the loop only drains what is still in flight.
+        let mut failure: Option<NetError> = None;
+        loop {
+            while failure.is_none() && submitted < chunk_count && submitted - answered < window {
                 let lo = submitted * batch;
                 let hi = pairs.len().min(lo + batch);
                 self.scratch.queries.clear();
@@ -751,40 +483,61 @@ impl QueryClient {
                         m2,
                     }));
                 self.scratch.out.clear();
-                encode_query_batch_into(
+                if let Err(e) = encode_query_batch_into(
                     &mut self.scratch.out,
                     Some(submitted as u32),
                     trace,
                     &self.scratch.queries,
-                )?;
+                ) {
+                    // Nothing was sent for this batch.
+                    failure = Some(e);
+                    break;
+                }
                 self.stream.write_all(&self.scratch.out)?;
                 submitted += 1;
             }
-            self.recv_pipelined_bools(batch, &mut results, &mut done, &mut buf)?;
-            completed += 1;
+            if answered == submitted {
+                break;
+            }
+            let outcome = self.recv_pipelined_bools(batch, &mut results, &mut done)?;
+            // A stray correlation id answers none of this call's batches.
+            if !matches!(outcome, Err(NetError::Correlation(_))) {
+                answered += 1;
+            }
+            if let Err(e) = outcome {
+                failure.get_or_insert(e);
+            }
         }
-        Ok(results)
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(results),
+        }
     }
 
     /// Receives one ANSWER3 frame and scatters its booleans into
     /// `results` at the slot its correlation id names. The borrowed-view
     /// decode path: nothing is allocated per entry.
+    ///
+    /// The outer error is a connection failure: the stream is unusable or
+    /// out of step. The inner one is a consumed answer that failed — a
+    /// rejected entry, a malformed entry list, or a correlation id that
+    /// matches no batch still in flight ([`NetError::Correlation`]); the
+    /// stream stays in step either way.
     fn recv_pipelined_bools(
         &mut self,
         batch: usize,
         results: &mut [bool],
         done: &mut [bool],
-        buf: &mut [u8],
-    ) -> Result<(), NetError> {
+    ) -> Result<Result<(), NetError>, NetError> {
         loop {
             if self.reader.peek_frame()?.is_some() {
                 break;
             }
-            let n = self.stream.read(buf)?;
+            let n = self.stream.read(&mut self.recv)?;
             if n == 0 {
                 return Err(NetError::Closed);
             }
-            self.reader.feed(&buf[..n]);
+            self.reader.feed(&self.recv[..n]);
         }
         let Some((ty, body)) = self.reader.peek_frame()? else {
             return Err(NetError::Protocol("peeked frame vanished".to_string()));
@@ -813,6 +566,8 @@ impl QueryClient {
         let outcome: Result<(), NetError> = if slot >= done.len() || done[slot] {
             Err(NetError::Correlation(corr))
         } else {
+            // Answered, whether its entries succeed or not.
+            done[slot] = true;
             let lo = slot * batch;
             let hi = results.len().min(lo + batch);
             if view.count() != hi - lo {
@@ -848,21 +603,18 @@ impl QueryClient {
                 }
                 match failure {
                     Some(e) => Err(e),
-                    None => {
-                        done[slot] = true;
-                        Ok(())
-                    }
+                    None => Ok(()),
                 }
             }
         };
         self.reader.consume_frame();
-        outcome
+        Ok(outcome)
     }
 }
 
-/// A pipelined (protocol v3) query session: keeps up to W batches in
-/// flight on one connection, completing them out of order by correlation
-/// id. Created by [`QueryClient::pipeline`].
+/// A pipelined query session: keeps up to W QUERY3 batches in flight on
+/// one connection, completing them out of order by correlation id.
+/// Created by [`QueryClient::pipeline`].
 ///
 /// [`Pipeline::submit`] blocks only when the window is full (it receives
 /// one answer to make room); [`Pipeline::drain`] /[`Pipeline::finish`]
@@ -1018,48 +770,97 @@ fn parse_chain_body(body: &[u8]) -> Result<Vec<u32>, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::sync::Arc;
     use synctime_core::VectorTime;
 
-    fn diamond() -> QueryService {
+    fn diamond() -> MessageTimestamps {
         // m0 < m1, m0 < m2, m1 ∥ m2, m1 < m3, m2 < m3.
-        QueryService::new(MessageTimestamps::new(vec![
+        MessageTimestamps::new(vec![
             VectorTime::from(vec![1, 0]),
             VectorTime::from(vec![2, 0]),
             VectorTime::from(vec![1, 1]),
             VectorTime::from(vec![2, 2]),
-        ]))
+        ])
     }
 
     #[test]
     fn service_answers_all_kinds() {
-        let svc = diamond();
-        assert_eq!(svc.answer(QUERY_PRECEDES, 0, 1).unwrap(), vec![1]);
-        assert_eq!(svc.answer(QUERY_PRECEDES, 1, 0).unwrap(), vec![0]);
-        assert_eq!(svc.answer(QUERY_CONCURRENT, 1, 2).unwrap(), vec![1]);
-        assert_eq!(svc.answer(QUERY_CONCURRENT, 0, 3).unwrap(), vec![0]);
-        let chain = svc.answer(QUERY_CHAIN_OF, 1, 0).unwrap();
+        let stamps = diamond();
+        let answer = |kind, m1, m2| answer_query(&stamps, kind, m1, m2);
+        assert_eq!(answer(QUERY_PRECEDES, 0, 1).unwrap(), vec![1]);
+        assert_eq!(answer(QUERY_PRECEDES, 1, 0).unwrap(), vec![0]);
+        assert_eq!(answer(QUERY_CONCURRENT, 1, 2).unwrap(), vec![1]);
+        assert_eq!(answer(QUERY_CONCURRENT, 0, 3).unwrap(), vec![0]);
+        let chain = answer(QUERY_CHAIN_OF, 1, 0).unwrap();
         // m1's ordered set: m0 < m1 < m3 (m2 is concurrent with m1).
         assert_eq!(chain[..4], 3u32.to_le_bytes());
-        assert!(svc.answer(QUERY_PRECEDES, 0, 99).is_err());
-        assert!(svc.answer(77, 0, 1).is_err());
+        assert!(answer(QUERY_PRECEDES, 0, 99).is_err());
+        assert!(answer(77, 0, 1).is_err());
     }
 
     #[test]
     fn server_and_client_roundtrip_over_loopback() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let fabric = Arc::new(QueryFabric::single(DEFAULT_TRACE_NAME, diamond()));
         std::thread::spawn(move || {
-            let _ = serve(listener, diamond());
+            let _ = crate::pool::serve_fabric(listener, fabric, 2);
         });
         let mut client = QueryClient::connect(&addr.to_string()).unwrap();
-        assert!(client.precedes(0, 3).unwrap());
-        assert!(!client.precedes(3, 0).unwrap());
-        assert!(client.concurrent(1, 2).unwrap());
-        assert_eq!(client.chain_of(1).unwrap(), vec![0, 1, 3]);
-        let err = client.precedes(0, 99).unwrap_err();
+        // A single query is a batch of one; the empty trace id names the
+        // catalog's only trace.
+        let mut ask = |m1, m2| client.precedes_many_pipelined("", &[(m1, m2)], 1, 1);
+        assert_eq!(ask(0, 3).unwrap(), vec![true]);
+        assert_eq!(ask(3, 0).unwrap(), vec![false]);
+        let err = ask(0, 99).unwrap_err();
         assert!(matches!(err, NetError::Query(_)), "{err}");
         // The connection survives a rejected query.
-        assert!(client.precedes(0, 1).unwrap());
+        assert_eq!(ask(0, 1).unwrap(), vec![true]);
+        let mut pipeline = client.pipeline(1);
+        pipeline
+            .submit(
+                DEFAULT_TRACE_NAME,
+                &[BatchQuery {
+                    kind: QUERY_CONCURRENT,
+                    m1: 1,
+                    m2: 2,
+                }],
+            )
+            .unwrap();
+        assert_eq!(
+            pipeline.finish().unwrap(),
+            vec![vec![BatchEntry::Answer(vec![1])]]
+        );
+        assert_eq!(client.chain_of("", 1).unwrap(), vec![0, 1, 3]);
+        assert_eq!(
+            client.chain_of(DEFAULT_TRACE_NAME, 2).unwrap(),
+            vec![0, 2, 3]
+        );
+        let err = client.chain_of("", 9).unwrap_err();
+        assert!(matches!(err, NetError::Query(_)), "{err}");
+
+        // A client speaking the previous protocol version is refused at the
+        // handshake with the typed mismatch ERROR.
+        let mut old = TcpStream::connect(addr).unwrap();
+        old.write_all(
+            &Frame::Hello {
+                version: PROTOCOL_VERSION - 1,
+                topology_hash: 0,
+                process: QUERY_CLIENT_ID,
+            }
+            .encode()
+            .unwrap(),
+        )
+        .unwrap();
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 4096];
+        match read_frame(&mut old, &mut reader, &mut buf).unwrap() {
+            Frame::Error { message } => {
+                assert!(message.contains("version mismatch"), "{message}");
+            }
+            other => panic!("expected a version-mismatch ERROR, got {other:?}"),
+        }
     }
 
     /// A client whose stream nobody reads, for driving Pipeline
@@ -1075,6 +876,7 @@ mod tests {
             stream,
             reader: FrameReader::new(),
             scratch: FrameScratch::new(),
+            recv: Vec::new(),
         }
     }
 

@@ -32,16 +32,14 @@ prop_compose! {
 
 prop_compose! {
     fn arb_frame()(
-        tag in 0u8..9,
+        tag in 0u8..7,
         key in any::<u64>(),
         payload in any::<u64>(),
         bytes in collection::vec(any::<u8>(), 0..80),
         version in any::<u16>(),
         hash in any::<u64>(),
         process in any::<u32>(),
-        kind in any::<u8>(),
-        m1 in any::<u32>(),
-        m2 in any::<u32>(),
+        corr in any::<u32>(),
         queries in collection::vec(arb_batch_query(), 0..16),
         entries in collection::vec(arb_batch_entry(), 0..16),
     ) -> Frame {
@@ -50,14 +48,13 @@ prop_compose! {
             1 => Frame::Offer { key, payload, vector: bytes },
             2 => Frame::Ack { key, ack: bytes },
             3 => Frame::Resync { key },
-            4 => Frame::Query { kind, m1, m2 },
-            5 => Frame::Answer { body: bytes },
-            6 => Frame::QueryBatch {
+            4 => Frame::QueryPipelined {
+                corr,
                 // Printable ASCII keeps the trace id valid UTF-8.
                 trace: bytes.iter().take(24).map(|b| char::from(b % 94 + 32)).collect(),
                 queries,
             },
-            7 => Frame::AnswerBatch { entries },
+            5 => Frame::AnswerPipelined { corr, entries },
             // Printable ASCII keeps the message valid UTF-8.
             _ => Frame::Error {
                 message: bytes.iter().map(|b| char::from(b % 94 + 32)).collect(),
@@ -132,10 +129,10 @@ proptest! {
     }
 
     /// Truncated bodies for the fixed-size frame types are rejected, not
-    /// zero-filled (HELLO needs 14 bytes, OFFER 16, ACK 8, RESYNC 8,
-    /// QUERY 9 — all more than 7).
+    /// zero-filled (HELLO needs 14 bytes, OFFER 16, ACK 8, RESYNC 8 — all
+    /// more than 7).
     #[test]
-    fn truncated_fixed_bodies_error(ty in 0u8..5, body_len in 0usize..7) {
+    fn truncated_fixed_bodies_error(ty in 0u8..4, body_len in 0usize..7) {
         let mut raw = Vec::new();
         raw.extend_from_slice(&(1 + body_len as u32).to_le_bytes());
         raw.push(ty);
@@ -166,9 +163,11 @@ proptest! {
         which in any::<bool>(),
     ) {
         let full = if which {
-            Frame::QueryBatch { trace: "trace-a".to_string(), queries }.encode().unwrap()
+            Frame::QueryPipelined { corr: 7, trace: "trace-a".to_string(), queries }
+                .encode()
+                .unwrap()
         } else {
-            Frame::AnswerBatch { entries }.encode().unwrap()
+            Frame::AnswerPipelined { corr: 7, entries }.encode().unwrap()
         };
         let body = &full[5..];
         let cut = cut.min(body.len() - 1).max(1);
@@ -187,14 +186,14 @@ proptest! {
     #[test]
     fn oversized_batch_counts_rejected(extra in 1u32..100_000, which in any::<bool>()) {
         let count = MAX_BATCH as u32 + extra;
-        let mut body = Vec::new();
+        let mut body = 7u32.to_le_bytes().to_vec(); // correlation id
         let ty = if which {
             body.extend_from_slice(&0u16.to_le_bytes()); // empty trace id
             body.extend_from_slice(&count.to_le_bytes());
-            7 // QUERY2
+            9 // QUERY3
         } else {
             body.extend_from_slice(&count.to_le_bytes());
-            8 // ANSWER2
+            10 // ANSWER3
         };
         let mut raw = Vec::new();
         raw.extend_from_slice(&((body.len() + 1) as u32).to_le_bytes());
@@ -218,9 +217,10 @@ proptest! {
 
     /// The wire answers are invariant under the clock backend that stamped
     /// the underlying trace: for any query batch (valid ids, out-of-range
-    /// ids, and unknown kinds alike), the v1 ANSWER frames and the v2
-    /// ANSWER2 entries built from `TreeClock`- or `FixedArray`-stamped
-    /// vectors are byte-identical to the dense ones.
+    /// ids, and unknown kinds alike), the ANSWER3 frame of the whole batch
+    /// and the one-entry ANSWER3 frame of each lone query, built from
+    /// `TreeClock`- or `FixedArray`-stamped vectors, are byte-identical to
+    /// the dense ones.
     #[test]
     fn answer_bodies_invariant_under_clock_backend(
         n in 4usize..8,
@@ -259,16 +259,15 @@ proptest! {
                     Err(e) => BatchEntry::Error(e.to_string()),
                 })
                 .collect();
-            let answers: Vec<Vec<u8>> = entries
+            let singles: Vec<Vec<u8>> = entries
                 .iter()
-                .filter_map(|e| match e {
-                    BatchEntry::Answer(body) => {
-                        Some(Frame::Answer { body: body.clone() }.encode().unwrap())
-                    }
-                    BatchEntry::Error(_) => None,
+                .map(|e| {
+                    Frame::AnswerPipelined { corr: 0, entries: vec![e.clone()] }
+                        .encode()
+                        .unwrap()
                 })
                 .collect();
-            (answers, Frame::AnswerBatch { entries }.encode().unwrap())
+            (singles, Frame::AnswerPipelined { corr: 0, entries }.encode().unwrap())
         };
 
         let dense = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
@@ -276,14 +275,18 @@ proptest! {
 
         let tree = stamp_computation_as::<TreeClock>(&dec, &comp).unwrap();
         let (tree_answers, tree_batch) = wire_for(&tree);
-        prop_assert_eq!(&tree_answers, &dense_answers, "ANSWER bodies diverged under tree");
-        prop_assert_eq!(&tree_batch, &dense_batch, "ANSWER2 frame diverged under tree");
+        prop_assert_eq!(&tree_answers, &dense_answers, "lone ANSWER3 frames diverged under tree");
+        prop_assert_eq!(&tree_batch, &dense_batch, "batch ANSWER3 frame diverged under tree");
 
         if dec.len() <= ClockBackend::FIXED_CAPACITY {
             let fixed = stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap();
             let (fixed_answers, fixed_batch) = wire_for(&fixed);
-            prop_assert_eq!(&fixed_answers, &dense_answers, "ANSWER bodies diverged under fixed");
-            prop_assert_eq!(&fixed_batch, &dense_batch, "ANSWER2 frame diverged under fixed");
+            prop_assert_eq!(
+                &fixed_answers,
+                &dense_answers,
+                "lone ANSWER3 frames diverged under fixed"
+            );
+            prop_assert_eq!(&fixed_batch, &dense_batch, "batch ANSWER3 frame diverged under fixed");
         }
     }
 }

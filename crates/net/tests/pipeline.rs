@@ -1,6 +1,6 @@
-//! Integration and property tests for the protocol v3 pipelined query
-//! path: out-of-order ANSWER3 frames with shuffled correlation ids
-//! reassemble into exactly what sequential v2 batches return, an unknown
+//! Integration and property tests for the pipelined query path:
+//! out-of-order ANSWER3 frames with shuffled correlation ids reassemble
+//! into exactly what lock-step QUERY3 batches return, an unknown
 //! correlation id is a typed, recoverable error that leaves the
 //! connection alive, and batch chunking at exact `MAX_BATCH` multiples
 //! sends no phantom trailing frame.
@@ -91,9 +91,9 @@ fn mock_handshake(stream: &mut TcpStream) -> FrameReader {
     reader
 }
 
-/// A mock v3 server that answers deliberately out of order. Each entry of
-/// `rounds` is a count of QUERY3 frames to collect before answering them
-/// all, in the order `permutation(count, seed)`. Before the *first*
+/// A mock query server that answers deliberately out of order. Each
+/// entry of `rounds` is a count of QUERY3 frames to collect before
+/// answering them all, in the order `permutation(count, seed)`. Before the *first*
 /// round's answers, it injects one stray ANSWER3 per entry of
 /// `stray_corrs` — correlation ids matching no request.
 fn shuffled_answer_server(
@@ -168,8 +168,8 @@ fn shuffled_answer_server(
     addr
 }
 
-/// Pipelined answers against the *real* fabric server match the v2
-/// lock-step path, at every window width.
+/// Pipelined answers against the *real* fabric server match the
+/// lock-step path and the in-process answers, at every window width.
 #[test]
 fn pipelined_bools_match_v2_on_a_live_fabric() {
     let stamps = chain();
@@ -183,8 +183,16 @@ fn pipelined_bools_match_v2_on_a_live_fabric() {
             pairs.push((m1, m2));
         }
     }
+    let expected: Vec<bool> = pairs
+        .iter()
+        .map(|&(m1, m2)| answer_query(&stamps, QUERY_PRECEDES, m1, m2).expect("in range") == [1])
+        .collect();
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    let expected = client.precedes_many("t", &pairs).expect("v2 answers");
+    // Lock-step: the whole set in one frame.
+    let lock_step = client
+        .precedes_many_pipelined("t", &pairs, MAX_BATCH, 1)
+        .expect("lock-step answers");
+    assert_eq!(lock_step, expected);
     for window in [1, 4, 16] {
         let got = client
             .precedes_many_pipelined("t", &pairs, 5, window)
@@ -250,31 +258,47 @@ fn batch_chunking_at_exact_max_batch_multiples() {
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
 
     for total in [MAX_BATCH, 2 * MAX_BATCH] {
-        let queries: Vec<BatchQuery> = (0..total)
-            .map(|i| BatchQuery {
-                kind: QUERY_PRECEDES,
-                m1: (i % 4) as u32,
-                m2: ((i / 4) % 4) as u32,
-            })
+        let pairs: Vec<(u32, u32)> = (0..total)
+            .map(|i| ((i % 4) as u32, ((i / 4) % 4) as u32))
             .collect();
-        let entries = client.batch("t", &queries).expect("exact-multiple batch");
-        assert_eq!(entries.len(), total);
-        for (q, entry) in queries.iter().zip(&entries) {
-            let expected = answer_query(&stamps, q.kind, q.m1, q.m2).expect("in range");
-            assert_eq!(entry, &BatchEntry::Answer(expected));
+        let verdicts = client
+            .precedes_many_pipelined("t", &pairs, MAX_BATCH, 1)
+            .expect("exact-multiple batch");
+        assert_eq!(verdicts.len(), total);
+        for (&(m1, m2), verdict) in pairs.iter().zip(verdicts) {
+            let expected = answer_query(&stamps, QUERY_PRECEDES, m1, m2).expect("in range");
+            assert_eq!(expected, [u8::from(verdict)], "m{m1} -> m{m2}");
         }
         // The connection is still framed correctly after the exact
         // multiple: a follow-up single query answers.
-        assert!(client.precedes_on("t", 0, 3).expect("still in sync"));
+        assert_eq!(
+            client
+                .precedes_many_pipelined("t", &[(0, 3)], 1, 1)
+                .expect("still in sync"),
+            vec![true]
+        );
     }
 
-    // Empty batch: no entries, but the trace id is still validated
-    // server-side (one frame goes out even with nothing to ask).
-    assert_eq!(client.batch("t", &[]).expect("empty batch"), vec![]);
-    let err = client.batch("missing", &[]).unwrap_err();
+    // No pairs, no frames: nothing to answer.
+    assert_eq!(
+        client
+            .precedes_many_pipelined("t", &[], MAX_BATCH, 1)
+            .expect("empty call"),
+        Vec::<bool>::new()
+    );
+    // A bad trace id fails the call, and the connection stays in sync.
+    let err = client
+        .precedes_many_pipelined("missing", &[(0, 1)], MAX_BATCH, 1)
+        .unwrap_err();
     assert!(
         matches!(&err, NetError::Query(m) if m.contains("unknown trace")),
         "{err}"
+    );
+    assert_eq!(
+        client
+            .precedes_many_pipelined("t", &[(0, 3)], 1, 1)
+            .expect("still in sync"),
+        vec![true]
     );
 }
 
@@ -298,9 +322,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Out-of-order ANSWER3 reassembly: batches answered in a shuffled
-    /// order by a mock server produce exactly the entries sequential v2
-    /// batches produce against the real fabric — including error entries
-    /// for out-of-range ids.
+    /// order by a mock server produce exactly the entries sequential
+    /// lock-step batches produce against the real fabric — including
+    /// error entries for out-of-range ids.
     #[test]
     fn shuffled_answers_reassemble_like_sequential_v2(
         shuffle_seed in any::<u64>(),
@@ -312,22 +336,37 @@ proptest! {
     ) {
         let stamps = diamond();
 
-        // Ground truth: sequential v2 batches against the real fabric.
+        // Ground truth: sequential lock-step batches against the real
+        // fabric, each checked against the in-process answers.
         let fabric = QueryFabric::new(2);
         fabric.publish("t", stamps.clone());
-        let v2_addr = fabric_server(fabric, 1);
-        let mut v2 = QueryClient::connect(&v2_addr.to_string()).expect("connect v2");
-        let expected: Vec<Vec<BatchEntry>> = batches
-            .iter()
-            .map(|b| v2.batch("t", b).expect("v2 batch"))
-            .collect();
+        let lock_step_addr = fabric_server(fabric, 1);
+        let mut lock_step =
+            QueryClient::connect(&lock_step_addr.to_string()).expect("connect lock-step");
+        let mut expected: Vec<Vec<BatchEntry>> = Vec::new();
+        for batch in &batches {
+            let mut pipeline = lock_step.pipeline(1);
+            pipeline.submit("t", batch).expect("lock-step submit");
+            let entries = pipeline
+                .finish()
+                .expect("lock-step batch")
+                .pop()
+                .expect("one batch");
+            for (q, entry) in batch.iter().zip(&entries) {
+                match answer_query(&stamps, q.kind, q.m1, q.m2) {
+                    Ok(body) => prop_assert_eq!(entry, &BatchEntry::Answer(body)),
+                    Err(_) => prop_assert!(matches!(entry, BatchEntry::Error(_))),
+                }
+            }
+            expected.push(entries);
+        }
 
         // Pipelined against the shuffling mock. The window must admit
         // every batch before any answer is read, because the mock only
         // answers once it holds all of them.
         let window = window.max(batches.len());
         let addr = shuffled_answer_server(stamps, vec![batches.len()], shuffle_seed, vec![]);
-        let mut client = QueryClient::connect(&addr.to_string()).expect("connect v3");
+        let mut client = QueryClient::connect(&addr.to_string()).expect("connect pipelined");
         let mut pipeline = client.pipeline(window);
         for (i, batch) in batches.iter().enumerate() {
             prop_assert_eq!(pipeline.submit("t", batch).expect("submit"), i);

@@ -1,17 +1,16 @@
-//! Integration tests for the sharded multi-trace query fabric: a batched
-//! v2 client against a catalog server answers **identically** to N
-//! sequential v1 queries against per-trace v1 servers, trace-id failures
-//! are recoverable, copy-on-write republish is visible to live
-//! connections, and a one-worker pool still serves every connection.
+//! Integration tests for the sharded multi-trace query fabric: lock-step
+//! and pipelined QUERY3 clients against a catalog server answer
+//! **identically** to the in-process `answer_query`, trace-id failures are
+//! recoverable, copy-on-write republish is visible to live connections,
+//! and a one-worker pool still serves every connection.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use synctime_core::{MessageTimestamps, VectorTime};
-use synctime_net::query::{serve, QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
+use synctime_net::query::{QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
 use synctime_net::{
     answer_query, serve_fabric, BatchEntry, BatchQuery, NetError, QueryClient, QueryFabric,
-    QueryService,
 };
 
 /// m0 < m1, m0 < m2, m1 ∥ m2, m1 < m3, m2 < m3.
@@ -55,19 +54,22 @@ fn fabric_server(fabric: QueryFabric, workers: usize) -> SocketAddr {
     addr
 }
 
-fn v1_server(stamps: MessageTimestamps) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        let _ = serve(listener, QueryService::new(stamps));
-    });
-    addr
+/// Sends `queries` against `trace` as one lock-step QUERY3 batch and
+/// returns its entries.
+fn ask(
+    client: &mut QueryClient,
+    trace: &str,
+    queries: &[BatchQuery],
+) -> Result<Vec<BatchEntry>, NetError> {
+    let mut pipeline = client.pipeline(1);
+    pipeline.submit(trace, queries)?;
+    Ok(pipeline.finish()?.pop().unwrap_or_default())
 }
 
 /// The headline acceptance test: every query of every trace, asked (a) as
-/// one big v2 batch against the sharded fabric, (b) sequentially over v1
-/// frames against a dedicated single-trace server, and (c) locally via
-/// `answer_query`, produces byte-identical answer bodies.
+/// one lock-step QUERY3 batch against the sharded fabric, (b) one query per
+/// frame with 16 frames in flight, and (c) locally via `answer_query`,
+/// produces byte-identical answer bodies.
 #[test]
 fn batched_answers_match_sequential_v1_across_shards() {
     let traces: Vec<(&str, MessageTimestamps)> = vec![
@@ -87,7 +89,7 @@ fn batched_answers_match_sequential_v1_across_shards() {
         .collect();
     assert!(shards.len() > 1, "traces all hashed to one shard");
     let fabric_addr = fabric_server(fabric, 2);
-    let mut batch_client = QueryClient::connect(&fabric_addr.to_string()).expect("connect");
+    let mut client = QueryClient::connect(&fabric_addr.to_string()).expect("connect");
 
     for (name, stamps) in &traces {
         // Every (kind, m1, m2) combination over the trace's messages.
@@ -99,54 +101,36 @@ fn batched_answers_match_sequential_v1_across_shards() {
                 }
             }
         }
-        let entries = batch_client.batch(name, &queries).expect("batch answers");
-        assert_eq!(entries.len(), queries.len());
-
         // (c) local ground truth, byte for byte.
-        for (q, entry) in queries.iter().zip(&entries) {
-            let expected = answer_query(stamps, q.kind, q.m1, q.m2).expect("in-range query");
-            assert_eq!(
-                entry,
-                &BatchEntry::Answer(expected),
-                "query {q:?} on {name}"
-            );
-        }
+        let expected: Vec<BatchEntry> = queries
+            .iter()
+            .map(|q| {
+                BatchEntry::Answer(answer_query(stamps, q.kind, q.m1, q.m2).expect("in range"))
+            })
+            .collect();
 
-        // (b) a v1 single-trace server answers the same queries one frame
-        // at a time; its typed answers must agree with the batch bodies.
-        let v1_addr = v1_server(stamps.clone());
-        let mut v1 = QueryClient::connect(&v1_addr.to_string()).expect("connect v1");
-        let mut it = entries.iter();
-        for kind in [QUERY_PRECEDES, QUERY_CONCURRENT, QUERY_CHAIN_OF] {
-            for m1 in 0..stamps.len() as u32 {
-                for m2 in 0..stamps.len() as u32 {
-                    let entry = it.next().expect("positional entry");
-                    match kind {
-                        QUERY_PRECEDES => {
-                            let sequential = v1.precedes(m1, m2).expect("v1 precedes");
-                            assert_eq!(entry, &BatchEntry::Answer(vec![u8::from(sequential)]));
-                        }
-                        QUERY_CONCURRENT => {
-                            let sequential = v1.concurrent(m1, m2).expect("v1 concurrent");
-                            assert_eq!(entry, &BatchEntry::Answer(vec![u8::from(sequential)]));
-                        }
-                        _ => {
-                            let sequential = v1.chain_of(m1).expect("v1 chain");
-                            let mut body = (sequential.len() as u32).to_le_bytes().to_vec();
-                            for id in sequential {
-                                body.extend_from_slice(&id.to_le_bytes());
-                            }
-                            assert_eq!(entry, &BatchEntry::Answer(body));
-                        }
-                    }
-                }
-            }
+        // (a) W=1: the whole set as one lock-step batch.
+        let entries = ask(&mut client, name, &queries).expect("lock-step answers");
+        assert_eq!(entries, expected, "lock-step batch on {name}");
+
+        // (b) W=16: one query per frame, 16 frames in flight.
+        let mut pipeline = client.pipeline(16);
+        for q in &queries {
+            pipeline.submit(name, &[*q]).expect("submit");
         }
+        let entries: Vec<BatchEntry> = pipeline
+            .finish()
+            .expect("pipelined answers")
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(entries, expected, "pipelined singles on {name}");
     }
 }
 
-/// A bad trace id fails the batch with a typed error and leaves the
-/// connection usable; a bad message id fails only its own entry.
+/// A bad trace id fails every entry of its batch with a diagnostic and
+/// leaves the connection usable; a bad message id fails only its own
+/// entry.
 #[test]
 fn trace_and_entry_failures_are_recoverable() {
     let fabric = QueryFabric::new(4);
@@ -160,47 +144,64 @@ fn trace_and_entry_failures_are_recoverable() {
         m1: 0,
         m2: 1,
     };
-    let err = client.batch("missing", &[q]).unwrap_err();
+    let entries = ask(&mut client, "missing", &[q, q]).unwrap();
+    assert_eq!(entries.len(), 2);
+    for entry in &entries {
+        assert!(
+            matches!(entry, BatchEntry::Error(m) if m.contains("unknown trace")),
+            "{entry:?}"
+        );
+    }
+    let err = client
+        .precedes_many_pipelined("missing", &[(0, 1)], 1, 1)
+        .unwrap_err();
     assert!(
         matches!(&err, NetError::Query(m) if m.contains("unknown trace")),
         "{err}"
     );
     // Same connection, valid trace: still answered.
     assert_eq!(
-        client.batch("a", &[q]).unwrap(),
+        ask(&mut client, "a", &[q]).unwrap(),
         vec![BatchEntry::Answer(vec![1])]
     );
 
     // Entry-level failure: out-of-range id poisons one entry, not the batch.
-    let entries = client
-        .batch(
-            "b",
-            &[
-                q,
-                BatchQuery {
-                    kind: QUERY_PRECEDES,
-                    m1: 0,
-                    m2: 999,
-                },
-            ],
-        )
-        .unwrap();
+    let entries = ask(
+        &mut client,
+        "b",
+        &[
+            q,
+            BatchQuery {
+                kind: QUERY_PRECEDES,
+                m1: 0,
+                m2: 999,
+            },
+        ],
+    )
+    .unwrap();
     assert_eq!(entries[0], BatchEntry::Answer(vec![1]));
     assert!(matches!(&entries[1], BatchEntry::Error(m) if m.contains("out of range")));
 
-    // The convenience wrappers route through the same trace ids.
-    assert!(client.precedes_on("b", 0, 4).unwrap());
-    assert!(client.concurrent_on("a", 1, 2).unwrap());
-    assert_eq!(client.chain_of_on("a", 1).unwrap(), vec![0, 1, 3]);
+    // The client calls route through the same trace ids.
+    let concurrent = BatchQuery {
+        kind: QUERY_CONCURRENT,
+        m1: 1,
+        m2: 2,
+    };
+    assert_eq!(
+        ask(&mut client, "a", &[concurrent]).unwrap(),
+        vec![BatchEntry::Answer(vec![1])]
+    );
+    assert_eq!(client.chain_of("a", 1).unwrap(), vec![0, 1, 3]);
     assert_eq!(
         client
-            .precedes_many("b", &[(0, 1), (1, 0), (2, 4)])
+            .precedes_many_pipelined("b", &[(0, 1), (1, 0), (2, 4)], 2, 2)
             .unwrap(),
         vec![true, false, true]
     );
 }
 
-/// A v1 single query (empty trace id) is only answerable when the catalog
+/// A query with the empty trace id is only answerable when the catalog
 /// has exactly one trace; against a multi-trace catalog it is refused with
 /// a diagnostic naming the trace count.
 #[test]
@@ -210,13 +211,20 @@ fn v1_queries_need_an_unambiguous_default_trace() {
     fabric.publish("b", chain());
     let addr = fabric_server(fabric, 2);
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    let err = client.precedes(0, 1).unwrap_err();
+    let err = client
+        .precedes_many_pipelined("", &[(0, 1)], 1, 1)
+        .unwrap_err();
     assert!(
         matches!(&err, NetError::Query(m) if m.contains("2 traces")),
         "{err}"
     );
     // Naming the trace works on the same connection.
-    assert!(client.precedes_on("a", 0, 1).expect("named trace"));
+    assert_eq!(
+        client
+            .precedes_many_pipelined("a", &[(0, 1)], 1, 1)
+            .expect("named trace"),
+        vec![true]
+    );
 }
 
 /// Republishing a trace while the server is live (copy-on-write) changes
@@ -233,11 +241,29 @@ fn republish_is_visible_to_live_connections() {
     });
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
     // chain(): m0 < m1.
-    assert!(client.precedes_on("t", 0, 1).unwrap());
+    assert_eq!(
+        client
+            .precedes_many_pipelined("t", &[(0, 1)], 1, 1)
+            .unwrap(),
+        vec![true]
+    );
     // Republish with lattice(): m0 ∥ m1 now.
     fabric.publish("t", lattice());
-    assert!(!client.precedes_on("t", 0, 1).unwrap());
-    assert!(client.concurrent_on("t", 0, 1).unwrap());
+    assert_eq!(
+        client
+            .precedes_many_pipelined("t", &[(0, 1)], 1, 1)
+            .unwrap(),
+        vec![false]
+    );
+    let concurrent = BatchQuery {
+        kind: QUERY_CONCURRENT,
+        m1: 0,
+        m2: 1,
+    };
+    assert_eq!(
+        ask(&mut client, "t", &[concurrent]).unwrap(),
+        vec![BatchEntry::Answer(vec![1])]
+    );
 }
 
 /// Resharding a live catalog re-homes every trace to its new ring owner
@@ -275,7 +301,12 @@ fn single_worker_pool_serves_sequential_connections() {
     let addr = fabric_server(fabric, 1);
     for _ in 0..3 {
         let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-        assert!(client.precedes_on("t", 0, 3).unwrap());
+        assert_eq!(
+            client
+                .precedes_many_pipelined("t", &[(0, 3)], 1, 1)
+                .unwrap(),
+            vec![true]
+        );
         // Dropping the client closes the socket and frees the worker.
     }
 }

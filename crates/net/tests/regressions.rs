@@ -1,13 +1,17 @@
-//! Regression tests for three serving-path bugs:
+//! Regression tests for four serving-path bugs:
 //!
 //! 1. pipelined correlation ids were the slot index cast to `u32`, so a
 //!    session past 2^32 submissions wrapped onto a still-meaningful id —
 //!    ids are now a wrapping counter that skips in-flight ids;
 //! 2. `Pipeline::finish` papered over an unanswered slot with an empty
 //!    entry list — it now returns a typed `NetError::Incomplete`;
-//! 3. a QUERY2/QUERY3 trace id longer than 65535 bytes was silently
-//!    truncated by the `u16` length cast — now a typed error on the
-//!    encode path, mirrored by a decode-side cap.
+//! 3. a QUERY3 trace id longer than 65535 bytes was silently truncated by
+//!    the `u16` length cast — now a typed error on the encode path,
+//!    mirrored by a decode-side cap;
+//! 4. a failed `precedes_many_pipelined` call returned while its other
+//!    batches were still in flight, so their answers stayed in the stream
+//!    and the next call on the client took them for its own — a failed
+//!    call now drains every answer it is owed before returning.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -198,21 +202,19 @@ fn oversized_trace_ids_are_typed_errors_on_every_path() {
 
     // Encode helper: typed error, nothing appended.
     let mut out = Vec::new();
-    match encode_query_batch_into(&mut out, None, &long, &[]) {
+    match encode_query_batch_into(&mut out, Some(7), &long, &[]) {
         Err(NetError::Query(detail)) => assert!(detail.contains("bound"), "{detail}"),
         other => panic!("expected a typed Query error, got {other:?}"),
     }
     assert!(out.is_empty(), "error path appended bytes");
-
-    // Owned frame encoder (both batch shapes).
+    // Every query frame carries a correlation id: none is a typed error.
     assert!(matches!(
-        Frame::QueryBatch {
-            trace: long.clone(),
-            queries: vec![],
-        }
-        .encode(),
+        encode_query_batch_into(&mut out, None, "d", &[]),
         Err(NetError::Query(_))
     ));
+    assert!(out.is_empty(), "error path appended bytes");
+
+    // Owned frame encoder.
     assert!(matches!(
         Frame::QueryPipelined {
             corr: 7,
@@ -228,11 +230,11 @@ fn oversized_trace_ids_are_typed_errors_on_every_path() {
     fabric.publish("d", diamond());
     let addr = fabric_server(fabric, 1);
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    assert!(matches!(client.batch(&long, &[]), Err(NetError::Query(_))));
     assert!(matches!(
         client.precedes_many_pipelined(&long, &[(0, 1)], 16, 4),
         Err(NetError::Query(_))
     ));
+    assert!(matches!(client.chain_of(&long, 0), Err(NetError::Query(_))));
     let mut pipeline = client.pipeline(2);
     assert!(matches!(
         pipeline.submit(&long, &[]),
@@ -241,17 +243,12 @@ fn oversized_trace_ids_are_typed_errors_on_every_path() {
     drop(pipeline);
 
     // The connection survived every refusal: an in-bounds batch works.
-    let entries = client
-        .batch(
-            "d",
-            &[BatchQuery {
-                kind: QUERY_PRECEDES,
-                m1: 0,
-                m2: 1,
-            }],
-        )
-        .expect("in-bounds batch after refusals");
-    assert_eq!(entries, vec![BatchEntry::Answer(vec![1])]);
+    assert_eq!(
+        client
+            .precedes_many_pipelined("d", &[(0, 1)], 1, 1)
+            .expect("in-bounds batch after refusals"),
+        vec![true]
+    );
 
     // Decode-side mirror: a hand-built body declaring an oversized trace
     // length is a protocol violation, not an allocation.
@@ -273,15 +270,31 @@ fn max_length_trace_id_round_trips() {
     fabric.publish(&name, diamond());
     let addr = fabric_server(fabric, 1);
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    let entries = client
-        .batch(
-            &name,
-            &[BatchQuery {
-                kind: QUERY_PRECEDES,
-                m1: 0,
-                m2: 3,
-            }],
-        )
+    let verdicts = client
+        .precedes_many_pipelined(&name, &[(0, 3)], 1, 1)
         .expect("max-length trace id");
-    assert_eq!(entries, vec![BatchEntry::Answer(vec![1])]);
+    assert_eq!(verdicts, vec![true]);
+}
+
+/// A failed pipelined call leaves nothing behind for the next one. The
+/// first call's batch 0 is rejected while batches 1–3 are still in
+/// flight; the old code returned at once, and the second call — whose
+/// correlation ids start at 0 again — took those three stray `true`
+/// answers for its own and returned `[false, true, true, true]`.
+#[test]
+fn failed_pipelined_call_does_not_desync_the_next() {
+    // An 8-message chain: m_i < m_j iff i < j.
+    let chain = MessageTimestamps::new((1..=8).map(|i| VectorTime::from(vec![i])).collect());
+    let addr = fabric_server(QueryFabric::single("c", chain), 1);
+    let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
+    match client.precedes_many_pipelined("c", &[(0, 99), (0, 7), (0, 7), (0, 7)], 1, 4) {
+        Err(NetError::Query(detail)) => {
+            assert!(detail.contains("message 99 out of range"), "{detail}");
+        }
+        other => panic!("expected the out-of-range rejection, got {other:?}"),
+    }
+    let verdicts = client
+        .precedes_many_pipelined("c", &[(7, 0); 4], 1, 4)
+        .expect("second call");
+    assert_eq!(verdicts, vec![false; 4]);
 }

@@ -68,7 +68,6 @@ mod transport;
 
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultInjector};
-pub use matcher::{Matcher, BLOCK_POLL};
 pub use runtime::{
     reconstruct_from_logs, AppliedReconfigure, Behavior, LiveObservation, LogEntry, PersistEvent,
     ProcessCtx, ProcessRun, Runtime, RuntimeRun, DEFAULT_EVENT_RING, DEFAULT_RENDEZVOUS_RETRIES,

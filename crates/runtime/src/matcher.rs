@@ -13,32 +13,14 @@
 //! The receiver takes the offer and deposits the acknowledgement under a
 //! single lock hold, so the vector exchange piggybacks on the wakeup: one
 //! `notify` delivers the program message, one `notify` delivers the ack,
-//! and a blocked endpoint consumes zero CPU while parked. The
-//! [`Matcher::Polling`] strategy keeps PR 1's poll-loop behavior selectable
-//! so benchmarks can measure the parking fast path against it
-//! (`results/BENCH_online_runtime.json`).
+//! and a blocked endpoint consumes zero CPU while parked.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How blocked rendezvous endpoints wait for their partner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Matcher {
-    /// Park on the channel slot's condvar; the partner's deposit wakes the
-    /// thread directly. Idle processes consume no CPU.
-    #[default]
-    Parking,
-    /// Re-poll the slot every [`BLOCK_POLL`] — PR 1's strategy, kept as a
-    /// measurable baseline for the parking fast path.
-    Polling,
-}
-
-/// How often the [`Matcher::Polling`] strategy re-checks a slot.
-pub const BLOCK_POLL: Duration = Duration::from_micros(200);
-
-/// Upper bound on one parked wait under [`Matcher::Parking`]. Watchdog
-/// aborts and peer exits notify the slot explicitly, so this is pure
-/// insurance against a lost wakeup, not a progress mechanism.
+/// Upper bound on one parked wait. Watchdog aborts and peer exits notify
+/// the slot explicitly, so this is pure insurance against a lost wakeup,
+/// not a progress mechanism.
 const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// What travels on a program message: the payload plus the piggybacked
@@ -136,8 +118,8 @@ impl ChannelSlot {
         self.cond.notify_all();
     }
 
-    /// One blocked-wait step under the given strategy: parks on the condvar
-    /// (with a backstop timeout) or sleeps one poll interval and re-locks.
+    /// One blocked-wait step: parks on the condvar, with a backstop
+    /// timeout.
     ///
     /// `cap` bounds this single step from above so a caller enforcing a
     /// rendezvous timeout is woken close to its deadline instead of a full
@@ -145,23 +127,13 @@ impl ChannelSlot {
     pub(crate) fn wait_step<'a>(
         &'a self,
         guard: MutexGuard<'a, SlotState>,
-        matcher: Matcher,
         cap: Option<Duration>,
     ) -> MutexGuard<'a, SlotState> {
-        match matcher {
-            Matcher::Parking => {
-                let step = cap.map_or(PARK_BACKSTOP, |c| c.min(PARK_BACKSTOP));
-                self.cond
-                    .wait_timeout(guard, step)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-            Matcher::Polling => {
-                drop(guard);
-                std::thread::sleep(cap.map_or(BLOCK_POLL, |c| c.min(BLOCK_POLL)));
-                self.lock()
-            }
-        }
+        let step = cap.map_or(PARK_BACKSTOP, |c| c.min(PARK_BACKSTOP));
+        self.cond
+            .wait_timeout(guard, step)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
     }
 }
 
@@ -196,7 +168,7 @@ mod tests {
                         }
                         other => {
                             *st = other;
-                            st = slot.wait_step(st, Matcher::Parking, None);
+                            st = slot.wait_step(st, None);
                         }
                     }
                 }
@@ -221,7 +193,7 @@ mod tests {
                 }
                 other => {
                     *st = other;
-                    st = slot.wait_step(st, Matcher::Parking, None);
+                    st = slot.wait_step(st, None);
                 }
             }
         }
@@ -245,9 +217,9 @@ mod tests {
         let guard = slot.lock(); // must not panic
         assert!(matches!(*guard, SlotState::Empty));
         drop(guard);
-        // wait_step's re-lock paths recover too.
+        // wait_step's re-lock path recovers too.
         let guard = slot.lock();
-        let _guard = slot.wait_step(guard, Matcher::Parking, Some(Duration::from_millis(1)));
+        let _guard = slot.wait_step(guard, Some(Duration::from_millis(1)));
     }
 
     #[test]
@@ -255,17 +227,7 @@ mod tests {
         let slot = ChannelSlot::new();
         let guard = slot.lock();
         let t0 = Instant::now();
-        let _guard = slot.wait_step(guard, Matcher::Parking, Some(Duration::from_millis(5)));
+        let _guard = slot.wait_step(guard, Some(Duration::from_millis(5)));
         assert!(t0.elapsed() < Duration::from_millis(200));
-    }
-
-    #[test]
-    fn polling_wait_step_relocks_after_interval() {
-        let slot = ChannelSlot::new();
-        let guard = slot.lock();
-        let t0 = Instant::now();
-        let guard = slot.wait_step(guard, Matcher::Polling, None);
-        assert!(t0.elapsed() >= BLOCK_POLL);
-        assert!(matches!(*guard, SlotState::Empty));
     }
 }

@@ -20,7 +20,7 @@ use crate::matcher::ChannelSlot;
 use crate::transport::{
     LocalRx, LocalTx, OfferAnswer, Polled, RxChannel, SendAnswer, TransportError, TxChannel,
 };
-use crate::{Matcher, RuntimeError};
+use crate::RuntimeError;
 
 /// Locks a mutex, recovering from poisoning instead of panicking: every
 /// value behind these locks is written atomically from the holder's
@@ -1060,7 +1060,6 @@ pub struct Runtime {
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
     watchdog: Option<Duration>,
     ring_capacity: usize,
-    matcher: Matcher,
     fault: Option<Arc<dyn FaultInjector>>,
     rendezvous_timeout: Option<Duration>,
     rendezvous_retries: u32,
@@ -1087,8 +1086,8 @@ impl Runtime {
     ///
     /// The deadlock watchdog is on by default with
     /// [`DEFAULT_WATCHDOG_TIMEOUT`]; tune it with [`Runtime::with_watchdog`]
-    /// or disable it with [`Runtime::without_watchdog`]. The rendezvous
-    /// matcher defaults to [`Matcher::Parking`].
+    /// or disable it with [`Runtime::without_watchdog`]. Blocked
+    /// rendezvous endpoints park on their channel slot's condvar.
     pub fn new(topology: &Graph, decomposition: &EdgeDecomposition) -> Self {
         Runtime {
             topology: topology.clone(),
@@ -1097,7 +1096,6 @@ impl Runtime {
             sink: None,
             watchdog: Some(DEFAULT_WATCHDOG_TIMEOUT),
             ring_capacity: DEFAULT_EVENT_RING,
-            matcher: Matcher::default(),
             fault: None,
             rendezvous_timeout: None,
             rendezvous_retries: DEFAULT_RENDEZVOUS_RETRIES,
@@ -1222,14 +1220,6 @@ impl Runtime {
     #[must_use]
     pub fn without_watchdog(mut self) -> Self {
         self.watchdog = None;
-        self
-    }
-
-    /// Selects how blocked rendezvous endpoints wait for their partner
-    /// (parking by default; polling is kept as a benchmark baseline).
-    #[must_use]
-    pub fn with_matcher(mut self, matcher: Matcher) -> Self {
-        self.matcher = matcher;
         self
     }
 
@@ -1362,14 +1352,8 @@ impl Runtime {
         for e in self.topology.edges() {
             for (u, v) in [(e.lo(), e.hi()), (e.hi(), e.lo())] {
                 let slot = Arc::new(ChannelSlot::new());
-                tx_maps[u].insert(
-                    v,
-                    Arc::new(LocalTx::new(Arc::clone(&slot), self.matcher)) as _,
-                );
-                rx_maps[v].insert(
-                    u,
-                    Arc::new(LocalRx::new(Arc::clone(&slot), self.matcher)) as _,
-                );
+                tx_maps[u].insert(v, Arc::new(LocalTx::new(Arc::clone(&slot))) as _);
+                rx_maps[v].insert(u, Arc::new(LocalRx::new(Arc::clone(&slot))) as _);
                 slots.insert((u, v), slot);
             }
         }
@@ -1783,18 +1767,6 @@ mod tests {
         assert_eq!(stamps.dim(), 1);
         assert!(stamps.encodes(&Oracle::new(&comp)));
         // Scalar components strictly increase: the path is a star (Lemma 1).
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
-        assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn polling_matcher_produces_identical_stamps() {
-        let (rt, behaviors) = ping_pong(5);
-        let rt = rt.with_matcher(Matcher::Polling);
-        let run = rt.run(behaviors).unwrap();
-        let (comp, stamps) = run.reconstruct().unwrap();
-        assert_eq!(comp.message_count(), 10);
-        assert!(stamps.encodes(&Oracle::new(&comp)));
         let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
         assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
     }

@@ -9,8 +9,7 @@
 //! behind them is interchangeable:
 //!
 //! * [`LocalTx`]/[`LocalRx`] (this module) wrap the mutex+condvar
-//!   [`ChannelSlot`], preserving the in-process matcher's exact semantics
-//!   (including the [`Matcher::Polling`] baseline);
+//!   [`ChannelSlot`], preserving the in-process matcher's exact semantics;
 //! * `synctime-net` implements the same traits over per-peer TCP
 //!   connections, so the same `Behavior` programs run unmodified as `N`
 //!   real OS processes.
@@ -27,7 +26,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::matcher::{ChannelSlot, SlotState, Wire};
-use crate::Matcher;
 
 /// Outcome of one bounded poll: the awaited state change, or not yet.
 #[derive(Debug)]
@@ -189,12 +187,11 @@ fn waits(cap: Option<Duration>) -> usize {
 #[derive(Debug)]
 pub(crate) struct LocalTx {
     slot: Arc<ChannelSlot>,
-    matcher: Matcher,
 }
 
 impl LocalTx {
-    pub(crate) fn new(slot: Arc<ChannelSlot>, matcher: Matcher) -> Self {
-        LocalTx { slot, matcher }
+    pub(crate) fn new(slot: Arc<ChannelSlot>) -> Self {
+        LocalTx { slot }
     }
 }
 
@@ -221,7 +218,7 @@ impl TxChannel for LocalTx {
                         resync_debris: true,
                     }));
                 }
-                _ if pass < waits(cap) => st = self.slot.wait_step(st, self.matcher, cap),
+                _ if pass < waits(cap) => st = self.slot.wait_step(st, cap),
                 _ => {}
             }
         }
@@ -262,7 +259,7 @@ impl TxChannel for LocalTx {
                 other => {
                     *st = other;
                     if pass < waits(cap) {
-                        st = self.slot.wait_step(st, self.matcher, cap);
+                        st = self.slot.wait_step(st, cap);
                     }
                 }
             }
@@ -287,7 +284,6 @@ impl TxChannel for LocalTx {
 #[derive(Debug)]
 pub(crate) struct LocalRx {
     slot: Arc<ChannelSlot>,
-    matcher: Matcher,
     /// When `poll_offer` took the in-flight offer — stamped into the
     /// `Acked` deposit so the sender's ack-latency sample starts at the
     /// take, exactly as the pre-trait matcher measured it.
@@ -295,10 +291,9 @@ pub(crate) struct LocalRx {
 }
 
 impl LocalRx {
-    pub(crate) fn new(slot: Arc<ChannelSlot>, matcher: Matcher) -> Self {
+    pub(crate) fn new(slot: Arc<ChannelSlot>) -> Self {
         LocalRx {
             slot,
-            matcher,
             taken: Mutex::new(None),
         }
     }
@@ -322,7 +317,7 @@ impl RxChannel for LocalRx {
                 other => {
                     *st = other;
                     if pass < waits(cap) {
-                        st = self.slot.wait_step(st, self.matcher, cap);
+                        st = self.slot.wait_step(st, cap);
                     }
                 }
             }
@@ -357,10 +352,7 @@ mod tests {
 
     fn pair() -> (LocalTx, LocalRx) {
         let slot = Arc::new(ChannelSlot::new());
-        (
-            LocalTx::new(Arc::clone(&slot), Matcher::Parking),
-            LocalRx::new(slot, Matcher::Parking),
-        )
+        (LocalTx::new(Arc::clone(&slot)), LocalRx::new(slot))
     }
 
     #[test]

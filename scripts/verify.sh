@@ -22,12 +22,12 @@
 #      sparse-vs-dense speedup claim in the full report)
 #  10. bench-smoke: the net_query suite at CI scale, checking both its own
 #      smoke report and the checked-in results/ JSON against the
-#      synctime/bench_net/v3 schema (full reports must clear the >= 10k
-#      single-query floor, >= 3x batch-256 speedup over single-connection
-#      v1, >= 500k aggregate fabric queries/sec at amortised p99 <= 250us,
-#      >= 1.5x W=16 pipelined speedup over lock-step batch-256, >= 1.3x
-#      vectorized merge-kernel speedup at d=256, and zero steady-state
-#      serving allocations)
+#      synctime/bench_net/v4 schema (full reports must clear the >= 10k
+#      single-query floor, >= 3x batch-256 speedup over single queries on
+#      one connection, >= 500k aggregate fabric queries/sec at amortised
+#      p99 <= 250us, >= 1.5x W=16 pipelined speedup over lock-step
+#      batch-256, >= 1.3x vectorized merge-kernel speedup at d=256, and
+#      zero steady-state serving allocations)
 #  11. bench-smoke: the clock_backends suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_clocks/v1 schema (full reports must clear the >= 2x
@@ -48,10 +48,10 @@
 #      catalog must answer named-trace and batched queries with the same
 #      verdicts
 #  14. pipeline-smoke: against the live catalog server, a `--window 16`
-#      pipelined (protocol v3) batch must print byte-identical output to
-#      the same batch over lock-step v2 frames; the dedicated
-#      counting-allocator test must prove the steady-state serving path
-#      performs zero heap allocations
+#      batch (one pair per QUERY3 frame, 16 in flight) must print
+#      byte-identical output to the same `--batch` sent as one lock-step
+#      QUERY3 frame; the dedicated counting-allocator test must prove the
+#      steady-state serving path performs zero heap allocations
 #  15. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
 #      produce byte-identical output under every `--clock` backend
 #      (dense / tree / fixed / auto), and an unknown backend name must be
@@ -84,6 +84,9 @@
 #      the sparse offline engine stamping the reference trace
 #  20. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
 #      non-test source (typed RuntimeError paths only)
+#  21. perfbench-build: the end-to-end benchmark under perfbench/ (its own
+#      cargo workspace, path deps on crates/) must build, so a public-API
+#      change that would break the benchmark fails here instead
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -264,18 +267,19 @@ if qc --m1 1 --m2 2 > /dev/null 2>&1; then
   echo "verify: unnamed query against a 2-trace catalog should fail" >&2; exit 1
 fi
 
-echo "==> pipeline-smoke: --window 16 (v3) answers byte-identical to v2 batches"
+echo "==> pipeline-smoke: --window 16 answers byte-identical to the lock-step --batch"
 # A batch big enough to span several pipelined frames, against the live
 # catalog server: every pair of the ring trace, both directions.
 PAIRS="1:2,2:1,1:3,3:1,2:3,3:2,1:1,2:2,3:3"
-qc --trace ring --batch "$PAIRS" > "$NET_DIR/batch-v2.out"
-qc --trace ring --batch "$PAIRS" --window 16 > "$NET_DIR/batch-v3.out"
-diff "$NET_DIR/batch-v2.out" "$NET_DIR/batch-v3.out" || {
-  echo "verify: pipelined (v3, W=16) verdicts diverged from v2 batches" >&2; exit 1; }
-qc --trace web --batch "$PAIRS" > "$NET_DIR/web-v2.out"
-qc --trace web --batch "$PAIRS" --window 16 > "$NET_DIR/web-v3.out"
-diff "$NET_DIR/web-v2.out" "$NET_DIR/web-v3.out" || {
-  echo "verify: pipelined (v3, W=16) verdicts diverged from v2 on trace web" >&2; exit 1; }
+qc --trace ring --batch "$PAIRS" > "$NET_DIR/batch-lockstep.out"
+qc --trace ring --batch "$PAIRS" --window 16 > "$NET_DIR/batch-window16.out"
+diff "$NET_DIR/batch-lockstep.out" "$NET_DIR/batch-window16.out" || {
+  echo "verify: pipelined (W=16) verdicts diverged from the lock-step batch" >&2; exit 1; }
+qc --trace web --batch "$PAIRS" > "$NET_DIR/web-lockstep.out"
+qc --trace web --batch "$PAIRS" --window 16 > "$NET_DIR/web-window16.out"
+diff "$NET_DIR/web-lockstep.out" "$NET_DIR/web-window16.out" || {
+  echo "verify: pipelined (W=16) verdicts diverged from the lock-step batch on trace web" >&2
+  exit 1; }
 kill "$CATALOG_PID" 2>/dev/null || true
 wait "$CATALOG_PID" 2>/dev/null || true
 
@@ -474,5 +478,7 @@ for f in crates/runtime/src/*.rs; do
     exit 1
   fi
 done
+
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> verify: all green"
