@@ -2,7 +2,7 @@
 //!
 //! The runtime's hot loop is line 05/09 of Figure 5 — merge the incoming
 //! vector into the local clock — so the clock representation decides the
-//! per-message cost. This bench drives the three [`Clock`] backends over
+//! per-message cost. This bench drives the two [`Clock`] backends over
 //! merge-heavy update streams:
 //!
 //! * `sparse_delta` — Singhal–Kshemkalyani regime: each incoming message
@@ -17,8 +17,6 @@
 //!   between messages, so both backends do full-vector merges and the
 //!   tree's summaries are pure overhead. Recorded to keep the trade-off
 //!   honest, no floor.
-//! * `small_dim` — `N = 16`, the fixed-lane fast path: `FixedArray`
-//!   merges run fixed-trip loops the compiler can unroll.
 //!
 //! Every variant merges the *same* deterministic update stream, and the
 //! final clocks are asserted bit-identical across backends before the
@@ -34,16 +32,16 @@
 //! `--smoke` shrinks the step counts to CI scale; `--out` writes the JSON
 //! report to a file; `--validate` checks an existing report (e.g. the
 //! checked-in `results/BENCH_clocks.json`) against the
-//! `synctime/bench_clocks/v1` record schema — including the >= 2x tree
+//! `synctime/bench_clocks/v2` record schema — including the >= 2x tree
 //! floor at `N = 256` — and fails the process if it does not conform.
 
 use std::time::Instant;
 
 use serde_json::Value;
-use synctime_core::clock::{Clock, FixedArray16, TreeClock};
+use synctime_core::clock::{Clock, TreeClock};
 use synctime_core::VectorTime;
 
-const SCHEMA: &str = "synctime/bench_clocks/v1";
+const SCHEMA: &str = "synctime/bench_clocks/v2";
 
 /// Components changed per message in the sparse-delta regime.
 const DELTA_WIDTH: usize = 4;
@@ -165,7 +163,7 @@ enum Path {
 /// (for the cross-backend identity gate).
 fn bench_merges<C: Clock>(n: usize, steps: usize, width: usize, path: Path) -> (u128, VectorTime) {
     let mut shadow = vec![0u64; n];
-    let mut clock = C::try_zero(n).expect("backend holds the bench dimension");
+    let mut clock = C::zero(n);
     let mut elapsed = 0u128;
     let mut step = 0;
     while step < steps {
@@ -238,14 +236,14 @@ impl Record {
 // ------------------------------------------------------------ the report
 
 fn run_suite(smoke: bool) -> Value {
-    let (sparse_steps, gossip_steps, small_steps) = if smoke {
-        (4_000, 2_000, 8_000)
+    let (sparse_steps, gossip_steps) = if smoke {
+        (4_000, 2_000)
     } else {
-        (400_000, 100_000, 1_000_000)
+        (400_000, 100_000)
     };
     let mut records = Vec::new();
     let mut bit_identical = true;
-    let mut check = |label: &str, a: &VectorTime, b: &VectorTime, ok: &mut bool| {
+    let check = |label: &str, a: &VectorTime, b: &VectorTime, ok: &mut bool| {
         if a != b {
             eprintln!("clock_backends: DIVERGENCE in {label}: {a} vs {b}");
             *ok = false;
@@ -315,36 +313,6 @@ fn run_suite(smoke: bool) -> Value {
         });
     }
 
-    // Small-dimension fast path: the fixed-lane backend's fixed-trip
-    // merge loops against the dense heap vector at N = 16.
-    {
-        let n = 16;
-        eprintln!("clock_backends: small_dim, N = {n}");
-        let (dense_ns, dense_final) =
-            bench_merges::<VectorTime>(n, small_steps, DELTA_WIDTH, Path::Full);
-        let (fixed_ns, fixed_final) =
-            bench_merges::<FixedArray16>(n, small_steps, DELTA_WIDTH, Path::Full);
-        check("small_dim", &dense_final, &fixed_final, &mut bit_identical);
-        records.push(Record {
-            workload: "small_dim",
-            variant: "dense",
-            dim: n,
-            steps: small_steps,
-            delta_width: DELTA_WIDTH,
-            path: "full",
-            elapsed_ns: dense_ns,
-        });
-        records.push(Record {
-            workload: "small_dim",
-            variant: "fixed",
-            dim: n,
-            steps: small_steps,
-            delta_width: DELTA_WIDTH,
-            path: "full",
-            elapsed_ns: fixed_ns,
-        });
-    }
-
     let rate_of = |workload: &str, variant: &str, dim: usize| -> f64 {
         records
             .iter()
@@ -360,10 +328,6 @@ fn run_suite(smoke: bool) -> Value {
     let tree_speedup_64 = ratio(
         rate_of("sparse_delta", "tree", 64),
         rate_of("sparse_delta", "dense", 64),
-    );
-    let fixed_speedup_16 = ratio(
-        rate_of("small_dim", "fixed", 16),
-        rate_of("small_dim", "dense", 16),
     );
     let gossip_tree_ratio = ratio(
         rate_of("gossip_full", "tree", 64),
@@ -382,7 +346,6 @@ fn run_suite(smoke: bool) -> Value {
             obj(vec![
                 ("tree_speedup_sparse_n256", float(tree_speedup_256)),
                 ("tree_speedup_sparse_n64", float(tree_speedup_64)),
-                ("fixed_speedup_n16", float(fixed_speedup_16)),
                 ("gossip_tree_over_dense", float(gossip_tree_ratio)),
                 ("backends_bit_identical", Value::Bool(bit_identical)),
             ]),
@@ -392,7 +355,7 @@ fn run_suite(smoke: bool) -> Value {
 
 // ------------------------------------------------------------ validation
 
-/// Checks a report against the v1 record schema, including the tree floor
+/// Checks a report against the v2 record schema, including the tree floor
 /// on full reports. Returns every violation found (empty = conforming).
 fn validate_report(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
@@ -464,9 +427,9 @@ fn validate_report(doc: &Value) -> Vec<String> {
         }
         _ => errs.push("derived.tree_speedup_sparse_n256 must be positive".to_string()),
     }
-    match derived.get_field("fixed_speedup_n16").and_then(as_f64) {
+    match derived.get_field("gossip_tree_over_dense").and_then(as_f64) {
         Some(s) if s > 0.0 => {}
-        _ => errs.push("derived.fixed_speedup_n16 must be positive".to_string()),
+        _ => errs.push("derived.gossip_tree_over_dense must be positive".to_string()),
     }
     errs
 }

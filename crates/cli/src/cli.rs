@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use serde::Deserialize;
-use synctime_core::clock::{ClockBackend, FixedArray16, TreeClock};
-use synctime_core::online::{stamp_computation_as, OnlineStamper};
+use synctime_core::clock::ClockBackend;
+use synctime_core::online::OnlineStamper;
 use synctime_core::{fm, lamport, offline, MessageTimestamps};
 use synctime_graph::{cover, decompose, topology, Graph};
 use synctime_trace::{diagram, MessageId, Oracle, SyncComputation};
@@ -41,7 +41,7 @@ synctime — timestamp synchronous computations (Garg & Skawratananond, ICDCS 20
 USAGE:
   synctime decompose --topology <SPEC> [--optimal] [--cover]
   synctime stamp     --topology <SPEC> --trace <FILE> [--algorithm <ALG>]
-                     [--engine dense|sparse] [--clock dense|tree|fixed|auto]
+                     [--engine dense|sparse]
   synctime diagram   --trace <FILE>
   synctime query     (--topology <SPEC> --trace <FILE> | --connect <ADDR>)
                      (--m1 <K> --m2 <K> | --chain <K> | --batch <K:K,K:K,..>)
@@ -53,7 +53,7 @@ USAGE:
                      [--topology <SPEC>] [--stats] [--watchdog-ms <MS>]
                      [--fault-plan <FILE>]
                      [--rendezvous-timeout <MS>] [--rendezvous-retries <K>]
-                     [--clock dense|tree|fixed|auto] [--seed <S>]
+                     [--clock dense|tree] [--seed <S>]
                      [--persist <DIR> [--trace-name <NAME>]]
   synctime faultplan --processes <N> --max-op <M> [--crashes <K>]
                      [--desyncs <D>] [--seed <S>]
@@ -89,11 +89,6 @@ ALGORITHMS: online (default), offline, fm, lamport
   `offline` picks its engine with --engine: `dense` (default; minimum chain
   cover, width-dimensional vectors, O(M^2) memory) or `sparse` (per-sender
   chains + chain-merge reachability, scales to millions of messages).
-  `--clock` selects the clock *representation* for online and offline
-  stamping: `dense` (default, a plain vector), `tree` (segment-tree clock,
-  sublinear delta merges), `fixed` (16-lane fixed array, small dimensions
-  only), or `auto` (fixed when the dimension fits, else dense). Every
-  backend computes byte-identical stamps — only merge cost differs.
 
 RUN:
   Executes programs on real OS threads (one per process) with the Figure 5
@@ -114,9 +109,10 @@ RUN:
   of a trace — the process exits 0 because typed failures are the expected
   result. `--rendezvous-timeout MS` bounds every blocking rendezvous, with
   `--rendezvous-retries K` backoff re-arms before giving up. `--clock`
-  selects the per-process clock backend (see ALGORITHMS); the stamped
-  trace is identical under every backend, and `launch`/`serve-node`
-  forward the flag to distributed nodes.
+  selects the per-process clock: `dense` (default, a plain vector) or
+  `tree` (a segment tree whose merges of the delta streams' change-sets
+  are sublinear in the dimension). The stamped trace is identical under
+  both, and `launch`/`serve-node` forward the flag to distributed nodes.
 
 FAULTPLAN:
   Generates a random fault schedule as JSON for `run --fault-plan`:
@@ -339,16 +335,14 @@ fn cmd_decompose(opts: &BTreeMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses `--clock` into a backend selection (`dense` when absent).
-fn parse_clock(opts: &BTreeMap<String, String>) -> Result<ClockBackend, String> {
-    opts.get("clock")
-        .map_or(Ok(ClockBackend::Dense), |s| s.parse::<ClockBackend>())
+/// Parses `--clock dense|tree` (`None` when absent).
+fn parse_clock(opts: &BTreeMap<String, String>) -> Result<Option<ClockBackend>, String> {
+    opts.get("clock").map(|s| s.parse()).transpose()
 }
 
 fn stamp_with(
     algorithm: &str,
     engine: &str,
-    clock: ClockBackend,
     comp: &SyncComputation,
     topo: &Graph,
 ) -> Result<(String, Option<MessageTimestamps>), String> {
@@ -357,66 +351,28 @@ fn stamp_with(
             "--engine {engine} only applies to --algorithm offline"
         ));
     }
-    if clock != ClockBackend::Dense && !matches!(algorithm, "online" | "offline") {
-        return Err(format!(
-            "--clock {clock} only applies to --algorithm online or offline"
-        ));
-    }
-    // The backend changes the cost of each merge, never a stamp: the
-    // selections below all produce byte-identical vectors, which `cmd_stamp`
-    // cross-checks against the poset oracle before printing.
     match algorithm {
         "online" => {
             let dec = decompose::best_known(topo);
-            let resolved = clock.resolve(dec.len()).map_err(|e| e.to_string())?;
-            let stamps = match resolved {
-                ClockBackend::Tree => stamp_computation_as::<TreeClock>(&dec, comp),
-                ClockBackend::Fixed => stamp_computation_as::<FixedArray16>(&dec, comp),
-                _ => OnlineStamper::new(&dec).stamp_computation(comp),
-            }
-            .map_err(|e| e.to_string())?;
-            let label = if resolved == ClockBackend::Dense {
-                format!("online (d = {})", stamps.dim())
-            } else {
-                format!("online/{resolved} (d = {})", stamps.dim())
-            };
-            Ok((label, Some(stamps)))
+            let stamps = OnlineStamper::new(&dec)
+                .stamp_computation(comp)
+                .map_err(|e| e.to_string())?;
+            Ok((format!("online (d = {})", stamps.dim()), Some(stamps)))
         }
-        "offline" => {
-            let via_clock = |stamps: Result<MessageTimestamps, synctime_core::CoreError>| {
-                stamps.map_err(|e| e.to_string())
-            };
-            match engine {
-                "dense" => {
-                    let stamps = match clock {
-                        ClockBackend::Tree => {
-                            via_clock(offline::stamp_computation_as::<TreeClock>(comp))?
-                        }
-                        ClockBackend::Fixed => {
-                            via_clock(offline::stamp_computation_as::<FixedArray16>(comp))?
-                        }
-                        _ => offline::stamp_computation(comp),
-                    };
-                    Ok((format!("offline (width = {})", stamps.dim()), Some(stamps)))
-                }
-                "sparse" => {
-                    let stamps = match clock {
-                        ClockBackend::Tree => {
-                            via_clock(offline::stamp_computation_sparse_as::<TreeClock>(comp))?
-                        }
-                        ClockBackend::Fixed => {
-                            via_clock(offline::stamp_computation_sparse_as::<FixedArray16>(comp))?
-                        }
-                        _ => offline::stamp_computation_sparse(comp),
-                    };
-                    Ok((
-                        format!("offline/sparse (chains = {})", stamps.dim()),
-                        Some(stamps),
-                    ))
-                }
-                other => Err(format!("unknown engine `{other}` (dense|sparse)")),
+        "offline" => match engine {
+            "dense" => {
+                let stamps = offline::stamp_computation(comp);
+                Ok((format!("offline (width = {})", stamps.dim()), Some(stamps)))
             }
-        }
+            "sparse" => {
+                let stamps = offline::stamp_computation_sparse(comp);
+                Ok((
+                    format!("offline/sparse (chains = {})", stamps.dim()),
+                    Some(stamps),
+                ))
+            }
+            other => Err(format!("unknown engine `{other}` (dense|sparse)")),
+        },
         "fm" => {
             let stamps = fm::stamp_messages(comp);
             Ok((
@@ -430,12 +386,19 @@ fn stamp_with(
 }
 
 fn cmd_stamp(opts: &BTreeMap<String, String>) -> Result<String, String> {
+    // A recorded trace has no delta stream, so the tree clock has nothing
+    // to win here: stamping always runs the dense clock.
+    if opts.contains_key("clock") {
+        return Err(
+            "--clock applies only to `run`, `launch` and `serve-node`; `stamp` always uses the dense clock"
+                .to_string(),
+        );
+    }
     let topo = parse_topology(require(opts, "topology")?)?;
     let comp = load_trace(opts, Some(&topo))?;
     let algorithm = opts.get("algorithm").map_or("online", String::as_str);
     let engine = opts.get("engine").map_or("dense", String::as_str);
-    let clock = parse_clock(opts)?;
-    let (label, stamps) = stamp_with(algorithm, engine, clock, &comp, &topo)?;
+    let (label, stamps) = stamp_with(algorithm, engine, &comp, &topo)?;
     let mut out = String::new();
     writeln!(out, "algorithm: {label}").unwrap();
     match stamps {
@@ -878,9 +841,8 @@ fn configure_runtime(
             .map_err(|_| "--rendezvous-retries expects a count".to_string())?;
         rt = rt.with_rendezvous_retries(k);
     }
-    if opts.contains_key("clock") {
-        let backend = parse_clock(opts)?;
-        rt = rt.with_clock(backend).map_err(|e| e.to_string())?;
+    if let Some(backend) = parse_clock(opts)? {
+        rt = rt.with_clock(backend);
     }
     Ok(rt)
 }
@@ -1486,8 +1448,8 @@ fn churn_output(
 fn cmd_launch_churn_local(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let plan = load_churn_plan(opts)?;
     let mut cfg = synctime_sim::ChurnConfig::default();
-    if opts.contains_key("clock") {
-        cfg.backend = parse_clock(opts)?;
+    if let Some(backend) = parse_clock(opts)? {
+        cfg.backend = backend;
     }
     if let Some(path) = opts.get("fault-plan") {
         let text = std::fs::read_to_string(path)
@@ -2160,7 +2122,7 @@ mod tests {
     }
 
     #[test]
-    fn stamp_clock_backends_print_identical_vectors() {
+    fn stamp_refuses_the_clock_flag() {
         let dir = std::env::temp_dir().join("synctime-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let out = run_strs(&[
@@ -2176,70 +2138,43 @@ mod tests {
         let trace = dir.join("clock-gen.json");
         std::fs::write(&trace, &out).unwrap();
         let trace = trace.to_str().unwrap();
-        // Strip the algorithm label line; the stamped vectors must be
-        // byte-identical across every backend and both engines.
-        let body = |s: String| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        let dense = run_strs(&["stamp", "--topology", "cycle:6", "--trace", trace]).unwrap();
-        for clock in ["tree", "fixed", "auto"] {
-            let alt = run_strs(&[
+        let stamped = run_strs(&["stamp", "--topology", "cycle:6", "--trace", trace]).unwrap();
+        assert!(stamped.starts_with("algorithm: online (d = "), "{stamped}");
+        // Stamping a recorded trace always runs the dense clock: `--clock`
+        // is refused under every value and algorithm, and the diagnostic
+        // names the commands that take it.
+        for (algorithm, clock) in [("online", "tree"), ("offline", "tree"), ("online", "dense")] {
+            let err = run_strs(&[
                 "stamp",
                 "--topology",
                 "cycle:6",
                 "--trace",
                 trace,
+                "--algorithm",
+                algorithm,
                 "--clock",
                 clock,
             ])
-            .unwrap();
-            assert_eq!(body(alt), body(dense.clone()), "--clock {clock}");
+            .unwrap_err();
+            for command in ["`run`", "`launch`", "`serve-node`"] {
+                assert!(err.contains(command), "{err}");
+            }
         }
-        let off = run_strs(&[
-            "stamp",
-            "--topology",
-            "cycle:6",
-            "--trace",
-            trace,
-            "--algorithm",
-            "offline",
-        ])
-        .unwrap();
-        let off_tree = run_strs(&[
-            "stamp",
-            "--topology",
-            "cycle:6",
-            "--trace",
-            trace,
-            "--algorithm",
-            "offline",
-            "--clock",
-            "tree",
-        ])
-        .unwrap();
-        assert_eq!(body(off_tree), body(off));
-        // A backend that cannot hold the dimension is a typed CLI error.
-        let err = run_strs(&[
-            "stamp",
-            "--topology",
-            "complete:20",
-            "--trace",
-            trace,
-            "--clock",
-            "fixed",
-        ])
-        .unwrap_err();
-        assert!(err.contains("at most"), "{err}");
     }
 
     #[test]
     fn run_clock_backends_reconstruct_identically() {
-        let dense = run_strs(&["run", "--ring", "4", "--rounds", "3"]).unwrap();
-        for clock in ["tree", "fixed", "auto"] {
+        let default = run_strs(&["run", "--ring", "4", "--rounds", "3"]).unwrap();
+        for clock in ["dense", "tree"] {
             let alt = run_strs(&["run", "--ring", "4", "--rounds", "3", "--clock", clock]).unwrap();
-            assert_eq!(alt, dense, "--clock {clock}");
+            assert_eq!(alt, default, "--clock {clock}");
         }
-        // Unknown backends are rejected at flag parse time.
-        let err = run_strs(&["run", "--ring", "4", "--clock", "warp"]).unwrap_err();
-        assert!(err.contains("unknown clock backend"), "{err}");
+        // `fixed` and `auto` are not backends: refused at flag parse time
+        // like any unknown name.
+        for clock in ["fixed", "auto", "warp"] {
+            let err = run_strs(&["run", "--ring", "4", "--clock", clock]).unwrap_err();
+            assert!(err.contains("unknown clock backend"), "{clock}: {err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every timestamping algorithm in this crate bottoms out in the same four
 //! operations on a vector of counters: component-wise max-merge, increment
-//! of one component, vector-order comparison, and (de)serialization. The
+//! of one component, vector-order comparison, and conversion to and from
+//! the dense interchange form. The
 //! [`Clock`] trait abstracts that seam so the representation can be chosen
 //! per run without touching the protocol logic:
 //!
@@ -14,21 +15,18 @@
 //!   full merges skip every subtree the incoming clock does not dominate —
 //!   the sublinear-join idea of the *Tree Clock* paper (arXiv 2201.06325)
 //!   specialised to our delta streams.
-//! * [`FixedArray`] — a `[u64; K]` with a fixed-trip-count merge loop the
-//!   compiler auto-vectorises; the small-dimension fast path (the paper's
-//!   whole point is that `d ≪ N`, so most topologies fit `K = 16`).
 //!
-//! All three produce **identical** stamps for the same computation — the
-//! differential battery in `tests/differential_timestamps.rs` proves every
-//! backend pair order-isomorphic (and in fact equal) on random, faulted,
-//! and reconfigured traces. Selection is plumbed through
-//! `synctime run --clock dense|tree|fixed` via [`ClockBackend`].
+//! Both produce **identical** stamps for the same computation — the
+//! differential battery in `tests/differential_timestamps.rs` proves the
+//! pair equal on random, faulted, and reconfigured traces. Dense is the
+//! default everywhere; the tree is selectable only where its sublinear
+//! merge can pay off, the runtime's delta path, via
+//! `synctime run|launch|serve-node --clock tree` ([`ClockBackend`]).
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::kernel;
 use crate::{CoreError, VectorOrder, VectorTime};
 
 /// The operations a vector-clock representation must provide to run the
@@ -38,17 +36,12 @@ use crate::{CoreError, VectorOrder, VectorTime};
 /// `u64` counters under component-wise max and vector order; the protocol
 /// layers rely on that to keep every backend's stamps interchangeable.
 pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
-    /// Short backend name (`"dense"`, `"tree"`, `"fixed"`), used by CLI
-    /// selection and bench labels.
+    /// Short backend name (`"dense"`, `"tree"`), used by CLI selection
+    /// and bench labels.
     const NAME: &'static str;
 
     /// The all-zero clock of the given dimension.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot
-    /// represent `dim` components (e.g. [`FixedArray`] with `dim > K`).
-    fn try_zero(dim: usize) -> Result<Self, CoreError>;
+    fn zero(dim: usize) -> Self;
 
     /// The number of components.
     fn dim(&self) -> usize;
@@ -94,10 +87,7 @@ pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
     /// # Errors
     ///
     /// [`CoreError::DimensionMismatch`] when the dimensions differ.
-    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError> {
-        let other = Self::from_vector(v)?;
-        self.try_merge_max(&other)
-    }
+    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError>;
 
     /// Full vector-order comparison (Equation 2).
     ///
@@ -113,19 +103,7 @@ pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
     fn to_vector(&self) -> VectorTime;
 
     /// Builds a clock from its dense interchange form.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot
-    /// represent `v.dim()` components.
-    fn from_vector(v: &VectorTime) -> Result<Self, CoreError>;
-
-    /// Serializes the clock in the crate's wire format
-    /// ([`crate::wire::encode_full`] of the interchange vector), so every
-    /// backend is bit-compatible on the wire.
-    fn encode_wire(&self) -> Vec<u8> {
-        crate::wire::encode_full(&self.to_vector())
-    }
+    fn from_vector(v: &VectorTime) -> Self;
 }
 
 /// The paper's plain dense vector — [`VectorTime`] itself, byte-identical
@@ -135,8 +113,8 @@ pub type DenseVec = VectorTime;
 impl Clock for VectorTime {
     const NAME: &'static str = "dense";
 
-    fn try_zero(dim: usize) -> Result<Self, CoreError> {
-        Ok(VectorTime::zero(dim))
+    fn zero(dim: usize) -> Self {
+        VectorTime::zero(dim)
     }
 
     fn dim(&self) -> usize {
@@ -184,8 +162,8 @@ impl Clock for VectorTime {
         self.clone()
     }
 
-    fn from_vector(v: &VectorTime) -> Result<Self, CoreError> {
-        Ok(v.clone())
+    fn from_vector(v: &VectorTime) -> Self {
+        v.clone()
     }
 }
 
@@ -259,7 +237,10 @@ impl TreeClock {
     /// loads), only `min` needs the sibling, and the walk stops at the
     /// first ancestor whose summary is unchanged — every ancestor above it
     /// is unchanged too. This is the hot path of `merge_delta`, the
-    /// sublinear merge the runtime feeds with SK change-sets.
+    /// sublinear merge the runtime feeds with SK change-sets; it is
+    /// inlined there so the walk runs in the delta loop itself, not
+    /// behind one call per changed component.
+    #[inline(always)]
     fn raise(&mut self, idx: usize, value: u64) {
         let mut n = self.base + idx;
         if value <= self.maxs[n] {
@@ -363,8 +344,8 @@ impl TreeClock {
 impl Clock for TreeClock {
     const NAME: &'static str = "tree";
 
-    fn try_zero(dim: usize) -> Result<Self, CoreError> {
-        Ok(TreeClock::empty(dim))
+    fn zero(dim: usize) -> Self {
+        TreeClock::empty(dim)
     }
 
     fn dim(&self) -> usize {
@@ -449,7 +430,7 @@ impl Clock for TreeClock {
         VectorTime::from(self.maxs[self.base..self.base + self.dim].to_vec())
     }
 
-    fn from_vector(v: &VectorTime) -> Result<Self, CoreError> {
+    fn from_vector(v: &VectorTime) -> Self {
         let mut clock = TreeClock::empty(v.dim());
         for (idx, &value) in v.as_slice().iter().enumerate() {
             let leaf = clock.base + idx;
@@ -457,173 +438,27 @@ impl Clock for TreeClock {
             clock.mins[leaf] = value;
         }
         clock.rebuild();
-        Ok(clock)
-    }
-}
-
-/// A clock inlined into a `[u64; K]`: the small-dimension fast path.
-///
-/// All merge/compare loops run over the full `K` lanes with no
-/// data-dependent trip count, which the compiler turns into straight-line
-/// SIMD; the unused lanes stay zero, so they are no-ops under max-merge
-/// and invisible to comparisons. Construction fails with a typed
-/// [`CoreError::DimensionUnsupported`] when `dim > K` — there is no
-/// truncating fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedArray<const K: usize> {
-    len: usize,
-    lanes: [u64; K],
-}
-
-/// The standard small-dimension backend: 16 lanes covers every topology
-/// with `d ≤ 16` (recall `d ≤ min(β(G), N − 2)` — most deployments).
-pub type FixedArray16 = FixedArray<16>;
-
-impl<const K: usize> Clock for FixedArray<K> {
-    const NAME: &'static str = "fixed";
-
-    fn try_zero(dim: usize) -> Result<Self, CoreError> {
-        if dim > K {
-            return Err(CoreError::DimensionUnsupported { dim, capacity: K });
-        }
-        Ok(FixedArray {
-            len: dim,
-            lanes: [0; K],
-        })
-    }
-
-    fn dim(&self) -> usize {
-        self.len
-    }
-
-    fn component(&self, idx: usize) -> u64 {
-        assert!(
-            idx < self.len,
-            "component {idx} out of range ({})",
-            self.len
-        );
-        self.lanes[idx]
-    }
-
-    fn increment(&mut self, idx: usize) {
-        assert!(
-            idx < self.len,
-            "component {idx} out of range ({})",
-            self.len
-        );
-        self.lanes[idx] += 1;
-    }
-
-    fn try_merge_max(&mut self, other: &Self) -> Result<(), CoreError> {
-        if self.len != other.len {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.len,
-                got: other.len,
-            });
-        }
-        // Chunked 8-lane kernel over every lane: the zero padding is inert
-        // under max, so merging all K lanes keeps the trip count fixed.
-        kernel::merge_max_lanes(&mut self.lanes, &other.lanes);
-        Ok(())
-    }
-
-    fn merge_delta(&mut self, changes: &[(usize, u64)]) -> Result<(), CoreError> {
-        for &(idx, value) in changes {
-            if idx >= self.len {
-                return Err(CoreError::DimensionMismatch {
-                    expected: self.len,
-                    got: idx + 1,
-                });
-            }
-            self.lanes[idx] = self.lanes[idx].max(value);
-        }
-        Ok(())
-    }
-
-    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError> {
-        if self.len != v.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.len,
-                got: v.dim(),
-            });
-        }
-        for (lane, &value) in self.lanes.iter_mut().zip(v.as_slice()) {
-            *lane = (*lane).max(value);
-        }
-        Ok(())
-    }
-
-    fn compare(&self, other: &Self) -> VectorOrder {
-        assert_eq!(
-            self.len, other.len,
-            "cannot compare clocks of dimensions {} and {}",
-            self.len, other.len
-        );
-        // Branchless chunked kernel over all K lanes (padding lanes are
-        // equal and contribute nothing).
-        let (less, greater) = kernel::compare_lanes(&self.lanes, &other.lanes);
-        match (less, greater) {
-            (false, false) => VectorOrder::Equal,
-            (true, false) => VectorOrder::Less,
-            (false, true) => VectorOrder::Greater,
-            (true, true) => VectorOrder::Concurrent,
-        }
-    }
-
-    fn to_vector(&self) -> VectorTime {
-        VectorTime::from(self.lanes[..self.len].to_vec())
-    }
-
-    fn from_vector(v: &VectorTime) -> Result<Self, CoreError> {
-        let mut clock = Self::try_zero(v.dim())?;
-        clock.lanes[..v.dim()].copy_from_slice(v.as_slice());
-        Ok(clock)
+        clock
     }
 }
 
 /// A runtime-selectable clock backend, as named on the command line
-/// (`--clock dense|tree|fixed`).
+/// (`--clock dense|tree` on `run`, `launch` and `serve-node`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockBackend {
-    /// Pick automatically: [`FixedArray16`] when the dimension fits its
-    /// lanes, [`DenseVec`] otherwise. The default.
+    /// [`DenseVec`] — the plain vector. The default.
     #[default]
-    Auto,
-    /// [`DenseVec`] — the plain vector.
     Dense,
     /// [`TreeClock`] — sublinear delta merges.
     Tree,
-    /// [`FixedArray16`] — the small-dimension SIMD-friendly path.
-    Fixed,
 }
 
 impl ClockBackend {
-    /// Lane count of the [`ClockBackend::Fixed`] backend.
-    pub const FIXED_CAPACITY: usize = 16;
-
-    /// Resolves the selection against a concrete dimension: `Auto` picks
-    /// the fixed-array path exactly when the dimension fits. Never
-    /// returns `Auto`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when `Fixed` was explicitly
-    /// requested for a dimension beyond [`ClockBackend::FIXED_CAPACITY`].
-    pub fn resolve(self, dim: usize) -> Result<ClockBackend, CoreError> {
-        match self {
-            ClockBackend::Auto => Ok(if dim <= Self::FIXED_CAPACITY {
-                ClockBackend::Fixed
-            } else {
-                ClockBackend::Dense
-            }),
-            ClockBackend::Fixed if dim > Self::FIXED_CAPACITY => {
-                Err(CoreError::DimensionUnsupported {
-                    dim,
-                    capacity: Self::FIXED_CAPACITY,
-                })
-            }
-            other => Ok(other),
-        }
+    /// The backend used at dimension `dim`: always `self`, since both
+    /// backends hold every dimension. It remains only because the
+    /// end-to-end benchmark (`perfbench/`) labels its inputs with it.
+    pub fn resolve(self, _dim: usize) -> Result<ClockBackend, std::convert::Infallible> {
+        Ok(self)
     }
 }
 
@@ -632,13 +467,9 @@ impl FromStr for ClockBackend {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "auto" => Ok(ClockBackend::Auto),
             "dense" => Ok(ClockBackend::Dense),
             "tree" => Ok(ClockBackend::Tree),
-            "fixed" => Ok(ClockBackend::Fixed),
-            other => Err(format!(
-                "unknown clock backend `{other}` (auto|dense|tree|fixed)"
-            )),
+            other => Err(format!("unknown clock backend `{other}` (dense|tree)")),
         }
     }
 }
@@ -646,10 +477,8 @@ impl FromStr for ClockBackend {
 impl fmt::Display for ClockBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            ClockBackend::Auto => "auto",
             ClockBackend::Dense => DenseVec::NAME,
             ClockBackend::Tree => TreeClock::NAME,
-            ClockBackend::Fixed => FixedArray16::NAME,
         })
     }
 }
@@ -662,7 +491,7 @@ mod tests {
     /// against the dense reference after every operation.
     fn differential_ops<C: Clock>(dim: usize) {
         let mut reference = VectorTime::zero(dim);
-        let mut clock = C::try_zero(dim).unwrap();
+        let mut clock = C::zero(dim);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -697,7 +526,7 @@ mod tests {
                     // Backend-native merge of a random clock.
                     let other: Vec<u64> = (0..dim).map(|_| rng() % 50).collect();
                     let other = VectorTime::from(other);
-                    let backend_other = C::from_vector(&other).unwrap();
+                    let backend_other = C::from_vector(&other);
                     let expected = {
                         let mut r = reference.clone();
                         r.merge_max(&other).unwrap();
@@ -717,7 +546,7 @@ mod tests {
                 }
                 p
             };
-            let backend_perturbed = C::from_vector(&perturbed).unwrap();
+            let backend_perturbed = C::from_vector(&perturbed);
             assert_eq!(
                 clock.compare(&backend_perturbed),
                 reference.compare(&perturbed)
@@ -737,43 +566,22 @@ mod tests {
     }
 
     #[test]
-    fn fixed_matches_dense_reference() {
-        for dim in [1, 2, 3, 7, 16] {
-            differential_ops::<FixedArray16>(dim);
-        }
-    }
-
-    #[test]
     fn dense_trait_impl_matches_inherent() {
         differential_ops::<DenseVec>(5);
     }
 
     #[test]
     fn zero_dimension_clocks_work() {
-        let mut t = TreeClock::try_zero(0).unwrap();
-        let f = FixedArray16::try_zero(0).unwrap();
+        let mut t = TreeClock::zero(0);
         assert_eq!(t.to_vector(), VectorTime::zero(0));
-        assert_eq!(f.to_vector(), VectorTime::zero(0));
         assert_eq!(t.compare(&t.clone()), VectorOrder::Equal);
         t.merge_delta(&[]).unwrap();
     }
 
     #[test]
-    fn fixed_rejects_oversized_dimension() {
-        assert_eq!(
-            FixedArray16::try_zero(17),
-            Err(CoreError::DimensionUnsupported {
-                dim: 17,
-                capacity: 16
-            })
-        );
-        assert!(FixedArray16::from_vector(&VectorTime::zero(20)).is_err());
-    }
-
-    #[test]
     fn merges_reject_dimension_mismatch_typed() {
-        let mut t = TreeClock::try_zero(3).unwrap();
-        let other = TreeClock::try_zero(4).unwrap();
+        let mut t = TreeClock::zero(3);
+        let other = TreeClock::zero(4);
         assert_eq!(
             t.try_merge_max(&other),
             Err(CoreError::DimensionMismatch {
@@ -783,12 +591,6 @@ mod tests {
         );
         assert!(t.merge_from_vector(&VectorTime::zero(4)).is_err());
         assert!(t.merge_delta(&[(3, 1)]).is_err());
-        let mut f = FixedArray16::try_zero(2).unwrap();
-        assert!(f
-            .try_merge_max(&FixedArray16::try_zero(3).unwrap())
-            .is_err());
-        assert!(f.merge_delta(&[(2, 1)]).is_err());
-        assert!(f.merge_from_vector(&VectorTime::zero(5)).is_err());
     }
 
     #[test]
@@ -798,8 +600,8 @@ mod tests {
         let mut spiky = vec![0u64; 33];
         spiky[17] = 1_000;
         let flat = vec![3u64; 33];
-        let mut a = TreeClock::from_vector(&VectorTime::from(spiky.clone())).unwrap();
-        let b = TreeClock::from_vector(&VectorTime::from(flat.clone())).unwrap();
+        let mut a = TreeClock::from_vector(&VectorTime::from(spiky.clone()));
+        let b = TreeClock::from_vector(&VectorTime::from(flat.clone()));
         assert_eq!(a.compare(&b), VectorOrder::Concurrent);
         a.try_merge_max(&b).unwrap();
         let mut expected = VectorTime::from(spiky);
@@ -810,28 +612,21 @@ mod tests {
     #[test]
     fn wire_encoding_is_backend_invariant() {
         let v = VectorTime::from(vec![4, 0, 700, 2]);
-        let dense_bytes = crate::wire::encode_full(&v);
         assert_eq!(
-            TreeClock::from_vector(&v).unwrap().encode_wire(),
-            dense_bytes
-        );
-        assert_eq!(
-            FixedArray16::from_vector(&v).unwrap().encode_wire(),
-            dense_bytes
+            crate::wire::encode_full(&TreeClock::from_vector(&v).to_vector()),
+            crate::wire::encode_full(&v)
         );
     }
 
     #[test]
     fn backend_selection_resolves() {
-        assert_eq!(ClockBackend::Auto.resolve(8).unwrap(), ClockBackend::Fixed);
-        assert_eq!(ClockBackend::Auto.resolve(17).unwrap(), ClockBackend::Dense);
-        assert_eq!(
-            ClockBackend::Tree.resolve(1_000).unwrap(),
-            ClockBackend::Tree
-        );
-        assert!(ClockBackend::Fixed.resolve(17).is_err());
+        assert_eq!(ClockBackend::default(), ClockBackend::Dense);
+        assert_eq!(ClockBackend::default().resolve(8), Ok(ClockBackend::Dense));
+        assert_eq!(ClockBackend::Tree.resolve(1_000), Ok(ClockBackend::Tree));
         assert_eq!("tree".parse::<ClockBackend>().unwrap(), ClockBackend::Tree);
-        assert!("vector".parse::<ClockBackend>().is_err());
-        assert_eq!(ClockBackend::Fixed.to_string(), "fixed");
+        for unknown in ["vector", "fixed", "auto"] {
+            assert!(unknown.parse::<ClockBackend>().is_err(), "{unknown}");
+        }
+        assert_eq!(ClockBackend::Tree.to_string(), "tree");
     }
 }

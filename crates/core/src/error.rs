@@ -31,15 +31,6 @@ pub enum CoreError {
         /// The dimension it actually saw.
         got: usize,
     },
-    /// A clock backend cannot represent the requested dimension (e.g. the
-    /// fixed-array backend asked to hold more components than it has
-    /// lanes). Pick a wider backend; nothing truncates.
-    DimensionUnsupported {
-        /// The dimension that was requested.
-        dim: usize,
-        /// The backend's maximum dimension.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -59,12 +50,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
-            }
-            CoreError::DimensionUnsupported { dim, capacity } => {
-                write!(
-                    f,
-                    "clock backend holds at most {capacity} components, {dim} requested"
-                )
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Chunked 8-lane merge/compare kernels over `u64` lanes.
 //!
 //! These are the scalar-code-shaped inner loops behind
-//! [`VectorTime::merge_max`], [`VectorTime::compare`], and the
-//! [`FixedArray`] backend: each walks its input in chunks of exactly
+//! [`VectorTime::merge_max`] and [`VectorTime::compare`], the dense
+//! clock's merge and comparison: each walks its input in chunks of exactly
 //! eight lanes (`chunks_exact`) with an exact-remainder tail, which is
 //! the shape LLVM reliably autovectorizes on stable Rust without any
 //! nightly features, `unsafe`, or per-target intrinsics. The fixed trip
@@ -15,7 +15,6 @@
 //!
 //! [`VectorTime::merge_max`]: crate::VectorTime::merge_max
 //! [`VectorTime::compare`]: crate::VectorTime::compare
-//! [`FixedArray`]: crate::FixedArray
 //! [`Clock`]: crate::Clock
 
 /// Lanes per vectorized chunk.

@@ -37,10 +37,9 @@
 //! including the Singhal–Kshemkalyani differential technique).
 //!
 //! The clock *representation* is pluggable: the [`clock`] module defines
-//! the [`Clock`] trait with three backends — [`DenseVec`] (a plain
-//! vector), [`TreeClock`] (sublinear delta merges), and [`FixedArray`]
-//! (fixed-lane fast path for small dimensions) — all producing identical
-//! stamps.
+//! the [`Clock`] trait with two backends — [`DenseVec`] (a plain vector,
+//! the default) and [`TreeClock`] (sublinear delta merges) — both
+//! producing identical stamps.
 //!
 //! # Quickstart
 //!
@@ -83,6 +82,6 @@ pub mod online;
 pub mod plausible;
 pub mod wire;
 
-pub use clock::{Clock, ClockBackend, DenseVec, FixedArray, FixedArray16, TreeClock};
+pub use clock::{Clock, ClockBackend, DenseVec, TreeClock};
 pub use error::CoreError;
 pub use vector::{MessageTimestamps, VectorOrder, VectorTime};

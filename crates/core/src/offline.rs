@@ -15,8 +15,7 @@ use synctime_par::ThreadPool;
 use synctime_poset::{realizer, Poset, SparsePoset};
 use synctime_trace::{stream, Oracle, SyncComputation};
 
-use crate::clock::Clock;
-use crate::{CoreError, MessageTimestamps, VectorTime};
+use crate::{MessageTimestamps, VectorTime};
 
 /// Offline-stamps all messages of a completed computation.
 ///
@@ -87,57 +86,6 @@ pub fn stamp_poset(poset: &Poset) -> MessageTimestamps {
 /// ```
 pub fn stamp_computation_sparse(computation: &SyncComputation) -> MessageTimestamps {
     stamp_sparse_poset(&stream::sparse_message_poset(computation))
-}
-
-/// [`stamp_computation`] with the vectors carried by clock backend `C`.
-///
-/// The dense engine computes each stamp as before; every vector is then
-/// pushed through `C`'s delta-merge path and read back, so the backend's
-/// arithmetic — not just [`VectorTime`]'s — is exercised end to end. The
-/// output is bit-identical to [`stamp_computation`] for every backend.
-///
-/// # Errors
-///
-/// [`CoreError::DimensionUnsupported`] when the backend cannot hold the
-/// poset's width (e.g. a fixed-lane backend on a wide poset).
-pub fn stamp_computation_as<C: Clock>(
-    computation: &SyncComputation,
-) -> Result<MessageTimestamps, CoreError> {
-    reemit_through_backend::<C>(stamp_computation(computation))
-}
-
-/// [`stamp_computation_sparse`] with the vectors carried by clock backend
-/// `C`; see [`stamp_computation_as`].
-///
-/// # Errors
-///
-/// [`CoreError::DimensionUnsupported`] when the backend cannot hold one
-/// component per sending process.
-pub fn stamp_computation_sparse_as<C: Clock>(
-    computation: &SyncComputation,
-) -> Result<MessageTimestamps, CoreError> {
-    reemit_through_backend::<C>(stamp_computation_sparse(computation))
-}
-
-/// Re-emits every stamp through backend `C`: zero clock, delta-merge of the
-/// nonzero components, read back as a dense vector.
-fn reemit_through_backend<C: Clock>(
-    stamps: MessageTimestamps,
-) -> Result<MessageTimestamps, CoreError> {
-    let mut vectors = Vec::with_capacity(stamps.len());
-    for v in stamps.vectors() {
-        let mut clock = C::try_zero(v.dim())?;
-        let changes: Vec<(usize, u64)> = v
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x != 0)
-            .map(|(i, &x)| (i, x))
-            .collect();
-        clock.merge_delta(&changes)?;
-        vectors.push(clock.to_vector());
-    }
-    Ok(MessageTimestamps::new(vectors))
 }
 
 /// Parallel [`stamp_computation_sparse`]: realizer extensions and
@@ -313,34 +261,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn backend_reemission_is_bit_identical() {
-        use crate::clock::{FixedArray16, TreeClock};
-        let comp = figure6();
-        let dense = stamp_computation(&comp);
-        assert_eq!(stamp_computation_as::<TreeClock>(&comp).unwrap(), dense);
-        assert_eq!(stamp_computation_as::<FixedArray16>(&comp).unwrap(), dense);
-        let sparse = stamp_computation_sparse(&comp);
-        assert_eq!(
-            stamp_computation_sparse_as::<TreeClock>(&comp).unwrap(),
-            sparse
-        );
-        assert_eq!(
-            stamp_computation_sparse_as::<FixedArray16>(&comp).unwrap(),
-            sparse
-        );
-    }
-
-    #[test]
-    fn backend_reemission_reports_unsupported_width() {
-        use crate::clock::FixedArray;
-        let comp = figure6(); // width 2 > 1 lane
-        assert!(matches!(
-            stamp_computation_as::<FixedArray<1>>(&comp),
-            Err(CoreError::DimensionUnsupported { .. })
-        ));
     }
 
     #[test]

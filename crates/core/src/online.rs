@@ -57,8 +57,8 @@ pub struct GenericProcessClock<C: Clock> {
 pub type ProcessClock = GenericProcessClock<DenseVec>;
 
 impl<C: Clock> From<C> for GenericProcessClock<C> {
-    /// Wraps an existing clock value as a process clock — infallible entry
-    /// point for callers that already hold a validated clock.
+    /// Wraps an existing clock value as a process clock — how the runtime
+    /// resumes a reconfigured epoch from its baseline.
     fn from(vector: C) -> Self {
         GenericProcessClock { vector }
     }
@@ -66,28 +66,9 @@ impl<C: Clock> From<C> for GenericProcessClock<C> {
 
 impl<C: Clock> GenericProcessClock<C> {
     /// A fresh clock of dimension `dim`, initially all zeros.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot hold
-    /// `dim` components.
-    pub fn try_new(dim: usize) -> Result<Self, CoreError> {
-        Ok(GenericProcessClock {
-            vector: C::try_zero(dim)?,
-        })
-    }
-
-    /// A fresh clock of dimension `dim`, initially all zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the backend cannot hold `dim` components (see
-    /// [`GenericProcessClock::try_new`] for the fallible form). The
-    /// default dense backend supports every dimension.
     pub fn new(dim: usize) -> Self {
-        match Self::try_new(dim) {
-            Ok(clock) => clock,
-            Err(e) => panic!("{e}"),
+        GenericProcessClock {
+            vector: C::zero(dim),
         }
     }
 
@@ -201,8 +182,7 @@ impl<C: Clock> GenericProcessClock<C> {
     /// # Errors
     ///
     /// [`CoreError::DimensionMismatch`] if the remap's domain differs from
-    /// this clock's dimension, or [`CoreError::DimensionUnsupported`] if
-    /// the backend cannot hold the new dimension.
+    /// this clock's dimension.
     pub fn remap(&mut self, remap: &GroupRemap) -> Result<(), CoreError> {
         if remap.old_to_new.len() != self.vector.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -216,7 +196,7 @@ impl<C: Clock> GenericProcessClock<C> {
                 fresh[*new] = self.vector.component(old);
             }
         }
-        self.vector = C::from_vector(&VectorTime::from(fresh))?;
+        self.vector = C::from_vector(&VectorTime::from(fresh));
         Ok(())
     }
 }
@@ -271,14 +251,12 @@ impl OnlineStamper {
 /// # Errors
 ///
 /// [`CoreError::ChannelNotInDecomposition`] if a message uses a channel
-/// outside the decomposition; [`CoreError::DimensionUnsupported`] if the
-/// backend cannot hold the decomposition's dimension.
+/// outside the decomposition.
 pub fn stamp_computation_as<C: Clock>(
     decomposition: &EdgeDecomposition,
     computation: &SyncComputation,
 ) -> Result<MessageTimestamps, CoreError> {
-    let mut session =
-        GenericOnlineSession::<C>::try_new(decomposition, computation.process_count())?;
+    let mut session = GenericOnlineSession::<C>::new(decomposition, computation.process_count());
     let mut stamps = Vec::with_capacity(computation.message_count());
     for m in computation.messages() {
         stamps.push(session.stamp(m.sender, m.receiver)?);
@@ -315,34 +293,11 @@ pub type OnlineSession = GenericOnlineSession<DenseVec>;
 
 impl<C: Clock> GenericOnlineSession<C> {
     /// Starts a session for `process_count` processes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot hold
-    /// the decomposition's dimension.
-    pub fn try_new(
-        decomposition: &EdgeDecomposition,
-        process_count: usize,
-    ) -> Result<Self, CoreError> {
-        let clock = GenericProcessClock::<C>::try_new(decomposition.len())?;
-        Ok(GenericOnlineSession {
-            decomposition: decomposition.clone(),
-            clocks: vec![clock; process_count],
-            stamped: 0,
-        })
-    }
-
-    /// Starts a session for `process_count` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the backend cannot hold the decomposition's dimension
-    /// (see [`GenericOnlineSession::try_new`]); the default dense backend
-    /// supports every dimension.
     pub fn new(decomposition: &EdgeDecomposition, process_count: usize) -> Self {
-        match Self::try_new(decomposition, process_count) {
-            Ok(session) => session,
-            Err(e) => panic!("{e}"),
+        GenericOnlineSession {
+            decomposition: decomposition.clone(),
+            clocks: vec![GenericProcessClock::new(decomposition.len()); process_count],
+            stamped: 0,
         }
     }
 
@@ -373,9 +328,8 @@ impl<C: Clock> GenericOnlineSession<C> {
     ///
     /// [`EdgeDecomposition::extend_star`]: synctime_graph::EdgeDecomposition::extend_star
     pub fn add_process(&mut self) -> usize {
-        let clock = GenericProcessClock::<C>::try_new(self.decomposition.len())
-            .expect("session dimension was validated at construction");
-        self.clocks.push(clock);
+        self.clocks
+            .push(GenericProcessClock::new(self.decomposition.len()));
         self.clocks.len() - 1
     }
 
@@ -410,8 +364,7 @@ impl<C: Clock> GenericOnlineSession<C> {
     ///
     /// [`CoreError::DimensionMismatch`] if the remap's domain is not the
     /// session's current dimension or its codomain is not the new
-    /// decomposition's size; [`CoreError::DimensionUnsupported`] if the
-    /// backend cannot hold the new dimension.
+    /// decomposition's size.
     pub fn reconfigure(
         &mut self,
         decomposition: &EdgeDecomposition,
@@ -486,7 +439,7 @@ pub fn stamp_with_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{FixedArray16, TreeClock};
+    use crate::clock::TreeClock;
     use synctime_graph::{decompose, topology};
     use synctime_trace::examples::{figure6, figure6_decomposition};
     use synctime_trace::{Builder, MessageId, Oracle};
@@ -519,14 +472,10 @@ mod tests {
         }
         // And the timestamps encode the poset (Theorem 4).
         assert!(stamps.encodes(&Oracle::new(&comp)));
-        // Every backend reproduces the walkthrough bit for bit.
-        for stamps in [
-            stamp_computation_as::<TreeClock>(&dec, &comp).unwrap(),
-            stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap(),
-        ] {
-            for (i, exp) in expected.iter().enumerate() {
-                assert_eq!(stamps.vector(MessageId(i)).as_slice(), exp.as_slice());
-            }
+        // The tree backend reproduces the walkthrough bit for bit.
+        let tree = stamp_computation_as::<TreeClock>(&dec, &comp).unwrap();
+        for (i, exp) in expected.iter().enumerate() {
+            assert_eq!(tree.vector(MessageId(i)).as_slice(), exp.as_slice());
         }
     }
 
@@ -556,11 +505,11 @@ mod tests {
     fn interchange_paths_match_native_protocol() {
         // The wire-facing delta path and the native path produce the same
         // stamps on every backend.
-        let mut native = GenericProcessClock::<TreeClock>::try_new(4).unwrap();
-        let mut wire = GenericProcessClock::<TreeClock>::try_new(4).unwrap();
+        let mut native = GenericProcessClock::<TreeClock>::new(4);
+        let mut wire = GenericProcessClock::<TreeClock>::new(4);
         let payload = VectorTime::from(vec![2, 0, 1, 0]);
         let (ack_n, stamp_n) = native
-            .on_receive(&TreeClock::from_vector(&payload).unwrap(), 1)
+            .on_receive(&TreeClock::from_vector(&payload), 1)
             .unwrap();
         // The change-set names exactly the nonzero components.
         let (ack_w, stamp_w) = wire
@@ -569,7 +518,7 @@ mod tests {
         assert_eq!(ack_n.to_vector(), ack_w);
         assert_eq!(stamp_n.to_vector(), stamp_w);
         let t_n = native
-            .on_acknowledgement(&TreeClock::from_vector(&payload).unwrap(), 0)
+            .on_acknowledgement(&TreeClock::from_vector(&payload), 0)
             .unwrap();
         let t_w = wire
             .on_acknowledgement_interchange(&payload, None, 0)
@@ -637,16 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_backend_session_rejects_wide_decompositions() {
-        // complete:20 decomposes to d = 18 > 16 lanes: typed error, no
-        // truncation.
-        let dec = decompose::best_known(&topology::complete(20));
-        assert!(dec.len() > 16);
-        let err = GenericOnlineSession::<FixedArray16>::try_new(&dec, 20).unwrap_err();
-        assert!(matches!(err, CoreError::DimensionUnsupported { .. }));
-    }
-
-    #[test]
     fn incremental_session_matches_batch() {
         let topo = topology::complete(4);
         let dec = decompose::best_known(&topo);
@@ -658,7 +597,7 @@ mod tests {
         let comp = b.build();
         let batch = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
         let mut session = OnlineSession::new(&dec, 4);
-        let mut tree = GenericOnlineSession::<TreeClock>::try_new(&dec, 4).unwrap();
+        let mut tree = GenericOnlineSession::<TreeClock>::new(&dec, 4);
         for (i, (s, r)) in pairs.iter().enumerate() {
             let t = session.stamp(*s, *r).unwrap();
             assert_eq!(&t, batch.vector(MessageId(i)));

@@ -209,9 +209,9 @@ pub fn store_meta_record_bytes(version: u64, process_count: u64, generation: u64
 /// On-disk cost of a store SENT/RECEIVED record: record header + 1-byte
 /// tag + varints for the logging process, its log position, the peer
 /// process, and the message key — then the encoded stamp *last* (it is the
-/// variable-width remainder of the payload, exactly the bytes the clock
-/// seam `Clock::encode_wire` / [`encode_full`] produces, so any clock
-/// backend round-trips byte-identically).
+/// variable-width remainder of the payload, exactly the bytes
+/// [`encode_full`] produces from the dense interchange vector, so any
+/// clock backend round-trips byte-identically).
 pub fn store_stamp_record_bytes(
     process: u64,
     pseq: u64,

@@ -219,8 +219,7 @@ proptest! {
     /// the underlying trace: for any query batch (valid ids, out-of-range
     /// ids, and unknown kinds alike), the ANSWER3 frame of the whole batch
     /// and the one-entry ANSWER3 frame of each lone query, built from
-    /// `TreeClock`- or `FixedArray`-stamped vectors, are byte-identical to
-    /// the dense ones.
+    /// `TreeClock`-stamped vectors, are byte-identical to the dense ones.
     #[test]
     fn answer_bodies_invariant_under_clock_backend(
         n in 4usize..8,
@@ -231,7 +230,7 @@ proptest! {
     ) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        use synctime_core::clock::{ClockBackend, FixedArray16, TreeClock};
+        use synctime_core::clock::TreeClock;
         use synctime_core::online::{stamp_computation_as, OnlineStamper};
         use synctime_core::MessageTimestamps;
         use synctime_graph::{decompose, topology};
@@ -277,17 +276,6 @@ proptest! {
         let (tree_answers, tree_batch) = wire_for(&tree);
         prop_assert_eq!(&tree_answers, &dense_answers, "lone ANSWER3 frames diverged under tree");
         prop_assert_eq!(&tree_batch, &dense_batch, "batch ANSWER3 frame diverged under tree");
-
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap();
-            let (fixed_answers, fixed_batch) = wire_for(&fixed);
-            prop_assert_eq!(
-                &fixed_answers,
-                &dense_answers,
-                "lone ANSWER3 frames diverged under fixed"
-            );
-            prop_assert_eq!(&fixed_batch, &dense_batch, "batch ANSWER3 frame diverged under fixed");
-        }
     }
 }
 

@@ -78,15 +78,16 @@ pub enum RuntimeError {
         /// The transport's description of the failure.
         detail: String,
     },
-    /// The selected clock backend cannot hold one component per edge group
-    /// of the run's decomposition (e.g. `--clock fixed` on a topology that
-    /// decomposes to more groups than the backend has lanes). Pick `dense`,
-    /// `tree`, or `auto` instead; nothing truncates.
-    ClockUnsupported {
-        /// The decomposition's dimension.
-        dim: usize,
-        /// The backend's maximum dimension.
-        capacity: usize,
+    /// A clock baseline (or the group remap that produced it) does not
+    /// have one component per edge group of the decomposition it was
+    /// given with (`Runtime::with_initial_clock`,
+    /// `Runtime::apply_reconfigure`). Every component would land in the
+    /// wrong group, so it is refused.
+    DimensionMismatch {
+        /// The decomposition's edge-group count.
+        expected: usize,
+        /// The baseline's (or remap's) width.
+        got: usize,
     },
     /// `Runtime::with_watchdog` was given a zero timeout. Every wait is
     /// parked for at least 0 ms the moment it begins, so a zero timeout
@@ -146,10 +147,10 @@ impl fmt::Display for RuntimeError {
                     "transport failure on channel to process {peer}: {detail}"
                 )
             }
-            RuntimeError::ClockUnsupported { dim, capacity } => {
+            RuntimeError::DimensionMismatch { expected, got } => {
                 write!(
                     f,
-                    "clock backend holds at most {capacity} components, but the decomposition has {dim} edge groups"
+                    "clock baseline has {got} components, but the decomposition has {expected} edge groups"
                 )
             }
             RuntimeError::ZeroWatchdogTimeout => {

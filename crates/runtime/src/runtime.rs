@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use synctime_core::clock::{ClockBackend, DenseVec, FixedArray16, TreeClock};
+use synctime_core::clock::{Clock, ClockBackend, DenseVec, TreeClock};
 use synctime_core::online::GenericProcessClock;
 use synctime_core::wire::{
     ack_frame_bytes, offer_frame_bytes, resync_frame_bytes, StreamDecoder, StreamEncoder,
@@ -280,58 +280,30 @@ pub enum LogEntry {
 }
 
 /// The runtime's process clock, dispatching the Figure 5 steps to the
-/// selected [`ClockBackend`]. Every backend produces identical stamps —
+/// selected [`ClockBackend`]. Both backends produce identical stamps —
 /// the protocol is deterministic component arithmetic — so backend choice
 /// changes merge cost, never a single logged byte.
 #[derive(Debug, Clone)]
 enum BackendClock {
     Dense(GenericProcessClock<DenseVec>),
     Tree(GenericProcessClock<TreeClock>),
-    Fixed(GenericProcessClock<FixedArray16>),
 }
 
 impl BackendClock {
-    /// Builds the clock the resolved backend calls for, starting from
-    /// `initial` when given (the uniform baseline a reconfigured epoch
-    /// resumes from) and from zero otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClockUnsupported`] when the backend cannot hold
-    /// `dim` components.
-    fn new(
-        backend: ClockBackend,
-        dim: usize,
-        initial: Option<&VectorTime>,
-    ) -> Result<Self, RuntimeError> {
-        let unsupported = |_: CoreError| RuntimeError::ClockUnsupported {
-            dim,
-            capacity: ClockBackend::FIXED_CAPACITY,
-        };
-        use synctime_core::clock::Clock;
-        Ok(match backend.resolve(dim).map_err(unsupported)? {
-            ClockBackend::Tree => BackendClock::Tree(match initial {
-                Some(v) => {
-                    GenericProcessClock::from(TreeClock::from_vector(v).map_err(unsupported)?)
-                }
-                None => GenericProcessClock::try_new(dim).map_err(unsupported)?,
-            }),
-            ClockBackend::Fixed => BackendClock::Fixed(match initial {
-                Some(v) => {
-                    GenericProcessClock::from(FixedArray16::from_vector(v).map_err(unsupported)?)
-                }
-                None => GenericProcessClock::try_new(dim).map_err(unsupported)?,
-            }),
-            _ => BackendClock::Dense(match initial {
-                Some(v) => GenericProcessClock::from(v.clone()),
-                None => Self::dense_clock(dim),
-            }),
-        })
-    }
-
-    /// The universal dense clock — infallible at every dimension.
-    fn dense_clock(dim: usize) -> GenericProcessClock<DenseVec> {
-        GenericProcessClock::from(VectorTime::zero(dim))
+    /// Builds the clock `backend` calls for, starting from `initial` when
+    /// given (the uniform baseline a reconfigured epoch resumes from) and
+    /// from zero otherwise.
+    fn new(backend: ClockBackend, dim: usize, initial: Option<&VectorTime>) -> Self {
+        fn start<C: Clock>(dim: usize, initial: Option<&VectorTime>) -> GenericProcessClock<C> {
+            match initial {
+                Some(v) => C::from_vector(v).into(),
+                None => GenericProcessClock::new(dim),
+            }
+        }
+        match backend {
+            ClockBackend::Dense => BackendClock::Dense(start(dim, initial)),
+            ClockBackend::Tree => BackendClock::Tree(start(dim, initial)),
+        }
     }
 
     /// The current local clock in dense interchange form.
@@ -339,7 +311,6 @@ impl BackendClock {
         match self {
             BackendClock::Dense(c) => c.current_vector(),
             BackendClock::Tree(c) => c.current_vector(),
-            BackendClock::Fixed(c) => c.current_vector(),
         }
     }
 
@@ -350,8 +321,8 @@ impl BackendClock {
 
     /// Receiver side of the rendezvous (lines 04–07). The tree backend
     /// merges through the Singhal–Kshemkalyani change-set when the stream
-    /// decoder recovered one — its sublinear path; dense and fixed merge
-    /// the reconstructed full vector, their fastest path.
+    /// decoder recovered one — its sublinear path; dense merges the
+    /// reconstructed full vector, its fastest path.
     fn on_receive(
         &mut self,
         vector: &VectorTime,
@@ -361,7 +332,6 @@ impl BackendClock {
         match self {
             BackendClock::Dense(c) => c.on_receive_interchange(vector, None, group),
             BackendClock::Tree(c) => c.on_receive_interchange(vector, changes, group),
-            BackendClock::Fixed(c) => c.on_receive_interchange(vector, None, group),
         }
     }
 
@@ -375,7 +345,6 @@ impl BackendClock {
         match self {
             BackendClock::Dense(c) => c.on_acknowledgement_interchange(ack, None, group),
             BackendClock::Tree(c) => c.on_acknowledgement_interchange(ack, changes, group),
-            BackendClock::Fixed(c) => c.on_acknowledgement_interchange(ack, None, group),
         }
     }
 }
@@ -1119,13 +1088,13 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::ClockUnsupported`] when `baseline`'s dimension
+    /// [`RuntimeError::DimensionMismatch`] when `baseline`'s dimension
     /// differs from the decomposition's.
     pub fn with_initial_clock(mut self, baseline: VectorTime) -> Result<Self, RuntimeError> {
         if baseline.dim() != self.decomposition.len() {
-            return Err(RuntimeError::ClockUnsupported {
-                dim: baseline.dim(),
-                capacity: self.decomposition.len(),
+            return Err(RuntimeError::DimensionMismatch {
+                expected: self.decomposition.len(),
+                got: baseline.dim(),
             });
         }
         self.initial_clock = Some(baseline);
@@ -1141,9 +1110,9 @@ impl Runtime {
     /// # Errors
     ///
     /// [`RuntimeError::EpochMismatch`] when `r.epoch` is not
-    /// `self.epoch() + 1`; [`RuntimeError::ClockUnsupported`] when the
-    /// remap, baseline, and decomposition disagree on the new dimension or
-    /// the configured clock backend cannot hold it.
+    /// `self.epoch() + 1`; [`RuntimeError::DimensionMismatch`] when the
+    /// remap or the baseline disagrees with the decomposition on the new
+    /// dimension.
     pub fn apply_reconfigure(&mut self, r: &AppliedReconfigure) -> Result<(), RuntimeError> {
         if r.epoch != self.epoch + 1 {
             return Err(RuntimeError::EpochMismatch {
@@ -1151,21 +1120,12 @@ impl Runtime {
                 got: r.epoch,
             });
         }
-        let dim = r.decomposition.len();
-        if r.remap.new_len != dim || r.baseline.dim() != dim {
-            return Err(RuntimeError::ClockUnsupported {
-                dim: r.baseline.dim().max(r.remap.new_len),
-                capacity: dim,
-            });
+        let expected = r.decomposition.len();
+        for got in [r.remap.new_len, r.baseline.dim()] {
+            if got != expected {
+                return Err(RuntimeError::DimensionMismatch { expected, got });
+            }
         }
-        // Re-validate the configured backend against the new dimension —
-        // a topology change can grow past a fixed backend's lanes.
-        self.clock_backend
-            .resolve(dim)
-            .map_err(|_| RuntimeError::ClockUnsupported {
-                dim,
-                capacity: ClockBackend::FIXED_CAPACITY,
-            })?;
         self.topology = r.topology.clone();
         self.decomposition = r.decomposition.clone();
         self.initial_clock = Some(r.baseline.clone());
@@ -1174,26 +1134,13 @@ impl Runtime {
     }
 
     /// Selects the clock backend every process clock of this runtime uses
-    /// (see [`ClockBackend`]). The default, [`ClockBackend::Auto`], picks
-    /// the fixed-lane backend when the decomposition fits its lanes and
-    /// the dense vector otherwise. Backend choice never changes a stamp —
-    /// all backends compute identical vectors — only the cost of computing
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClockUnsupported`] when the backend cannot hold one
-    /// component per edge group of this runtime's decomposition.
-    pub fn with_clock(mut self, backend: ClockBackend) -> Result<Self, RuntimeError> {
-        let dim = self.decomposition.len();
-        backend
-            .resolve(dim)
-            .map_err(|_| RuntimeError::ClockUnsupported {
-                dim,
-                capacity: ClockBackend::FIXED_CAPACITY,
-            })?;
+    /// (see [`ClockBackend`]; the default is the dense vector). Backend
+    /// choice never changes a stamp — both backends compute identical
+    /// vectors — only the cost of computing them: the tree merges the
+    /// delta streams' change-sets in time sublinear in the dimension.
+    pub fn with_clock(mut self, backend: ClockBackend) -> Self {
         self.clock_backend = backend;
-        Ok(self)
+        self
     }
 
     /// Aborts a run with [`RuntimeError::Deadlock`] once a wait-for cycle
@@ -1464,13 +1411,7 @@ impl Runtime {
         recorder: Arc<Recorder>,
     ) -> ProcessCtx {
         let dim = self.decomposition.len();
-        // `with_clock` validated the backend against this decomposition, so
-        // construction cannot fail; the dense fallback keeps this path
-        // typed and panic-free regardless.
-        let clock = match BackendClock::new(self.clock_backend, dim, self.initial_clock.as_ref()) {
-            Ok(clock) => clock,
-            Err(_) => BackendClock::Dense(BackendClock::dense_clock(dim)),
-        };
+        let clock = BackendClock::new(self.clock_backend, dim, self.initial_clock.as_ref());
         ProcessCtx {
             id,
             clock,
@@ -1829,13 +1770,8 @@ mod tests {
         let dec = decompose::best_known(&topo);
         assert!(dec.len() >= 2, "relay should exercise multi-dim vectors");
         let mut reference = None;
-        for backend in [
-            ClockBackend::Dense,
-            ClockBackend::Tree,
-            ClockBackend::Fixed,
-            ClockBackend::Auto,
-        ] {
-            let rt = Runtime::new(&topo, &dec).with_clock(backend).unwrap();
+        for backend in [ClockBackend::Dense, ClockBackend::Tree] {
+            let rt = Runtime::new(&topo, &dec).with_clock(backend);
             let run = rt.run(relay_behaviors(4)).unwrap();
             let (comp, stamps) = run.reconstruct().unwrap();
             assert!(stamps.encodes(&Oracle::new(&comp)), "{backend}");
@@ -1847,26 +1783,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn with_clock_rejects_undersized_fixed_backend() {
-        // complete:20 decomposes to more edge groups than the fixed
-        // backend's 16 lanes.
-        let topo = topology::complete(20);
-        let dec = decompose::best_known(&topo);
-        assert!(dec.len() > ClockBackend::FIXED_CAPACITY);
-        let err = Runtime::new(&topo, &dec)
-            .with_clock(ClockBackend::Fixed)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::ClockUnsupported { capacity: 16, .. }
-        ));
-        // Auto falls back to dense on the same decomposition.
-        assert!(Runtime::new(&topo, &dec)
-            .with_clock(ClockBackend::Auto)
-            .is_ok());
     }
 
     #[test]
@@ -2380,6 +2296,33 @@ mod tests {
         );
         assert_eq!(rt.epoch(), 0);
 
+        // So are a baseline and a remap whose width is not the new
+        // decomposition's, each reported with the width that disagrees.
+        let mut wrong_width = AppliedReconfigure {
+            epoch: 1,
+            baseline: VectorTime::zero(new_dim + 2),
+            ..skipped.clone()
+        };
+        let err = rt.apply_reconfigure(&wrong_width).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::DimensionMismatch {
+                expected: new_dim,
+                got: new_dim + 2
+            }
+        );
+        assert!(err.to_string().contains("baseline"), "{err}");
+        wrong_width.baseline = baseline.clone();
+        wrong_width.remap.new_len = new_dim + 1;
+        assert_eq!(
+            rt.apply_reconfigure(&wrong_width),
+            Err(RuntimeError::DimensionMismatch {
+                expected: new_dim,
+                got: new_dim + 1
+            })
+        );
+        assert_eq!(rt.epoch(), 0);
+
         rt.apply_reconfigure(&AppliedReconfigure {
             epoch: 1,
             ..skipped
@@ -2435,7 +2378,24 @@ mod tests {
         let topo = topology::path(3);
         let dec = decompose::best_known(&topo);
         let rt = Runtime::new(&topo, &dec);
-        let err = rt.with_initial_clock(VectorTime::zero(dec.len() + 1));
-        assert!(matches!(err, Err(RuntimeError::ClockUnsupported { .. })));
+        let err = rt
+            .with_initial_clock(VectorTime::zero(dec.len() + 1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::DimensionMismatch {
+                expected: dec.len(),
+                got: dec.len() + 1
+            }
+        );
+        // The message names the baseline and both widths, not a backend.
+        let msg = err.to_string();
+        assert!(msg.contains("baseline"), "{msg}");
+        assert!(
+            msg.contains(&format!("{} components", dec.len() + 1)),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("{} edge groups", dec.len())), "{msg}");
+        assert!(!msg.contains("backend"), "{msg}");
     }
 }

@@ -500,13 +500,12 @@ impl ChurnRun {
 ///
 /// [`ChurnError::InvalidPlan`] for a malformed plan,
 /// [`ChurnError::Graph`] when an edge edit is rejected, and
-/// [`ChurnError::Runtime`] when the backend cannot hold an epoch's
-/// dimension or a reconfiguration is refused.
+/// [`ChurnError::Runtime`] when a reconfiguration is refused.
 pub fn run_churn(plan: &ChurnPlan, cfg: &ChurnConfig) -> Result<ChurnRun, ChurnError> {
     let actives = plan.active_sets()?;
     let topo0 = epoch_topology(plan.universe, &actives[0])?;
     let mut inc = IncrementalDecomposition::new(&topo0);
-    let mut runtime = Runtime::new(&topo0, inc.decomposition()).with_clock(cfg.backend)?;
+    let mut runtime = Runtime::new(&topo0, inc.decomposition()).with_clock(cfg.backend);
     if !cfg.fault.is_empty() {
         runtime = runtime.with_fault_injector(Arc::new(cfg.fault.clone()));
     }

@@ -18,8 +18,8 @@
 //! | 4   | RECONFIG | varint epoch, varint cut_count, cuts, varint op_count, ops   |
 //!
 //! The stamp is **last** and runs to the end of the payload: it is exactly
-//! the bytes the clock seam (`Clock::encode_wire`, i.e.
-//! [`wire::encode_full`]) produces, so every `--clock` backend round-trips
+//! the bytes [`wire::encode_full`] produces from the stamp's dense
+//! interchange vector, so every `--clock` backend round-trips
 //! byte-identically. Scanning decodes it once, straight into the
 //! [`LogEntry`] replay consumes, and [`wire::decode_full`]'s
 //! exact-consumption check is what validates it. Record sizes are priced

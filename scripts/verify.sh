@@ -30,9 +30,10 @@
 #      zero steady-state serving allocations)
 #  11. bench-smoke: the clock_backends suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_clocks/v1 schema (full reports must clear the >= 2x
-#      TreeClock-over-DenseVec sparse-delta merge floor at N=256 and agree
-#      bit-for-bit on final clocks across backends)
+#      synctime/bench_clocks/v2 schema (full reports must clear the >= 2x
+#      TreeClock-over-DenseVec sparse-delta merge floor at N=256, record
+#      the k=d gossip ratio, and agree bit-for-bit on final clocks across
+#      the two backends)
 #  12. fault-smoke: ring and gossip workloads under fixed crash and desync
 #      plans must exit 0 with typed outcomes, inject every scheduled fault,
 #      and recover desyncs through full-vector resync frames; 20 live
@@ -52,10 +53,11 @@
 #      byte-identical output to the same `--batch` sent as one lock-step
 #      QUERY3 frame; the dedicated counting-allocator test must prove the
 #      steady-state serving path performs zero heap allocations
-#  15. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
-#      produce byte-identical output under every `--clock` backend
-#      (dense / tree / fixed / auto), and an unknown backend name must be
-#      refused with a diagnostic
+#  15. clock-smoke: `run --ring 8` must produce byte-identical output under
+#      `--clock dense` and `--clock tree`; `run --clock fixed`, `--clock
+#      auto` and an unknown name must be refused as unknown backends, and
+#      `stamp --clock tree` must be refused with a diagnostic naming the
+#      commands that take `--clock` (run, launch, serve-node)
 #  16. bench-smoke: the store_replay suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_store/v1 schema (full reports must recover byte-
@@ -286,38 +288,34 @@ wait "$CATALOG_PID" 2>/dev/null || true
 echo "==> pipeline-smoke: counting-allocator proof of the zero-alloc hot path"
 run cargo test -q -p synctime-net --test zero_alloc
 
-# --- clock-smoke: every clock backend must be a drop-in representation —
-# --- same traces, same stamps, byte for byte.
+# --- clock-smoke: the tree clock must be a drop-in representation of the
+# --- dense one — same traces, byte for byte.
 CLOCK_DIR="$(mktemp -d)"
 trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR"' EXIT
 
-echo "==> clock-smoke: run ring:8 byte-identical under every backend"
+echo "==> clock-smoke: run ring:8 byte-identical under dense and tree"
 "$SYNCTIME" run --ring 8 --rounds 3 --clock dense > "$CLOCK_DIR/run-dense.json"
-for clock in tree fixed auto; do
-  "$SYNCTIME" run --ring 8 --rounds 3 --clock "$clock" > "$CLOCK_DIR/run-$clock.json"
-  diff "$CLOCK_DIR/run-dense.json" "$CLOCK_DIR/run-$clock.json" || {
-    echo "verify: run --clock $clock diverged from dense" >&2; exit 1; }
+"$SYNCTIME" run --ring 8 --rounds 3 --clock tree > "$CLOCK_DIR/run-tree.json"
+diff "$CLOCK_DIR/run-dense.json" "$CLOCK_DIR/run-tree.json" || {
+  echo "verify: run --clock tree diverged from dense" >&2; exit 1; }
+
+echo "==> clock-smoke: deleted and unknown backends are refused with a diagnostic"
+for clock in fixed auto warp; do
+  if "$SYNCTIME" run --ring 4 --clock "$clock" > /dev/null 2> "$CLOCK_DIR/$clock.err"; then
+    echo "verify: run --clock $clock should have been refused" >&2; exit 1
+  fi
+  grep -q 'unknown clock backend' "$CLOCK_DIR/$clock.err" || {
+    echo "verify: --clock $clock error lacks the backend diagnostic" >&2; exit 1; }
 done
 
-echo "==> clock-smoke: stamp a generated trace byte-identical under every backend"
+echo "==> clock-smoke: stamp refuses --clock, naming the commands that take it"
 "$SYNCTIME" generate --topology cycle:8 --messages 48 --seed 9 > "$CLOCK_DIR/trace.json"
-# The first output line labels the engine+backend; the stamped vectors
-# below it are the comparison.
-"$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" --clock dense \
-  | tail -n +2 > "$CLOCK_DIR/stamp-dense.out"
-for clock in tree fixed auto; do
-  "$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" --clock "$clock" \
-    | tail -n +2 > "$CLOCK_DIR/stamp-$clock.out"
-  diff "$CLOCK_DIR/stamp-dense.out" "$CLOCK_DIR/stamp-$clock.out" || {
-    echo "verify: stamp --clock $clock diverged from dense" >&2; exit 1; }
-done
-
-echo "==> clock-smoke: unknown backend is refused with a diagnostic"
-if "$SYNCTIME" run --ring 4 --clock warp > /dev/null 2> "$CLOCK_DIR/warp.err"; then
-  echo "verify: run --clock warp should have been refused" >&2; exit 1
+if "$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" --clock tree \
+    > /dev/null 2> "$CLOCK_DIR/stamp.err"; then
+  echo "verify: stamp --clock tree should have been refused" >&2; exit 1
 fi
-grep -q 'unknown clock backend' "$CLOCK_DIR/warp.err" || {
-  echo "verify: --clock warp error lacks the backend diagnostic" >&2; exit 1; }
+grep -q '`run`, `launch` and `serve-node`' "$CLOCK_DIR/stamp.err" || {
+  echo "verify: stamp --clock error does not name run, launch and serve-node" >&2; exit 1; }
 
 # --- store-smoke: durable ingestion must survive a SIGKILL of the serving
 # --- node and recover query answers byte-identical to an uninterrupted run.

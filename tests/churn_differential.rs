@@ -1,5 +1,6 @@
-//! Differential battery under churn: every clock backend must tell the
-//! same story about a reconfigured computation, with and without faults.
+//! Differential battery under churn: the dense and tree clocks must tell
+//! the same story about a reconfigured computation, with and without
+//! faults.
 //!
 //! Two properties over seeded random [`ChurnPlan`]s:
 //!
@@ -15,9 +16,8 @@
 //!   recover it, materialise the latest epoch, and the recovered stamps
 //!   must encode the recovered computation's order.
 //!
-//! A backend refusing a dimension (`ClockUnsupported`, e.g. a fixed
-//! 16-lane array under a wide epoch) is a legitimate typed outcome and
-//! skips that backend, never a failure.
+//! Both backends hold every dimension, so a backend that cannot run a
+//! plan fails the property; nothing is skipped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,49 +25,27 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synctime_core::clock::ClockBackend;
-use synctime_runtime::{reconstruct_from_logs, RuntimeError};
-use synctime_sim::{run_churn, ChurnConfig, ChurnError, ChurnPlan, ChurnRun, FaultPlan};
+use synctime_runtime::reconstruct_from_logs;
+use synctime_sim::{run_churn, ChurnConfig, ChurnPlan, ChurnRun, FaultPlan};
 use synctime_trace::Oracle;
 
-const BACKENDS: [ClockBackend; 4] = [
-    ClockBackend::Auto,
-    ClockBackend::Dense,
-    ClockBackend::Tree,
-    ClockBackend::Fixed,
-];
+const BACKENDS: [ClockBackend; 2] = [ClockBackend::Dense, ClockBackend::Tree];
 
 /// Suffix that keeps every case's store directory distinct, even when two
 /// cases draw the same inputs in one process.
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
-fn backend_name(b: ClockBackend) -> &'static str {
-    match b {
-        ClockBackend::Auto => "auto",
-        ClockBackend::Dense => "dense",
-        ClockBackend::Tree => "tree",
-        ClockBackend::Fixed => "fixed",
-    }
-}
-
-/// Runs the plan under one backend; `Ok(None)` when the backend cannot
-/// hold the run's dimension.
+/// Runs the plan under one backend.
 fn run_backend(
     plan: &ChurnPlan,
     backend: ClockBackend,
     fault: &FaultPlan,
-) -> Result<Option<ChurnRun>, TestCaseError> {
+) -> Result<ChurnRun, TestCaseError> {
     let cfg = ChurnConfig {
         backend,
         fault: fault.clone(),
     };
-    match run_churn(plan, &cfg) {
-        Ok(run) => Ok(Some(run)),
-        Err(ChurnError::Runtime(RuntimeError::ClockUnsupported { .. })) => Ok(None),
-        Err(e) => Err(TestCaseError::Fail(format!(
-            "backend {} failed: {e}",
-            backend_name(backend)
-        ))),
-    }
+    run_churn(plan, &cfg).map_err(|e| TestCaseError::Fail(format!("backend {backend} failed: {e}")))
 }
 
 proptest! {
@@ -85,31 +63,28 @@ proptest! {
         let no_faults = FaultPlan::default();
         let mut reference: Option<ChurnRun> = None;
         for backend in BACKENDS {
-            let Some(run) = run_backend(&plan, backend, &no_faults)? else {
-                continue;
-            };
+            let run = run_backend(&plan, backend, &no_faults)?;
             let (comp, stamps) = reconstruct_from_logs(&run.final_epoch_logs())
                 .map_err(|e| TestCaseError::Fail(format!("final epoch: {e}")))?;
             prop_assert!(
                 stamps.encodes(&Oracle::new(&comp)),
                 "backend {} stamps do not encode the final epoch's order",
-                backend_name(backend)
+                backend
             );
             match &reference {
                 None => reference = Some(run),
                 Some(r) => {
                     prop_assert_eq!(
                         &r.logs, &run.logs,
-                        "backend {} produced different logs", backend_name(backend)
+                        "backend {} produced different logs", backend
                     );
                     prop_assert_eq!(
                         &r.boundaries, &run.boundaries,
-                        "backend {} produced different boundaries", backend_name(backend)
+                        "backend {} produced different boundaries", backend
                     );
                 }
             }
         }
-        prop_assert!(reference.is_some(), "no backend could run the plan");
     }
 
     /// Crashes composed with churn: per backend, the persisted run must
@@ -131,9 +106,7 @@ proptest! {
             NEXT_DIR.fetch_add(1, Ordering::Relaxed)
         ));
         for backend in BACKENDS {
-            let Some(run) = run_backend(&plan, backend, &fault)? else {
-                continue;
-            };
+            let run = run_backend(&plan, backend, &fault)?;
             let records: Vec<synctime_store::ReconfigRecord> = run
                 .boundaries
                 .iter()
@@ -144,10 +117,10 @@ proptest! {
                 })
                 .collect();
             let _ = std::fs::remove_dir_all(&root);
-            let trace = backend_name(backend);
-            synctime_store::persist_logs_with_reconfigs(&root, trace, &run.logs, &records)
+            let trace = backend.to_string();
+            synctime_store::persist_logs_with_reconfigs(&root, &trace, &run.logs, &records)
                 .map_err(|e| TestCaseError::Fail(format!("persist ({trace}): {e}")))?;
-            let rec = synctime_store::read_trace_dir(&root.join(trace))
+            let rec = synctime_store::read_trace_dir(&root.join(&trace))
                 .map_err(|e| TestCaseError::Fail(format!("recover ({trace}): {e}")))?;
             prop_assert_eq!(&rec.logs, &run.logs, "recovery must round-trip ({})", trace);
             let (epoch, comp, stamps) = synctime_store::materialize_latest_epoch(&rec)

@@ -415,12 +415,10 @@ proptest! {
         }
     }
 
-    /// Backend isomorphism on random traces: the `TreeClock` and
-    /// `FixedArray` backends reproduce the dense stamps *byte for byte* on
-    /// both the online protocol and both offline engines, so they are
-    /// trivially order-isomorphic — and the tree stamps independently
-    /// encode `↦` against the oracle. A fixed-lane backend too narrow for
-    /// the dimension must fail typed, never truncate.
+    /// Backend isomorphism on random traces: the `TreeClock` backend
+    /// reproduces the dense stamps of the online protocol *byte for byte*,
+    /// so the two are trivially order-isomorphic — and the tree stamps
+    /// independently encode `↦` against the oracle.
     #[test]
     fn clock_backends_stamp_identically_on_random_traces(
         n in 4usize..9,
@@ -428,9 +426,8 @@ proptest! {
         msgs in 1usize..45,
         seed in 0u64..5000,
     ) {
-        use synctime_core::clock::{ClockBackend, FixedArray, FixedArray16, TreeClock};
+        use synctime_core::clock::TreeClock;
         use synctime_core::online::stamp_computation_as;
-        use synctime_core::CoreError;
 
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = graph::topology::random_connected(n, extra, &mut rng);
@@ -451,50 +448,12 @@ proptest! {
         }
         let mismatch = first_encoding_mismatch(&tree, &oracle);
         prop_assert!(mismatch.is_none(), "tree: {}", mismatch.unwrap());
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap();
-            for m in 0..dense.len() {
-                prop_assert_eq!(
-                    dense.vector(MessageId(m)),
-                    fixed.vector(MessageId(m)),
-                    "online fixed backend diverged on m{}",
-                    m
-                );
-            }
-        }
-        // Too-narrow lanes are a typed error, not a truncation.
-        if dec.len() > 1 {
-            let narrow_fails_typed = matches!(
-                stamp_computation_as::<FixedArray<1>>(&dec, &comp),
-                Err(CoreError::DimensionUnsupported { .. })
-            );
-            prop_assert!(narrow_fails_typed);
-        }
-
-        // Both offline engines, re-emitted through each backend's
-        // delta-merge arithmetic, stay bit-identical too.
-        let off = offline::stamp_computation(&comp);
-        let off_tree = offline::stamp_computation_as::<TreeClock>(&comp).unwrap();
-        for m in 0..off.len() {
-            prop_assert_eq!(off.vector(MessageId(m)), off_tree.vector(MessageId(m)));
-        }
-        let sparse = offline::stamp_computation_sparse(&comp);
-        let sparse_tree = offline::stamp_computation_sparse_as::<TreeClock>(&comp).unwrap();
-        for m in 0..sparse.len() {
-            prop_assert_eq!(sparse.vector(MessageId(m)), sparse_tree.vector(MessageId(m)));
-        }
-        if sparse.dim() <= ClockBackend::FIXED_CAPACITY {
-            let sparse_fixed = offline::stamp_computation_sparse_as::<FixedArray16>(&comp).unwrap();
-            for m in 0..sparse.len() {
-                prop_assert_eq!(sparse.vector(MessageId(m)), sparse_fixed.vector(MessageId(m)));
-            }
-        }
     }
 
     /// Backend isomorphism under faults: whatever rendezvous prefix
-    /// survives a seeded crash plan, every clock backend stamps that prefix
-    /// identically and order-isomorphically to the vectors the tolerant
-    /// run itself reconstructed.
+    /// survives a seeded crash plan, the dense and tree clocks stamp that
+    /// prefix identically and order-isomorphically to the vectors the
+    /// tolerant run itself reconstructed.
     #[test]
     fn clock_backends_agree_on_crash_survivor_prefixes(
         n in 3usize..7,
@@ -507,7 +466,7 @@ proptest! {
         use std::time::Duration;
         use synctime::runtime::{Behavior, Runtime};
         use synctime::sim::{programs, FaultPlan};
-        use synctime_core::clock::{ClockBackend, FixedArray16, TreeClock};
+        use synctime_core::clock::TreeClock;
         use synctime_core::online::stamp_computation_as;
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -557,12 +516,6 @@ proptest! {
                 m
             );
         }
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &prefix).unwrap();
-            for m in 0..dense.len() {
-                prop_assert_eq!(dense.vector(MessageId(m)), fixed.vector(MessageId(m)));
-            }
-        }
         // And the backend stamps tell the same order story as the vectors
         // the run itself reconstructed from its two-sided logs.
         let mismatch = first_isomorphism_mismatch(&tree, &run_stamps);
@@ -572,10 +525,10 @@ proptest! {
         prop_assert!(mismatch.is_none(), "survivor prefix: {}", mismatch.unwrap());
     }
 
-    /// Backend isomorphism across live reconfiguration: three sessions —
-    /// dense, tree, fixed — driven in lockstep through the same messages
-    /// and the same mid-run remap produce byte-identical stamps at every
-    /// step, before and after the groups dissolve and shift.
+    /// Backend isomorphism across live reconfiguration: a dense and a tree
+    /// session driven in lockstep through the same messages and the same
+    /// mid-run remap produce byte-identical stamps at every step, before
+    /// and after the groups dissolve and shift.
     #[test]
     fn clock_backends_agree_across_reconfiguration(
         n in 4usize..8,
@@ -584,7 +537,7 @@ proptest! {
         suffix in 1usize..20,
         seed in 0u64..5000,
     ) {
-        use synctime_core::clock::{FixedArray16, TreeClock};
+        use synctime_core::clock::TreeClock;
         use synctime_core::online::GenericOnlineSession;
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -592,14 +545,9 @@ proptest! {
         let mut cache = IncrementalDecomposition::new(&base);
         let mut dense = OnlineSession::new(cache.decomposition(), n);
         let mut tree = GenericOnlineSession::<TreeClock>::new(cache.decomposition(), n);
-        // The fixed backend rides along while the dimension fits its lanes
-        // (it always does at these sizes before the remap; the remap may
-        // push it out, in which case it bows out typed).
-        let mut fixed = GenericOnlineSession::<FixedArray16>::try_new(cache.decomposition(), n).ok();
 
         let stamp_all = |dense: &mut OnlineSession,
                              tree: &mut GenericOnlineSession<TreeClock>,
-                             fixed: &mut Option<GenericOnlineSession<FixedArray16>>,
                              g: &Graph,
                              rng: &mut StdRng|
          -> Result<(), TestCaseError> {
@@ -613,16 +561,12 @@ proptest! {
             let t = dense.stamp(s, r).expect("channel is in the decomposition");
             let t_tree = tree.stamp(s, r).expect("sessions share the decomposition");
             prop_assert_eq!(&t, &t_tree, "tree session diverged at stamp {}", dense.stamped());
-            if let Some(f) = fixed {
-                let t_fixed = f.stamp(s, r).expect("sessions share the decomposition");
-                prop_assert_eq!(&t, &t_fixed, "fixed session diverged at stamp {}", dense.stamped());
-            }
             Ok(())
         };
 
         for _ in 0..prefix {
             let g = cache.graph().clone();
-            stamp_all(&mut dense, &mut tree, &mut fixed, &g, &mut rng)?;
+            stamp_all(&mut dense, &mut tree, &g, &mut rng)?;
         }
 
         let existing: Vec<Edge> = cache.graph().edges().collect();
@@ -631,17 +575,10 @@ proptest! {
         let remap = cache.remove_edge(e.lo(), e.hi()).unwrap();
         dense.reconfigure(cache.decomposition(), &remap).unwrap();
         tree.reconfigure(cache.decomposition(), &remap).unwrap();
-        if let Some(f) = &mut fixed {
-            // A remap that grows past the fixed lanes fails typed; the
-            // session is then out of the comparison, not silently wrong.
-            if f.reconfigure(cache.decomposition(), &remap).is_err() {
-                fixed = None;
-            }
-        }
 
         for _ in 0..suffix {
             let g = cache.graph().clone();
-            stamp_all(&mut dense, &mut tree, &mut fixed, &g, &mut rng)?;
+            stamp_all(&mut dense, &mut tree, &g, &mut rng)?;
         }
     }
 }
