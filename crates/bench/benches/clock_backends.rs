@@ -149,7 +149,7 @@ fn build_chunk(
 /// Which merge entry point the timed loop exercises.
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    /// `merge_from_vector` — the full-vector interchange merge every
+    /// `merge_from_slice` — the full-vector interchange merge every
     /// backend supports (what dense receives off the wire).
     Full,
     /// `merge_delta` — the Singhal–Kshemkalyani change-set merge (what the
@@ -175,7 +175,7 @@ fn bench_merges<C: Clock>(n: usize, steps: usize, width: usize, path: Path) -> (
             Path::Full => {
                 for full in &chunk.fulls {
                     clock
-                        .merge_from_vector(full)
+                        .merge_from_slice(full.as_slice())
                         .expect("bench updates share the clock dimension");
                 }
             }

@@ -127,12 +127,12 @@ fn main() {
         assert!(r.stats.messages > 0);
         assert!(r.stats.ack_latency_p50_ns > 0);
         // Every message would carry key + payload + d vector, acked with a
-        // d vector, at full width — that baseline is counted at both
-        // endpoints; the actual bytes ride per-channel delta streams and
-        // never exceed it.
+        // d vector, at full width in whole OFFER and ACK frames — that
+        // baseline is counted at both endpoints; the actual bytes ride
+        // per-channel delta streams and never exceed it.
         assert_eq!(
             r.stats.total_wire_bytes_full,
-            r.stats.messages * 2 * (16 + 16 * r.dim as u64)
+            r.stats.messages * 2 * synctime_core::wire::rendezvous_bytes_full(r.dim)
         );
         assert!(r.stats.total_wire_bytes > 0);
         assert!(r.stats.total_wire_bytes <= r.stats.total_wire_bytes_full);

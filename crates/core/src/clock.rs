@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{CoreError, VectorOrder, VectorTime};
+use crate::{kernel, CoreError, VectorOrder, VectorTime};
 
 /// The operations a vector-clock representation must provide to run the
 /// paper's protocols (merge / increment / compare / dims / serialize).
@@ -81,13 +81,15 @@ pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
     /// full merge).
     fn merge_delta(&mut self, changes: &[(usize, u64)]) -> Result<(), CoreError>;
 
-    /// Merges a dense [`VectorTime`] into this clock — the interchange
-    /// path used when the other side of the wire sent a full vector.
+    /// Merges a dense vector, borrowed as its components, into this clock
+    /// — the interchange path used when the other side of the wire sent a
+    /// full vector.
     ///
     /// # Errors
     ///
-    /// [`CoreError::DimensionMismatch`] when the dimensions differ.
-    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError>;
+    /// [`CoreError::DimensionMismatch`] when the dimensions differ; the
+    /// clock is left unchanged.
+    fn merge_from_slice(&mut self, v: &[u64]) -> Result<(), CoreError>;
 
     /// Full vector-order comparison (Equation 2).
     ///
@@ -101,6 +103,11 @@ pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
     /// [`VectorTime`]s, which is what keeps cross-backend outputs directly
     /// comparable (and [`crate::MessageTimestamps`] backend-agnostic).
     fn to_vector(&self) -> VectorTime;
+
+    /// The components, borrowed in dense order — what the runtime encodes
+    /// onto the wire without copying the clock first. Both backends keep
+    /// their components contiguous.
+    fn as_slice(&self) -> &[u64];
 
     /// Builds a clock from its dense interchange form.
     fn from_vector(v: &VectorTime) -> Self;
@@ -150,8 +157,16 @@ impl Clock for VectorTime {
         Ok(())
     }
 
-    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError> {
-        VectorTime::merge_max(self, v)
+    fn merge_from_slice(&mut self, v: &[u64]) -> Result<(), CoreError> {
+        let dim = VectorTime::dim(self);
+        if v.len() != dim {
+            return Err(CoreError::DimensionMismatch {
+                expected: dim,
+                got: v.len(),
+            });
+        }
+        kernel::merge_max_lanes(self.as_mut_slice(), v);
+        Ok(())
     }
 
     fn compare(&self, other: &Self) -> VectorOrder {
@@ -160,6 +175,10 @@ impl Clock for VectorTime {
 
     fn to_vector(&self) -> VectorTime {
         self.clone()
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        VectorTime::as_slice(self)
     }
 
     fn from_vector(v: &VectorTime) -> Self {
@@ -397,14 +416,14 @@ impl Clock for TreeClock {
         Ok(())
     }
 
-    fn merge_from_vector(&mut self, v: &VectorTime) -> Result<(), CoreError> {
-        if self.dim != v.dim() {
+    fn merge_from_slice(&mut self, v: &[u64]) -> Result<(), CoreError> {
+        if self.dim != v.len() {
             return Err(CoreError::DimensionMismatch {
                 expected: self.dim,
-                got: v.dim(),
+                got: v.len(),
             });
         }
-        for (idx, &value) in v.as_slice().iter().enumerate() {
+        for (idx, &value) in v.iter().enumerate() {
             self.raise(idx, value);
         }
         Ok(())
@@ -427,7 +446,11 @@ impl Clock for TreeClock {
     }
 
     fn to_vector(&self) -> VectorTime {
-        VectorTime::from(self.maxs[self.base..self.base + self.dim].to_vec())
+        VectorTime::from(Clock::as_slice(self).to_vec())
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.maxs[self.base..self.base + self.dim]
     }
 
     fn from_vector(v: &VectorTime) -> Self {
@@ -511,7 +534,7 @@ mod tests {
                     let other: Vec<u64> = (0..dim).map(|_| rng() % 50).collect();
                     let other = VectorTime::from(other);
                     reference.merge_max(&other).unwrap();
-                    clock.merge_from_vector(&other).unwrap();
+                    clock.merge_from_slice(other.as_slice()).unwrap();
                 }
                 2 => {
                     // Sparse delta change-set.
@@ -589,7 +612,7 @@ mod tests {
                 got: 4
             })
         );
-        assert!(t.merge_from_vector(&VectorTime::zero(4)).is_err());
+        assert!(t.merge_from_slice(&[0; 4]).is_err());
         assert!(t.merge_delta(&[(3, 1)]).is_err());
     }
 

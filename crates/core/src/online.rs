@@ -117,11 +117,15 @@ impl<C: Clock> GenericProcessClock<C> {
     }
 
     /// Wire-facing [`GenericProcessClock::on_receive`]: the payload
-    /// arrives in dense interchange form, optionally accompanied by the
+    /// arrives as borrowed dense components, optionally accompanied by the
     /// Singhal–Kshemkalyani change-set the stream decoder recovered. With
     /// a change-set the merge is delta-driven — sublinear for backends
     /// like [`crate::clock::TreeClock`] — sound because every earlier
     /// frame of a FIFO stream was already merged into this clock.
+    ///
+    /// Writes the acknowledgement payload (the *pre-update* clock, line
+    /// 04) into `ack`, replacing its contents, and returns the message's
+    /// timestamp (lines 05–07). The stamp is the only allocation.
     ///
     /// # Errors
     ///
@@ -129,22 +133,24 @@ impl<C: Clock> GenericProcessClock<C> {
     /// [`GenericProcessClock::on_receive`].
     pub fn on_receive_interchange(
         &mut self,
-        payload: &VectorTime,
+        payload: &[u64],
         changes: Option<&[(usize, u64)]>,
         group: usize,
-    ) -> Result<(VectorTime, VectorTime), CoreError> {
-        let ack = self.vector.to_vector();
+        ack: &mut Vec<u64>,
+    ) -> Result<VectorTime, CoreError> {
+        ack.clear();
+        ack.extend_from_slice(self.vector.as_slice());
         match changes {
             Some(changes) => self.vector.merge_delta(changes)?,
-            None => self.vector.merge_from_vector(payload)?,
+            None => self.vector.merge_from_slice(payload)?,
         }
         self.vector.increment(group);
-        Ok((ack, self.vector.to_vector()))
+        Ok(self.vector.to_vector())
     }
 
-    /// Wire-facing [`GenericProcessClock::on_acknowledgement`]; see
-    /// [`GenericProcessClock::on_receive_interchange`] for the change-set
-    /// contract.
+    /// Wire-facing [`GenericProcessClock::on_acknowledgement`], on borrowed
+    /// components; see [`GenericProcessClock::on_receive_interchange`] for
+    /// the change-set contract.
     ///
     /// # Errors
     ///
@@ -152,13 +158,13 @@ impl<C: Clock> GenericProcessClock<C> {
     /// [`GenericProcessClock::on_acknowledgement`].
     pub fn on_acknowledgement_interchange(
         &mut self,
-        ack: &VectorTime,
+        ack: &[u64],
         changes: Option<&[(usize, u64)]>,
         group: usize,
     ) -> Result<VectorTime, CoreError> {
         match changes {
             Some(changes) => self.vector.merge_delta(changes)?,
-            None => self.vector.merge_from_vector(ack)?,
+            None => self.vector.merge_from_slice(ack)?,
         }
         self.vector.increment(group);
         Ok(self.vector.to_vector())
@@ -512,18 +518,31 @@ mod tests {
             .on_receive(&TreeClock::from_vector(&payload), 1)
             .unwrap();
         // The change-set names exactly the nonzero components.
-        let (ack_w, stamp_w) = wire
-            .on_receive_interchange(&payload, Some(&[(0, 2), (2, 1)]), 1)
+        let mut ack_w = vec![9; 7]; // stale contents are replaced
+        let stamp_w = wire
+            .on_receive_interchange(payload.as_slice(), Some(&[(0, 2), (2, 1)]), 1, &mut ack_w)
             .unwrap();
-        assert_eq!(ack_n.to_vector(), ack_w);
+        assert_eq!(ack_n.as_slice(), &ack_w[..]);
         assert_eq!(stamp_n.to_vector(), stamp_w);
         let t_n = native
             .on_acknowledgement(&TreeClock::from_vector(&payload), 0)
             .unwrap();
         let t_w = wire
-            .on_acknowledgement_interchange(&payload, None, 0)
+            .on_acknowledgement_interchange(payload.as_slice(), None, 0)
             .unwrap();
         assert_eq!(t_n.to_vector(), t_w);
+        // The dense backend takes the full-vector path to the same stamps.
+        let mut dense = ProcessClock::new(4);
+        let stamp_d = dense
+            .on_receive_interchange(payload.as_slice(), None, 1, &mut ack_w)
+            .unwrap();
+        assert_eq!((&ack_w[..], stamp_d), (&[0u64; 4][..], stamp_w));
+        // A payload of the wrong width is refused, the clock unchanged.
+        let before = dense.current_vector();
+        assert!(dense
+            .on_acknowledgement_interchange(&[1, 2], None, 0)
+            .is_err());
+        assert_eq!(dense.current_vector(), before);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! The `table_wire_bytes` experiment combines these with the dimension
 //! reductions: `d`-dimensional deltas are the smallest of all.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use synctime_trace::ProcessId;
@@ -59,11 +60,16 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Encodes a whole vector: dimension, then each component, as varints.
 pub fn encode_full(v: &VectorTime) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + v.dim());
-    push_varint(&mut out, v.dim() as u64);
-    for &c in v.as_slice() {
-        push_varint(&mut out, c);
-    }
+    push_full(&mut out, v.as_slice());
     out
+}
+
+/// Appends [`encode_full`]'s bytes for the components `v` to `out`.
+fn push_full(out: &mut Vec<u8>, v: &[u64]) {
+    push_varint(out, v.len() as u64);
+    for &c in v {
+        push_varint(out, c);
+    }
 }
 
 /// Decodes [`encode_full`]'s output. Returns `None` on malformed input.
@@ -82,6 +88,32 @@ pub fn decode_full(bytes: &[u8]) -> Option<VectorTime> {
     (pos == bytes.len()).then(|| VectorTime::from(components))
 }
 
+/// [`decode_full`] into `out`, replacing its contents — for a stream's
+/// stored vector, which a malformed frame must not touch: the whole body
+/// is parsed once to check it before a second pass writes `out`. Returns
+/// `None`, with `out` as it was, on malformed input.
+fn read_full_into(bytes: &[u8], out: &mut Vec<u64>) -> Option<()> {
+    let mut pos = 0usize;
+    let dim = read_varint(bytes, &mut pos)? as usize;
+    if dim > bytes.len().saturating_sub(pos) {
+        return None;
+    }
+    let body = pos;
+    for _ in 0..dim {
+        read_varint(bytes, &mut pos)?;
+    }
+    if pos != bytes.len() {
+        return None;
+    }
+    out.clear();
+    out.reserve(dim);
+    pos = body;
+    while pos < bytes.len() {
+        out.push(read_varint(bytes, &mut pos)?);
+    }
+    Some(())
+}
+
 /// Encodes only the components of `current` that differ from `previous`,
 /// as `count, (index, value)*` varints — the Singhal–Kshemkalyani payload.
 ///
@@ -90,57 +122,57 @@ pub fn decode_full(bytes: &[u8]) -> Option<VectorTime> {
 /// Panics on dimension mismatch.
 pub fn encode_delta(previous: &VectorTime, current: &VectorTime) -> Vec<u8> {
     assert_eq!(previous.dim(), current.dim(), "dimension mismatch");
-    let changed: Vec<(usize, u64)> = previous
-        .as_slice()
-        .iter()
-        .zip(current.as_slice())
-        .enumerate()
-        .filter(|(_, (p, c))| p != c)
-        .map(|(i, (_, c))| (i, *c))
-        .collect();
-    let mut out = Vec::with_capacity(1 + 2 * changed.len());
-    push_varint(&mut out, changed.len() as u64);
-    for (i, v) in changed {
-        push_varint(&mut out, i as u64);
-        push_varint(&mut out, v);
-    }
+    let mut out = Vec::new();
+    push_delta(&mut out, previous.as_slice(), current.as_slice());
     out
 }
 
-/// Parses a delta body produced by [`encode_delta`] into its
-/// `(index, value)` pairs without applying it. Returns `None` on malformed
-/// input; indices are *not* range-checked (the applier does that).
-fn parse_delta_pairs(bytes: &[u8]) -> Option<Vec<(usize, u64)>> {
+/// Appends [`encode_delta`]'s bytes for `previous → current` to `out`
+/// (equal lengths), counting the changed components first so no
+/// intermediate change list is built.
+fn push_delta(out: &mut Vec<u8>, previous: &[u64], current: &[u64]) {
+    let changed = previous.iter().zip(current).filter(|(p, c)| p != c).count();
+    push_varint(out, changed as u64);
+    for (i, (p, &c)) in previous.iter().zip(current).enumerate() {
+        if *p != c {
+            push_varint(out, i as u64);
+            push_varint(out, c);
+        }
+    }
+}
+
+/// Reads an [`encode_delta`] body into `changes` (replacing its contents)
+/// as `(index, value)` pairs, checking every index against `dim`. Returns
+/// `None` on malformed input or an out-of-range index.
+fn read_delta_into(bytes: &[u8], dim: usize, changes: &mut Vec<(usize, u64)>) -> Option<()> {
     let mut pos = 0usize;
     let count = read_varint(bytes, &mut pos)? as usize;
-    // Each pair takes at least two bytes; reject hostile counts before
-    // allocating.
+    // Each pair takes at least two bytes; reject hostile counts.
     if count > bytes.len().saturating_sub(pos) {
         return None;
     }
-    let mut pairs = Vec::with_capacity(count);
+    changes.clear();
     for _ in 0..count {
         let idx = read_varint(bytes, &mut pos)? as usize;
         let val = read_varint(bytes, &mut pos)?;
-        pairs.push((idx, val));
+        if idx >= dim {
+            return None;
+        }
+        changes.push((idx, val));
     }
-    (pos == bytes.len()).then_some(pairs)
-}
-
-/// Applies parsed delta pairs on top of `previous`. Returns `None` on
-/// out-of-range indices.
-fn apply_delta_pairs(previous: &VectorTime, pairs: &[(usize, u64)]) -> Option<VectorTime> {
-    let mut components = previous.as_slice().to_vec();
-    for &(idx, val) in pairs {
-        *components.get_mut(idx)? = val;
-    }
-    Some(VectorTime::from(components))
+    (pos == bytes.len()).then_some(())
 }
 
 /// Applies a delta produced by [`encode_delta`] on top of `previous`.
 /// Returns `None` on malformed input or out-of-range indices.
 pub fn apply_delta(previous: &VectorTime, bytes: &[u8]) -> Option<VectorTime> {
-    apply_delta_pairs(previous, &parse_delta_pairs(bytes)?)
+    let mut changes = Vec::new();
+    read_delta_into(bytes, previous.dim(), &mut changes)?;
+    let mut components = previous.as_slice().to_vec();
+    for (idx, val) in changes {
+        components[idx] = val;
+    }
+    Some(VectorTime::from(components))
 }
 
 /// Bytes of framing every transport frame pays before its body: a `u32`
@@ -302,20 +334,19 @@ impl DeltaEncoder {
     /// Encodes `v` for transmission to `to`: a tagged full vector the first
     /// time, a tagged delta afterwards. Updates the remembered state.
     pub fn encode(&mut self, to: ProcessId, v: &VectorTime) -> Vec<u8> {
-        let payload = match self.last_sent.get(&to) {
+        let mut out = Vec::new();
+        match self.last_sent.get(&to) {
             Some(prev) if prev.dim() == v.dim() => {
-                let mut out = vec![1u8]; // tag: delta
-                out.extend(encode_delta(prev, v));
-                out
+                out.push(1); // tag: delta
+                push_delta(&mut out, prev.as_slice(), v.as_slice());
             }
             _ => {
-                let mut out = vec![0u8]; // tag: full
-                out.extend(encode_full(v));
-                out
+                out.push(0); // tag: full
+                push_full(&mut out, v.as_slice());
             }
-        };
+        }
         self.last_sent.insert(to, v.clone());
-        payload
+        out
     }
 }
 
@@ -391,8 +422,32 @@ impl std::fmt::Display for StreamError {
 #[derive(Debug, Clone)]
 struct StreamSendState {
     next_seq: u64,
-    last_sent: VectorTime,
+    last_sent: Vec<u64>,
     force_full: bool,
+}
+
+impl StreamSendState {
+    /// The state of a stream that has sent nothing yet: its first frame is
+    /// a full vector at sequence number 0.
+    const VIRGIN: StreamSendState = StreamSendState {
+        next_seq: 0,
+        last_sent: Vec::new(),
+        force_full: true,
+    };
+
+    /// Appends the stream's next frame carrying `v` to `out`: a delta
+    /// against the last frame when one of the same dimension exists and
+    /// no resync is pending, a full vector otherwise.
+    fn push_frame(&self, v: &[u64], out: &mut Vec<u8>) {
+        push_varint(out, self.next_seq);
+        if !self.force_full && self.last_sent.len() == v.len() {
+            out.push(1);
+            push_delta(out, &self.last_sent, v);
+        } else {
+            out.push(0);
+            push_full(out, v);
+        }
+    }
 }
 
 /// A [`DeltaEncoder`] whose frames carry a per-peer sequence number, so the
@@ -406,6 +461,10 @@ struct StreamSendState {
 /// one, which is what makes recovery possible — after a detected gap the
 /// sender calls [`StreamEncoder::force_full`] and the next frame repairs
 /// the stream no matter how many frames went missing.
+///
+/// Encoding writes into the caller's buffer from a borrowed slice and
+/// updates the remembered vector in place, so a warmed-up stream encodes
+/// without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct StreamEncoder {
     peers: HashMap<ProcessId, StreamSendState>,
@@ -417,36 +476,27 @@ impl StreamEncoder {
         StreamEncoder::default()
     }
 
-    /// Encodes `v` as the next frame of the stream to `to`.
-    pub fn encode(&mut self, to: ProcessId, v: &VectorTime) -> Vec<u8> {
-        let (seq, body) = match self.peers.get_mut(&to) {
-            Some(state) if !state.force_full && state.last_sent.dim() == v.dim() => {
-                let mut body = vec![1u8];
-                body.extend(encode_delta(&state.last_sent, v));
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.last_sent = v.clone();
-                (seq, body)
-            }
-            existing => {
-                let seq = existing.as_ref().map_or(0, |s| s.next_seq);
-                let mut body = vec![0u8];
-                body.extend(encode_full(v));
-                self.peers.insert(
-                    to,
-                    StreamSendState {
-                        next_seq: seq + 1,
-                        last_sent: v.clone(),
-                        force_full: false,
-                    },
-                );
-                (seq, body)
-            }
-        };
-        let mut out = Vec::with_capacity(body.len() + 2);
-        push_varint(&mut out, seq);
-        out.extend(body);
-        out
+    /// Appends the next frame of the stream to `to`, carrying the vector
+    /// with components `v`, to `out`, and advances the stream.
+    pub fn encode(&mut self, to: ProcessId, v: &[u64], out: &mut Vec<u8>) {
+        let state = self.peers.entry(to).or_insert(StreamSendState::VIRGIN);
+        state.push_frame(v, out);
+        state.next_seq += 1;
+        state.force_full = false;
+        state.last_sent.clear();
+        state.last_sent.extend_from_slice(v);
+    }
+
+    /// Appends the frame [`StreamEncoder::encode`] would append next for
+    /// `v`, without advancing the stream: the same bytes, byte for byte,
+    /// as long as nothing else is encoded to `to` in between. A receiver
+    /// posts its acknowledgement this way before the offer it answers has
+    /// arrived, and commits the stream with `encode` once it takes it.
+    pub fn encode_preview(&self, to: ProcessId, v: &[u64], out: &mut Vec<u8>) {
+        self.peers
+            .get(&to)
+            .unwrap_or(&StreamSendState::VIRGIN)
+            .push_frame(v, out);
     }
 
     /// Makes the next frame to `to` a full vector regardless of delta
@@ -474,11 +524,25 @@ impl StreamEncoder {
     }
 }
 
+/// Per-peer state of a sequence-framed delta stream at the receiver.
+#[derive(Debug, Clone, Default)]
+struct StreamRecvState {
+    next_seq: u64,
+    vector: Vec<u64>,
+}
+
 /// Per-peer state decoding [`StreamEncoder`] frames, rejecting anything
 /// that does not line up with the expected sequence number.
+///
+/// Each stream's vector is stored once and updated in place: a delta
+/// frame writes only its changed components, and the change-set lands in
+/// a buffer the decoder reuses, so a warmed-up stream decodes without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct StreamDecoder {
-    peers: HashMap<ProcessId, (u64, VectorTime)>,
+    peers: HashMap<ProcessId, StreamRecvState>,
+    /// The change-set of the last delta frame decoded.
+    changes: Vec<(usize, u64)>,
 }
 
 impl StreamDecoder {
@@ -487,42 +551,43 @@ impl StreamDecoder {
         StreamDecoder::default()
     }
 
-    /// Decodes the next frame received from `from`.
+    /// Decodes the next frame received from `from`, returning the stream's
+    /// vector after it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StreamDecoder::decode_sparse`].
+    pub fn decode(&mut self, from: ProcessId, bytes: &[u8]) -> Result<&[u64], StreamError> {
+        self.decode_sparse(from, bytes).map(|(v, _)| v)
+    }
+
+    /// Decodes the next frame received from `from` in place: returns the
+    /// stream's vector after the frame and, when the frame was a delta,
+    /// the Singhal–Kshemkalyani change-set — the `(index, value)` pairs
+    /// that moved since the previous frame of this stream. `None` means
+    /// the frame carried a full vector (stream opening or resync) and no
+    /// change-set exists. Sparse-merge clock backends feed the pairs
+    /// straight into their delta path instead of re-scanning the vector.
     ///
     /// # Errors
     ///
     /// [`StreamError::SeqGap`] when a frame arrives out of sequence (a
     /// delta anywhere but the expected number, or a full frame *behind*
     /// it); [`StreamError::OrphanDelta`] for a delta on a virgin stream;
-    /// [`StreamError::Malformed`] for unparseable bytes. Only a
+    /// [`StreamError::Malformed`] for unparseable bytes or an out-of-range
+    /// index. Every check runs before the stream is touched: only a
     /// successfully decoded frame advances the stream state.
-    pub fn decode(&mut self, from: ProcessId, bytes: &[u8]) -> Result<VectorTime, StreamError> {
-        self.decode_sparse(from, bytes).map(|(v, _)| v)
-    }
-
-    /// [`StreamDecoder::decode`], additionally reporting the
-    /// Singhal–Kshemkalyani change-set when the frame was a delta: the
-    /// `(index, value)` pairs that moved since the previous frame of this
-    /// stream. `None` means the frame carried a full vector (stream
-    /// opening or resync) and no change-set exists. Sparse-merge clock
-    /// backends feed the pairs straight into their delta path instead of
-    /// re-scanning the reconstructed vector.
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamDecoder::decode`].
     #[allow(clippy::type_complexity)]
     pub fn decode_sparse(
         &mut self,
         from: ProcessId,
         bytes: &[u8],
-    ) -> Result<(VectorTime, Option<Vec<(usize, u64)>>), StreamError> {
+    ) -> Result<(&[u64], Option<&[(usize, u64)]>), StreamError> {
         let mut pos = 0usize;
         let seq = read_varint(bytes, &mut pos).ok_or(StreamError::Malformed)?;
         let (tag, rest) = bytes[pos..].split_first().ok_or(StreamError::Malformed)?;
-        let state = self.peers.get(&from);
-        let expected = state.map_or(0, |(next, _)| *next);
-        let (v, changes) = match tag {
+        let expected = self.peers.get(&from).map_or(0, |s| s.next_seq);
+        match tag {
             0 => {
                 // Full frames re-anchor: any sequence number at or past the
                 // expected one is acceptable (frames between were lost, but
@@ -531,21 +596,41 @@ impl StreamDecoder {
                 if seq < expected {
                     return Err(StreamError::SeqGap { expected, got: seq });
                 }
-                (decode_full(rest).ok_or(StreamError::Malformed)?, None)
+                // A malformed opening frame must leave the stream virgin, so
+                // a new stream's vector is only inserted once it decoded.
+                let state = match self.peers.entry(from) {
+                    Entry::Occupied(e) => {
+                        let state = e.into_mut();
+                        read_full_into(rest, &mut state.vector).ok_or(StreamError::Malformed)?;
+                        state
+                    }
+                    Entry::Vacant(e) => {
+                        let mut vector = Vec::new();
+                        read_full_into(rest, &mut vector).ok_or(StreamError::Malformed)?;
+                        e.insert(StreamRecvState {
+                            next_seq: 0,
+                            vector,
+                        })
+                    }
+                };
+                state.next_seq = seq + 1;
+                Ok((&state.vector, None))
             }
             1 => {
-                let (_, base) = state.ok_or(StreamError::OrphanDelta)?;
+                let state = self.peers.get_mut(&from).ok_or(StreamError::OrphanDelta)?;
                 if seq != expected {
                     return Err(StreamError::SeqGap { expected, got: seq });
                 }
-                let pairs = parse_delta_pairs(rest).ok_or(StreamError::Malformed)?;
-                let v = apply_delta_pairs(base, &pairs).ok_or(StreamError::Malformed)?;
-                (v, Some(pairs))
+                read_delta_into(rest, state.vector.len(), &mut self.changes)
+                    .ok_or(StreamError::Malformed)?;
+                for &(idx, val) in &self.changes {
+                    state.vector[idx] = val;
+                }
+                state.next_seq += 1;
+                Ok((&state.vector, Some(&self.changes)))
             }
-            _ => return Err(StreamError::Malformed),
-        };
-        self.peers.insert(from, (seq + 1, v.clone()));
-        Ok((v, changes))
+            _ => Err(StreamError::Malformed),
+        }
     }
 }
 
@@ -689,32 +774,77 @@ mod tests {
         assert_eq!(first_to_b[0], 0, "fresh peer gets a full vector");
     }
 
+    /// One frame of the stream to `to`, encoded into a fresh buffer.
+    fn frame(enc: &mut StreamEncoder, to: ProcessId, v: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        enc.encode(to, v, &mut out);
+        out
+    }
+
     #[test]
     fn stream_roundtrip_in_sequence() {
         let mut enc = StreamEncoder::new();
         let mut dec = StreamDecoder::new();
-        let steps = [
-            VectorTime::from(vec![1, 0, 0]),
-            VectorTime::from(vec![1, 2, 0]),
-            VectorTime::from(vec![4, 2, 9]),
-        ];
-        for v in &steps {
-            let frame = enc.encode(7, v);
-            assert_eq!(dec.decode(7, &frame).as_ref(), Ok(v));
+        let steps: [&[u64]; 3] = [&[1, 0, 0], &[1, 2, 0], &[4, 2, 9]];
+        for v in steps {
+            let frame = frame(&mut enc, 7, v);
+            assert_eq!(dec.decode(7, &frame), Ok(v));
         }
+    }
+
+    #[test]
+    fn stream_frames_match_the_delta_encoder_bodies() {
+        // A stream frame is `varint(seq)` followed by exactly the
+        // DeltaEncoder's tag + body for the same vectors.
+        let mut enc = StreamEncoder::new();
+        let mut plain = DeltaEncoder::new();
+        let steps = [
+            vec![1u64, 0, 300],
+            vec![1, 2, 300],
+            vec![1, 2, 300],
+            vec![4, 2, 9],
+        ];
+        for (seq, v) in steps.iter().enumerate() {
+            let mut expected = Vec::new();
+            push_varint(&mut expected, seq as u64);
+            expected.extend(plain.encode(0, &VectorTime::from(v.clone())));
+            assert_eq!(frame(&mut enc, 0, v), expected, "frame {seq}");
+        }
+    }
+
+    #[test]
+    fn encode_preview_matches_encode_without_advancing() {
+        let mut enc = StreamEncoder::new();
+        let mut dec = StreamDecoder::new();
+        for v in [[1u64, 0], [1, 5], [1, 5], [7, 5]] {
+            // Previewing twice yields the same bytes: nothing advanced.
+            let mut preview = Vec::new();
+            enc.encode_preview(2, &v, &mut preview);
+            let mut again = Vec::new();
+            enc.encode_preview(2, &v, &mut again);
+            assert_eq!(preview, again);
+            // The preview decodes like the committed frame, which is the
+            // same bytes.
+            assert_eq!(frame(&mut enc, 2, &v), preview);
+            assert_eq!(dec.decode(2, &preview), Ok(&v[..]));
+        }
+        // A pending resync shows in the preview as a full frame.
+        enc.force_full(2);
+        let mut preview = Vec::new();
+        enc.encode_preview(2, &[8, 5], &mut preview);
+        assert_eq!(preview[1], 0, "forced frame previews as full");
+        assert_eq!(frame(&mut enc, 2, &[8, 5]), preview);
     }
 
     #[test]
     fn skipped_frame_is_detected_and_full_frame_recovers() {
         let mut enc = StreamEncoder::new();
         let mut dec = StreamDecoder::new();
-        let a = VectorTime::from(vec![1, 0]);
-        let b = VectorTime::from(vec![1, 2]);
-        let c = VectorTime::from(vec![3, 2]);
-        assert_eq!(dec.decode(0, &enc.encode(0, &a)), Ok(a));
+        let (a, b, c): (&[u64], &[u64], &[u64]) = (&[1, 0], &[1, 2], &[3, 2]);
+        assert_eq!(dec.decode(0, &frame(&mut enc, 0, a)), Ok(a));
         // A frame goes missing; the next delta must not silently apply.
         assert!(enc.skip(0), "established stream can skip");
-        let desynced = enc.encode(0, &b);
+        let desynced = frame(&mut enc, 0, b);
         assert_eq!(
             dec.decode(0, &desynced),
             Err(StreamError::SeqGap {
@@ -727,10 +857,10 @@ mod tests {
         assert!(dec.decode(0, &desynced).is_err());
         // Sender resyncs with a forced full frame carrying the same vector.
         enc.force_full(0);
-        let resync = enc.encode(0, &b);
+        let resync = frame(&mut enc, 0, b);
         assert_eq!(dec.decode(0, &resync), Ok(b));
         // And the stream is back in delta lock-step afterwards.
-        let next = enc.encode(0, &c);
+        let next = frame(&mut enc, 0, c);
         assert_eq!(next[1], 1, "post-resync frame is a delta again");
         assert_eq!(dec.decode(0, &next), Ok(c));
     }
@@ -739,20 +869,38 @@ mod tests {
     fn decode_sparse_reports_the_change_set() {
         let mut enc = StreamEncoder::new();
         let mut dec = StreamDecoder::new();
-        let a = VectorTime::from(vec![1, 0, 7]);
-        let b = VectorTime::from(vec![1, 2, 9]);
+        let (a, b): (&[u64], &[u64]) = (&[1, 0, 7], &[1, 2, 9]);
         // Opening full frame: no change-set.
-        let (v, changes) = dec.decode_sparse(0, &enc.encode(0, &a)).unwrap();
-        assert_eq!(v, a);
-        assert_eq!(changes, None);
+        let (v, changes) = dec.decode_sparse(0, &frame(&mut enc, 0, a)).unwrap();
+        assert_eq!((v, changes), (a, None));
         // Delta frame: exactly the moved components, with their new values.
-        let (v, changes) = dec.decode_sparse(0, &enc.encode(0, &b)).unwrap();
-        assert_eq!(v, b);
-        assert_eq!(changes, Some(vec![(1, 2), (2, 9)]));
+        let (v, changes) = dec.decode_sparse(0, &frame(&mut enc, 0, b)).unwrap();
+        assert_eq!((v, changes), (b, Some(&[(1, 2), (2, 9)][..])));
         // An unchanged retransmission yields an empty change-set, not None.
-        let (v, changes) = dec.decode_sparse(0, &enc.encode(0, &b)).unwrap();
-        assert_eq!(v, b);
-        assert_eq!(changes, Some(vec![]));
+        let (v, changes) = dec.decode_sparse(0, &frame(&mut enc, 0, b)).unwrap();
+        assert_eq!((v, changes), (b, Some(&[][..])));
+    }
+
+    #[test]
+    fn rejected_frames_leave_the_stream_untouched() {
+        let mut enc = StreamEncoder::new();
+        let mut dec = StreamDecoder::new();
+        let opening = frame(&mut enc, 0, &[4, 5]);
+        assert_eq!(dec.decode(0, &opening), Ok(&[4u64, 5][..]));
+        // A delta whose second pair names component 9 of a 2-vector: the
+        // first pair is valid, but nothing may be applied.
+        let mut bad = Vec::new();
+        for x in [1u64, 1, 2, 0, 6, 9, 1] {
+            push_varint(&mut bad, x);
+        }
+        assert_eq!(dec.decode(0, &bad), Err(StreamError::Malformed));
+        // The stream still expects frame 1 against (4, 5).
+        let next = frame(&mut enc, 0, &[6, 5]);
+        assert_eq!(dec.decode(0, &next), Ok(&[6u64, 5][..]));
+        // A malformed opening frame leaves a fresh stream virgin: a later
+        // delta is an orphan, not a delta against an empty vector.
+        assert_eq!(dec.decode(1, &[0, 0, 3, 1]), Err(StreamError::Malformed));
+        assert_eq!(dec.decode(1, &[0, 1, 0]), Err(StreamError::OrphanDelta));
     }
 
     #[test]
@@ -760,8 +908,7 @@ mod tests {
         let mut enc = StreamEncoder::new();
         let mut dec = StreamDecoder::new();
         assert!(!enc.skip(3), "nothing sent yet: nothing to desynchronise");
-        let v = VectorTime::from(vec![5]);
-        assert_eq!(dec.decode(3, &enc.encode(3, &v)), Ok(v));
+        assert_eq!(dec.decode(3, &frame(&mut enc, 3, &[5])), Ok(&[5u64][..]));
     }
 
     #[test]
@@ -771,12 +918,12 @@ mod tests {
         assert_eq!(dec.decode(0, &[0, 9, 1, 2]), Err(StreamError::Malformed));
         // A delta before any full vector cannot be applied.
         let mut enc = StreamEncoder::new();
-        enc.encode(0, &VectorTime::from(vec![1]));
-        let delta = enc.encode(0, &VectorTime::from(vec![2]));
+        frame(&mut enc, 0, &[1]);
+        let delta = frame(&mut enc, 0, &[2]);
         assert_eq!(dec.decode(0, &delta), Err(StreamError::OrphanDelta));
         // Establish state, then replay the opening full frame: stale.
         let mut enc2 = StreamEncoder::new();
-        let opening = enc2.encode(0, &VectorTime::from(vec![1]));
+        let opening = frame(&mut enc2, 0, &[1]);
         assert!(dec.decode(0, &opening).is_ok());
         assert_eq!(
             dec.decode(0, &opening),
@@ -790,11 +937,13 @@ mod tests {
     #[test]
     fn stream_per_peer_state_is_independent() {
         let mut enc = StreamEncoder::new();
-        let v = VectorTime::from(vec![1, 1]);
-        enc.encode(0, &v);
+        frame(&mut enc, 0, &[1, 1]);
         assert!(enc.skip(0));
         // Peer 1's stream is untouched by peer 0's desync.
         let mut dec = StreamDecoder::new();
-        assert_eq!(dec.decode(1, &enc.encode(1, &v)), Ok(v));
+        assert_eq!(
+            dec.decode(1, &frame(&mut enc, 1, &[1, 1])),
+            Ok(&[1u64, 1][..])
+        );
     }
 }

@@ -75,7 +75,8 @@ struct WriteHalf {
 #[derive(Debug)]
 struct Conn {
     writer: Mutex<WriteHalf>,
-    offers: Mailbox<RawOffer>,
+    /// Offers from the peer, each with its vector's bytes.
+    offers: Mailbox<(RawOffer, Vec<u8>)>,
     answers: Mailbox<AnswerMsg>,
     /// RECONFIGURE/RECONFIG_ACK control frames, kept out of the data
     /// mailboxes so an in-flight reconfiguration never reorders against
@@ -142,12 +143,15 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, mut reader: FrameReader) 
                     key,
                     payload,
                     vector,
-                })) => conn.offers.push(RawOffer {
-                    key,
-                    payload,
+                })) => conn.offers.push((
+                    RawOffer {
+                        key,
+                        payload,
+                        offered_at: Instant::now(),
+                        handed: false,
+                    },
                     vector,
-                    offered_at: Instant::now(),
-                }),
+                )),
                 Ok(Some(Frame::Ack { key, ack })) => conn.answers.push(AnswerMsg::Ack {
                     key,
                     ack,
@@ -546,9 +550,17 @@ impl TxChannel for TcpTx {
         }))
     }
 
-    fn offer(&self, key: u64, payload: u64, vector: &[u8]) -> Result<(), TransportError> {
+    fn offer(
+        &self,
+        key: u64,
+        payload: u64,
+        vector: &[u8],
+        _handoff: bool,
+    ) -> Result<(), TransportError> {
         // Borrowed encode: the timestamp vector goes straight from the
-        // caller's slice into the connection's write buffer.
+        // caller's slice into the connection's write buffer. Offers are
+        // never handed over a socket: the receiver's posted ack stays on
+        // its machine.
         self.conn
             .write_with(|out| encode_offer_into(out, key, payload, vector))?;
         *self.inflight.lock().unwrap_or_else(PoisonError::into_inner) = Some((key, Instant::now()));
@@ -559,21 +571,24 @@ impl TxChannel for TcpTx {
         &self,
         key: u64,
         cap: Option<Duration>,
+        ack: &mut Vec<u8>,
     ) -> Result<Polled<SendAnswer>, TransportError> {
         loop {
             match self.conn.answers.pop(cap)? {
-                Polled::Ready(AnswerMsg::Ack { key: k, ack, at }) if k == key => {
+                Polled::Ready(AnswerMsg::Ack {
+                    key: k,
+                    ack: bytes,
+                    at,
+                }) if k == key => {
+                    ack.clear();
+                    ack.extend_from_slice(&bytes);
                     let taken = self
                         .inflight
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .take()
                         .map_or_else(Instant::now, |(_, at)| at);
-                    return Ok(Polled::Ready(SendAnswer::Acked {
-                        ack,
-                        taken,
-                        acked: at,
-                    }));
+                    return Ok(Polled::Ready(SendAnswer::Acked { taken, acked: at }));
                 }
                 Polled::Ready(AnswerMsg::Resync { key: k }) if k == key => {
                     return Ok(Polled::Ready(SendAnswer::ResyncRequested));
@@ -602,17 +617,26 @@ struct TcpRx {
 }
 
 impl RxChannel for TcpRx {
-    fn poll_offer(&self, cap: Option<Duration>) -> Result<Polled<RawOffer>, TransportError> {
+    fn poll_offer(
+        &self,
+        cap: Option<Duration>,
+        _posted: Option<&[u8]>,
+        vector: &mut Vec<u8>,
+    ) -> Result<Polled<RawOffer>, TransportError> {
+        // A posted ack is ignored: the sender is on another machine, so
+        // the offer is always answered with an ACK frame.
         match self.conn.offers.pop(cap)? {
-            Polled::Ready(offer) => {
+            Polled::Ready((offer, bytes)) => {
                 *self.pending.lock().unwrap_or_else(PoisonError::into_inner) = Some(offer.key);
+                vector.clear();
+                vector.extend_from_slice(&bytes);
                 Ok(Polled::Ready(offer))
             }
             Polled::Pending => Ok(Polled::Pending),
         }
     }
 
-    fn answer(&self, answer: OfferAnswer) -> Result<(), TransportError> {
+    fn answer(&self, answer: OfferAnswer<'_>) -> Result<(), TransportError> {
         let Some(key) = self
             .pending
             .lock()
@@ -624,7 +648,7 @@ impl RxChannel for TcpRx {
             ));
         };
         match answer {
-            OfferAnswer::Ack(ack) => self.conn.write_with(|out| encode_ack_into(out, key, &ack)),
+            OfferAnswer::Ack(ack) => self.conn.write_with(|out| encode_ack_into(out, key, ack)),
             OfferAnswer::Resync => self.conn.write_with(|out| encode_resync_into(out, key)),
         }
     }

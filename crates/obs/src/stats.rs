@@ -80,14 +80,19 @@ pub struct RunStats {
     pub total_wire_bytes_full: u64,
     /// Total nanoseconds processes spent blocked in rendezvous operations.
     pub total_blocked_ns: u64,
-    /// Median acknowledgement round-trip latency, in nanoseconds.
+    /// Median acknowledgement round-trip latency, in nanoseconds: from
+    /// the receiver's take of the offer to the sender's completion (over
+    /// TCP, from the offer's write). A send handed against the receiver's
+    /// posted acknowledgement never waits for a take: its sample runs
+    /// from its offer to its completion.
     pub ack_latency_p50_ns: u64,
     /// 99th-percentile acknowledgement round-trip latency, in nanoseconds.
     pub ack_latency_p99_ns: u64,
     /// Worst observed acknowledgement round-trip latency, in nanoseconds.
     pub ack_latency_max_ns: u64,
     /// Times a parked rendezvous wait actually resumed after a peer's
-    /// notification (zero under a matcher that never parks threads).
+    /// notification. A handed send never parks, so a rendezvous whose
+    /// receiver was parked first costs one wakeup, not two.
     pub wakeups: u64,
     /// Median rendezvous wakeup latency — nanoseconds between a peer making
     /// a parked thread's condition true and the thread observing it.

@@ -11,9 +11,10 @@
 //!   takes the message — true rendezvous semantics; blocked endpoints park
 //!   on the slot's condvar and consume no CPU);
 //! * a [`ProcessCtx::send`] deposits `(payload, key, vector)` into the
-//!   channel slot, then parks until the receiver's acknowledgement — the
-//!   receiver's pre-update vector, deposited under the same lock hold as
-//!   the take — wakes it; both sides merge and increment exactly as in
+//!   channel slot and takes the receiver's acknowledgement — its
+//!   pre-update vector, which a receiver about to park posts on the slot
+//!   in advance, or otherwise deposits right after taking the offer while
+//!   the sender parks; both sides merge and increment exactly as in
 //!   Figure 5 and deterministically agree on the message's timestamp;
 //! * every process logs its sends, receives and internal events; after the
 //!   run, [`RuntimeRun::reconstruct`] rebuilds the

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -16,9 +16,10 @@ use synctime_obs::{DeadlockDiagnosis, Recorder, RunStats, WaitEdge, WaitOp};
 use synctime_trace::{EventId, EventKind, MessageId, ProcessId, SyncComputation, TraceError};
 
 use crate::fault::{FaultAction, FaultInjector};
-use crate::matcher::ChannelSlot;
+use crate::matcher::{ChannelSlot, FRAME_CAPACITY};
 use crate::transport::{
-    LocalRx, LocalTx, OfferAnswer, Polled, RxChannel, SendAnswer, TransportError, TxChannel,
+    LocalRx, LocalTx, OfferAnswer, Polled, RawOffer, RxChannel, SendAnswer, TransportError,
+    TxChannel,
 };
 use crate::RuntimeError;
 
@@ -57,10 +58,12 @@ impl BlockedOn {
     }
 
     /// Whether the channel state confirms the wait: a sender waits on its
-    /// receiver only while its offer sits untaken, and a receiver waits on
-    /// its sender only while no offer sits in the slot. Anything else is a
-    /// rendezvous in progress — an offer about to be taken, or one already
-    /// taken and acknowledged whose sender is not yet rescheduled.
+    /// receiver only while an offer sits untaken, and a receiver waits on
+    /// its sender only while no offer sits in the slot — handed or not: a
+    /// receiver holding a handed offer is about to take it, not blocked.
+    /// Anything else is a rendezvous in progress — an offer about to be
+    /// taken, or one already taken and acknowledged whose sender is not
+    /// yet rescheduled.
     fn confirmed_by(&self, holds_offer: bool) -> bool {
         match self.op {
             WaitOp::ReceiveFrom => !holds_offer,
@@ -279,6 +282,16 @@ pub enum LogEntry {
     Internal,
 }
 
+impl LogEntry {
+    /// The agreed timestamp of a message entry; `None` for a local event.
+    pub fn stamp(&self) -> Option<&VectorTime> {
+        match self {
+            LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => Some(stamp),
+            LogEntry::Internal => None,
+        }
+    }
+}
+
 /// The runtime's process clock, dispatching the Figure 5 steps to the
 /// selected [`ClockBackend`]. Both backends produce identical stamps —
 /// the protocol is deterministic component arithmetic — so backend choice
@@ -314,31 +327,38 @@ impl BackendClock {
         }
     }
 
-    /// The vector to piggyback on an outgoing message (line 02).
-    fn send_payload(&self) -> VectorTime {
-        self.current_vector()
+    /// The current components, borrowed: the vector to piggyback on an
+    /// outgoing message (line 02), and the pre-update vector a receiver
+    /// posts as its acknowledgement (line 04).
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            BackendClock::Dense(c) => c.current().as_slice(),
+            BackendClock::Tree(c) => c.current().as_slice(),
+        }
     }
 
-    /// Receiver side of the rendezvous (lines 04–07). The tree backend
-    /// merges through the Singhal–Kshemkalyani change-set when the stream
-    /// decoder recovered one — its sublinear path; dense merges the
-    /// reconstructed full vector, its fastest path.
+    /// Receiver side of the rendezvous (lines 04–07): writes the
+    /// pre-update vector into `ack` and returns the stamp. The tree
+    /// backend merges through the Singhal–Kshemkalyani change-set when the
+    /// stream decoder recovered one — its sublinear path; dense merges the
+    /// full vector, its fastest path.
     fn on_receive(
         &mut self,
-        vector: &VectorTime,
+        vector: &[u64],
         changes: Option<&[(usize, u64)]>,
         group: usize,
-    ) -> Result<(VectorTime, VectorTime), CoreError> {
+        ack: &mut Vec<u64>,
+    ) -> Result<VectorTime, CoreError> {
         match self {
-            BackendClock::Dense(c) => c.on_receive_interchange(vector, None, group),
-            BackendClock::Tree(c) => c.on_receive_interchange(vector, changes, group),
+            BackendClock::Dense(c) => c.on_receive_interchange(vector, None, group, ack),
+            BackendClock::Tree(c) => c.on_receive_interchange(vector, changes, group, ack),
         }
     }
 
     /// Sender side of the rendezvous completion (lines 09–11).
     fn on_acknowledgement(
         &mut self,
-        ack: &VectorTime,
+        ack: &[u64],
         changes: Option<&[(usize, u64)]>,
         group: usize,
     ) -> Result<VectorTime, CoreError> {
@@ -394,6 +414,22 @@ pub struct ProcessCtx {
     /// Delta decoder for acknowledgement vectors coming back from
     /// receivers.
     dec_ack: StreamDecoder,
+    /// The offer frame: encoded by `send`, received by `receive_from`.
+    /// This and the next three buffers are reused by every rendezvous, so
+    /// a warmed-up process moves its frames without allocating.
+    frame: Vec<u8>,
+    /// The acknowledgement frame: received by `send`, encoded by
+    /// `receive_from`.
+    ack: Vec<u8>,
+    /// The acknowledgement a parked `receive_from` posts before its offer
+    /// arrives.
+    post: Vec<u8>,
+    /// The receive step's pre-update vector (line 04 of Figure 5).
+    ack_vector: Vec<u64>,
+    /// Receivers whose data stream may have a gap: a send to them failed
+    /// after encoding a frame they may never have decoded. The next offer
+    /// to each stays plain, so it can still be bounced for a resync.
+    gapped: HashSet<ProcessId>,
     /// Fault source consulted at every operation boundary, if any.
     fault: Option<Arc<dyn FaultInjector>>,
     /// This process's rendezvous operations so far (`send` +
@@ -606,13 +642,17 @@ impl ProcessCtx {
 
     /// Synchronously sends `payload` to `to`: blocks until the receiver
     /// takes the message *and* acknowledges it, then returns the message's
-    /// timestamp (identical on both sides).
+    /// timestamp (identical on both sides), borrowed from this process's
+    /// log.
     ///
-    /// The whole exchange rides one transport channel: depositing the
-    /// offer wakes the receiver, and the receiver's acknowledgement wakes
-    /// this process back — the vector exchange piggybacks on the wakeups.
-    /// Whether the channel is an in-memory slot or a socket is the
-    /// transport's business ([`crate::TxChannel`]).
+    /// The whole exchange rides one transport channel. When the receiver
+    /// is already parked on it, it has posted its acknowledgement (Figure
+    /// 5's line 04 does not depend on the offer) and this send completes
+    /// at once: depositing the offer is its only wakeup. Otherwise
+    /// depositing the offer wakes the receiver, and the receiver's
+    /// acknowledgement wakes this process back. Whether the channel is an
+    /// in-memory slot or a socket is the transport's business
+    /// ([`crate::TxChannel`]).
     ///
     /// # Errors
     ///
@@ -623,7 +663,7 @@ impl ProcessCtx {
     /// [`RuntimeError::Deadlock`] if the watchdog aborted the run while
     /// this process was blocked here; [`RuntimeError::ChannelIo`] on a
     /// socket-transport failure.
-    pub fn send(&mut self, to: ProcessId, payload: u64) -> Result<VectorTime, RuntimeError> {
+    pub fn send(&mut self, to: ProcessId, payload: u64) -> Result<&VectorTime, RuntimeError> {
         if self.shared.aborted() {
             return Err(self.shared.deadlock_error());
         }
@@ -639,12 +679,15 @@ impl ProcessCtx {
         // An armed desync fault fires here: the outgoing stream's sequence
         // number advances as if a frame were lost, which the receiver will
         // detect and repair through the resync protocol below.
-        if self.pending_desync && self.enc_data.skip(to) {
+        let desynced = self.pending_desync && self.enc_data.skip(to);
+        if desynced {
             self.pending_desync = false;
         }
-        // `send_payload` is non-mutating, so the very same vector can be
-        // re-encoded verbatim when a resync retransmission is needed.
-        let vector = self.clock.send_payload();
+        // Only a frame the receiver can decode may be handed against its
+        // posted acknowledgement: a handed send is complete, so its
+        // receiver could no longer ask for a resync. A stream with a
+        // possible gap makes a plain offer.
+        let handoff = !desynced && !self.gapped.contains(&to);
         let mut budget = WaitBudget::new(self.rendezvous_timeout, self.rendezvous_retries);
         let mut blocked = Duration::ZERO;
         let mut parked = false;
@@ -657,20 +700,13 @@ impl ProcessCtx {
                 Ok(Polled::Pending) => {
                     match self.pending_step(WaitOp::SendTo, to, &mut parked, &mut budget) {
                         Ok(next) => cap = next,
-                        Err(e) => {
-                            self.recorder
-                                .process(self.id)
-                                .record_blocked(blocked.as_nanos() as u64);
-                            return Err(e);
-                        }
+                        Err(e) => return Err(self.failed(blocked, e)),
                     }
                 }
                 Err(e) => {
                     blocked += self.unpark(parked);
-                    self.recorder
-                        .process(self.id)
-                        .record_blocked(blocked.as_nanos() as u64);
-                    return Err(self.channel_error(to, e));
+                    let e = self.channel_error(to, e);
+                    return Err(self.failed(blocked, e));
                 }
             }
         };
@@ -682,28 +718,31 @@ impl ProcessCtx {
             self.enc_data.force_full(to);
             self.recorder.process(self.id).record_resync();
         }
-        let mut encoded = self.enc_data.encode(to, &vector);
+        // The clock does not move until the acknowledgement is merged, so
+        // a resync retransmission re-encodes the very same vector.
+        self.frame.clear();
+        self.enc_data
+            .encode(to, self.clock.as_slice(), &mut self.frame);
         // Offer/await-answer loop: a ResyncRequested answer re-offers the
         // same message as a full-vector frame (bounded by MAX_RESYNC).
         // While the offer sits unanswered the peer has not completed the
         // match, so the wait registers as `SendTo`. Wire accounting prices
         // whole frames (header + key + payload + body — `core::wire`'s
         // frame helpers), so local and TCP runs report identical byte
-        // counts for identical executions.
+        // counts for identical executions. From here on, a failed send
+        // leaves the receiver's stream with a possible gap.
         let mut msg_bytes_total = 0u64;
         let mut resyncs = 0u32;
-        let (ack, taken, acked, last_parked) = loop {
-            msg_bytes_total += offer_frame_bytes(encoded.len());
-            if let Err(e) = tx.offer(key, payload, &encoded) {
-                self.recorder
-                    .process(self.id)
-                    .record_blocked(blocked.as_nanos() as u64);
-                return Err(self.channel_error(to, e));
+        let (taken, acked, last_parked) = loop {
+            msg_bytes_total += offer_frame_bytes(self.frame.len());
+            if let Err(e) = tx.offer(key, payload, &self.frame, handoff) {
+                let e = self.channel_error(to, e);
+                return Err(self.send_failed(to, blocked, e));
             }
             let mut parked = false;
             let mut cap = Some(Duration::ZERO);
             let outcome = loop {
-                match tx.poll_answer(key, cap) {
+                match tx.poll_answer(key, cap, &mut self.ack) {
                     Ok(Polled::Ready(answer)) => break answer,
                     Ok(Polled::Pending) => {
                         match self.pending_step(WaitOp::SendTo, to, &mut parked, &mut budget) {
@@ -719,91 +758,72 @@ impl ProcessCtx {
                                 // side only, leaving one-sided logs that no
                                 // longer reconstruct.
                                 if let Ok(Polled::Ready(answer @ SendAnswer::Acked { .. })) =
-                                    tx.poll_answer(key, Some(Duration::ZERO))
+                                    tx.poll_answer(key, Some(Duration::ZERO), &mut self.ack)
                                 {
                                     break answer;
                                 }
                                 // Retract our untaken offer so the channel
                                 // is left clean for any survivor.
                                 tx.retract(key);
-                                self.recorder
-                                    .process(self.id)
-                                    .record_blocked(blocked.as_nanos() as u64);
-                                return Err(e);
+                                return Err(self.send_failed(to, blocked, e));
                             }
                         }
                     }
                     Err(e) => {
                         tx.retract(key);
                         blocked += self.unpark(parked);
-                        self.recorder
-                            .process(self.id)
-                            .record_blocked(blocked.as_nanos() as u64);
-                        return Err(self.channel_error(to, e));
+                        let e = self.channel_error(to, e);
+                        return Err(self.send_failed(to, blocked, e));
                     }
                 }
             };
             blocked += self.unpark(parked);
             match outcome {
-                SendAnswer::Acked { ack, taken, acked } => {
-                    break (ack, taken, acked, parked);
-                }
+                SendAnswer::Acked { taken, acked } => break (taken, acked, parked),
                 SendAnswer::ResyncRequested => {
                     // The receiver's resync request crossed the channel
                     // too; count its frame alongside the bounced offer.
                     msg_bytes_total += resync_frame_bytes();
                     resyncs += 1;
                     if resyncs > MAX_RESYNC {
-                        self.recorder
-                            .process(self.id)
-                            .record_blocked(blocked.as_nanos() as u64);
-                        return Err(RuntimeError::DeltaDesync { from: self.id, to });
+                        let e = RuntimeError::DeltaDesync { from: self.id, to };
+                        return Err(self.send_failed(to, blocked, e));
                     }
                     self.enc_data.force_full(to);
-                    encoded = self.enc_data.encode(to, &vector);
+                    self.frame.clear();
+                    self.enc_data
+                        .encode(to, self.clock.as_slice(), &mut self.frame);
                     self.recorder.process(self.id).record_resync();
                 }
             }
         };
-        let ack_bytes = ack_frame_bytes(ack.len());
+        // The receiver decoded our frame: the stream is in step again.
+        if !self.gapped.is_empty() {
+            self.gapped.remove(&to);
+        }
+        let ack_bytes = ack_frame_bytes(self.ack.len());
         // The acknowledgement stream has no resync path — the receiver has
         // already completed its side of the rendezvous — so a desynchronised
-        // ack stream is terminal. Terminal for this channel only: other
-        // channels' streams are independent.
-        let (ack, ack_changes) = match self.dec_ack.decode_sparse(to, &ack) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                self.recorder
-                    .process(self.id)
-                    .record_blocked(blocked.as_nanos() as u64);
-                return Err(RuntimeError::DeltaDesync {
-                    from: to,
-                    to: self.id,
-                });
-            }
+        // ack stream is terminal, and so is a decoded frame of the wrong
+        // dimension (the peer runs a different decomposition). Terminal for
+        // this channel only: other channels' streams are independent.
+        let stamp = match self.dec_ack.decode_sparse(to, &self.ack) {
+            Ok((ack, changes)) => self.clock.on_acknowledgement(ack, changes, group).ok(),
+            Err(_) => None,
         };
-        // A decoded frame of the wrong dimension means the peer runs a
-        // different decomposition — the stream is beyond repair.
-        let stamp = match self
-            .clock
-            .on_acknowledgement(&ack, ack_changes.as_deref(), group)
-        {
-            Ok(stamp) => stamp,
-            Err(_) => {
-                self.recorder
-                    .process(self.id)
-                    .record_blocked(blocked.as_nanos() as u64);
-                return Err(RuntimeError::DeltaDesync {
-                    from: to,
-                    to: self.id,
-                });
-            }
+        let Some(stamp) = stamp else {
+            let e = RuntimeError::DeltaDesync {
+                from: to,
+                to: self.id,
+            };
+            return Err(self.failed(blocked, e));
         };
         let me = self.recorder.process(self.id);
         if last_parked {
             me.record_wakeup(acked.elapsed().as_nanos() as u64);
         }
         me.record_blocked(blocked.as_nanos() as u64);
+        // A handed send's latency runs from its offer to here.
         me.record_send(
             to,
             msg_bytes_total + ack_bytes,
@@ -819,26 +839,25 @@ impl ProcessCtx {
                 stamp: stamp.clone(),
             });
         }
-        let entry = LogEntry::Sent {
-            to,
-            key,
-            stamp: stamp.clone(),
-        };
-        self.persist(&entry);
-        self.log.push(entry);
-        Ok(stamp)
+        Ok(self.log_message(LogEntry::Sent { to, key, stamp }))
     }
 
     /// Blocks until `from` sends a message; acknowledges it (carrying this
     /// process's pre-update vector back, line 04 of Figure 5) and returns
-    /// the payload and the message's timestamp. The acknowledgement is
-    /// deposited immediately after the take, so the sender's next wakeup
-    /// already carries it.
+    /// the payload and the message's timestamp, borrowed from this
+    /// process's log.
+    ///
+    /// The acknowledgement never depends on the offer, so a receive about
+    /// to park posts it on the channel first: a sender that finds it takes
+    /// it and completes without waiting, and this process wakes once, to
+    /// take the offer. When the offer is already there, the
+    /// acknowledgement is deposited right after the take, so the sender's
+    /// next wakeup carries it.
     ///
     /// # Errors
     ///
     /// Same classes as [`ProcessCtx::send`].
-    pub fn receive_from(&mut self, from: ProcessId) -> Result<(u64, VectorTime), RuntimeError> {
+    pub fn receive_from(&mut self, from: ProcessId) -> Result<(u64, &VectorTime), RuntimeError> {
         if self.shared.aborted() {
             return Err(self.shared.deadlock_error());
         }
@@ -857,82 +876,96 @@ impl ProcessCtx {
         // they count toward the actual cost.
         let mut resync_bytes = 0u64;
         let mut resyncs = 0u32;
+        // Whether `self.post` holds this receive's acknowledgement: the
+        // pre-update vector encoded on the ack stream without advancing it.
+        // Only a receive that is about to park posts one, so a receive
+        // whose offer is already waiting pays nothing for the handoff.
+        let mut posted = false;
         let mut cap = Some(Duration::ZERO);
-        let (offer, vector, changes) = loop {
-            match rx.poll_offer(cap) {
-                Ok(Polled::Ready(offer)) => {
-                    match self.dec_data.decode_sparse(from, &offer.vector) {
-                        Ok((vector, changes)) => break (offer, vector, changes),
-                        Err(StreamError::SeqGap { .. }) if resyncs < MAX_RESYNC => {
-                            // The stream skipped a frame. Recoverable: hand
-                            // the sender a resync request and wait for the
-                            // re-offered full-vector frame. The failed
-                            // decode did not advance stream state, so the
-                            // resync frame applies cleanly.
-                            resyncs += 1;
-                            resync_bytes +=
-                                offer_frame_bytes(offer.vector.len()) + resync_frame_bytes();
-                            if let Err(e) = rx.answer(OfferAnswer::Resync) {
-                                blocked += self.unpark(parked);
-                                self.recorder
-                                    .process(self.id)
-                                    .record_blocked(blocked.as_nanos() as u64);
-                                return Err(self.channel_error(from, e));
-                            }
-                            cap = Some(Duration::ZERO);
-                        }
-                        Err(_) => {
-                            // Malformed frame, orphan delta, or resync
-                            // budget exhausted: this channel's stream is
-                            // beyond repair. Other channels are unaffected.
-                            blocked += self.unpark(parked);
-                            self.recorder
-                                .process(self.id)
-                                .record_blocked(blocked.as_nanos() as u64);
-                            return Err(RuntimeError::DeltaDesync { from, to: self.id });
-                        }
-                    }
-                }
+        let (offer, stamp) = loop {
+            let polled = rx.poll_offer(cap, posted.then_some(&self.post[..]), &mut self.frame);
+            let offer = match polled {
+                Ok(Polled::Ready(offer)) => offer,
                 Ok(Polled::Pending) => {
                     match self.pending_step(WaitOp::ReceiveFrom, from, &mut parked, &mut budget) {
-                        Ok(next) => cap = next,
-                        Err(e) => {
-                            self.recorder
-                                .process(self.id)
-                                .record_blocked(blocked.as_nanos() as u64);
-                            return Err(e);
+                        Ok(next) => {
+                            cap = next;
+                            if !posted {
+                                self.post.clear();
+                                self.enc_ack.encode_preview(
+                                    from,
+                                    self.clock.as_slice(),
+                                    &mut self.post,
+                                );
+                                posted = true;
+                            }
+                            continue;
                         }
+                        Err(e) => match self.withdraw(&*rx, posted) {
+                            Some(offer) => offer,
+                            None => return Err(self.failed(blocked, e)),
+                        },
                     }
                 }
                 Err(e) => {
                     blocked += self.unpark(parked);
-                    self.recorder
-                        .process(self.id)
-                        .record_blocked(blocked.as_nanos() as u64);
-                    return Err(self.channel_error(from, e));
+                    let e = self.channel_error(from, e);
+                    match self.withdraw(&*rx, posted) {
+                        Some(offer) => offer,
+                        None => return Err(self.failed(blocked, e)),
+                    }
+                }
+            };
+            // A decoded frame of the wrong dimension means the sender runs
+            // a different decomposition: the stream is beyond repair, as it
+            // is for a malformed frame, an orphan delta, or a spent resync
+            // budget. Other channels are unaffected.
+            let stamp = match self.dec_data.decode_sparse(from, &self.frame) {
+                Ok((vector, changes)) => self
+                    .clock
+                    .on_receive(vector, changes, group, &mut self.ack_vector)
+                    .ok(),
+                Err(StreamError::SeqGap { .. }) if !offer.handed && resyncs < MAX_RESYNC => {
+                    // The stream skipped a frame. Recoverable: hand the
+                    // sender a resync request and wait for the re-offered
+                    // full-vector frame. The failed decode did not advance
+                    // stream state, so the resync frame applies cleanly.
+                    resyncs += 1;
+                    resync_bytes += offer_frame_bytes(self.frame.len()) + resync_frame_bytes();
+                    if let Err(e) = rx.answer(OfferAnswer::Resync) {
+                        blocked += self.unpark(parked);
+                        let e = self.channel_error(from, e);
+                        return Err(self.failed(blocked, e));
+                    }
+                    cap = Some(Duration::ZERO);
+                    continue;
+                }
+                Err(_) => None,
+            };
+            match stamp {
+                Some(stamp) => break (offer, stamp),
+                None => {
+                    blocked += self.unpark(parked);
+                    let e = RuntimeError::DeltaDesync { from, to: self.id };
+                    return Err(self.failed(blocked, e));
                 }
             }
         };
         let recv_wait = blocked + self.unpark(parked);
-        // A decoded frame of the wrong dimension means the sender runs a
-        // different decomposition — the stream is beyond repair.
-        let (ack, stamp) = match self.clock.on_receive(&vector, changes.as_deref(), group) {
-            Ok(pair) => pair,
-            Err(_) => {
-                self.recorder
-                    .process(self.id)
-                    .record_blocked(recv_wait.as_nanos() as u64);
-                return Err(RuntimeError::DeltaDesync { from, to: self.id });
-            }
-        };
-        let ack_bytes = self.enc_ack.encode(from, &ack);
+        self.ack.clear();
+        self.enc_ack.encode(from, &self.ack_vector, &mut self.ack);
         let wire_actual =
-            offer_frame_bytes(offer.vector.len()) + resync_bytes + ack_frame_bytes(ack_bytes.len());
-        if let Err(e) = rx.answer(OfferAnswer::Ack(ack_bytes)) {
-            self.recorder
-                .process(self.id)
-                .record_blocked(recv_wait.as_nanos() as u64);
-            return Err(self.channel_error(from, e));
+            offer_frame_bytes(self.frame.len()) + resync_bytes + ack_frame_bytes(self.ack.len());
+        if offer.handed {
+            // The sender already took the posted acknowledgement; this
+            // encode only commits the stream, to the same bytes.
+            debug_assert_eq!(
+                self.ack, self.post,
+                "committed ack differs from the posted one"
+            );
+        } else if let Err(e) = rx.answer(OfferAnswer::Ack(&self.ack)) {
+            let e = self.channel_error(from, e);
+            return Err(self.failed(recv_wait, e));
         }
         let me = self.recorder.process(self.id);
         if parked {
@@ -947,11 +980,49 @@ impl ProcessCtx {
         let entry = LogEntry::Received {
             from,
             key: offer.key,
-            stamp: stamp.clone(),
+            stamp,
         };
+        Ok((offer.payload, self.log_message(entry)))
+    }
+
+    /// Before a receive that posted its acknowledgement gives up, withdraws
+    /// the post — and takes an offer already handed against it. That
+    /// offer's sender has completed and logged its send, so the receive
+    /// must complete too: a handed offer is always delivered. Mirrors the
+    /// sender's final zero-wait poll for an acknowledgement.
+    fn withdraw(&mut self, rx: &dyn RxChannel, posted: bool) -> Option<RawOffer> {
+        if posted {
+            rx.withdraw(&mut self.frame)
+        } else {
+            None
+        }
+    }
+
+    /// Ends a failed operation: records its blocked time and hands back the
+    /// error.
+    fn failed(&self, blocked: Duration, e: RuntimeError) -> RuntimeError {
+        self.recorder
+            .process(self.id)
+            .record_blocked(blocked.as_nanos() as u64);
+        e
+    }
+
+    /// [`ProcessCtx::failed`] for a send that had already encoded a frame
+    /// `to` may never decode: its next offer to `to` stays plain.
+    fn send_failed(&mut self, to: ProcessId, blocked: Duration, e: RuntimeError) -> RuntimeError {
+        self.gapped.insert(to);
+        self.failed(blocked, e)
+    }
+
+    /// Logs a message endpoint (mirroring it to the sink, if any) and
+    /// returns its stamp, borrowed from the log.
+    fn log_message(&mut self, entry: LogEntry) -> &VectorTime {
         self.persist(&entry);
         self.log.push(entry);
-        Ok((offer.payload, stamp))
+        match self.log.last().and_then(LogEntry::stamp) {
+            Some(stamp) => stamp,
+            None => unreachable!("a message entry was just logged"),
+        }
     }
 
     /// Records an internal event.
@@ -1382,12 +1453,7 @@ impl Runtime {
         let max_component = logs
             .iter()
             .flatten()
-            .filter_map(|entry| match entry {
-                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => {
-                    stamp.as_slice().iter().copied().max()
-                }
-                LogEntry::Internal => None,
-            })
+            .filter_map(|entry| entry.stamp()?.as_slice().iter().copied().max())
             .max()
             .unwrap_or(0);
         RuntimeRun {
@@ -1434,6 +1500,11 @@ impl Runtime {
             dec_data: StreamDecoder::new(),
             enc_ack: StreamEncoder::new(),
             dec_ack: StreamDecoder::new(),
+            frame: Vec::with_capacity(FRAME_CAPACITY),
+            ack: Vec::with_capacity(FRAME_CAPACITY),
+            post: Vec::with_capacity(FRAME_CAPACITY),
+            ack_vector: Vec::new(),
+            gapped: HashSet::new(),
             fault: self.fault.clone(),
             op_index: 0,
             pending_desync: false,
@@ -1481,12 +1552,7 @@ impl Runtime {
         let max_component = ctx
             .log
             .iter()
-            .filter_map(|entry| match entry {
-                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => {
-                    stamp.as_slice().iter().copied().max()
-                }
-                LogEntry::Internal => None,
-            })
+            .filter_map(|entry| entry.stamp()?.as_slice().iter().copied().max())
             .max()
             .unwrap_or(0);
         let final_clock = ctx.clock.current_vector();
@@ -1648,10 +1714,7 @@ pub fn reconstruct_from_logs(
             } else {
                 (receive, send)
             };
-            let stamp_at = |e: EventId| match logs.get(e.process)?.get(e.index)? {
-                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => Some(stamp),
-                LogEntry::Internal => None,
-            };
+            let stamp_at = |e: EventId| logs.get(e.process)?.get(e.index)?.stamp();
             debug_assert_eq!(
                 stamp_at(first),
                 stamp_at(other),
@@ -2145,6 +2208,44 @@ mod tests {
     }
 
     #[test]
+    fn offer_after_a_timed_out_send_stays_plain() {
+        // P0's second send times out while P1 naps: its frame is retracted
+        // undecoded, so the stream to P1 has a gap. P1 then parks first and
+        // posts its ack; P0's third send must not be handed against it —
+        // P1 could not decode the frame and no longer ask for a resync.
+        let topo = topology::path(2);
+        let dec = decompose::best_known(&topo);
+        // Every step has 300 ms of slack against the 400 ms timeout.
+        let rt = Runtime::new(&topo, &dec)
+            .with_rendezvous_timeout(Duration::from_millis(400))
+            .with_rendezvous_retries(0);
+        let run = rt.run_tolerant(vec![
+            Box::new(|ctx| {
+                ctx.send(1, 1)?;
+                match ctx.send(1, 2) {
+                    Err(RuntimeError::RendezvousTimeout { peer: 1, .. }) => {}
+                    other => panic!("expected a timeout, got {other:?}"),
+                }
+                // P1 wakes at ~700 ms and parks: offer at ~800 ms.
+                std::thread::sleep(Duration::from_millis(400));
+                ctx.send(1, 3).map(|_| ())
+            }),
+            Box::new(|ctx| {
+                ctx.receive_from(0)?;
+                std::thread::sleep(Duration::from_millis(700));
+                let (x, _) = ctx.receive_from(0)?;
+                assert_eq!(x, 3);
+                Ok(())
+            }),
+        ]);
+        assert_eq!(run.outcomes(), &[None, None]);
+        assert!(run.stats().resync_frames >= 1, "the gap was repaired");
+        let (comp, stamps) = run.reconstruct().unwrap();
+        assert_eq!(comp.message_count(), 2);
+        assert!(stamps.encodes(&Oracle::new(&comp)));
+    }
+
+    #[test]
     fn panic_preserves_partial_logs_and_surviving_prefix() {
         // P1 completes one rendezvous, then panics. The casualty's log must
         // survive (it rode the panic boundary, not the thread teardown), and
@@ -2371,6 +2472,53 @@ mod tests {
         let (ref_comp, ref_stamps) = ref_run.reconstruct().unwrap();
         assert!(ref_stamps.encodes(&Oracle::new(&ref_comp)));
         assert!(stamps.encodes(&Oracle::new(&ref_comp)));
+    }
+
+    /// A token ring of `n` processes: every process but 0 ends on a send
+    /// and exits right after it.
+    fn ring(n: usize, rounds: u64) -> (Runtime, Vec<Behavior>) {
+        let topo = topology::cycle(n);
+        let dec = decompose::best_known(&topo);
+        let behaviors = (0..n)
+            .map(|p| -> Behavior {
+                Box::new(move |ctx| {
+                    for i in 0..rounds {
+                        if p == 0 {
+                            ctx.send(1, i)?;
+                            ctx.receive_from(n - 1)?;
+                        } else {
+                            let (token, _) = ctx.receive_from(p - 1)?;
+                            ctx.send((p + 1) % n, token)?;
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        (Runtime::new(&topo, &dec), behaviors)
+    }
+
+    #[test]
+    fn handed_last_sends_are_always_delivered() {
+        // A send handed against a posted acknowledgement completes at once,
+        // so a sender whose last operation it was exits before its receiver
+        // has taken the offer — and exits wake every parked receiver, which
+        // may then find its sender gone. The receive must still complete.
+        for i in 0..200u64 {
+            let (rt, behaviors) = match i % 3 {
+                0 => ping_pong(1 + i % 4),
+                1 => ring(3, 1 + i % 3),
+                _ => ring(5, 2),
+            };
+            let run = rt.run_tolerant(behaviors);
+            assert!(
+                run.outcomes().iter().all(Option::is_none),
+                "iteration {i}: {:?}",
+                run.outcomes()
+            );
+            let (comp, stamps) = run.reconstruct().expect("every send was received");
+            assert!(stamps.encodes(&Oracle::new(&comp)), "iteration {i}");
+        }
     }
 
     #[test]

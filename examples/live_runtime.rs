@@ -39,11 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for round in 0..ROUNDS {
                 for srv in 0..=1 {
                     let job = (id as u64) * 100 + round;
-                    let t_req = ctx.send(srv, job)?;
+                    // Stamps are borrowed from the process's log: keep
+                    // the request's across the next call by cloning it.
+                    let t_req = ctx.send(srv, job)?.clone();
                     let (result, t_rep) = ctx.receive_from(srv)?;
                     assert_eq!(result, job * 10);
                     // The reply's stamp strictly dominates the request's.
-                    assert!(t_req < t_rep);
+                    assert!(&t_req < t_rep);
                 }
             }
             Ok(())

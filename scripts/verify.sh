@@ -51,8 +51,10 @@
 #  14. pipeline-smoke: against the live catalog server, a `--window 16`
 #      batch (one pair per QUERY3 frame, 16 in flight) must print
 #      byte-identical output to the same `--batch` sent as one lock-step
-#      QUERY3 frame; the dedicated counting-allocator test must prove the
-#      steady-state serving path performs zero heap allocations
+#      QUERY3 frame; two counting-allocator gates: the steady-state
+#      serving path performs zero heap allocations per query, and the
+#      steady-state rendezvous path at most two per message (the stamps
+#      both endpoints log)
 #  15. clock-smoke: `run --ring 8` must produce byte-identical output under
 #      `--clock dense` and `--clock tree`; `run --clock fixed`, `--clock
 #      auto` and an unknown name must be refused as unknown backends, and
@@ -285,8 +287,9 @@ diff "$NET_DIR/web-lockstep.out" "$NET_DIR/web-window16.out" || {
 kill "$CATALOG_PID" 2>/dev/null || true
 wait "$CATALOG_PID" 2>/dev/null || true
 
-echo "==> pipeline-smoke: counting-allocator proof of the zero-alloc hot path"
+echo "==> pipeline-smoke: counting-allocator proofs of the serving and rendezvous hot paths"
 run cargo test -q -p synctime-net --test zero_alloc
+run cargo test -q --test rendezvous_alloc
 
 # --- clock-smoke: the tree clock must be a drop-in representation of the
 # --- dense one — same traces, byte for byte.
