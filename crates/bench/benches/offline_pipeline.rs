@@ -217,7 +217,7 @@ fn run_suite(smoke: bool) -> Value {
         // sequential stamps byte for byte at every size.
         assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
-            if seq.vector(MessageId(i)) != par.vector(MessageId(i)) {
+            if seq.row(MessageId(i)) != par.row(MessageId(i)) {
                 bit_identical = false;
                 eprintln!("offline_pipeline: DIVERGENCE at M = {m}, message {i}");
             }

@@ -43,14 +43,14 @@ fn avg_bytes(comp: &SyncComputation, stamps: &MessageTimestamps, delta: bool) ->
     for m in comp.messages() {
         let v = stamps.vector(m.id);
         if delta {
-            let bytes = encoders[m.sender].encode(m.receiver, v);
+            let bytes = encoders[m.sender].encode(m.receiver, &v);
             let decoded = decoders[m.receiver]
                 .decode(m.sender, &bytes)
                 .expect("stream decodes");
-            assert_eq!(&decoded, v);
+            assert_eq!(decoded, v);
             total += bytes.len();
         } else {
-            total += encode_full(v).len();
+            total += encode_full(&v).len();
         }
     }
     total as f64 / comp.message_count() as f64

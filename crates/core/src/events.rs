@@ -194,11 +194,11 @@ pub fn stamp_events(
             let e = EventId::new(p, i);
             let prev = computation
                 .message_at_or_before(e)
-                .map(|m| PrevTime::At(messages.vector(m).clone()))
+                .map(|m| PrevTime::At(messages.vector(m)))
                 .unwrap_or(PrevTime::Bottom);
             let succ = computation
                 .message_at_or_after(e)
-                .map(|m| SuccTime::At(messages.vector(m).clone()))
+                .map(|m| SuccTime::At(messages.vector(m)))
                 .unwrap_or(SuccTime::Infinity);
             per_process.push(EventStamp {
                 process: p,

@@ -25,18 +25,19 @@ use crate::{MessageTimestamps, VectorTime};
 pub fn stamp_messages(computation: &SyncComputation) -> MessageTimestamps {
     let n = computation.process_count();
     let mut clocks: Vec<VectorTime> = vec![VectorTime::zero(n); n];
-    let mut stamps = Vec::with_capacity(computation.message_count());
+    let len = computation.message_count();
+    let mut rows = Vec::with_capacity(len * n);
     for m in computation.messages() {
         let mut v = clocks[m.sender].clone();
         v.merge_max(&clocks[m.receiver])
             .expect("all Fidge–Mattern clocks share dimension N");
         v.increment(m.sender);
         v.increment(m.receiver);
+        rows.extend_from_slice(v.as_slice());
         clocks[m.sender] = v.clone();
-        clocks[m.receiver] = v.clone();
-        stamps.push(v);
+        clocks[m.receiver] = v;
     }
-    MessageTimestamps::new(stamps)
+    MessageTimestamps::from_rows(n, len, rows)
 }
 
 /// Fidge–Mattern timestamps for **all events** (internal and external) of a
@@ -213,17 +214,8 @@ mod tests {
         b.message(1, 2).unwrap(); // (1,2,2,1)
         let comp = b.build();
         let st = stamp_messages(&comp);
-        assert_eq!(
-            st.vector(synctime_trace::MessageId(0)).as_slice(),
-            &[1, 1, 0, 0]
-        );
-        assert_eq!(
-            st.vector(synctime_trace::MessageId(1)).as_slice(),
-            &[0, 0, 1, 1]
-        );
-        assert_eq!(
-            st.vector(synctime_trace::MessageId(2)).as_slice(),
-            &[1, 2, 2, 1]
-        );
+        assert_eq!(st.row(synctime_trace::MessageId(0)), &[1, 1, 0, 0]);
+        assert_eq!(st.row(synctime_trace::MessageId(1)), &[0, 0, 1, 1]);
+        assert_eq!(st.row(synctime_trace::MessageId(2)), &[1, 2, 2, 1]);
     }
 }

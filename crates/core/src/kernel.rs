@@ -2,12 +2,14 @@
 //!
 //! These are the scalar-code-shaped inner loops behind
 //! [`VectorTime::merge_max`] and [`VectorTime::compare`], the dense
-//! clock's merge and comparison: each walks its input in chunks of exactly
-//! eight lanes (`chunks_exact`) with an exact-remainder tail, which is
-//! the shape LLVM reliably autovectorizes on stable Rust without any
-//! nightly features, `unsafe`, or per-target intrinsics. The fixed trip
-//! count inside a chunk removes the loop-carried bounds checks and lets
-//! the backend pick whatever SIMD width the target offers.
+//! clock's merge and comparison, and behind the precedence tests of
+//! [`MessageTimestamps`], which compare two rows of its flat table: each
+//! walks its input in chunks of exactly eight lanes (`chunks_exact`)
+//! with an exact-remainder tail, which is the shape LLVM reliably
+//! autovectorizes on stable Rust without any nightly features, `unsafe`,
+//! or per-target intrinsics. The fixed trip count inside a chunk removes
+//! the loop-carried bounds checks and lets the backend pick whatever SIMD
+//! width the target offers.
 //!
 //! Semantics are bit-for-bit identical to the straightforward scalar
 //! loops they replaced, so every [`Clock`] backend stays byte-identical
@@ -15,6 +17,7 @@
 //!
 //! [`VectorTime::merge_max`]: crate::VectorTime::merge_max
 //! [`VectorTime::compare`]: crate::VectorTime::compare
+//! [`MessageTimestamps`]: crate::MessageTimestamps
 //! [`Clock`]: crate::Clock
 
 /// Lanes per vectorized chunk.

@@ -11,11 +11,13 @@
 //! `m1` precedes `m2` in *every* extension, which by the realizer property
 //! is exactly `m1 ↦ m2`.
 
+use std::sync::Mutex;
+
 use synctime_par::ThreadPool;
 use synctime_poset::{realizer, Poset, SparsePoset};
 use synctime_trace::{stream, Oracle, SyncComputation};
 
-use crate::{MessageTimestamps, VectorTime};
+use crate::MessageTimestamps;
 
 /// Offline-stamps all messages of a completed computation.
 ///
@@ -47,17 +49,10 @@ pub fn stamp_poset(poset: &Poset) -> MessageTimestamps {
     let extensions = realizer::chain_realizer(poset);
     debug_assert!(realizer::verify(poset, &extensions));
     let table = realizer::position_table(poset, &extensions);
-    let vectors: Vec<VectorTime> = (0..poset.len())
-        .map(|m| {
-            VectorTime::from(
-                table
-                    .iter()
-                    .map(|positions| positions[m] as u64)
-                    .collect::<Vec<u64>>(),
-            )
-        })
+    let rows = (0..poset.len())
+        .flat_map(|m| table.iter().map(move |positions| positions[m] as u64))
         .collect();
-    MessageTimestamps::new(vectors)
+    MessageTimestamps::from_rows(table.len(), poset.len(), rows)
 }
 
 /// Sparse-engine offline stamping: per-sender chain partition, chain-merge
@@ -129,19 +124,34 @@ pub fn stamp_sparse_poset_with(
         Some(pool) => pool.map_indexed(extensions.len(), |i| invert(&extensions[i])),
         None => extensions.iter().map(invert).collect(),
     };
-    let vector_of = |m: usize| -> VectorTime {
-        VectorTime::from(
-            positions
-                .iter()
-                .map(|pos| pos[m] as u64)
-                .collect::<Vec<u64>>(),
-        )
+    // Row `m` holds `m`'s position in every extension.
+    let (dim, len) = (positions.len(), poset.len());
+    let fill = |first: usize, block: &mut [u64]| {
+        for (row, m) in block.chunks_exact_mut(dim).zip(first..) {
+            for (c, pos) in row.iter_mut().zip(&positions) {
+                *c = u64::from(pos[m]);
+            }
+        }
     };
-    let vectors: Vec<VectorTime> = match pool {
-        Some(pool) => pool.map_indexed(poset.len(), vector_of),
-        None => (0..poset.len()).map(vector_of).collect(),
-    };
-    MessageTimestamps::new(vectors)
+    let mut rows = vec![0u64; dim * len];
+    match pool {
+        _ if rows.is_empty() => {}
+        // Workers fill whole row blocks in place. A block's rows depend
+        // only on its message ids, so every pool size writes one table.
+        Some(pool) => {
+            let per_block = len.div_ceil(pool.workers() * 4);
+            let blocks: Vec<Mutex<&mut [u64]>> =
+                rows.chunks_mut(per_block * dim).map(Mutex::new).collect();
+            pool.map_indexed(blocks.len(), |b| {
+                fill(
+                    b * per_block,
+                    &mut blocks[b].lock().expect("row block poisoned"),
+                );
+            });
+        }
+        None => fill(0, &mut rows),
+    }
+    MessageTimestamps::from_rows(dim, len, rows)
 }
 
 #[cfg(test)]
@@ -199,7 +209,7 @@ mod tests {
         assert_eq!(stamps.dim(), 1);
         // Positions are 0..m in rendezvous order.
         for i in 0..comp.message_count() {
-            assert_eq!(stamps.vector(MessageId(i)).component(0), i as u64);
+            assert_eq!(stamps.row(MessageId(i))[0], i as u64);
         }
     }
 
@@ -237,8 +247,8 @@ mod tests {
             assert_eq!(seq.len(), par.len());
             for m in 0..seq.len() {
                 assert_eq!(
-                    seq.vector(MessageId(m)),
-                    par.vector(MessageId(m)),
+                    seq.row(MessageId(m)),
+                    par.row(MessageId(m)),
                     "workers = {workers}, message {m}"
                 );
             }

@@ -263,11 +263,12 @@ pub fn stamp_computation_as<C: Clock>(
     computation: &SyncComputation,
 ) -> Result<MessageTimestamps, CoreError> {
     let mut session = GenericOnlineSession::<C>::new(decomposition, computation.process_count());
-    let mut stamps = Vec::with_capacity(computation.message_count());
+    let (dim, len) = (decomposition.len(), computation.message_count());
+    let mut rows = Vec::with_capacity(dim * len);
     for m in computation.messages() {
-        stamps.push(session.stamp(m.sender, m.receiver)?);
+        rows.extend_from_slice(session.rendezvous(m.sender, m.receiver)?.as_slice());
     }
-    Ok(MessageTimestamps::new(stamps))
+    Ok(MessageTimestamps::from_rows(dim, len, rows))
 }
 
 /// An incremental stamping session: the clocks of all `n` processes, fed
@@ -292,6 +293,11 @@ pub struct GenericOnlineSession<C: Clock> {
     decomposition: EdgeDecomposition,
     clocks: Vec<GenericProcessClock<C>>,
     stamped: usize,
+    /// The piggybacked clock (line 02) and the acknowledgement (line 04)
+    /// of the rendezvous in flight, reused so a rendezvous allocates
+    /// nothing.
+    payload: Vec<u64>,
+    ack: Vec<u64>,
 }
 
 /// The default dense-vector session (see [`GenericOnlineSession`]).
@@ -304,6 +310,8 @@ impl<C: Clock> GenericOnlineSession<C> {
             decomposition: decomposition.clone(),
             clocks: vec![GenericProcessClock::new(decomposition.len()); process_count],
             stamped: 0,
+            payload: Vec::with_capacity(decomposition.len()),
+            ack: Vec::with_capacity(decomposition.len()),
         }
     }
 
@@ -405,6 +413,13 @@ impl<C: Clock> GenericOnlineSession<C> {
     /// edge is in no group, or [`CoreError::ProcessOutOfRange`] for bad
     /// process ids.
     pub fn stamp(&mut self, sender: usize, receiver: usize) -> Result<VectorTime, CoreError> {
+        self.rendezvous(sender, receiver).map(Clock::to_vector)
+    }
+
+    /// [`GenericOnlineSession::stamp`] without the copy: performs the
+    /// rendezvous and returns the sender's clock, which after Figure 5
+    /// equals the receiver's and is the message's timestamp.
+    fn rendezvous(&mut self, sender: usize, receiver: usize) -> Result<&C, CoreError> {
         for &p in &[sender, receiver] {
             if p >= self.clocks.len() {
                 return Err(CoreError::ProcessOutOfRange {
@@ -418,12 +433,27 @@ impl<C: Clock> GenericOnlineSession<C> {
             .decomposition
             .group_of(edge)
             .ok_or(CoreError::ChannelNotInDecomposition { edge })?;
-        let payload = self.clocks[sender].send_payload();
-        let (ack, t_recv) = self.clocks[receiver].on_receive(&payload, group)?;
-        let t_send = self.clocks[sender].on_acknowledgement(&ack, group)?;
-        debug_assert_eq!(t_send, t_recv, "protocol endpoints must agree");
+        // Line 02: the sender piggybacks its clock.
+        self.payload.clear();
+        self.payload
+            .extend_from_slice(self.clocks[sender].vector.as_slice());
+        // Lines 04–07: the receiver acknowledges with its pre-update
+        // clock, then merges the payload and counts the channel's group.
+        let t_recv = &mut self.clocks[receiver].vector;
+        self.ack.clear();
+        self.ack.extend_from_slice(t_recv.as_slice());
+        t_recv.merge_from_slice(&self.payload)?;
+        t_recv.increment(group);
+        // Lines 09–11: the sender merges the acknowledgement.
+        let t_send = &mut self.clocks[sender].vector;
+        t_send.merge_from_slice(&self.ack)?;
+        t_send.increment(group);
+        debug_assert_eq!(
+            self.clocks[sender], self.clocks[receiver],
+            "protocol endpoints must agree"
+        );
         self.stamped += 1;
-        Ok(t_send.to_vector())
+        Ok(&self.clocks[sender].vector)
     }
 }
 
@@ -469,19 +499,14 @@ mod tests {
             vec![3, 2, 2], // m8: P1 -> P2 (E1)
         ];
         for (i, exp) in expected.iter().enumerate() {
-            assert_eq!(
-                stamps.vector(MessageId(i)).as_slice(),
-                exp.as_slice(),
-                "m{}",
-                i + 1
-            );
+            assert_eq!(stamps.row(MessageId(i)), exp.as_slice(), "m{}", i + 1);
         }
         // And the timestamps encode the poset (Theorem 4).
         assert!(stamps.encodes(&Oracle::new(&comp)));
         // The tree backend reproduces the walkthrough bit for bit.
         let tree = stamp_computation_as::<TreeClock>(&dec, &comp).unwrap();
         for (i, exp) in expected.iter().enumerate() {
-            assert_eq!(tree.vector(MessageId(i)).as_slice(), exp.as_slice());
+            assert_eq!(tree.row(MessageId(i)), exp.as_slice());
         }
     }
 
@@ -570,7 +595,7 @@ mod tests {
         }
         let comp = b.build();
         let stamps = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
-        let values: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let values: Vec<u64> = stamps.rows().map(|v| v[0]).collect();
         assert_eq!(values, (1..=8).collect::<Vec<u64>>());
         assert!(stamps.encodes(&Oracle::new(&comp)));
     }
@@ -619,7 +644,7 @@ mod tests {
         let mut tree = GenericOnlineSession::<TreeClock>::new(&dec, 4);
         for (i, (s, r)) in pairs.iter().enumerate() {
             let t = session.stamp(*s, *r).unwrap();
-            assert_eq!(&t, batch.vector(MessageId(i)));
+            assert_eq!(t.as_slice(), batch.row(MessageId(i)));
             assert_eq!(tree.stamp(*s, *r).unwrap(), t);
         }
         assert_eq!(session.stamped(), pairs.len());

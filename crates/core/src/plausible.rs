@@ -63,7 +63,8 @@ pub fn stamp_messages_with_mapping(
     );
     let n = computation.process_count();
     let mut clocks: Vec<VectorTime> = vec![VectorTime::zero(entries); n];
-    let mut stamps = Vec::with_capacity(computation.message_count());
+    let len = computation.message_count();
+    let mut rows = Vec::with_capacity(len * entries);
     for m in computation.messages() {
         let mut v = clocks[m.sender].clone();
         v.merge_max(&clocks[m.receiver])
@@ -73,11 +74,11 @@ pub fn stamp_messages_with_mapping(
         if ej != ei {
             v.increment(ej);
         }
+        rows.extend_from_slice(v.as_slice());
         clocks[m.sender] = v.clone();
-        clocks[m.receiver] = v.clone();
-        stamps.push(v);
+        clocks[m.receiver] = v;
     }
-    MessageTimestamps::new(stamps)
+    MessageTimestamps::from_rows(entries, len, rows)
 }
 
 /// Accuracy of a plausible-clock stamping against the ground truth: the
@@ -107,7 +108,7 @@ pub fn accuracy(stamps: &MessageTimestamps, oracle: &Oracle) -> Accuracy {
     for i in 0..n {
         for j in (i + 1)..n {
             let (a, b) = (MessageId(i), MessageId(j));
-            let cmp = stamps.vector(a).compare(stamps.vector(b));
+            let cmp = stamps.order(a, b);
             if oracle.synchronously_precedes(a, b) {
                 ordered_pairs += 1;
                 ordered_ok += usize::from(cmp == VectorOrder::Less);

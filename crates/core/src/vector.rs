@@ -22,6 +22,17 @@ pub enum VectorOrder {
     Concurrent,
 }
 
+/// Vector order of two equal-length component slices.
+#[inline]
+fn order_of(a: &[u64], b: &[u64]) -> VectorOrder {
+    match kernel::compare_lanes(a, b) {
+        (false, false) => VectorOrder::Equal,
+        (true, false) => VectorOrder::Less,
+        (false, true) => VectorOrder::Greater,
+        (true, true) => VectorOrder::Concurrent,
+    }
+}
+
 /// A vector timestamp of fixed dimension.
 ///
 /// For message timestamps produced by this crate, the dimension is the
@@ -117,13 +128,7 @@ impl VectorTime {
             self.dim(),
             other.dim()
         );
-        let (some_less, some_greater) = kernel::compare_lanes(&self.components, &other.components);
-        match (some_less, some_greater) {
-            (false, false) => VectorOrder::Equal,
-            (true, false) => VectorOrder::Less,
-            (false, true) => VectorOrder::Greater,
-            (true, true) => VectorOrder::Concurrent,
-        }
+        order_of(&self.components, &other.components)
     }
 
     /// Component-wise `≤` (used by the Theorem 9 event test, where equality
@@ -165,10 +170,19 @@ impl fmt::Display for VectorTime {
 
 /// The per-message timestamps produced by one run of a timestamping
 /// algorithm, with the paper's precedence test as methods.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The stamps live in one row-major table of stride [`dim`](Self::dim):
+/// message `m`'s stamp is the row `rows[m·d .. (m+1)·d]`. A precedence
+/// test therefore compares two rows whose addresses are computed from the
+/// ids, with no per-stamp header to load first. [`row`](Self::row) is the
+/// serving accessor; [`vector`](Self::vector) copies a row out.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageTimestamps {
-    vectors: Vec<VectorTime>,
+    rows: Vec<u64>,
     dim: usize,
+    /// Stored, not derived from `rows`, so a zero-dimension table keeps
+    /// its message count.
+    len: usize,
 }
 
 impl MessageTimestamps {
@@ -183,7 +197,30 @@ impl MessageTimestamps {
             vectors.iter().all(|v| v.dim() == dim),
             "all timestamps must share one dimension"
         );
-        MessageTimestamps { vectors, dim }
+        let mut rows = Vec::with_capacity(vectors.len() * dim);
+        for v in &vectors {
+            rows.extend_from_slice(v.as_slice());
+        }
+        MessageTimestamps::from_rows(dim, vectors.len(), rows)
+    }
+
+    /// Wraps `len` stamps of `dim` components each, laid out row after
+    /// row in message-id order — how the producers hand over their output.
+    /// A table without stamps has dimension 0, as [`new`](Self::new) gives
+    /// it, so every producer's empty table compares equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not hold exactly `len × dim` components.
+    pub fn from_rows(dim: usize, len: usize, rows: Vec<u64>) -> Self {
+        assert!(
+            dim.checked_mul(len) == Some(rows.len()),
+            "a table of {len} stamps of dimension {dim} needs {} components, got {}",
+            dim.saturating_mul(len),
+            rows.len()
+        );
+        let dim = if len == 0 { 0 } else { dim };
+        MessageTimestamps { rows, dim, len }
     }
 
     /// The timestamp dimension (number of vector components).
@@ -193,39 +230,65 @@ impl MessageTimestamps {
 
     /// Number of stamped messages.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.len
     }
 
     /// Whether no messages were stamped.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len == 0
     }
 
-    /// The timestamp of a message.
+    /// The timestamp of a message, borrowed from the table.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn vector(&self, m: MessageId) -> &VectorTime {
-        &self.vectors[m.0]
+    #[inline]
+    pub fn row(&self, m: MessageId) -> &[u64] {
+        assert!(
+            m.0 < self.len,
+            "message {} out of range (the table has {} messages)",
+            m.0,
+            self.len
+        );
+        let start = m.0 * self.dim;
+        &self.rows[start..start + self.dim]
     }
 
-    /// All timestamps, indexed by message id.
-    pub fn vectors(&self) -> &[VectorTime] {
-        &self.vectors
+    /// All timestamps, in message-id order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        (0..self.len).map(move |m| self.row(MessageId(m)))
+    }
+
+    /// An owned copy of a message's timestamp, for display and export.
+    /// It allocates: serving paths read [`row`](Self::row) instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn vector(&self, m: MessageId) -> VectorTime {
+        VectorTime::from(self.row(m).to_vec())
+    }
+
+    /// Vector-order comparison of two messages' stamps.
+    #[inline]
+    pub(crate) fn order(&self, m1: MessageId, m2: MessageId) -> VectorOrder {
+        order_of(self.row(m1), self.row(m2))
     }
 
     /// The precedence test: `m1 ↦ m2` iff `v(m1) < v(m2)`.
+    #[inline]
     pub fn precedes(&self, m1: MessageId, m2: MessageId) -> bool {
-        self.vectors[m1.0].compare(&self.vectors[m2.0]) == VectorOrder::Less
+        self.order(m1, m2) == VectorOrder::Less
     }
 
     /// The concurrency test: neither vector is below the other and the
     /// messages are distinct.
+    #[inline]
     pub fn concurrent(&self, m1: MessageId, m2: MessageId) -> bool {
         m1 != m2
             && matches!(
-                self.vectors[m1.0].compare(&self.vectors[m2.0]),
+                self.order(m1, m2),
                 VectorOrder::Concurrent | VectorOrder::Equal
             )
     }
@@ -234,7 +297,7 @@ impl MessageTimestamps {
     /// pair, `precedes(m1, m2) ⟺ m1 ↦ m2` per the ground-truth `oracle`
     /// (the central property, Theorem 4 / Figure 9). `O(|M|²)`.
     pub fn encodes(&self, oracle: &synctime_trace::Oracle) -> bool {
-        let n = self.vectors.len();
+        let n = self.len;
         if oracle.message_poset().len() != n {
             return false;
         }

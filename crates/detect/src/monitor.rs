@@ -231,7 +231,7 @@ mod tests {
         for i in order {
             mon.observe(Observation {
                 message: MessageId(i),
-                stamp: stamps.vector(MessageId(i)).clone(),
+                stamp: stamps.vector(MessageId(i)),
             })
             .unwrap();
         }

@@ -391,8 +391,8 @@ mod tests {
         // A re-stamp swaps the Arc; the held snapshot is untouched.
         fabric.publish("a", stamps(9));
         let new = fabric.snapshot("a").expect("republished");
-        assert_eq!(old.vector(synctime_trace::MessageId(0)).as_slice()[0], 1);
-        assert_eq!(new.vector(synctime_trace::MessageId(0)).as_slice()[0], 9);
+        assert_eq!(old.row(synctime_trace::MessageId(0))[0], 1);
+        assert_eq!(new.row(synctime_trace::MessageId(0))[0], 9);
         assert!(!Arc::ptr_eq(&old, &new));
         assert_eq!(fabric.trace_count(), 1);
     }

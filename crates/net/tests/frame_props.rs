@@ -279,6 +279,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Served from the flat stamp table, in-range queries answer as the
+    /// table's own tests do, and an out-of-range id is refused with the
+    /// same error text as before, appending nothing — at every width,
+    /// the zero-dimension table included.
+    #[test]
+    fn flat_table_answers_and_refuses_ids_as_before(
+        dim in 0usize..=17,
+        len in 0usize..=40,
+        components in collection::vec(0u64..3, 17 * 40),
+        kind in 0u8..3,
+        picks in collection::vec(any::<u32>(), 2),
+        beyond in 0u32..1000,
+    ) {
+        use synctime_core::MessageTimestamps;
+        use synctime_net::answer_query_into;
+        use synctime_net::query::{QUERY_CHAIN_OF, QUERY_CONCURRENT};
+        use synctime_trace::MessageId;
+
+        let table = MessageTimestamps::from_rows(dim, len, components[..dim * len].to_vec());
+        let mut out = vec![7u8];
+        if len > 0 {
+            let (m1, m2) = (picks[0] % len as u32, picks[1] % len as u32);
+            answer_query_into(&table, kind, m1, m2, &mut out).expect("in-range query");
+            let (a, b) = (MessageId(m1 as usize), MessageId(m2 as usize));
+            match kind {
+                QUERY_CHAIN_OF => prop_assert!(out.len() >= 1 + 4 + 4),
+                QUERY_CONCURRENT => prop_assert_eq!(&out[1..], &[u8::from(table.concurrent(a, b))]),
+                _ => prop_assert_eq!(&out[1..], &[u8::from(table.precedes(a, b))]),
+            }
+            out.truncate(1);
+        }
+        let out_of_range = len as u32 + beyond;
+        let expected = format!("message {out_of_range} out of range (trace has {len} messages)");
+        let m1 = if len > 0 { 0 } else { out_of_range };
+        let refused = if kind == QUERY_CHAIN_OF {
+            answer_query_into(&table, kind, out_of_range, 0, &mut out)
+        } else {
+            answer_query_into(&table, kind, m1, out_of_range, &mut out)
+        };
+        match refused {
+            Err(NetError::Query(text)) => prop_assert_eq!(text, expected),
+            other => prop_assert!(false, "expected the out-of-range refusal, got {:?}", other),
+        }
+        prop_assert_eq!(out, vec![7u8]);
+    }
+}
+
 /// A HELLO from a future protocol version parses as a frame (the header
 /// layout is version-independent) so the handshake can refuse it with a
 /// diagnostic rather than a framing error.

@@ -112,11 +112,7 @@ fn local_stamp_vectors(
     let run = Runtime::new(topo, dec).run(behaviors).expect("local run");
     let (comp, stamps) = run.reconstruct().expect("local reconstruct");
     assert!(stamps.encodes(&Oracle::new(&comp)));
-    stamps
-        .vectors()
-        .iter()
-        .map(|v| v.as_slice().to_vec())
-        .collect()
+    stamps.rows().map(<[u64]>::to_vec).collect()
 }
 
 fn tcp_stamp_vectors(runs: Vec<ProcessRun>) -> Vec<Vec<u64>> {
@@ -129,11 +125,7 @@ fn tcp_stamp_vectors(runs: Vec<ProcessRun>) -> Vec<Vec<u64>> {
     let (comp, stamps) = reconstruct_from_logs(&logs).expect("tcp reconstruct");
     // Theorem 4: the stamps encode synchronous order exactly.
     assert!(stamps.encodes(&Oracle::new(&comp)));
-    stamps
-        .vectors()
-        .iter()
-        .map(|v| v.as_slice().to_vec())
-        .collect()
+    stamps.rows().map(<[u64]>::to_vec).collect()
 }
 
 #[test]

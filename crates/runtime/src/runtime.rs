@@ -1686,7 +1686,9 @@ impl RuntimeRun {
 /// # Errors
 ///
 /// Propagates [`TraceError`]s from sequence reconstruction (mismatched or
-/// truncated logs, e.g. from a crashed node).
+/// truncated logs, e.g. from a crashed node), and returns
+/// [`TraceError::StampDimensionMismatch`] when the logged stamps differ
+/// in dimension.
 pub fn reconstruct_from_logs(
     logs: &[Vec<LogEntry>],
 ) -> Result<(SyncComputation, MessageTimestamps), TraceError> {
@@ -1705,8 +1707,11 @@ pub fn reconstruct_from_logs(
     let computation = SyncComputation::from_process_sequences(sequences)?;
     // Re-associate stamps: a message's stamp is the one its endpoint on
     // the lower-numbered process logged (both endpoints log the same
-    // one). The rebuilt histories index the logs slot for slot.
-    let vectors: Vec<VectorTime> = (0..computation.message_count())
+    // one). The rebuilt histories index the logs slot for slot. Every
+    // stamp must have message 0's dimension to fit the table, which
+    // `concat` then sizes once and fills.
+    let mut dim = None;
+    let stamps: Vec<&[u64]> = (0..computation.message_count())
         .map(|id| {
             let (send, receive) = computation.message_endpoints(MessageId(id));
             let (first, other) = if send.process < receive.process {
@@ -1725,12 +1730,20 @@ pub fn reconstruct_from_logs(
             // very logs, so a missing stamp is unreachable — but surfaced
             // as a typed error, not a panic, to keep the runtime crate
             // panic-free.
-            stamp_at(first)
-                .cloned()
-                .ok_or(TraceError::MalformedSequences { message: id })
+            let stamp = stamp_at(first).ok_or(TraceError::MalformedSequences { message: id })?;
+            let expected = *dim.get_or_insert(stamp.dim());
+            if stamp.dim() != expected {
+                return Err(TraceError::StampDimensionMismatch {
+                    message: id,
+                    expected,
+                    got: stamp.dim(),
+                });
+            }
+            Ok(stamp.as_slice())
         })
         .collect::<Result<_, _>>()?;
-    Ok((computation, MessageTimestamps::new(vectors)))
+    let stamps = MessageTimestamps::from_rows(dim.unwrap_or(0), stamps.len(), stamps.concat());
+    Ok((computation, stamps))
 }
 
 #[cfg(test)]
@@ -1771,7 +1784,7 @@ mod tests {
         assert_eq!(stamps.dim(), 1);
         assert!(stamps.encodes(&Oracle::new(&comp)));
         // Scalar components strictly increase: the path is a star (Lemma 1).
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let vals: Vec<u64> = stamps.rows().map(|v| v[0]).collect();
         assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
     }
 

@@ -308,7 +308,7 @@ mod tests {
         assert_eq!(direct.len(), via_store.len());
         for i in 0..direct.len() {
             use synctime_trace::MessageId;
-            assert_eq!(direct.vector(MessageId(i)), via_store.vector(MessageId(i)));
+            assert_eq!(direct.row(MessageId(i)), via_store.row(MessageId(i)));
         }
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(comp.message_count(), ref_comp.message_count());
         for i in 0..ref_stamps.len() {
             use synctime_trace::MessageId;
-            assert_eq!(stamps.vector(MessageId(i)), ref_stamps.vector(MessageId(i)));
+            assert_eq!(stamps.row(MessageId(i)), ref_stamps.row(MessageId(i)));
         }
         // A trace with no boundary serves whole, as epoch 0.
         let plain = persist_logs(&root, "plain", &epoch0).expect("persist plain");

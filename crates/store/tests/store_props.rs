@@ -795,3 +795,49 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A store whose stamps disagree in dimension — key 0 stamped `[1]`, key
+/// 1 stamped `[2, 1]` — recovers whole, and materializing it is a typed
+/// replay error naming the message and both dimensions, not a panic.
+#[test]
+fn stamps_of_mixed_dimension_are_a_typed_replay_error() {
+    let (narrow, wide) = (VectorTime::from(vec![1]), VectorTime::from(vec![2, 1]));
+    let logs = vec![
+        vec![
+            LogEntry::Sent {
+                to: 1,
+                key: 0,
+                stamp: narrow.clone(),
+            },
+            LogEntry::Received {
+                from: 1,
+                key: 1,
+                stamp: wide.clone(),
+            },
+        ],
+        vec![
+            LogEntry::Received {
+                from: 0,
+                key: 0,
+                stamp: narrow,
+            },
+            LogEntry::Sent {
+                to: 0,
+                key: 1,
+                stamp: wide,
+            },
+        ],
+    ];
+    let root = temp_root("mixed-dims");
+    let store = persist_logs(&root, "t", &logs).expect("persist");
+    let rec = read_trace_dir(store.dir()).expect("recover");
+    assert_eq!((rec.records, rec.torn_bytes), (4, 0));
+    match materialize_latest_epoch(&rec) {
+        Err(StoreError::Replay(detail)) => assert!(
+            detail.contains("message 1 is stamped with 2 components") && detail.contains("with 1"),
+            "{detail}"
+        ),
+        other => panic!("expected a typed replay error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

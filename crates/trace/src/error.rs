@@ -36,6 +36,16 @@ pub enum TraceError {
         /// The offending message index.
         message: usize,
     },
+    /// A message's logged stamp has a different number of components
+    /// from the stamps before it, so the stamps fit no one table.
+    StampDimensionMismatch {
+        /// The offending message index.
+        message: usize,
+        /// The dimension of the stamps before it.
+        expected: usize,
+        /// The dimension of its stamp.
+        got: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -66,6 +76,16 @@ impl fmt::Display for TraceError {
                 write!(
                     f,
                     "message {message} does not appear exactly once at its sender and receiver"
+                )
+            }
+            TraceError::StampDimensionMismatch {
+                message,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "message {message} is stamped with {got} components, but the messages before it with {expected}"
                 )
             }
         }

@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in order {
         monitor.observe(Observation {
             message: MessageId(i),
-            stamp: stamps.vector(MessageId(i)).clone(),
+            stamp: stamps.vector(MessageId(i)),
         })?;
     }
 

@@ -88,9 +88,14 @@
 #      the sparse offline engine stamping the reference trace
 #  20. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
 #      non-test source (typed RuntimeError paths only)
-#  21. perfbench-build: the end-to-end benchmark under perfbench/ (its own
-#      cargo workspace, path deps on crates/) must build, so a public-API
-#      change that would break the benchmark fails here instead
+#  21. perfbench-build + perfbench-smoke: the end-to-end benchmark under
+#      perfbench/ (its own cargo workspace, path deps on crates/) must
+#      build, so a public-API change that would break the benchmark fails
+#      here instead; then each of its four workloads runs for one second
+#      (`--seconds 1 --seed 3`) and its result line must read
+#      `"correct": true` with `"failed": 0` — `restart` is the one run
+#      that serves a trace larger than the L3 cache and checks every
+#      served answer against the in-process answer
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -481,5 +486,15 @@ for f in crates/runtime/src/*.rs; do
 done
 
 run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+PERFBENCH="perfbench/target/release/synctime-perfbench"
+for workload in ingest mesh churn restart; do
+  echo "==> perfbench-smoke: $workload"
+  result="$("$PERFBENCH" --workload "$workload" --seconds 1 --seed 3 | tail -n 1)"
+  case "$result" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "verify: perfbench $workload failed its correctness check: $result" >&2
+       exit 1 ;;
+  esac
+done
 
 echo "==> verify: all green"

@@ -223,8 +223,8 @@ proptest! {
         prop_assert_eq!(sparse.len(), par.len());
         for m in 0..sparse.len() {
             prop_assert_eq!(
-                sparse.vector(MessageId(m)),
-                par.vector(MessageId(m)),
+                sparse.row(MessageId(m)),
+                par.row(MessageId(m)),
                 "workers = {}, message {}",
                 workers,
                 m
@@ -440,8 +440,8 @@ proptest! {
         prop_assert_eq!(dense.len(), tree.len());
         for m in 0..dense.len() {
             prop_assert_eq!(
-                dense.vector(MessageId(m)),
-                tree.vector(MessageId(m)),
+                dense.row(MessageId(m)),
+                tree.row(MessageId(m)),
                 "online tree backend diverged on m{}",
                 m
             );
@@ -510,8 +510,8 @@ proptest! {
         prop_assert_eq!(dense.len(), tree.len());
         for m in 0..dense.len() {
             prop_assert_eq!(
-                dense.vector(MessageId(m)),
-                tree.vector(MessageId(m)),
+                dense.row(MessageId(m)),
+                tree.row(MessageId(m)),
                 "tree backend diverged on survivor prefix at m{}",
                 m
             );

@@ -71,7 +71,7 @@ fn single_component_suffices_for_star_and_triangle() {
         let stamps = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
         assert!(stamps.encodes(&Oracle::new(&comp)));
         // Scalars: strictly increasing in rendezvous order.
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let vals: Vec<u64> = stamps.rows().map(|v| v[0]).collect();
         assert!(vals.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -131,10 +131,10 @@ fn runtime_matches_sim() {
         .stamp_computation(&sim_comp)
         .unwrap();
     assert!(sim_stamps.encodes(&Oracle::new(&sim_comp)));
-    let mut live_sorted: Vec<&VectorTime> = live_stamps.vectors().iter().collect();
-    let mut sim_sorted: Vec<&VectorTime> = sim_stamps.vectors().iter().collect();
-    live_sorted.sort_by_key(|v| v.as_slice().to_vec());
-    sim_sorted.sort_by_key(|v| v.as_slice().to_vec());
+    let mut live_sorted: Vec<&[u64]> = live_stamps.rows().collect();
+    let mut sim_sorted: Vec<&[u64]> = sim_stamps.rows().collect();
+    live_sorted.sort();
+    sim_sorted.sort();
     assert_eq!(live_sorted, sim_sorted);
 }
 
