@@ -21,9 +21,9 @@
 //!   The `channel` variant (a sink that receives and discards) isolates
 //!   what the run itself pays to emit events — the part of the tax that
 //!   survives on any machine. The drain-and-seal that follows the last
-//!   rendezvous (compaction snapshot + fsync) is the price of
-//!   *finishing* a durable trace, not of running one — it is reported
-//!   separately as the `seal` variant.
+//!   rendezvous (remaining queue + fsync) is the price of *finishing* a
+//!   durable trace, not of running one — it is reported separately as
+//!   the `seal` variant.
 //! * `replay` — recover the persisted trace directory back into
 //!   per-process logs (`read_trace_dir`: scan, CRC-check, dedup, trim)
 //!   and reconstruct the stamps (`materialize`). The derived
@@ -146,8 +146,8 @@ fn ring_behavior(p: usize, n: usize, rounds: u64) -> Behavior {
 /// `run_ns` times the run itself — every rendezvous, with the store
 /// writer (if any) draining concurrently — which is the window the
 /// overhead claim is about; `seal_ns` times the drain-and-seal after the
-/// last rendezvous (remaining queue, compaction snapshot, fsync), the
-/// one-off cost of finishing a durable trace (zero when not persisting).
+/// last rendezvous (remaining queue, fsync), the one-off cost of
+/// finishing a durable trace (zero when not persisting).
 /// What drains the runtime's log sink during an ingest measurement.
 enum Sink<'a> {
     /// No sink at all: the baseline run.

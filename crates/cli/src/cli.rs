@@ -1693,11 +1693,12 @@ fn publish_recovered(
 
 /// Watches a store root and republishes any trace whose on-disk bytes
 /// grew since the last poll, so a serving node follows live ingestion.
-/// Fingerprints are (snapshot len, log len) pairs — both files are
-/// append-only between snapshots, and a snapshot changes both lengths,
-/// so growth is always visible. A changed trace is re-read through its
-/// per-trace [`synctime_store::TraceTailReader`], which replays only the
-/// appended suffix instead of rescanning the whole log. Failed recoveries
+/// Fingerprints are (snapshot len, log len) pairs — a store only appends
+/// to its log, so growth is always visible, and a store replaced under the
+/// same name is seen unless its log has exactly the old length. A changed
+/// trace is re-read through its per-trace
+/// [`synctime_store::TraceTailReader`], which replays only the appended
+/// suffix, or everything once the store was replaced. Failed recoveries
 /// (a torn in-progress write) leave the fingerprint unrecorded and retry
 /// next poll.
 fn spawn_store_tailer(

@@ -1,6 +1,6 @@
-//! Durable ingestion for stamped traces: an append-only, length-prefixed,
-//! CRC-checked log of execution-log records, with periodic snapshots that
-//! compact the log and crash recovery by replaying snapshot + tail.
+//! Durable ingestion for stamped traces: one append-only, length-prefixed,
+//! CRC-checked log of execution-log records per trace, and crash recovery
+//! by replaying it.
 //!
 //! The paper's point is that timestamps are *small*; this crate's point is
 //! that small timestamps are *cheap to keep*. What is persisted is not the
@@ -9,9 +9,9 @@
 //! one record per [`LogEntry`], keyed by `(process, pseq)` — which process
 //! logged it and at which position of that process's log. Those
 //! coordinates make replay **order-independent** (records may arrive
-//! interleaved, duplicated across a snapshot/log overlap, or truncated by
-//! a crash) and **idempotent** (replay deduplicates by coordinate), and
-//! the replayed logs feed the exact same
+//! interleaved, duplicated, or truncated by a crash) and **idempotent**
+//! (replay deduplicates by coordinate), and the replayed logs feed the
+//! exact same
 //! [`reconstruct_from_logs`](synctime_runtime::reconstruct_from_logs)
 //! seam an in-memory run uses — so a recovered trace answers precedence
 //! queries byte-identically to one that never touched disk.
@@ -19,17 +19,17 @@
 //! Layout on disk, per trace, under a store root directory:
 //!
 //! ```text
-//! <root>/<trace>/snapshot.st   all records up to the last compaction
-//! <root>/<trace>/log.st        records appended since
+//! <root>/<trace>/log.st   a META record, then every record in append order
 //! ```
 //!
-//! Both files are a META record followed by entry records (see
-//! [`record`] for the byte format, priced byte-for-byte by
-//! `synctime_core::wire`'s `store_*_record_bytes` helpers). A snapshot is
-//! written to a temp file, fsynced, and atomically renamed before the log
-//! is truncated; recovery tolerates every crash point in that sequence
-//! plus a torn final record in either file, always materialising the
-//! largest causally consistent prefix of the run (see [`read_trace_dir`]).
+//! See [`record`] for the byte format, priced byte-for-byte by
+//! `synctime_core::wire`'s `store_*_record_bytes` helpers. The log is
+//! never rewritten: it is fsynced with its directory when created, then
+//! only appended to and fsynced. A crash leaves a prefix of it with at
+//! most a torn final record, and recovery always materialises the largest
+//! causally consistent prefix of the run (see [`read_trace_dir`]). A store
+//! written by an earlier build may also hold `snapshot.st`, its compacted
+//! records, which recovery still reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +44,7 @@ use std::fmt;
 pub use crc::crc32;
 pub use log::{
     read_trace_dir, trace_dirs, validate_trace_name, RecoveredTrace, TraceStore, TraceTailReader,
-    DEFAULT_SNAPSHOT_EVERY, LOG_FILE, SNAPSHOT_FILE,
+    LOG_FILE, SNAPSHOT_FILE,
 };
 pub use record::{FileScan, Meta, ReconfigRecord, StampRecord, TailScan, FORMAT_VERSION};
 pub use replay::{
@@ -60,7 +60,7 @@ pub use synctime_runtime::{LogEntry, PersistEvent};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// An OS-level filesystem failure (create, write, rename, fsync).
+    /// An OS-level filesystem failure (create, remove, read, write, fsync).
     Io(String),
     /// The store's bytes violate the record format beyond what torn-tail
     /// recovery tolerates: no readable META record, a format version this

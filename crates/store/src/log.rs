@@ -1,31 +1,31 @@
 //! The trace store writer ([`TraceStore`]) and directory-level recovery
 //! ([`read_trace_dir`]).
 //!
-//! ## Snapshot / compaction lifecycle
+//! ## One append-only file
 //!
-//! A [`TraceStore`] appends records to `log.st`. Once the log tail has
-//! both reached `snapshot_every` appends *and* grown to rival the
-//! snapshotted prefix (a geometric trigger, so total compaction I/O
-//! stays a constant factor of the bytes ingested — a fixed cadence
-//! would rewrite the whole trace `O(n / cadence)` times), and on
-//! demand, it compacts:
+//! A [`TraceStore`] writes one file, `log.st`: a META record, then entry
+//! and RECONFIG records in append order. Nothing rewrites, renames or
+//! truncates it while the store lives. Its durable points are fsyncs:
 //!
-//! 1. write *all* records to `snapshot.tmp` under the next generation,
-//!    flush, fsync;
-//! 2. atomically rename `snapshot.tmp` → `snapshot.st` and fsync the
-//!    directory;
-//! 3. recreate `log.st` empty (a lone META record of the new generation).
+//! 1. [`TraceStore::create`] fsyncs the new log, then the trace directory,
+//!    so the file's directory entry survives a crash too;
+//! 2. [`TraceStore::sync`] fsyncs the log. The live writer
+//!    ([`spawn_writer`](crate::spawn_writer)) calls it on a geometric
+//!    cadence and once to seal; batch persistence calls it once.
 //!
-//! A crash at any point leaves a recoverable store: before the rename the
-//! old snapshot + old log are intact; between the rename and the log
-//! truncation the new snapshot *contains* every record the stale log
-//! repeats, and recovery's coordinate-level deduplication makes the
-//! overlap harmless.
+//! A crash leaves a prefix of that file, ending at worst in one torn
+//! record, which the scan layer drops. Every record a completed fsync
+//! covered survives.
+//!
+//! A store written by an earlier build may also hold `snapshot.st`, its
+//! records up to the last compaction, with `log.st` holding the records
+//! since. Recovery still reads it, and `create` removes it.
 //!
 //! ## Recovery invariants
 //!
-//! [`read_trace_dir`] concatenates both files' valid record prefixes
-//! (torn tails dropped by the scan layer), then:
+//! [`read_trace_dir`] concatenates the valid record prefixes of
+//! `snapshot.st`, when one exists, and `log.st` (torn tails dropped by
+//! the scan layer), then:
 //!
 //! 1. **dedup** — one record per `(process, pseq)` coordinate, first
 //!    occurrence wins;
@@ -44,7 +44,7 @@
 //! [`reconstruct_from_logs`]: synctime_runtime::reconstruct_from_logs
 
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use synctime_runtime::{LogEntry, PersistEvent};
@@ -55,17 +55,12 @@ use crate::record::{
 };
 use crate::StoreError;
 
-/// File holding all records up to the last compaction.
+/// File of an earlier build's store holding its records up to the last
+/// compaction. Recovery reads it before the log; a new store has none.
 pub const SNAPSHOT_FILE: &str = "snapshot.st";
 
-/// File holding records appended since the last compaction.
+/// File holding a store's META record and every record appended since.
 pub const LOG_FILE: &str = "log.st";
-
-/// The staging name a snapshot is written under before its atomic rename.
-const SNAPSHOT_TMP: &str = "snapshot.tmp";
-
-/// Default appends between automatic compactions.
-pub const DEFAULT_SNAPSHOT_EVERY: usize = 4096;
 
 /// Bound on a trace name in bytes (it becomes a directory name).
 const MAX_TRACE_NAME: usize = 255;
@@ -128,35 +123,31 @@ pub fn trace_dirs(root: &Path) -> Result<Vec<(String, PathBuf)>, StoreError> {
     Ok(out)
 }
 
-/// Flushes directory metadata (the rename durability point on POSIX).
+/// Flushes directory metadata (what makes a new file's entry durable on
+/// POSIX).
 fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     File::open(dir)?.sync_all()?;
     Ok(())
 }
 
 /// The append side of one trace's durable log. See the module docs for
-/// the snapshot/compaction lifecycle.
+/// its one file and its durable points.
 #[derive(Debug)]
 pub struct TraceStore {
     dir: PathBuf,
     log: BufWriter<File>,
-    process_count: usize,
     generation: u64,
-    /// Every record appended so far, already framed and checksummed —
-    /// exactly the bytes a snapshot writes, so compaction is a single
-    /// sequential write instead of a re-encode of the whole history.
-    encoded: Vec<u8>,
-    /// Records appended so far (the geometric trigger's unit).
     records: usize,
-    since_snapshot: usize,
-    snapshot_every: usize,
     scratch: Vec<u8>,
 }
 
 impl TraceStore {
-    /// Creates (or resets) the store for `trace` under `root`, writing a
-    /// fresh generation-0 log. Any previous contents of the trace
-    /// directory are superseded.
+    /// Creates (or replaces) the store for `trace` under `root`: a new
+    /// `log.st` holding one META record, fsynced, then the trace directory
+    /// fsynced. Any previous contents of the trace directory are
+    /// superseded, and the META's generation is one above the highest a
+    /// readable META there carried (0 in a new directory), so a tailing
+    /// reader re-reads a replaced store.
     ///
     /// # Errors
     ///
@@ -166,16 +157,22 @@ impl TraceStore {
         validate_trace_name(trace)?;
         let dir = root.join(trace);
         fs::create_dir_all(&dir)?;
-        for stale in [SNAPSHOT_FILE, SNAPSHOT_TMP] {
-            let path = dir.join(stale);
-            if path.exists() {
-                fs::remove_file(&path)?;
-            }
+        let generation = [LOG_FILE, SNAPSHOT_FILE]
+            .into_iter()
+            .filter_map(|name| File::open(dir.join(name)).ok())
+            .filter_map(|mut file| read_meta(&mut file).ok().flatten())
+            .map(|meta| meta.generation.saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        let snapshot = dir.join(SNAPSHOT_FILE);
+        if snapshot.exists() {
+            // Recovery would read it ahead of the new log.
+            fs::remove_file(&snapshot)?;
         }
         let meta = Meta {
             version: FORMAT_VERSION,
             process_count: process_count as u64,
-            generation: 0,
+            generation,
         };
         let mut scratch = Vec::new();
         encode_meta(&mut scratch, &meta);
@@ -183,70 +180,43 @@ impl TraceStore {
         log.write_all(&scratch)?;
         log.flush()?;
         log.get_ref().sync_all()?;
+        sync_dir(&dir)?;
         Ok(TraceStore {
             dir,
             log,
-            process_count,
-            generation: 0,
-            encoded: Vec::new(),
+            generation,
             records: 0,
-            since_snapshot: 0,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             scratch,
         })
     }
 
-    /// Sets how many appends trigger an automatic compaction (0 disables
-    /// automatic snapshots; [`TraceStore::snapshot`] still works).
-    #[must_use]
-    pub fn with_snapshot_every(mut self, every: usize) -> Self {
-        self.snapshot_every = every;
-        self
-    }
-
     /// Appends one record to the log (buffered — call
     /// [`TraceStore::flush`] to make it visible to readers, or
-    /// [`TraceStore::sync`] to make it durable). Triggers a compaction
-    /// when the configured append budget is reached.
+    /// [`TraceStore::sync`] to make it durable).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on write or compaction failures.
+    /// [`StoreError::Io`] on write failures.
     pub fn append(&mut self, rec: StampRecord) -> Result<(), StoreError> {
         self.scratch.clear();
         encode_record(&mut self.scratch, &rec);
         self.append_scratch()
     }
 
-    /// Writes the framed record staged in `scratch` and runs the
-    /// compaction trigger — the tail shared by every append flavor.
+    /// Writes the framed record staged in `scratch` — the tail shared by
+    /// every append flavor.
     fn append_scratch(&mut self) -> Result<(), StoreError> {
         self.log.write_all(&self.scratch)?;
-        self.encoded.extend_from_slice(&self.scratch);
         self.records += 1;
-        self.since_snapshot += 1;
-        // Geometric trigger: compact only once the un-snapshotted tail is
-        // at least `snapshot_every` records AND at least as large as the
-        // snapshotted prefix, so a long run rewrites each record O(1)
-        // times in total rather than once per cadence window.
-        let snapshotted = self.records - self.since_snapshot;
-        if self.snapshot_every != 0
-            && self.since_snapshot >= self.snapshot_every
-            && self.since_snapshot >= snapshotted
-        {
-            self.snapshot()?;
-        }
         Ok(())
     }
 
-    /// Appends one RECONFIG epoch-boundary record. Counts toward the
-    /// compaction trigger like any other record and rides the same
-    /// snapshot byte stream, so a boundary survives compaction alongside
-    /// the entries it segments.
+    /// Appends one RECONFIG epoch-boundary record (buffered, like
+    /// [`TraceStore::append`]).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on write or compaction failures.
+    /// [`StoreError::Io`] on write failures.
     pub fn append_reconfig(&mut self, rec: &ReconfigRecord) -> Result<(), StoreError> {
         self.scratch.clear();
         encode_reconfig(&mut self.scratch, rec);
@@ -266,7 +236,7 @@ impl TraceStore {
     }
 
     /// Flushes and fsyncs the log: everything appended so far survives a
-    /// crash (modulo the final record tearing, which recovery tolerates).
+    /// crash.
     ///
     /// # Errors
     ///
@@ -277,63 +247,15 @@ impl TraceStore {
         Ok(())
     }
 
-    /// Compacts now: writes every record to a fresh snapshot (staged and
-    /// atomically renamed), then truncates the log under the next
-    /// generation. See the module docs for the crash-safety argument.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on any filesystem failure; the store is still
-    /// recoverable afterwards (the sequence is crash-safe at every step).
-    pub fn snapshot(&mut self) -> Result<(), StoreError> {
-        let generation = self.generation + 1;
-        let meta = Meta {
-            version: FORMAT_VERSION,
-            process_count: self.process_count as u64,
-            generation,
-        };
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        {
-            // Record bytes were framed and checksummed at append time;
-            // the snapshot is META followed by that byte stream verbatim.
-            let mut snap = BufWriter::new(File::create(&tmp)?);
-            self.scratch.clear();
-            encode_meta(&mut self.scratch, &meta);
-            snap.write_all(&self.scratch)?;
-            snap.write_all(&self.encoded)?;
-            snap.flush()?;
-            snap.get_ref().sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        sync_dir(&self.dir)?;
-        // Drain the old writer's buffer before truncating, so its drop
-        // cannot flush stale records into the fresh log.
-        self.log.flush()?;
-        let mut log = BufWriter::new(File::create(self.dir.join(LOG_FILE))?);
-        self.scratch.clear();
-        encode_meta(&mut self.scratch, &meta);
-        log.write_all(&self.scratch)?;
-        log.flush()?;
-        log.get_ref().sync_all()?;
-        self.log = log;
-        self.generation = generation;
-        self.since_snapshot = 0;
-        Ok(())
-    }
-
     /// How many records have been appended to this store.
     pub fn records(&self) -> usize {
         self.records
     }
 
-    /// The current snapshot generation (0 until the first compaction).
+    /// How many times this trace directory's store was replaced before
+    /// this one (the generation its META carries; 0 in a new directory).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The run's process count, as written into every META record.
-    pub fn process_count(&self) -> usize {
-        self.process_count
     }
 
     /// The trace's directory (`<root>/<trace>`).
@@ -347,7 +269,8 @@ impl TraceStore {
 pub struct RecoveredTrace {
     /// The run's process count (from the META records).
     pub process_count: usize,
-    /// The highest snapshot generation seen.
+    /// The highest META generation seen: how many times the directory's
+    /// store was replaced (earlier builds also counted compactions).
     pub generation: u64,
     /// The recovered per-process logs: the largest causally consistent
     /// prefix family of the persisted run, ready for
@@ -355,7 +278,7 @@ pub struct RecoveredTrace {
     pub logs: Vec<Vec<LogEntry>>,
     /// Entry records surviving into `logs`.
     pub records: usize,
-    /// Bytes refused by the torn-tail scan, across both files.
+    /// Bytes refused by the torn-tail scan, across the store's files.
     pub torn_bytes: usize,
     /// Records parsed but trimmed by dedup, gap, or matching rules.
     pub dropped_records: usize,
@@ -598,15 +521,15 @@ const META_HEAD_BYTES: usize = 8 + 1 + 3 * 10;
 
 /// An incremental reader for a growing trace directory.
 ///
-/// [`read_trace_dir`] re-reads and re-scans both files on every call —
-/// fine for one-shot recovery, quadratic for a tailer polling a live
-/// trace. This reader remembers the log's scanned byte offset and, while
-/// the generation is unchanged, scans only the appended tail; a
-/// generation bump (compaction) or a shrunk log falls back to one full
-/// re-read. Either way the records recovery assembles are exactly those
-/// a fresh [`read_trace_dir`] would scan, in the same file order per
-/// process, so every poll's answer is identical to a full re-read's
-/// (asserted by this crate's tests).
+/// [`read_trace_dir`] re-reads and re-scans the whole store on every
+/// call — fine for one-shot recovery, quadratic for a tailer polling a
+/// live trace. This reader remembers the log's scanned byte offset and,
+/// while the generation is unchanged, reads and scans only the bytes
+/// appended past it; a generation bump (the store was replaced) or a
+/// shrunk log falls back to one full re-read. Either way the records
+/// recovery assembles are exactly those a fresh [`read_trace_dir`] would
+/// scan, in the same file order per process, so every poll's answer is
+/// identical to a full re-read's (asserted by this crate's tests).
 #[derive(Debug)]
 pub struct TraceTailReader {
     dir: PathBuf,
@@ -653,7 +576,8 @@ impl TraceTailReader {
     }
 
     /// Re-reads snapshot and log in full, replacing the accumulated
-    /// state — the cold path (first poll, compaction, or shrunk log).
+    /// state — the cold path (first poll, a replaced store, or a shrunk
+    /// log).
     /// Returns the log's torn-tail byte count as of this read (transient:
     /// those bytes may complete by the next poll, so they are not cached).
     fn full_read(&mut self) -> Result<usize, StoreError> {
@@ -705,9 +629,9 @@ impl TraceTailReader {
     }
 
     /// Recovers the trace as of now: a full read on the first call or
-    /// after a compaction, an append-tail read otherwise. The result is
-    /// always identical to what [`read_trace_dir`] would return at this
-    /// instant.
+    /// after the store was replaced, a read of the appended tail
+    /// otherwise. The result is always identical to what
+    /// [`read_trace_dir`] would return at this instant.
     ///
     /// # Errors
     ///
@@ -717,35 +641,34 @@ impl TraceTailReader {
     /// error and the next poll retries.
     pub fn poll(&mut self) -> Result<RecoveredTrace, StoreError> {
         let log_path = self.dir.join(LOG_FILE);
-        let head = if log_path.exists() {
-            let mut head = vec![0u8; META_HEAD_BYTES];
-            let n = read_head(&log_path, &mut head)?;
-            head.truncate(n);
-            scan_meta(&head)
+        let log = if log_path.exists() {
+            let mut file = File::open(&log_path)?;
+            read_meta(&mut file)?.map(|meta| (meta, file))
         } else {
             None
         };
-        match (head, self.generation) {
+        let log_torn = match (log, self.generation) {
             // Warm path: same generation — only the appended tail is new.
-            (Some((meta, _)), Some(generation)) if meta.generation == generation => {
-                let bytes = fs::read(&log_path)?;
-                let log_torn = if bytes.len() < self.log_offset {
-                    // Shrunk without a generation bump: not a compaction
-                    // the protocol produces, but never serve stale state.
+            (Some((meta, mut file)), Some(generation)) if meta.generation == generation => {
+                let len = file.metadata()?.len();
+                if len < self.log_offset as u64 {
+                    // Shrunk without a generation bump: not something a
+                    // store does, but never serve stale state.
                     self.full_read()?
                 } else {
-                    self.log_offset += self.accumulate(&bytes[self.log_offset..]);
-                    bytes.len() - self.log_offset
-                };
-                self.assemble_current(log_torn)
+                    let mut tail = Vec::with_capacity((len - self.log_offset as u64) as usize);
+                    file.seek(SeekFrom::Start(self.log_offset as u64))?;
+                    file.read_to_end(&mut tail)?;
+                    let valid = self.accumulate(&tail);
+                    self.log_offset += valid;
+                    tail.len() - valid
+                }
             }
-            // Cold path: first poll, a compaction's generation bump, or a
-            // log whose META is unreadable (mid-recreate) — re-read all.
-            _ => {
-                let log_torn = self.full_read()?;
-                self.assemble_current(log_torn)
-            }
-        }
+            // Cold path: first poll, a replaced store's generation bump,
+            // or a log whose META is unreadable (mid-create) — re-read all.
+            _ => self.full_read()?,
+        };
+        self.assemble_current(log_torn)
     }
 
     /// Runs the shared recovery invariants over the accumulated records.
@@ -760,17 +683,11 @@ impl TraceTailReader {
     }
 }
 
-/// Reads up to `buf.len()` bytes from the start of `path`, returning how
-/// many were read (short for a file smaller than the buffer).
-fn read_head(path: &Path, buf: &mut [u8]) -> Result<usize, StoreError> {
-    use std::io::Read;
-    let mut file = File::open(path)?;
-    let mut filled = 0usize;
-    loop {
-        let n = file.read(&mut buf[filled..])?;
-        if n == 0 || filled + n == buf.len() {
-            return Ok(filled + n);
-        }
-        filled += n;
-    }
+/// Reads the META record at the head of a newly opened `file`. `None`
+/// when the head holds no readable META, as while a store is being
+/// created.
+fn read_meta(file: &mut File) -> Result<Option<Meta>, StoreError> {
+    let mut head = Vec::with_capacity(META_HEAD_BYTES);
+    file.take(META_HEAD_BYTES as u64).read_to_end(&mut head)?;
+    Ok(scan_meta(&head).map(|(meta, _)| meta))
 }

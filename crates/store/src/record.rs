@@ -58,10 +58,11 @@ pub struct Meta {
     /// The run's process count — the number of per-process logs replay
     /// reassembles.
     pub process_count: u64,
-    /// The snapshot generation this file belongs to. Incremented on every
-    /// compaction; recovery uses coordinate-level deduplication, so even
-    /// a log left stale by a crash between snapshot rename and log
-    /// truncation replays correctly.
+    /// How many times the trace directory's store was replaced before
+    /// this file was written: [`TraceStore::create`](crate::TraceStore::create)
+    /// writes one above the highest generation it finds, so a tailing
+    /// reader notices a replaced store. Earlier builds also counted
+    /// compactions.
     pub generation: u64,
 }
 
@@ -458,7 +459,7 @@ pub(crate) fn scan_records(
 
 /// Decodes only a file's leading META record, returning it together with
 /// how many bytes it occupied — what a tailing reader needs to detect a
-/// compaction (generation bump) without re-reading the whole file.
+/// replaced store (generation bump) without re-reading the whole file.
 pub fn scan_meta(bytes: &[u8]) -> Option<(Meta, usize)> {
     let mut pos = 0usize;
     let meta = next_payload(bytes, &mut pos).and_then(decode_meta_payload)?;

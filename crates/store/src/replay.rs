@@ -49,7 +49,7 @@ pub fn record_from_event(event: &PersistEvent) -> StampRecord {
 /// Persists already-collected per-process logs (e.g. a finished
 /// [`RuntimeRun`](synctime_runtime::RuntimeRun)'s logs, or logs merged
 /// from distributed node reports) into `<root>/<trace>`, sealing the
-/// result with a snapshot so the log is compact and fsynced.
+/// result with one fsync of its log.
 ///
 /// # Errors
 ///
@@ -69,7 +69,9 @@ pub fn persist_logs(
 /// epoch-boundary record per committed reconfiguration, its cuts naming
 /// where in each concatenated log the boundary falls.
 /// [`materialize_latest_epoch`] uses those cuts to serve the post-churn
-/// trace after recovery.
+/// trace after recovery. The entries are appended process by process,
+/// then the boundaries, and the store is sealed with one fsync of its
+/// log.
 ///
 /// # Errors
 ///
@@ -81,7 +83,7 @@ pub fn persist_logs_with_reconfigs(
     logs: &[Vec<LogEntry>],
     reconfigs: &[crate::ReconfigRecord],
 ) -> Result<TraceStore, StoreError> {
-    let mut store = TraceStore::create(root, trace, logs.len())?.with_snapshot_every(0);
+    let mut store = TraceStore::create(root, trace, logs.len())?;
     for (process, log) in logs.iter().enumerate() {
         for (pseq, entry) in log.iter().enumerate() {
             store.append(record_from_log_entry(process as u64, pseq as u64, entry))?;
@@ -90,7 +92,7 @@ pub fn persist_logs_with_reconfigs(
     for boundary in reconfigs {
         store.append_reconfig(boundary)?;
     }
-    store.snapshot()?;
+    store.sync()?;
     Ok(store)
 }
 
@@ -157,7 +159,7 @@ pub struct StoreWriter {
 
 impl StoreWriter {
     /// Waits for the ingestion thread to drain the channel, seal the
-    /// store with a final snapshot + fsync, and hand the store back.
+    /// store with one fsync of its log, and hand the store back.
     /// Callers must drop every [`Sender`] clone first (the runtime's
     /// `with_log_sink` clone included) or this blocks forever.
     ///
@@ -184,6 +186,13 @@ const FLUSH_EVERY_RECORDS: usize = 1024;
 /// during a quiet stretch.
 const FLUSH_IDLE: std::time::Duration = std::time::Duration::from_millis(25);
 
+/// Records appended since the writer's last fsync before it fsyncs the
+/// log again, once they also number at least the records already
+/// fsynced: durable points at 4096, 8192, 16384, … records, so a run pays
+/// a logarithmic number of fsyncs and a crash loses at most the newer
+/// half of its records (the channel's backlog aside).
+const SYNC_EVERY_RECORDS: usize = 4096;
+
 /// Spawns the ingestion thread: event bursts sent on the returned
 /// channel's [`Sender`] (wire it via `Runtime::with_log_sink`, which
 /// ships one `Vec` per per-process burst) are appended to
@@ -191,8 +200,9 @@ const FLUSH_IDLE: std::time::Duration = std::time::Duration::from_millis(25);
 /// [`FLUSH_EVERY_RECORDS`] appends under load, or after [`FLUSH_IDLE`]
 /// without a new burst — so a concurrently polling reader observes
 /// growth promptly while a fast run never pays one syscall per record.
-/// The store snapshots/compacts automatically (geometric trigger seeded
-/// at [`DEFAULT_SNAPSHOT_EVERY`](crate::DEFAULT_SNAPSHOT_EVERY)).
+/// The log is fsynced whenever the records appended since its last fsync
+/// number at least 4096 and at least those already fsynced, and once
+/// more to seal the store when the channel closes.
 ///
 /// # Errors
 ///
@@ -209,21 +219,23 @@ pub fn spawn_writer(
         std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || -> Result<TraceStore, StoreError> {
         let mut unflushed = 0usize;
+        let mut synced = 0usize;
         loop {
             match rx.recv_timeout(FLUSH_IDLE) {
                 Ok(burst) => {
-                    for event in &burst {
-                        store.append(record_from_event(event))?;
-                        unflushed += 1;
-                    }
                     // Drain whatever else is queued before considering a
                     // flush; under load this amortises the syscall over
                     // every pending burst.
-                    while let Ok(burst) = rx.try_recv() {
+                    for burst in std::iter::once(burst).chain(rx.try_iter()) {
                         for event in &burst {
                             store.append(record_from_event(event))?;
-                            unflushed += 1;
+                            let unsynced = store.records() - synced;
+                            if unsynced >= SYNC_EVERY_RECORDS && unsynced >= synced {
+                                store.sync()?;
+                                synced = store.records();
+                            }
                         }
+                        unflushed += burst.len();
                     }
                     if unflushed >= FLUSH_EVERY_RECORDS {
                         store.flush()?;
@@ -239,7 +251,6 @@ pub fn spawn_writer(
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        store.snapshot()?;
         store.sync()?;
         Ok(store)
     });
@@ -297,7 +308,8 @@ mod tests {
         let root = temp_root("roundtrip");
         let logs = ping_pong_logs(5);
         let store = persist_logs(&root, "pp", &logs).expect("persist");
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.generation(), 0);
+        assert!(!store.dir().join(crate::SNAPSHOT_FILE).exists());
         let rec = read_trace_dir(store.dir()).expect("recover");
         assert_eq!(rec.process_count, 2);
         assert_eq!(rec.logs, logs);
@@ -350,12 +362,12 @@ mod tests {
         let root = temp_root("torn");
         let logs = ping_pong_logs(6);
         let store = persist_logs(&root, "torn", &logs).expect("persist");
-        let snap = store.dir().join(crate::SNAPSHOT_FILE);
-        let bytes = std::fs::read(&snap).expect("read snapshot");
-        // Cut the snapshot at every byte length; recovery must never
-        // error and must always reconstruct successfully.
+        let log = store.dir().join(crate::LOG_FILE);
+        let bytes = std::fs::read(&log).expect("read log");
+        // Cut the log at every byte length; recovery must never error
+        // and must always reconstruct successfully.
         for cut in (0..bytes.len()).step_by(7) {
-            std::fs::write(&snap, &bytes[..cut]).expect("truncate");
+            std::fs::write(&log, &bytes[..cut]).expect("truncate");
             match read_trace_dir(store.dir()) {
                 Ok(rec) => {
                     materialize(&rec.logs).expect("prefix reconstructs");
@@ -374,12 +386,10 @@ mod tests {
         use crate::{TraceStore, TraceTailReader};
         let root = temp_root("tailer");
         let logs = ping_pong_logs(8);
-        // Write incrementally with a tiny compaction budget so the poll
-        // sequence crosses several generation bumps, and check after every
-        // flush that the tail reader's recovery equals a full re-read's.
-        let mut store = TraceStore::create(&root, "live", logs.len())
-            .expect("create")
-            .with_snapshot_every(4);
+        // Write incrementally, replacing the store halfway so the poll
+        // sequence crosses a generation bump, and check after every flush
+        // that the tail reader's recovery equals a full re-read's.
+        let mut store = TraceStore::create(&root, "live", logs.len()).expect("create");
         let mut reader = TraceTailReader::new(store.dir());
         let empty = reader.poll().expect("poll empty");
         assert_eq!(empty.records, 0);
@@ -389,7 +399,14 @@ mod tests {
                 flat.push((process as u64, pseq as u64, entry.clone()));
             }
         }
-        for (i, (process, pseq, entry)) in flat.iter().enumerate() {
+        let half = flat.len() / 2;
+        for (i, (process, pseq, entry)) in flat[..half].iter().chain(&flat).enumerate() {
+            if i == half {
+                // Drained first, so the old writer cannot flush into the
+                // new log when it drops.
+                store.flush().expect("flush");
+                store = TraceStore::create(&root, "live", logs.len()).expect("re-create");
+            }
             store
                 .append(record_from_log_entry(*process, *pseq, entry))
                 .expect("append");
@@ -403,12 +420,37 @@ mod tests {
                 assert_eq!(incremental.reconfigs, full.reconfigs);
             }
         }
-        store.snapshot().expect("seal");
+        store.sync().expect("seal");
         let incremental = reader.poll().expect("final poll");
         let full = read_trace_dir(store.dir()).expect("final full read");
         assert_eq!(incremental.logs, full.logs);
         assert_eq!(incremental.logs, logs);
-        assert!(store.generation() > 0, "compactions should have fired");
+        assert_eq!(store.generation(), 1, "the store was replaced once");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn tail_reader_follows_a_recreated_store() {
+        use crate::TraceTailReader;
+        // Persisting a trace name again replaces its store; a reader that
+        // polled the old store must serve the new one.
+        let root = temp_root("recreate");
+        let store = persist_logs(&root, "t", &ping_pong_logs(3)).expect("persist");
+        let mut reader = TraceTailReader::new(store.dir());
+        let old = reader.poll().expect("poll the old store");
+        assert_eq!(materialize(&old.logs).expect("old").0.message_count(), 6);
+        let logs = ping_pong_logs(40);
+        persist_logs(&root, "t", &logs).expect("persist again");
+        let polled = reader.poll().expect("poll the new store");
+        let full = read_trace_dir(store.dir()).expect("full read");
+        assert_eq!(polled.logs, full.logs);
+        assert_eq!(polled.records, full.records);
+        assert_eq!(polled.generation, full.generation);
+        assert_eq!(full.logs, logs);
+        assert_eq!(
+            materialize(&polled.logs).expect("new").0.message_count(),
+            80
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

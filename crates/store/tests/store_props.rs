@@ -169,7 +169,7 @@ proptest! {
     }
 
     /// End-to-end crash recovery: persist a run, truncate the sealed
-    /// snapshot at an arbitrary byte, and recover — the result is always
+    /// log at an arbitrary byte, and recover — the result is always
     /// a reconstructible prefix of the original per-process logs (or a
     /// typed corruption error while META itself is torn; never a panic).
     #[test]
@@ -181,11 +181,11 @@ proptest! {
         let logs = synthetic_logs(rounds, dim);
         let root = temp_root(&format!("torn-{rounds}-{dim}"));
         let store = persist_logs(&root, "t", &logs).expect("persist");
-        let snap = store.dir().join(synctime_store::SNAPSHOT_FILE);
-        let bytes = std::fs::read(&snap).expect("read snapshot");
+        let log = store.dir().join(LOG_FILE);
+        let bytes = std::fs::read(&log).expect("read log");
 
         let cut = (bytes.len() as f64 * cut_frac) as usize;
-        std::fs::write(&snap, &bytes[..cut]).expect("truncate");
+        std::fs::write(&log, &bytes[..cut]).expect("truncate");
         match read_trace_dir(store.dir()) {
             Ok(rec) => {
                 prop_assert_eq!(rec.logs.len(), logs.len());

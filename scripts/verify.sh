@@ -77,7 +77,10 @@
 #      SIGKILL mid-ingest while a second persisted run grows the store,
 #      restarted from the store alone, and must then answer the same
 #      batched + chain queries byte-identically to a server over an
-#      uninterrupted copy of the run (ROADMAP item 3's recovery gate)
+#      uninterrupted copy of the run (ROADMAP item 3's recovery gate);
+#      a served 10-round trace persisted again under its name with 40
+#      rounds must be re-read by the live server, whose answers must
+#      equal the uninterrupted run's within 5 s
 #  19. churn-smoke: a churned run (join + leave + swap across three
 #      epochs) must produce byte-identical final-epoch traces over the
 #      distributed TCP path, the in-process engine, and an uninterrupted
@@ -386,6 +389,42 @@ kill "$CRASH2_PID" 2>/dev/null || true
 wait "$CRASH2_PID" 2>/dev/null || true
 diff "$STORE_DIR/ref-answers.out" "$STORE_DIR/crash-answers.out" || {
   echo "verify: answers after SIGKILL + restart diverged from the uninterrupted run" >&2
+  exit 1; }
+
+echo "==> store-smoke: persisting a served trace name again replaces what is served"
+"$SYNCTIME" run --ring 6 --rounds 10 --persist "$STORE_DIR/reuse" \
+  --trace-name ring > /dev/null
+"$SYNCTIME" serve-query --store-dir "$STORE_DIR/reuse" --poll-ms 200 \
+  > "$STORE_DIR/reuse-server.out" &
+REUSE_PID=$!
+ADDR=""
+for _ in $(seq 1 50); do
+  ADDR="$(sed -n 's/^listening on //p' "$STORE_DIR/reuse-server.out")"
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "verify: reuse serve-query never announced its address" >&2; exit 1; }
+"$SYNCTIME" query --connect "$ADDR" --trace ring --m1 1 --m2 2 > /dev/null
+# Past one poll, so the tailer holds the 10-round store when it is replaced.
+sleep 0.5
+"$SYNCTIME" run --ring 6 --rounds 40 --persist "$STORE_DIR/reuse" \
+  --trace-name ring > /dev/null
+REUSED=""
+for _ in $(seq 1 50); do
+  { "$SYNCTIME" query --connect "$ADDR" --trace ring --batch "$STORE_QUERIES" &&
+    "$SYNCTIME" query --connect "$ADDR" --trace ring --chain 9; } \
+    > "$STORE_DIR/reuse-answers.out" 2> /dev/null || true
+  if cmp -s "$STORE_DIR/ref-answers.out" "$STORE_DIR/reuse-answers.out"; then
+    REUSED=1
+    break
+  fi
+  sleep 0.1
+done
+kill "$REUSE_PID" 2>/dev/null || true
+wait "$REUSE_PID" 2>/dev/null || true
+[ -n "$REUSED" ] || {
+  echo "verify: serve-query kept serving the replaced 10-round store" >&2
+  diff "$STORE_DIR/ref-answers.out" "$STORE_DIR/reuse-answers.out" >&2 || true
   exit 1; }
 
 # --- churn-smoke: live reconfiguration must be invisible in the final
