@@ -25,7 +25,11 @@
 //! the receive buffer and appends ANSWER3 frames to a per-connection
 //! [`FrameScratch`], whose buffers are reused across frames and
 //! connections (see `crates/net/tests/zero_alloc.rs` for the
-//! counting-allocator proof).
+//! counting-allocator proof). On a table well past the caches (16 MiB of
+//! stamp lanes and up) the pump first walks each batch once, loading the
+//! rows its `precedes`/`concurrent` queries name, so their misses overlap
+//! instead of stalling one compare at a time; the answers are the same
+//! either way.
 //!
 //! Every connection is served by the fixed worker pool in [`crate::pool`]
 //! against a shared [`QueryFabric`] catalog.
@@ -145,6 +149,58 @@ pub fn answer_query_into(
     }
 }
 
+/// Table size, in bytes of stamp lanes, from which [`pump_frames`] runs
+/// [`fetch_rows`] over a batch before answering it. In-process sweeps
+/// (EXPERIMENTS.md R20) found the pass slower at every size up to 8 MiB,
+/// at d = 2 and d = 32, and faster from 16 MiB on.
+const FETCH_FLOOR_BYTES: usize = 16 << 20;
+
+/// Lanes of each row [`fetch_rows`] loads: a whole row up to d = 32.
+/// `compare_lanes` stops at the first 8-lane chunk where the rows differ
+/// both ways, so on a wide table of mostly concurrent pairs most of a
+/// row is never read and fetching it is pure cost: at d = 256 whole rows
+/// made the pump 2.2× slower, and 64 lanes 9% slower (R20).
+const FETCH_ROW_LANES: usize = 32;
+
+/// The fetch pass: loads the cache lines of both rows of every in-range
+/// `precedes`/`concurrent` query of a batch, so the answer pass that
+/// follows finds them in L1/L2. The addresses depend only on the ids, so
+/// the misses of different queries overlap instead of each compare's
+/// waiting behind its own. Chain-of (a sequential scan the hardware
+/// prefetcher already streams), unknown kinds and out-of-range ids are
+/// left to the answer pass, which answers or refuses them as before.
+fn fetch_rows(stamps: &MessageTimestamps, queries: impl Iterator<Item = BatchQuery>) {
+    let len = stamps.len();
+    let mut fold = 0u64;
+    for q in queries {
+        if !matches!(q.kind, QUERY_PRECEDES | QUERY_CONCURRENT)
+            || q.m1 as usize >= len
+            || q.m2 as usize >= len
+        {
+            continue;
+        }
+        for m in [q.m1, q.m2] {
+            let row = stamps.row(MessageId(m as usize));
+            let lanes = row.len().min(FETCH_ROW_LANES);
+            // One lane per 64-byte line, then the last lane, for the line
+            // a row not aligned to 64 bytes ends in. An index loop: the
+            // same walk as `iter().step_by(8).chain(last())` measured no
+            // faster than no fetch at all (EXPERIMENTS.md R20).
+            let mut lane = 0;
+            while lane < lanes {
+                fold ^= row[lane];
+                lane += 8;
+            }
+            if lanes > 0 {
+                fold ^= row[lanes - 1];
+            }
+        }
+    }
+    // The fold is never used: `black_box` keeps the compiler from
+    // deleting the loads that feed it.
+    std::hint::black_box(fold);
+}
+
 /// Runs one client connection against the catalog: handshake, then a
 /// QUERY3/ANSWER3 loop until the client disconnects.
 ///
@@ -228,6 +284,11 @@ pub fn serve_fabric_connection(
 /// every entry carrying the resolution error, keeping the correlation id
 /// (a bare ERROR frame would not say *which* in-flight batch failed).
 ///
+/// When the resolved table holds at least 16 MiB of stamp lanes, a fetch
+/// pass walks the batch first and loads the first 32 lanes of both rows
+/// of every in-range `precedes`/`concurrent` query, so the compares that
+/// follow read them from L1/L2. It changes no answer, byte or allocation.
+///
 /// # Errors
 ///
 /// [`NetError::Protocol`] on frame violations (framing is lost; the
@@ -256,6 +317,9 @@ pub fn pump_frames(
             out.extend_from_slice(&(view.count() as u32).to_le_bytes());
             match fabric.resolve(view.trace()) {
                 Ok(stamps) => {
+                    if stamps.len() * stamps.dim() * 8 >= FETCH_FLOOR_BYTES {
+                        fetch_rows(&stamps, view.queries());
+                    }
                     for q in view.queries() {
                         arena.clear();
                         let status = match answer_query_into(&stamps, q.kind, q.m1, q.m2, arena) {
@@ -328,11 +392,14 @@ pub struct QueryClient {
     stream: TcpStream,
     reader: FrameReader,
     scratch: FrameScratch,
-    /// Socket read buffer of [`QueryClient::precedes_many_pipelined`],
-    /// allocated on its first call and kept: every lone query is such a
-    /// call.
+    /// Socket read buffer of [`QueryClient::precedes_many_pipelined`] and
+    /// of every [`Pipeline`], grown to [`RECV_BUF_LEN`] on first use and
+    /// kept, so reading an answer frame fills no fresh buffer.
     recv: Vec<u8>,
 }
+
+/// Length of [`QueryClient`]'s socket read buffer.
+const RECV_BUF_LEN: usize = 65536;
 
 impl QueryClient {
     /// Connects and handshakes with a query server.
@@ -464,7 +531,7 @@ impl QueryClient {
         let mut results = vec![false; pairs.len()];
         let chunk_count = pairs.len().div_ceil(batch);
         let mut done = vec![false; chunk_count];
-        self.recv.resize(65536, 0);
+        self.recv.resize(RECV_BUF_LEN, 0);
         let mut submitted = 0usize;
         let mut answered = 0usize;
         // The first failed batch; once set, nothing more is submitted and
@@ -719,8 +786,9 @@ impl Pipeline<'_> {
     }
 
     fn recv_one(&mut self) -> Result<(), NetError> {
-        let mut buf = [0u8; 65536];
-        match read_frame(&mut self.client.stream, &mut self.client.reader, &mut buf)? {
+        let client = &mut *self.client;
+        client.recv.resize(RECV_BUF_LEN, 0);
+        match read_frame(&mut client.stream, &mut client.reader, &mut client.recv)? {
             Frame::AnswerPipelined { corr, entries } => {
                 match self.inflight.remove(&corr) {
                     Some(slot) => {

@@ -329,6 +329,131 @@ proptest! {
     }
 }
 
+/// Table size (bytes of stamp lanes) from which `pump_frames` loads a
+/// batch's rows before answering it: the fetch floor in `query.rs`.
+const FETCH_FLOOR_BYTES: usize = 16 << 20;
+
+/// A `len`-message table of dimension `dim` whose stamps mix ordered and
+/// concurrent pairs: each row is a recent row with one lane incremented.
+fn branching_table(dim: usize, len: usize, seed: u64) -> synctime_core::MessageTimestamps {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut rows = vec![0u64; dim * len];
+    for m in 1..len {
+        let from = m - 1 - (next() as usize % m.min(8));
+        rows.copy_within(from * dim..(from + 1) * dim, m * dim);
+        if dim > 0 {
+            rows[m * dim + next() as usize % dim] += 1;
+        }
+    }
+    synctime_core::MessageTimestamps::from_rows(dim, len, rows)
+}
+
+/// Pumped QUERY3 batches answer byte for byte as ANSWER3 frames built
+/// entry by entry from `answer_query_into` do, on tables just below the
+/// fetch floor and at it — whether or not the pump loads the rows
+/// first, and whatever the batch mixes: both compare kinds, chain-of, an
+/// unknown kind, ids equal to the table's length and to `u32::MAX`, and
+/// a message compared with itself. At d = 96 the fetch loads only part
+/// of each row.
+#[test]
+fn fetch_pass_answers_byte_for_byte_as_answer_query() {
+    use synctime_net::query::{QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
+    use synctime_net::{answer_query_into, encode_query_batch_into, pump_frames};
+    use synctime_net::{FrameScratch, QueryFabric};
+
+    let mut tables = vec![(0usize, 1000usize)];
+    for dim in [2usize, 32, 96] {
+        let at_floor = FETCH_FLOOR_BYTES.div_ceil(dim * 8);
+        tables.push((dim, at_floor - 1));
+        tables.push((dim, at_floor));
+    }
+    for (case, &(dim, len)) in tables.iter().enumerate() {
+        let stamps = branching_table(dim, len, case as u64);
+        let n = len as u32;
+        let mut state = 0x5eed_u64 + case as u64;
+        let mut pick = move |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) as u32) % bound
+        };
+        let mut batches: Vec<Vec<BatchQuery>> = Vec::new();
+        for _ in 0..2 {
+            let mut batch = Vec::new();
+            for i in 0..256u32 {
+                let m1 = pick(n);
+                let near = (m1 + pick(512)).saturating_sub(256).min(n - 1);
+                let far = pick(n);
+                let kind = if i % 2 == 0 {
+                    QUERY_PRECEDES
+                } else {
+                    QUERY_CONCURRENT
+                };
+                let (kind, m1, m2) = match i % 32 {
+                    // One chain-of per batch: its answer lists up to
+                    // every message of the table.
+                    3 if i < 32 => (QUERY_CHAIN_OF, m1, 0),
+                    5 => (QUERY_CHAIN_OF, n, 0),
+                    7 => (3, m1, near),
+                    9 => (255, n, u32::MAX),
+                    11 => (kind, m1, n),
+                    13 => (kind, u32::MAX, m1),
+                    15 => (kind, n, u32::MAX),
+                    17 => (kind, m1, m1),
+                    19 => (kind, m1, far),
+                    _ => (kind, m1, near),
+                };
+                batch.push(BatchQuery { kind, m1, m2 });
+            }
+            batches.push(batch);
+        }
+
+        let mut wire = Vec::new();
+        let mut reference = Vec::new();
+        for (corr, batch) in batches.iter().enumerate() {
+            encode_query_batch_into(&mut wire, Some(corr as u32), "t", batch)
+                .expect("in-bounds batch");
+            let entries = batch
+                .iter()
+                .map(|q| {
+                    let mut body = Vec::new();
+                    match answer_query_into(&stamps, q.kind, q.m1, q.m2, &mut body) {
+                        Ok(()) => BatchEntry::Answer(body),
+                        Err(NetError::Query(detail)) => BatchEntry::Error(detail),
+                        Err(other) => panic!("answer_query_into failed: {other}"),
+                    }
+                })
+                .collect();
+            let frame = Frame::AnswerPipelined {
+                corr: corr as u32,
+                entries,
+            };
+            reference.extend(frame.encode().expect("reference ANSWER3 encodes"));
+        }
+
+        let fabric = QueryFabric::new(2);
+        fabric.publish("t", stamps);
+        let mut reader = FrameReader::new();
+        reader.feed(&wire);
+        let mut scratch = FrameScratch::new();
+        assert!(pump_frames(&mut reader, &fabric, &mut scratch).expect("pump"));
+        assert!(
+            scratch.out == reference,
+            "d = {dim}, {len} messages ({} bytes of lanes, fetch floor {FETCH_FLOOR_BYTES}): \
+             the pump's ANSWER3 frames differ from answer_query_into's",
+            dim * len * 8
+        );
+    }
+}
+
 /// A HELLO from a future protocol version parses as a frame (the header
 /// layout is version-independent) so the handshake can refuse it with a
 /// diagnostic rather than a framing error.

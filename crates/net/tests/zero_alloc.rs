@@ -80,27 +80,14 @@ fn stamps() -> MessageTimestamps {
     )
 }
 
-#[test]
-fn steady_state_pump_allocates_nothing() {
+/// Publishes `stamps`, pumps one warm-up QUERY3 batch of `queries`, then
+/// 64 more of the same batch while counting allocations: the count must
+/// be zero and every answer byte-identical to the warm-up's.
+fn assert_steady_state_pump_allocates_nothing(stamps: MessageTimestamps, queries: &[BatchQuery]) {
     let fabric = QueryFabric::new(2);
-    fabric.publish("t", stamps());
-
-    // The client side of the exchange, encoded once up front: a full
-    // QUERY3 batch mixing all three query kinds (chain-of answers are
-    // the largest bodies, so the arena warms to its worst case).
-    let queries: Vec<BatchQuery> = (0..256u32)
-        .map(|i| BatchQuery {
-            kind: match i % 3 {
-                0 => QUERY_PRECEDES,
-                1 => QUERY_CONCURRENT,
-                _ => QUERY_CHAIN_OF,
-            },
-            m1: i % 16,
-            m2: (i / 3) % 16,
-        })
-        .collect();
+    fabric.publish("t", stamps);
     let mut wire = Vec::new();
-    encode_query_batch_into(&mut wire, Some(42), "t", &queries).expect("in-bounds batch");
+    encode_query_batch_into(&mut wire, Some(42), "t", queries).expect("in-bounds batch");
 
     let mut reader = FrameReader::new();
     let mut scratch = FrameScratch::new();
@@ -124,11 +111,57 @@ fn steady_state_pump_allocates_nothing() {
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "steady-state serving path allocated {allocs} times over 64 pumps \
-         (16384 queries) — the hot path must be allocation-free"
+         ({} queries) — the hot path must be allocation-free",
+        64 * queries.len()
     );
     // And the warm path still answers correctly: byte-identical to the
     // warm-up answer.
     assert_eq!(scratch.out, expected);
+}
+
+#[test]
+fn steady_state_pump_allocates_nothing() {
+    // A full QUERY3 batch mixing all three query kinds (chain-of answers
+    // are the largest bodies, so the arena warms to its worst case).
+    let queries: Vec<BatchQuery> = (0..256u32)
+        .map(|i| BatchQuery {
+            kind: match i % 3 {
+                0 => QUERY_PRECEDES,
+                1 => QUERY_CONCURRENT,
+                _ => QUERY_CHAIN_OF,
+            },
+            m1: i % 16,
+            m2: (i / 3) % 16,
+        })
+        .collect();
+    assert_steady_state_pump_allocates_nothing(stamps(), &queries);
+}
+
+/// At the fetch floor (16 MiB of stamp lanes; here 65536 messages at
+/// d = 32) the pump first loads every in-range row a batch names, and
+/// that pass allocates nothing either.
+#[test]
+fn steady_state_pump_past_the_fetch_floor_allocates_nothing() {
+    const MESSAGES: u32 = 65_536;
+    const DIM: usize = 32;
+    let rows = (0..MESSAGES as u64)
+        .flat_map(|m| (0..DIM as u64).map(move |lane| (m * 7 + lane * 13) % 64 + m / 8))
+        .collect();
+    let table = MessageTimestamps::from_rows(DIM, MESSAGES as usize, rows);
+    // Precedes/concurrent pairs spread over the table, and one chain-of.
+    let queries: Vec<BatchQuery> = (0..256u32)
+        .map(|i| BatchQuery {
+            kind: match i {
+                255 => QUERY_CHAIN_OF,
+                k if k % 2 == 0 => QUERY_PRECEDES,
+                _ => QUERY_CONCURRENT,
+            },
+            m1: i.wrapping_mul(2_654_435_761) % MESSAGES,
+            m2: i.wrapping_mul(40_503) % MESSAGES,
+        })
+        .collect();
+    assert_steady_state_pump_allocates_nothing(table, &queries);
 }

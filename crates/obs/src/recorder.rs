@@ -96,6 +96,10 @@ impl Ring {
     }
 }
 
+/// Per-directed-channel accumulation, keyed `(from, to)`:
+/// `(messages, wire_bytes, wire_bytes_full)`.
+type ChannelTotals = BTreeMap<(usize, usize), (u64, u64, u64)>;
+
 /// Per-process instrumentation sink.
 ///
 /// Handed by reference to the thread driving one process; all methods take
@@ -112,10 +116,8 @@ pub struct ProcessRecorder {
     wakeups: AtomicU64,
     resyncs: AtomicU64,
     faults: AtomicU64,
-    /// Per-directed-channel accumulation, keyed `(from, to)`:
-    /// `(messages, wire_bytes, wire_bytes_full)`. Uncontended in practice —
-    /// only this process's thread writes it.
-    channels: Mutex<BTreeMap<(usize, usize), (u64, u64, u64)>>,
+    /// Uncontended in practice — only this process's thread writes it.
+    channels: Mutex<ChannelTotals>,
     events: Mutex<Ring>,
     epoch: Instant,
 }
@@ -308,7 +310,7 @@ impl Recorder {
         let mut resync_frames = 0u64;
         let mut faults_injected = 0u64;
         let mut dropped = 0usize;
-        let mut channels: BTreeMap<(usize, usize), (u64, u64, u64)> = BTreeMap::new();
+        let mut channels = ChannelTotals::new();
         for (id, p) in self.processes.iter().enumerate() {
             per_process.push(ProcessStats {
                 process: id,

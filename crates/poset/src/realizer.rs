@@ -178,8 +178,8 @@ pub fn sparse_extension_deferring(p: &SparsePoset, chain_index: usize) -> Vec<us
             others.push(Reverse(v));
         }
     };
-    for v in 0..n {
-        if pending[v] == 0 {
+    for (v, &count) in pending.iter().enumerate() {
+        if count == 0 {
             offer(v, &mut others, &mut deferred);
         }
     }

@@ -132,13 +132,11 @@ pub(crate) struct Slot {
     waiters: usize,
 }
 
-impl Slot {
-    /// Whether the slot holds an offer its receiver has not taken yet.
-    pub(crate) fn holds_offer(&self) -> bool {
-        matches!(
-            self.state,
-            SlotState::Offered { .. } | SlotState::Handed { .. }
-        )
+impl SlotState {
+    /// Whether the slot holds an offer its receiver has not taken yet,
+    /// handed or not.
+    pub(crate) fn holds_offer(self) -> bool {
+        matches!(self, SlotState::Offered { .. } | SlotState::Handed { .. })
     }
 }
 
@@ -184,12 +182,10 @@ impl ChannelSlot {
         }
     }
 
-    /// Whether the slot holds an offer its receiver has not taken yet,
-    /// handed or not — the watchdog's confirmation of a wait on this
-    /// channel: a sender is still waiting on the receiver, and the
-    /// receiver, if it waits here, is about to take the offer.
-    pub(crate) fn holds_offer(&self) -> bool {
-        self.lock().holds_offer()
+    /// The slot's state, read under one lock hold: what the watchdog
+    /// confirms a wait on this channel by.
+    pub(crate) fn state(&self) -> SlotState {
+        self.lock().state
     }
 
     /// Wakes any thread parked on this slot without changing its state.
@@ -261,13 +257,13 @@ mod tests {
             payload: 42,
             at: Instant::now(),
         };
-        assert!(st.holds_offer());
+        assert!(st.state.holds_offer());
         slot.notify(&st);
         while !matches!(st.state, SlotState::Acked { .. }) {
             st = slot.wait_step(st, None);
         }
         assert_eq!(st.ack, [9]);
-        assert!(!st.holds_offer());
+        assert!(!st.state.holds_offer());
         drop(st);
         assert_eq!(receiver.join().unwrap(), 42);
     }

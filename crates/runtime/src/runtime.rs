@@ -16,7 +16,7 @@ use synctime_obs::{DeadlockDiagnosis, Recorder, RunStats, WaitEdge, WaitOp};
 use synctime_trace::{EventId, EventKind, MessageId, ProcessId, SyncComputation, TraceError};
 
 use crate::fault::{FaultAction, FaultInjector};
-use crate::matcher::{ChannelSlot, FRAME_CAPACITY};
+use crate::matcher::{ChannelSlot, SlotState, FRAME_CAPACITY};
 use crate::transport::{
     LocalRx, LocalTx, OfferAnswer, Polled, RawOffer, RxChannel, SendAnswer, TransportError,
     TxChannel,
@@ -57,17 +57,20 @@ impl BlockedOn {
         }
     }
 
-    /// Whether the channel state confirms the wait: a sender waits on its
-    /// receiver only while an offer sits untaken, and a receiver waits on
-    /// its sender only while no offer sits in the slot — handed or not: a
-    /// receiver holding a handed offer is about to take it, not blocked.
+    /// Whether the channel's slot state confirms the wait (`None`: the
+    /// channel has no in-process slot). A sender waits on its receiver
+    /// only while an offer sits untaken, handed or not. A receiver waits
+    /// on its sender only while it is parked with its acknowledgement
+    /// posted (`Waiting`): a receiver that has taken its offer leaves the
+    /// slot `Empty` (or `Acked`) yet stays registered until it runs
+    /// again, and a receiver holding a handed offer is about to take it.
     /// Anything else is a rendezvous in progress — an offer about to be
-    /// taken, or one already taken and acknowledged whose sender is not
-    /// yet rescheduled.
-    fn confirmed_by(&self, holds_offer: bool) -> bool {
+    /// taken, or one already taken whose receiver or sender is not yet
+    /// rescheduled.
+    fn confirmed_by(&self, state: Option<SlotState>) -> bool {
         match self.op {
-            WaitOp::ReceiveFrom => !holds_offer,
-            WaitOp::SendTo | WaitOp::AckFrom => holds_offer,
+            WaitOp::ReceiveFrom => state.is_none_or(|s| s == SlotState::Waiting),
+            WaitOp::SendTo | WaitOp::AckFrom => state.is_some_and(SlotState::holds_offer),
         }
     }
 }
@@ -177,18 +180,18 @@ fn watchdog_loop(shared: &RunShared, timeout: Duration) {
         if candidates.is_empty() {
             continue;
         }
-        let mut holds_offer = HashMap::with_capacity(candidates.len());
+        let mut states = HashMap::with_capacity(candidates.len());
         for (p, b) in &candidates {
             let channel = b.channel(*p);
-            holds_offer
+            states
                 .entry(channel)
-                .or_insert_with(|| shared.slots.get(&channel).is_some_and(|s| s.holds_offer()));
+                .or_insert_with(|| shared.slots.get(&channel).map(|s| s.state()));
         }
         let expired: Vec<WaitEdge> = candidates
             .into_iter()
             .filter(|(p, b)| {
                 *lock_recover(&shared.blocked[*p]) == Some(*b)
-                    && b.confirmed_by(holds_offer[&b.channel(*p)])
+                    && b.confirmed_by(states[&b.channel(*p)])
             })
             .map(|(p, b)| WaitEdge {
                 process: p,

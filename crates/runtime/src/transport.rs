@@ -565,7 +565,7 @@ mod tests {
         ));
         tx.offer(5, 50, &[2, 3], true).unwrap();
         assert!(matches!(state(&slot), SlotState::Handed { key: 5, .. }));
-        assert!(slot.holds_offer(), "a handed offer is still held");
+        assert!(slot.state().holds_offer(), "a handed offer is still held");
         // The sender's zero-wait poll returns the posted bytes: it is done.
         match answer_of(&tx, 5) {
             Some((SendAnswer::Acked { taken, acked }, ack)) => {

@@ -5,6 +5,8 @@
 #
 # Steps:
 #   1. formatting gate: `cargo fmt --check`
+#  1b. lint gate: `cargo clippy --offline --all-targets -- -D warnings`
+#      (any clippy warning fails the run)
 #   2. release build (tier-1)
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
 #   4. full workspace tests
@@ -52,7 +54,9 @@
 #      batch (one pair per QUERY3 frame, 16 in flight) must print
 #      byte-identical output to the same `--batch` sent as one lock-step
 #      QUERY3 frame; two counting-allocator gates: the steady-state
-#      serving path performs zero heap allocations per query, and the
+#      serving path performs zero heap allocations per query, on a
+#      16-message table and on one at the 16 MiB fetch floor (where the
+#      pump loads a batch's rows before answering it), and the
 #      steady-state rendezvous path at most two per message (the stamps
 #      both endpoints log)
 #  15. clock-smoke: `run --ring 8` must produce byte-identical output under
@@ -97,8 +101,9 @@
 #      here instead; then each of its four workloads runs for one second
 #      (`--seconds 1 --seed 3`) and its result line must read
 #      `"correct": true` with `"failed": 0` — `restart` is the one run
-#      that serves a trace larger than the L3 cache and checks every
-#      served answer against the in-process answer
+#      that serves a trace past each core's 2 MiB L2 cache (so the only
+#      one whose pump runs the fetch pass) and checks every served
+#      answer against the in-process answer
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -107,7 +112,15 @@ run() {
   "$@"
 }
 
+# The address a backgrounded server announced in its output file, or
+# nothing yet: the first poll can run before the server's shell has
+# created the file.
+listening_addr() {
+  if [ -f "$1" ]; then sed -n 's/^listening on //p' "$1"; fi
+}
+
 run cargo fmt --check
+run cargo clippy --offline --all-targets -- -D warnings
 run cargo build --release
 # The root `synctime` package is a lib; the CLI binary the smoke stages
 # drive lives in `synctime-cli`, which a bare root build does not touch.
@@ -229,7 +242,7 @@ EOF
 SERVER_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$NET_DIR/server.out")"
+  ADDR="$(listening_addr "$NET_DIR/server.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
@@ -256,7 +269,7 @@ EOF
 CATALOG_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$NET_DIR/catalog-server.out")"
+  ADDR="$(listening_addr "$NET_DIR/catalog-server.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
@@ -346,7 +359,7 @@ echo "==> store-smoke: reference run with --persist, served uninterrupted"
 REF_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$STORE_DIR/ref-server.out")"
+  ADDR="$(listening_addr "$STORE_DIR/ref-server.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
@@ -376,7 +389,7 @@ wait "$RUN_PID" || { echo "verify: persisted ring run failed" >&2; exit 1; }
 CRASH2_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$STORE_DIR/crash-server2.out")"
+  ADDR="$(listening_addr "$STORE_DIR/crash-server2.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
@@ -399,7 +412,7 @@ echo "==> store-smoke: persisting a served trace name again replaces what is ser
 REUSE_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$STORE_DIR/reuse-server.out")"
+  ADDR="$(listening_addr "$STORE_DIR/reuse-server.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
@@ -490,14 +503,14 @@ cp "$CHURN_DIR/reference.json" "$CHURN_DIR/refcat/churned.json"
 CHURNREF_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$CHURN_DIR/store-server.out")"
+  ADDR="$(listening_addr "$CHURN_DIR/store-server.out")"
   [ -n "$ADDR" ] && break
   sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "verify: churned store server never announced its address" >&2; exit 1; }
 REF_ADDR=""
 for _ in $(seq 1 50); do
-  REF_ADDR="$(sed -n 's/^listening on //p' "$CHURN_DIR/ref-server.out")"
+  REF_ADDR="$(listening_addr "$CHURN_DIR/ref-server.out")"
   [ -n "$REF_ADDR" ] && break
   sleep 0.1
 done
