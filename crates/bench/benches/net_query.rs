@@ -37,22 +37,19 @@
 //!   (parking matcher) and as a loopback TCP mesh, so the transport's
 //!   cost per rendezvous and its wire accounting sit side by side.
 //!
-//! Usage (a `harness = false` bench):
+//! Usage (a `harness = false` bench; the report schema and its floors are
+//! `synctime_bench::report::NET_QUERY`):
 //!
 //! ```text
 //! cargo bench -p synctime-bench --bench net_query
-//!   -- [--smoke] [--out PATH] [--validate PATH]
+//!   -- [--smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` shrinks the workloads for CI; `--validate PATH` checks an
-//! existing report (e.g. `results/BENCH_net.json`) against the
-//! `synctime/bench_net/v4` schema. The full run additionally enforces the
-//! acceptance floors: `query/precedes` above 10_000 queries/sec,
-//! `batch_256` at least 3x the single-connection single-query rate, the
-//! fabric at 500_000+ aggregate queries/sec with amortised p99 at or below
-//! 250us, the W=16 pipeline at least 1.5x the same run's `batch_256` rate,
-//! the vectorized merge kernel at least 1.3x scalar at d=256, and **zero**
-//! steady-state serving allocations.
+//! `--smoke` shrinks the workloads for CI; `--out` writes the JSON report
+//! to a file. The run fails if its report does not conform: a full report
+//! must clear the acceptance floors (single-query, batch, pipeline,
+//! fabric and kernel), and every report must show zero steady-state
+//! serving allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,6 +61,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
+use synctime_bench::report::{self, obj, rate, ratio, Record, NET_QUERY};
 use synctime_core::online::OnlineStamper;
 use synctime_core::{kernel, wire, MessageTimestamps};
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
@@ -74,16 +72,7 @@ use synctime_net::{
 };
 use synctime_obs::{nearest_rank_percentile, RunStats};
 use synctime_runtime::{Behavior, Runtime};
-
-const SCHEMA: &str = "synctime/bench_net/v4";
-const QPS_FLOOR: f64 = 10_000.0;
-const BATCH_SPEEDUP_FLOOR: f64 = 3.0;
-const FABRIC_QPS_FLOOR: f64 = 500_000.0;
-const FABRIC_P99_CEILING_NS: u64 = 250_000;
-/// W=16 pipelining must beat the same run's lock-step batch_256 rate.
-const PIPELINE_SPEEDUP_FLOOR: f64 = 1.5;
-/// The 8-lane merge kernel must beat the black-box scalar loop at d=256.
-const KERNEL_SPEEDUP_FLOOR: f64 = 1.3;
+use synctime_sim::ring_behavior;
 
 // ------------------------------------------------- counting allocator
 //
@@ -137,77 +126,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-// ---------------------------------------------------- tiny Value builders
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(x: &str) -> Value {
-    Value::Str(x.to_string())
-}
-
-fn uint(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn float(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-struct Record {
-    workload: &'static str,
-    variant: &'static str,
-    processes: usize,
-    ops: u64,
-    elapsed_ns: u128,
-    detail: Value,
-}
-
-impl Record {
-    fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed_ns as f64 / 1e9;
-        if secs > 0.0 {
-            self.ops as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("workload", string(self.workload)),
-            ("variant", string(self.variant)),
-            ("processes", uint(self.processes as u64)),
-            ("ops", uint(self.ops)),
-            ("elapsed_ns", uint(self.elapsed_ns as u64)),
-            ("ops_per_sec", float(self.ops_per_sec())),
-            ("detail", self.detail.clone()),
-        ])
-    }
-}
 
 // ----------------------------------------------------------- query server
 
@@ -281,15 +199,21 @@ fn bench_query(
     Record {
         workload: "query",
         variant,
-        processes,
+        size: processes,
         ops,
         elapsed_ns,
         detail: obj(vec![
-            ("messages", uint(m as u64)),
-            ("connections", uint(connections as u64)),
-            ("dimension", uint(dimension as u64)),
-            ("p50_ns", uint(nearest_rank_percentile(&latencies, 50, 100))),
-            ("p99_ns", uint(nearest_rank_percentile(&latencies, 99, 100))),
+            ("messages", Value::UInt(m as u64)),
+            ("connections", Value::UInt(connections as u64)),
+            ("dimension", Value::UInt(dimension as u64)),
+            (
+                "p50_ns",
+                Value::UInt(nearest_rank_percentile(&latencies, 50, 100)),
+            ),
+            (
+                "p99_ns",
+                Value::UInt(nearest_rank_percentile(&latencies, 99, 100)),
+            ),
         ]),
     }
 }
@@ -313,8 +237,7 @@ fn bench_batch(
     batches_per_client: usize,
     batch_size: usize,
     messages: usize,
-    workload: &'static str,
-    variant: &'static str,
+    (workload, variant): (&'static str, &'static str),
 ) -> Record {
     let processes = 8;
     let fabric = QueryFabric::new(shards);
@@ -373,18 +296,24 @@ fn bench_batch(
     Record {
         workload,
         variant,
-        processes,
+        size: processes,
         ops,
         elapsed_ns,
         detail: obj(vec![
-            ("messages", uint(m as u64)),
-            ("connections", uint(connections as u64)),
-            ("shards", uint(shards as u64)),
-            ("traces", uint(traces as u64)),
-            ("batch_size", uint(batch_size as u64)),
-            ("bytes_per_query", float(bytes_per_query)),
-            ("p50_ns", uint(nearest_rank_percentile(&amortised, 50, 100))),
-            ("p99_ns", uint(nearest_rank_percentile(&amortised, 99, 100))),
+            ("messages", Value::UInt(m as u64)),
+            ("connections", Value::UInt(connections as u64)),
+            ("shards", Value::UInt(shards as u64)),
+            ("traces", Value::UInt(traces as u64)),
+            ("batch_size", Value::UInt(batch_size as u64)),
+            ("bytes_per_query", Value::Float(bytes_per_query)),
+            (
+                "p50_ns",
+                Value::UInt(nearest_rank_percentile(&amortised, 50, 100)),
+            ),
+            (
+                "p99_ns",
+                Value::UInt(nearest_rank_percentile(&amortised, 99, 100)),
+            ),
         ]),
     }
 }
@@ -443,17 +372,23 @@ fn bench_pipeline(
     Record {
         workload: "query_pipeline",
         variant,
-        processes,
+        size: processes,
         ops,
         elapsed_ns,
         detail: obj(vec![
-            ("messages", uint(m as u64)),
-            ("window", uint(window as u64)),
-            ("batch_size", uint(batch_size as u64)),
-            ("chunks_per_call", uint(chunks_per_call as u64)),
-            ("bytes_per_query", float(bytes_per_query)),
-            ("p50_ns", uint(nearest_rank_percentile(&amortised, 50, 100))),
-            ("p99_ns", uint(nearest_rank_percentile(&amortised, 99, 100))),
+            ("messages", Value::UInt(m as u64)),
+            ("window", Value::UInt(window as u64)),
+            ("batch_size", Value::UInt(batch_size as u64)),
+            ("chunks_per_call", Value::UInt(chunks_per_call as u64)),
+            ("bytes_per_query", Value::Float(bytes_per_query)),
+            (
+                "p50_ns",
+                Value::UInt(nearest_rank_percentile(&amortised, 50, 100)),
+            ),
+            (
+                "p99_ns",
+                Value::UInt(nearest_rank_percentile(&amortised, 99, 100)),
+            ),
         ]),
     }
 }
@@ -506,14 +441,14 @@ fn bench_alloc_steady_state(pumps: usize) -> Record {
     Record {
         workload: "serve",
         variant: "steady_state",
-        processes,
+        size: processes,
         ops: (pumps * batch_size) as u64,
         elapsed_ns,
         detail: obj(vec![
-            ("messages", uint(m as u64)),
-            ("batch_size", uint(batch_size as u64)),
-            ("pumps", uint(pumps as u64)),
-            ("allocs", uint(allocs)),
+            ("messages", Value::UInt(m as u64)),
+            ("batch_size", Value::UInt(batch_size as u64)),
+            ("pumps", Value::UInt(pumps as u64)),
+            ("allocs", Value::UInt(allocs)),
         ]),
     }
 }
@@ -563,48 +498,36 @@ fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
     Record {
         workload: "kernel",
         variant: "merge_d256",
-        processes: 1,
+        size: 1,
         ops: (iters * dimension) as u64,
         elapsed_ns: vector_ns as u128,
         detail: obj(vec![
-            ("dimension", uint(dimension as u64)),
-            ("iters", uint(iters as u64)),
-            ("scalar_ns", uint(scalar_ns)),
-            ("vector_ns", uint(vector_ns)),
-            ("speedup_vs_scalar", float(speedup)),
+            ("dimension", Value::UInt(dimension as u64)),
+            ("iters", Value::UInt(iters as u64)),
+            ("scalar_ns", Value::UInt(scalar_ns)),
+            ("vector_ns", Value::UInt(vector_ns)),
+            ("speedup_vs_scalar", Value::Float(speedup)),
         ]),
     }
 }
 
 // -------------------------------------------------------- ring transport
 
+/// The token ring over the whole universe `0..n`, process 0 at its head.
 fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
-    (0..n)
-        .map(|id| -> Behavior {
-            let next = (id + 1) % n;
-            let prev = (id + n - 1) % n;
-            Box::new(move |ctx| {
-                for r in 0..rounds {
-                    if ctx.id() == 0 {
-                        ctx.send(next, r)?;
-                        ctx.receive_from(prev)?;
-                    } else {
-                        ctx.receive_from(prev)?;
-                        ctx.send(next, r)?;
-                    }
-                }
-                Ok(())
-            })
-        })
+    let active: Vec<usize> = (0..n).collect();
+    active
+        .iter()
+        .map(|&p| ring_behavior(&active, p, rounds))
         .collect()
 }
 
 fn transport_detail(stats: &RunStats) -> Value {
     obj(vec![
-        ("total_wire_bytes", uint(stats.total_wire_bytes)),
-        ("wire_savings_ratio", float(stats.wire_savings_ratio)),
-        ("ack_latency_p50_ns", uint(stats.ack_latency_p50_ns)),
-        ("ack_latency_p99_ns", uint(stats.ack_latency_p99_ns)),
+        ("total_wire_bytes", Value::UInt(stats.total_wire_bytes)),
+        ("wire_savings_ratio", Value::Float(stats.wire_savings_ratio)),
+        ("ack_latency_p50_ns", Value::UInt(stats.ack_latency_p50_ns)),
+        ("ack_latency_p99_ns", Value::UInt(stats.ack_latency_p99_ns)),
     ])
 }
 
@@ -620,7 +543,7 @@ fn bench_ring_local(n: usize, rounds: u64) -> Record {
     Record {
         workload: "ring_transport",
         variant: "local",
-        processes: n,
+        size: n,
         ops: stats.messages,
         elapsed_ns,
         detail: transport_detail(stats),
@@ -673,7 +596,7 @@ fn bench_ring_tcp(n: usize, rounds: u64) -> Record {
     Record {
         workload: "ring_transport",
         variant: "tcp",
-        processes: n,
+        size: n,
         ops: stats.messages,
         elapsed_ns,
         detail: transport_detail(&stats),
@@ -682,7 +605,7 @@ fn bench_ring_tcp(n: usize, rounds: u64) -> Record {
 
 // ------------------------------------------------------------ the report
 
-fn run_suite(smoke: bool) -> Value {
+fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     let (messages, connections, per_client, batches, ring_rounds) = if smoke {
         (60, 2, 50, 4, 5)
     } else {
@@ -725,8 +648,7 @@ fn run_suite(smoke: bool) -> Value {
         batches * 4,
         16,
         messages,
-        "query_batch",
-        "batch_16",
+        ("query_batch", "batch_16"),
     ));
     records.push(bench_batch(
         1,
@@ -735,8 +657,7 @@ fn run_suite(smoke: bool) -> Value {
         batches,
         256,
         messages,
-        "query_batch",
-        "batch_256",
+        ("query_batch", "batch_256"),
     ));
     // Full mode: 1024 calls of 8192 queries keep even the fastest row,
     // W=16 (~57 M queries/s on a 2-vCPU KVM guest), above 90 ms of work,
@@ -786,39 +707,23 @@ fn run_suite(smoke: bool) -> Value {
         batches / 2,
         256,
         messages,
-        "fabric",
-        "shards_4",
+        ("fabric", "shards_4"),
     ));
     eprintln!("net_query: ring transport ({ring_rounds} rounds x 6 processes, local vs tcp)");
     records.push(bench_ring_local(6, ring_rounds));
     records.push(bench_ring_tcp(6, ring_rounds));
 
-    let rate = |workload: &str, variant: &str| -> f64 {
-        records
-            .iter()
-            .find(|r| r.workload == workload && r.variant == variant)
-            .map(Record::ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    let detail_u64 = |workload: &str, variant: &str, key: &str| -> u64 {
+    let qps = |workload: &str, variant: &str| rate(&records, workload, variant);
+    // A record's detail figure as written (a missing one fails validation).
+    let detail = |workload: &str, variant: &str, key: &str| -> Value {
         records
             .iter()
             .find(|r| r.workload == workload && r.variant == variant)
             .and_then(|r| r.detail.get_field(key))
-            .and_then(as_u64)
-            .unwrap_or(0)
+            .cloned()
+            .unwrap_or(Value::Null)
     };
-    let detail_f64 = |workload: &str, variant: &str, key: &str| -> f64 {
-        records
-            .iter()
-            .find(|r| r.workload == workload && r.variant == variant)
-            .and_then(|r| r.detail.get_field(key))
-            .and_then(as_f64)
-            .unwrap_or(0.0)
-    };
-    let tcp_rate = rate("ring_transport", "tcp");
-    let single = rate("query", "precedes_1conn");
-    let batch256 = rate("query_batch", "batch_256");
+    let batch256 = qps("query_batch", "batch_256");
     // Wire cost of one lone precedes exchange (a batch of one against the
     // default trace), from the same pricing model.
     let bytes_per_query_single =
@@ -826,397 +731,68 @@ fn run_suite(smoke: bool) -> Value {
     let bytes_per_query_batch256 = (wire::batch_query3_frame_bytes("trace-0".len(), 256)
         + wire::batch_answer3_frame_bytes(256, 256)) as f64
         / 256.0;
-    let bytes_per_query_pipeline256 = (wire::batch_query3_frame_bytes("trace-0".len(), 256)
-        + wire::batch_answer3_frame_bytes(256, 256)) as f64
-        / 256.0;
-    obj(vec![
-        ("schema", string(SCHEMA)),
-        ("mode", string(if smoke { "smoke" } else { "full" })),
+    let derived = obj(vec![
+        ("query_precedes_qps", Value::Float(qps("query", "precedes"))),
+        ("query_chain_qps", Value::Float(qps("query", "chain_of"))),
+        ("batch16_qps", Value::Float(qps("query_batch", "batch_16"))),
+        ("batch256_qps", Value::Float(batch256)),
         (
-            "records",
-            Value::Array(records.iter().map(Record::to_json).collect()),
+            "batch256_speedup_vs_single",
+            Value::Float(ratio(batch256, qps("query", "precedes_1conn"))),
         ),
         (
-            "derived",
-            obj(vec![
-                ("query_precedes_qps", float(rate("query", "precedes"))),
-                ("query_chain_qps", float(rate("query", "chain_of"))),
-                ("batch16_qps", float(rate("query_batch", "batch_16"))),
-                ("batch256_qps", float(rate("query_batch", "batch_256"))),
-                (
-                    "batch256_speedup_vs_single",
-                    float(if single > 0.0 {
-                        rate("query_batch", "batch_256") / single
-                    } else {
-                        0.0
-                    }),
-                ),
-                (
-                    "pipeline_window1_qps",
-                    float(rate("query_pipeline", "window_1")),
-                ),
-                (
-                    "pipeline_window4_qps",
-                    float(rate("query_pipeline", "window_4")),
-                ),
-                (
-                    "pipeline_window16_qps",
-                    float(rate("query_pipeline", "window_16")),
-                ),
-                (
-                    "pipeline16_speedup_vs_batch256",
-                    float(if batch256 > 0.0 {
-                        rate("query_pipeline", "window_16") / batch256
-                    } else {
-                        0.0
-                    }),
-                ),
-                (
-                    "serve_steady_state_allocs",
-                    uint(detail_u64("serve", "steady_state", "allocs")),
-                ),
-                (
-                    "kernel_merge_speedup_d256",
-                    float(detail_f64("kernel", "merge_d256", "speedup_vs_scalar")),
-                ),
-                ("fabric_aggregate_qps", float(rate("fabric", "shards_4"))),
-                (
-                    "fabric_p99_ns",
-                    uint(detail_u64("fabric", "shards_4", "p99_ns")),
-                ),
-                ("bytes_per_query_single", float(bytes_per_query_single)),
-                ("bytes_per_query_batch256", float(bytes_per_query_batch256)),
-                (
-                    "bytes_per_query_pipeline256",
-                    float(bytes_per_query_pipeline256),
-                ),
-                (
-                    "transport_slowdown_tcp_vs_local",
-                    float(if tcp_rate > 0.0 {
-                        rate("ring_transport", "local") / tcp_rate
-                    } else {
-                        0.0
-                    }),
-                ),
-            ]),
+            "pipeline_window1_qps",
+            Value::Float(qps("query_pipeline", "window_1")),
         ),
-    ])
-}
-
-// ---------------------------------------------------------- validation
-
-/// Checks a report against the v4 schema. Returns every violation found.
-fn validate_report(doc: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errs.push(format!("top-level \"schema\" must be \"{SCHEMA}\""));
-    }
-    let mode = doc.get_field("mode").and_then(Value::as_str);
-    match mode {
-        Some("full") | Some("smoke") => {}
-        other => errs.push(format!(
-            "\"mode\" must be \"full\" or \"smoke\", got {other:?}"
-        )),
-    }
-    let Some(records) = doc.get_field("records").and_then(Value::as_array) else {
-        errs.push("\"records\" must be an array".to_string());
-        return errs;
-    };
-    if records.is_empty() {
-        errs.push("\"records\" must not be empty".to_string());
-    }
-    let mut precedes_qps = None;
-    let mut seen_batch = false;
-    let mut seen_fabric = false;
-    let mut seen_pipeline = false;
-    let mut seen_serve = false;
-    let mut seen_kernel = false;
-    for (i, r) in records.iter().enumerate() {
-        for key in ["workload", "variant"] {
-            if r.get_field(key).and_then(Value::as_str).is_none() {
-                errs.push(format!("records[{i}].{key} must be a string"));
-            }
-        }
-        for key in ["processes", "ops", "elapsed_ns"] {
-            if r.get_field(key).and_then(as_u64).is_none() {
-                errs.push(format!("records[{i}].{key} must be an unsigned integer"));
-            }
-        }
-        match r.get_field("ops_per_sec").and_then(as_f64) {
-            Some(value) if value > 0.0 => {}
-            _ => errs.push(format!(
-                "records[{i}].ops_per_sec must be a positive number"
+        (
+            "pipeline_window4_qps",
+            Value::Float(qps("query_pipeline", "window_4")),
+        ),
+        (
+            "pipeline_window16_qps",
+            Value::Float(qps("query_pipeline", "window_16")),
+        ),
+        (
+            "pipeline16_speedup_vs_batch256",
+            Value::Float(ratio(qps("query_pipeline", "window_16"), batch256)),
+        ),
+        (
+            "serve_steady_state_allocs",
+            detail("serve", "steady_state", "allocs"),
+        ),
+        (
+            "kernel_merge_speedup_d256",
+            detail("kernel", "merge_d256", "speedup_vs_scalar"),
+        ),
+        (
+            "fabric_aggregate_qps",
+            Value::Float(qps("fabric", "shards_4")),
+        ),
+        ("fabric_p99_ns", detail("fabric", "shards_4", "p99_ns")),
+        (
+            "bytes_per_query_single",
+            Value::Float(bytes_per_query_single),
+        ),
+        (
+            "bytes_per_query_batch256",
+            Value::Float(bytes_per_query_batch256),
+        ),
+        // A pipelined frame is the same 256-query batch frame.
+        (
+            "bytes_per_query_pipeline256",
+            Value::Float(bytes_per_query_batch256),
+        ),
+        (
+            "transport_slowdown_tcp_vs_local",
+            Value::Float(ratio(
+                qps("ring_transport", "local"),
+                qps("ring_transport", "tcp"),
             )),
-        }
-        match r.get_field("detail") {
-            Some(Value::Object(_)) => {}
-            _ => errs.push(format!("records[{i}].detail must be an object")),
-        }
-        let workload = r.get_field("workload").and_then(Value::as_str);
-        // Every query-shaped record carries its latency percentiles.
-        if matches!(
-            workload,
-            Some("query" | "query_batch" | "query_pipeline" | "fabric")
-        ) {
-            for key in ["p50_ns", "p99_ns"] {
-                if r.get_field("detail")
-                    .and_then(|d| d.get_field(key))
-                    .and_then(as_u64)
-                    .is_none()
-                {
-                    errs.push(format!(
-                        "records[{i}].detail.{key} must be an unsigned integer"
-                    ));
-                }
-            }
-        }
-        // Batched records additionally price their wire cost.
-        if matches!(workload, Some("query_batch" | "fabric")) {
-            for key in ["batch_size", "shards", "traces"] {
-                if r.get_field("detail")
-                    .and_then(|d| d.get_field(key))
-                    .and_then(as_u64)
-                    .is_none()
-                {
-                    errs.push(format!(
-                        "records[{i}].detail.{key} must be an unsigned integer"
-                    ));
-                }
-            }
-            if r.get_field("detail")
-                .and_then(|d| d.get_field("bytes_per_query"))
-                .and_then(as_f64)
-                .is_none()
-            {
-                errs.push(format!(
-                    "records[{i}].detail.bytes_per_query must be a number"
-                ));
-            }
-            seen_batch |= workload == Some("query_batch");
-            seen_fabric |= workload == Some("fabric");
-        }
-        // Pipelined records carry their window and wire pricing.
-        if workload == Some("query_pipeline") {
-            for key in ["window", "batch_size"] {
-                if r.get_field("detail")
-                    .and_then(|d| d.get_field(key))
-                    .and_then(as_u64)
-                    .is_none()
-                {
-                    errs.push(format!(
-                        "records[{i}].detail.{key} must be an unsigned integer"
-                    ));
-                }
-            }
-            if r.get_field("detail")
-                .and_then(|d| d.get_field("bytes_per_query"))
-                .and_then(as_f64)
-                .is_none()
-            {
-                errs.push(format!(
-                    "records[{i}].detail.bytes_per_query must be a number"
-                ));
-            }
-            seen_pipeline = true;
-        }
-        // The steady-state serve record proves the allocation count.
-        if workload == Some("serve") {
-            for key in ["allocs", "pumps", "batch_size"] {
-                if r.get_field("detail")
-                    .and_then(|d| d.get_field(key))
-                    .and_then(as_u64)
-                    .is_none()
-                {
-                    errs.push(format!(
-                        "records[{i}].detail.{key} must be an unsigned integer"
-                    ));
-                }
-            }
-            seen_serve = true;
-        }
-        // The kernel record carries both raw timings and the ratio.
-        if workload == Some("kernel") {
-            for key in ["dimension", "scalar_ns", "vector_ns"] {
-                if r.get_field("detail")
-                    .and_then(|d| d.get_field(key))
-                    .and_then(as_u64)
-                    .is_none()
-                {
-                    errs.push(format!(
-                        "records[{i}].detail.{key} must be an unsigned integer"
-                    ));
-                }
-            }
-            if r.get_field("detail")
-                .and_then(|d| d.get_field("speedup_vs_scalar"))
-                .and_then(as_f64)
-                .is_none()
-            {
-                errs.push(format!(
-                    "records[{i}].detail.speedup_vs_scalar must be a number"
-                ));
-            }
-            seen_kernel = true;
-        }
-        if workload == Some("query")
-            && r.get_field("variant").and_then(Value::as_str) == Some("precedes")
-        {
-            precedes_qps = r.get_field("ops_per_sec").and_then(as_f64);
-        }
-    }
-    if !seen_batch {
-        errs.push("report has no query_batch record".to_string());
-    }
-    if !seen_fabric {
-        errs.push("report has no fabric record".to_string());
-    }
-    if !seen_pipeline {
-        errs.push("report has no query_pipeline record".to_string());
-    }
-    if !seen_serve {
-        errs.push("report has no serve record".to_string());
-    }
-    if !seen_kernel {
-        errs.push("report has no kernel record".to_string());
-    }
-    let derived = doc.get_field("derived");
-    match derived {
-        Some(Value::Object(_)) => {}
-        _ => errs.push("\"derived\" must be an object".to_string()),
-    }
-    let derived_f64 =
-        |key: &str| -> Option<f64> { derived.and_then(|d| d.get_field(key)).and_then(as_f64) };
-    for key in [
-        "batch16_qps",
-        "batch256_qps",
-        "batch256_speedup_vs_single",
-        "pipeline_window1_qps",
-        "pipeline_window4_qps",
-        "pipeline_window16_qps",
-        "pipeline16_speedup_vs_batch256",
-        "serve_steady_state_allocs",
-        "kernel_merge_speedup_d256",
-        "fabric_aggregate_qps",
-        "fabric_p99_ns",
-        "bytes_per_query_single",
-        "bytes_per_query_batch256",
-        "bytes_per_query_pipeline256",
-    ] {
-        if derived_f64(key).is_none() {
-            errs.push(format!("\"derived.{key}\" must be a number"));
-        }
-    }
-    // The zero-allocation claim binds in every mode: warm buffers are warm
-    // whether the run is a smoke or the full suite.
-    match derived_f64("serve_steady_state_allocs") {
-        Some(allocs) if allocs == 0.0 => {}
-        Some(allocs) => errs.push(format!(
-            "steady-state serving made {allocs:.0} heap allocations; the hot path must make 0"
-        )),
-        None => {}
-    }
-    // The acceptance floors bind full runs only; smoke runs are a bit-rot
-    // gate, not a performance claim.
-    if mode == Some("full") {
-        match precedes_qps {
-            Some(qps) if qps >= QPS_FLOOR => {}
-            Some(qps) => errs.push(format!(
-                "full-mode query/precedes throughput {qps:.0} qps is below the {QPS_FLOOR:.0} floor"
-            )),
-            None => errs.push("full report has no query/precedes record".to_string()),
-        }
-        match derived_f64("batch256_speedup_vs_single") {
-            Some(x) if x >= BATCH_SPEEDUP_FLOOR => {}
-            Some(x) => errs.push(format!(
-                "full-mode batch256 speedup {x:.2}x is below the {BATCH_SPEEDUP_FLOOR:.1}x floor \
-                 over single-connection single queries"
-            )),
-            None => errs.push("full report has no batch256_speedup_vs_single".to_string()),
-        }
-        match derived_f64("fabric_aggregate_qps") {
-            Some(qps) if qps >= FABRIC_QPS_FLOOR => {}
-            Some(qps) => errs.push(format!(
-                "full-mode fabric aggregate {qps:.0} qps is below the {FABRIC_QPS_FLOOR:.0} floor"
-            )),
-            None => errs.push("full report has no fabric_aggregate_qps".to_string()),
-        }
-        match derived_f64("fabric_p99_ns") {
-            Some(p99) if p99 <= FABRIC_P99_CEILING_NS as f64 => {}
-            Some(p99) => errs.push(format!(
-                "full-mode fabric amortised p99 {p99:.0}ns exceeds the \
-                 {FABRIC_P99_CEILING_NS}ns ceiling"
-            )),
-            None => errs.push("full report has no fabric_p99_ns".to_string()),
-        }
-        match derived_f64("pipeline16_speedup_vs_batch256") {
-            Some(x) if x >= PIPELINE_SPEEDUP_FLOOR => {}
-            Some(x) => errs.push(format!(
-                "full-mode W=16 pipeline speedup {x:.2}x is below the \
-                 {PIPELINE_SPEEDUP_FLOOR:.1}x floor over lock-step batch_256"
-            )),
-            None => errs.push("full report has no pipeline16_speedup_vs_batch256".to_string()),
-        }
-        match derived_f64("kernel_merge_speedup_d256") {
-            Some(x) if x >= KERNEL_SPEEDUP_FLOOR => {}
-            Some(x) => errs.push(format!(
-                "full-mode merge-kernel speedup {x:.2}x is below the \
-                 {KERNEL_SPEEDUP_FLOOR:.1}x floor over the scalar loop at d=256"
-            )),
-            None => errs.push("full report has no kernel_merge_speedup_d256".to_string()),
-        }
-    }
-    errs
+        ),
+    ]);
+    (records, derived)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out expects a path").clone()),
-            "--validate" => {
-                validate = Some(it.next().expect("--validate expects a path").clone());
-            }
-            // Tolerate cargo-bench plumbing (--bench, filter strings, ...).
-            _ => {}
-        }
-    }
-
-    let report = run_suite(smoke);
-    let mut failures = validate_report(&report);
-    let rendered = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&report).expect("report serialises")
-    );
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("net_query: report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(path) = &validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let doc: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let errs = validate_report(&doc);
-        if errs.is_empty() {
-            eprintln!("net_query: {path} conforms to {SCHEMA}");
-        } else {
-            failures.extend(errs.into_iter().map(|e| format!("{path}: {e}")));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("net_query: SCHEMA VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    report::main(&NET_QUERY, run_suite);
 }

@@ -25,70 +25,28 @@
 //! formulas over the structures actually allocated, so the numbers are
 //! deterministic across runs (a sampled RSS would not be).
 //!
-//! Usage (a `harness = false` bench):
+//! Usage (a `harness = false` bench; the report schema and its floors are
+//! `synctime_bench::report::OFFLINE_PIPELINE`):
 //!
 //! ```text
 //! cargo bench -p synctime-bench --bench offline_pipeline            # full run, JSON to stdout
-//!   -- [--smoke] [--out PATH] [--validate PATH]
+//!   -- [--smoke] [--out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the sizes to CI scale; `--out` writes the JSON report
-//! to a file; `--validate` checks an existing report (e.g. the checked-in
-//! `results/BENCH_offline_pipeline.json`) against the
-//! `synctime/bench_offline_pipeline/v1` record schema and fails the
-//! process if it does not conform.
+//! to a file. The run fails if its report does not conform.
 
 use std::time::Instant;
 
 use serde_json::Value;
+use synctime_bench::report::{self, obj, ratio, Record, OFFLINE_PIPELINE};
 use synctime_core::offline;
 use synctime_core::MessageTimestamps;
 use synctime_par::ThreadPool;
 use synctime_trace::{Builder, MessageId, SyncComputation};
 
-const SCHEMA: &str = "synctime/bench_offline_pipeline/v1";
-
 /// Processes in every workload instance (8 sender/receiver pairs).
 const PROCESSES: usize = 16;
-
-// ---------------------------------------------------- tiny Value builders
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(x: &str) -> Value {
-    Value::Str(x.to_string())
-}
-
-fn uint(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn float(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
 
 // -------------------------------------------------------------- workload
 
@@ -109,7 +67,7 @@ fn build_workload(messages: usize) -> SyncComputation {
                 .expect("cross message is valid");
         } else {
             // In-pair message, direction alternating every sweep.
-            let (s, r) = if (i / pairs) % 2 == 0 {
+            let (s, r) = if (i / pairs).is_multiple_of(2) {
                 (2 * p, 2 * p + 1)
             } else {
                 (2 * p + 1, 2 * p)
@@ -128,43 +86,7 @@ fn dense_closure_bytes(messages: usize) -> u64 {
 
 // --------------------------------------------------------------- records
 
-struct Record {
-    variant: &'static str,
-    messages: usize,
-    elapsed_ns: u128,
-    dim: usize,
-    mem_proxy_bytes: u64,
-}
-
-impl Record {
-    fn msgs_per_sec(&self) -> f64 {
-        let secs = self.elapsed_ns as f64 / 1e9;
-        if secs > 0.0 {
-            self.messages as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("workload", string("offline_stamp")),
-            ("variant", string(self.variant)),
-            ("processes", uint(PROCESSES as u64)),
-            ("ops", uint(self.messages as u64)),
-            ("elapsed_ns", uint(self.elapsed_ns as u64)),
-            ("ops_per_sec", float(self.msgs_per_sec())),
-            (
-                "detail",
-                obj(vec![
-                    ("dim", uint(self.dim as u64)),
-                    ("mem_proxy_bytes", uint(self.mem_proxy_bytes)),
-                ]),
-            ),
-        ])
-    }
-}
-
+/// Stamps the workload at `messages` under one engine, timing the stamp.
 fn bench_engine(
     variant: &'static str,
     messages: usize,
@@ -178,21 +100,23 @@ fn bench_engine(
         "dense" => dense_closure_bytes(messages),
         _ => synctime_trace::stream::sparse_message_poset(&comp).approx_bytes() as u64,
     };
-    (
-        Record {
-            variant,
-            messages,
-            elapsed_ns,
-            dim: stamps.dim(),
-            mem_proxy_bytes,
-        },
-        stamps,
-    )
+    let record = Record {
+        workload: "offline_stamp",
+        variant,
+        size: PROCESSES,
+        ops: messages as u64,
+        elapsed_ns,
+        detail: obj(vec![
+            ("dim", Value::UInt(stamps.dim() as u64)),
+            ("mem_proxy_bytes", Value::UInt(mem_proxy_bytes)),
+        ]),
+    };
+    (record, stamps)
 }
 
 // ------------------------------------------------------------ the report
 
-fn run_suite(smoke: bool) -> Value {
+fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     let (dense_sizes, sparse_sizes): (Vec<usize>, Vec<usize>) = if smoke {
         (vec![200], vec![500, 2000])
     } else {
@@ -250,9 +174,8 @@ fn run_suite(smoke: bool) -> Value {
     let rate_at = |variant: &str, messages: usize| -> f64 {
         records
             .iter()
-            .find(|r| r.variant == variant && r.messages == messages)
-            .map(Record::msgs_per_sec)
-            .unwrap_or(0.0)
+            .find(|r| r.variant == variant && r.ops == messages as u64)
+            .map_or(0.0, Record::ops_per_sec)
     };
     // The dense engine cannot reach the sparse sizes at all (its closure at
     // M = 100k would be ~2.5 GB and the chain-cover matching far worse), so
@@ -262,173 +185,25 @@ fn run_suite(smoke: bool) -> Value {
     let best_dense = records
         .iter()
         .filter(|r| r.variant == "dense")
-        .map(Record::msgs_per_sec)
+        .map(Record::ops_per_sec)
         .fold(0.0f64, f64::max);
     let target = *sparse_sizes.get(1).unwrap_or(&sparse_sizes[0]);
-    let headline = if best_dense > 0.0 {
-        rate_at("sparse_seq", target) / best_dense
-    } else {
-        0.0
-    };
-    let headline_par = if best_dense > 0.0 {
-        rate_at("sparse_par", target) / best_dense
-    } else {
-        0.0
-    };
+    let headline = ratio(rate_at("sparse_seq", target), best_dense);
+    let headline_par = ratio(rate_at("sparse_par", target), best_dense);
 
-    obj(vec![
-        ("schema", string(SCHEMA)),
-        ("mode", string(if smoke { "smoke" } else { "full" })),
+    let derived = obj(vec![
+        ("target_messages", Value::UInt(target as u64)),
+        ("best_dense_msgs_per_sec", Value::Float(best_dense)),
+        ("sparse_seq_speedup_vs_best_dense", Value::Float(headline)),
         (
-            "records",
-            Value::Array(records.iter().map(Record::to_json).collect()),
+            "sparse_par_speedup_vs_best_dense",
+            Value::Float(headline_par),
         ),
-        (
-            "derived",
-            obj(vec![
-                ("target_messages", uint(target as u64)),
-                ("best_dense_msgs_per_sec", float(best_dense)),
-                ("sparse_seq_speedup_vs_best_dense", float(headline)),
-                ("sparse_par_speedup_vs_best_dense", float(headline_par)),
-                ("parallel_bit_identical", Value::Bool(bit_identical)),
-            ]),
-        ),
-    ])
-}
-
-// ------------------------------------------------------------ validation
-
-/// Checks a report against the v1 record schema. Returns every violation
-/// found (empty = conforming).
-fn validate_report(doc: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errs.push(format!("top-level \"schema\" must be \"{SCHEMA}\""));
-    }
-    match doc.get_field("mode").and_then(Value::as_str) {
-        Some("full") | Some("smoke") => {}
-        other => errs.push(format!(
-            "\"mode\" must be \"full\" or \"smoke\", got {other:?}"
-        )),
-    }
-    let Some(records) = doc.get_field("records").and_then(Value::as_array) else {
-        errs.push("\"records\" must be an array".to_string());
-        return errs;
-    };
-    if records.is_empty() {
-        errs.push("\"records\" must not be empty".to_string());
-    }
-    for (i, r) in records.iter().enumerate() {
-        for key in ["workload", "variant"] {
-            if r.get_field(key).and_then(Value::as_str).is_none() {
-                errs.push(format!("records[{i}].{key} must be a string"));
-            }
-        }
-        for key in ["processes", "ops", "elapsed_ns"] {
-            if r.get_field(key).and_then(as_u64).is_none() {
-                errs.push(format!("records[{i}].{key} must be an unsigned integer"));
-            }
-        }
-        match r.get_field("ops_per_sec").and_then(as_f64) {
-            Some(value) if value > 0.0 => {}
-            _ => errs.push(format!(
-                "records[{i}].ops_per_sec must be a positive number"
-            )),
-        }
-        match r.get_field("detail") {
-            Some(Value::Object(_)) => {}
-            _ => errs.push(format!("records[{i}].detail must be an object")),
-        }
-        if r.get_field("detail")
-            .and_then(|d| d.get_field("mem_proxy_bytes"))
-            .and_then(as_u64)
-            .is_none()
-        {
-            errs.push(format!(
-                "records[{i}].detail.mem_proxy_bytes must be an unsigned integer"
-            ));
-        }
-    }
-    let Some(derived) = doc.get_field("derived") else {
-        errs.push("\"derived\" must be an object".to_string());
-        return errs;
-    };
-    match derived.get_field("parallel_bit_identical") {
-        Some(Value::Bool(true)) => {}
-        _ => errs.push("derived.parallel_bit_identical must be true".to_string()),
-    }
-    match derived
-        .get_field("sparse_seq_speedup_vs_best_dense")
-        .and_then(as_f64)
-    {
-        Some(s) if s > 0.0 => {
-            // Full reports carry the headline claim; smoke runs are sized
-            // for CI latency, not for the ratio.
-            if doc.get_field("mode").and_then(Value::as_str) == Some("full") && s < 10.0 {
-                errs.push(format!(
-                    "derived.sparse_seq_speedup_vs_best_dense must be >= 10 in a full report, got {s:.2}"
-                ));
-            }
-        }
-        _ => errs.push("derived.sparse_seq_speedup_vs_best_dense must be positive".to_string()),
-    }
-    errs
+        ("parallel_bit_identical", Value::Bool(bit_identical)),
+    ]);
+    (records, derived)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out expects a path").clone()),
-            "--validate" => {
-                validate = Some(it.next().expect("--validate expects a path").clone());
-            }
-            // Tolerate cargo-bench plumbing (--bench, filter strings, ...).
-            _ => {}
-        }
-    }
-
-    let report = run_suite(smoke);
-    let mut failures = validate_report(&report);
-    if smoke {
-        // Smoke runs exist to prove the pipeline works, not to re-measure;
-        // drop the ratio violations a tiny instance cannot honour.
-        failures.retain(|f| !f.contains("speedup"));
-    }
-    let rendered = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&report).expect("report serialises")
-    );
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("offline_pipeline: report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(path) = &validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let doc: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let errs = validate_report(&doc);
-        if errs.is_empty() {
-            eprintln!("offline_pipeline: {path} conforms to {SCHEMA}");
-        } else {
-            failures.extend(errs.into_iter().map(|e| format!("{path}: {e}")));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("offline_pipeline: SCHEMA VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    report::main(&OFFLINE_PIPELINE, run_suite);
 }

@@ -13,151 +13,58 @@
 //!   maintained by `IncrementalDecomposition` + `OnlineSession::reconfigure`
 //!   versus re-running the Figure 7 greedy algorithm from scratch per edit.
 //!
-//! Usage (a `harness = false` bench):
+//! Usage (a `harness = false` bench; the report schema and its floors are
+//! `synctime_bench::report::ONLINE_RUNTIME`):
 //!
 //! ```text
 //! cargo bench -p synctime-bench --bench online_runtime            # full run, JSON to stdout
-//!   -- [--smoke] [--out PATH] [--validate PATH]
+//!   -- [--smoke] [--out PATH]
 //! ```
 //!
 //! `--smoke` shrinks every workload to a few iterations (CI's bit-rot
-//! gate); `--out` writes the JSON report to a file; `--validate` checks an
-//! existing report (e.g. the checked-in `results/BENCH_online_runtime.json`)
-//! against the `synctime/bench_online_runtime/v1` record schema and fails
-//! the process if it does not conform.
+//! gate); `--out` writes the JSON report to a file. The run fails if its
+//! report does not conform.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
+use synctime_bench::report::{self, obj, rate, ratio, Record, ONLINE_RUNTIME};
 use synctime_core::online::OnlineSession;
 use synctime_graph::{decompose, topology, Edge, Graph, IncrementalDecomposition};
 use synctime_runtime::{Behavior, Runtime};
-
-const SCHEMA: &str = "synctime/bench_online_runtime/v1";
-
-// ---------------------------------------------------- tiny Value builders
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(x: &str) -> Value {
-    Value::Str(x.to_string())
-}
-
-fn uint(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn float(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// One benchmark record. Every workload/variant emits exactly this shape so
-/// downstream tooling can treat the report uniformly.
-struct Record {
-    workload: &'static str,
-    variant: &'static str,
-    processes: usize,
-    /// Operations performed: messages for runtime workloads, edits for the
-    /// dynamic workload.
-    ops: u64,
-    elapsed_ns: u128,
-    /// Workload-specific extras (wakeup latency, cache counters, ...).
-    detail: Value,
-}
-
-impl Record {
-    fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed_ns as f64 / 1e9;
-        if secs > 0.0 {
-            self.ops as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("workload", string(self.workload)),
-            ("variant", string(self.variant)),
-            ("processes", uint(self.processes as u64)),
-            ("ops", uint(self.ops)),
-            ("elapsed_ns", uint(self.elapsed_ns as u64)),
-            ("ops_per_sec", float(self.ops_per_sec())),
-            ("detail", self.detail.clone()),
-        ])
-    }
-}
+use synctime_sim::ring_behavior;
 
 // ------------------------------------------------------------------- ring
-
-fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
-    (0..n)
-        .map(|id| -> Behavior {
-            let next = (id + 1) % n;
-            let prev = (id + n - 1) % n;
-            Box::new(move |ctx| {
-                for r in 0..rounds {
-                    if ctx.id() == 0 {
-                        ctx.send(next, r)?;
-                        ctx.receive_from(prev)?;
-                    } else {
-                        ctx.receive_from(prev)?;
-                        ctx.send(next, r)?;
-                    }
-                }
-                Ok(())
-            })
-        })
-        .collect()
-}
 
 fn bench_ring(n: usize, rounds: u64) -> Record {
     let topo = topology::cycle(n);
     let dec = decompose::best_known(&topo);
     let rt = Runtime::new(&topo, &dec);
+    let active: Vec<usize> = (0..n).collect();
+    let behaviors = active
+        .iter()
+        .map(|&p| ring_behavior(&active, p, rounds))
+        .collect();
     let started = Instant::now();
-    let run = rt.run(ring_behaviors(n, rounds)).expect("ring run failed");
+    let run = rt.run(behaviors).expect("ring run failed");
     let elapsed_ns = started.elapsed().as_nanos();
     let stats = run.stats();
     assert_eq!(stats.messages, n as u64 * rounds);
     Record {
         workload: "ring",
         variant: "parking",
-        processes: n,
+        size: n,
         ops: stats.messages,
         elapsed_ns,
         detail: obj(vec![
-            ("rounds", uint(rounds)),
-            ("wakeups", uint(stats.wakeups)),
-            ("wakeup_p50_ns", uint(stats.wakeup_p50_ns)),
-            ("wakeup_p99_ns", uint(stats.wakeup_p99_ns)),
-            ("ack_latency_p50_ns", uint(stats.ack_latency_p50_ns)),
-            ("total_blocked_ns", uint(stats.total_blocked_ns)),
+            ("rounds", Value::UInt(rounds)),
+            ("wakeups", Value::UInt(stats.wakeups)),
+            ("wakeup_p50_ns", Value::UInt(stats.wakeup_p50_ns)),
+            ("wakeup_p99_ns", Value::UInt(stats.wakeup_p99_ns)),
+            ("ack_latency_p50_ns", Value::UInt(stats.ack_latency_p50_ns)),
+            ("total_blocked_ns", Value::UInt(stats.total_blocked_ns)),
         ]),
     }
 }
@@ -211,17 +118,17 @@ fn bench_client_server(servers: usize, clients: usize, rounds: u64) -> Record {
     Record {
         workload: "client_server",
         variant: "parking",
-        processes: servers + clients,
+        size: servers + clients,
         ops: stats.messages,
         elapsed_ns,
         detail: obj(vec![
-            ("servers", uint(servers as u64)),
-            ("clients", uint(clients as u64)),
-            ("rounds", uint(rounds)),
-            ("wakeups", uint(stats.wakeups)),
-            ("wakeup_p50_ns", uint(stats.wakeup_p50_ns)),
-            ("ack_latency_p50_ns", uint(stats.ack_latency_p50_ns)),
-            ("total_blocked_ns", uint(stats.total_blocked_ns)),
+            ("servers", Value::UInt(servers as u64)),
+            ("clients", Value::UInt(clients as u64)),
+            ("rounds", Value::UInt(rounds)),
+            ("wakeups", Value::UInt(stats.wakeups)),
+            ("wakeup_p50_ns", Value::UInt(stats.wakeup_p50_ns)),
+            ("ack_latency_p50_ns", Value::UInt(stats.ack_latency_p50_ns)),
+            ("total_blocked_ns", Value::UInt(stats.total_blocked_ns)),
         ]),
     }
 }
@@ -285,14 +192,17 @@ fn bench_dynamic(edits: usize) -> (Record, Record) {
     let incremental = Record {
         workload: "dynamic",
         variant: "incremental",
-        processes: base.node_count(),
+        size: base.node_count(),
         ops: plan.len() as u64,
         elapsed_ns: incremental_ns,
         detail: obj(vec![
-            ("base_edges", uint(base.edge_count() as u64)),
-            ("fast_path_hits", uint(cache.fast_path_hits())),
-            ("rebuilds", uint(cache.rebuilds())),
-            ("final_dimension", uint(cache.decomposition().len() as u64)),
+            ("base_edges", Value::UInt(base.edge_count() as u64)),
+            ("fast_path_hits", Value::UInt(cache.fast_path_hits())),
+            ("rebuilds", Value::UInt(cache.rebuilds())),
+            (
+                "final_dimension",
+                Value::UInt(cache.decomposition().len() as u64),
+            ),
         ]),
     };
 
@@ -317,12 +227,12 @@ fn bench_dynamic(edits: usize) -> (Record, Record) {
     let recompute = Record {
         workload: "dynamic",
         variant: "recompute",
-        processes: base.node_count(),
+        size: base.node_count(),
         ops: plan.len() as u64,
         elapsed_ns: recompute_ns,
         detail: obj(vec![
-            ("base_edges", uint(base.edge_count() as u64)),
-            ("final_dimension", uint(dim as u64)),
+            ("base_edges", Value::UInt(base.edge_count() as u64)),
+            ("final_dimension", Value::UInt(dim as u64)),
         ]),
     };
     (incremental, recompute)
@@ -330,7 +240,7 @@ fn bench_dynamic(edits: usize) -> (Record, Record) {
 
 // ------------------------------------------------------------ the report
 
-fn run_suite(smoke: bool) -> Value {
+fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     let (ring_rounds, cs_rounds, edits) = if smoke {
         (10, 2, 24)
     } else {
@@ -346,138 +256,17 @@ fn run_suite(smoke: bool) -> Value {
     records.push(inc);
     records.push(rec);
 
-    let rate = |workload: &str, variant: &str| -> f64 {
-        records
-            .iter()
-            .find(|r| r.workload == workload && r.variant == variant)
-            .map(Record::ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    let speedup = |workload: &str, fast: &str, slow: &str| -> f64 {
-        let denominator = rate(workload, slow);
-        if denominator > 0.0 {
-            rate(workload, fast) / denominator
-        } else {
-            0.0
-        }
-    };
-    obj(vec![
-        ("schema", string(SCHEMA)),
-        ("mode", string(if smoke { "smoke" } else { "full" })),
-        (
-            "records",
-            Value::Array(records.iter().map(Record::to_json).collect()),
-        ),
-        (
-            "derived",
-            obj(vec![(
-                "dynamic_speedup_incremental_vs_recompute",
-                float(speedup("dynamic", "incremental", "recompute")),
-            )]),
-        ),
-    ])
-}
-
-// ---------------------------------------------------------- validation
-
-/// Checks a report against the v1 record schema. Returns every violation
-/// found (empty = conforming).
-fn validate_report(doc: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errs.push(format!("top-level \"schema\" must be \"{SCHEMA}\""));
-    }
-    match doc.get_field("mode").and_then(Value::as_str) {
-        Some("full") | Some("smoke") => {}
-        other => errs.push(format!(
-            "\"mode\" must be \"full\" or \"smoke\", got {other:?}"
-        )),
-    }
-    let Some(records) = doc.get_field("records").and_then(Value::as_array) else {
-        errs.push("\"records\" must be an array".to_string());
-        return errs;
-    };
-    if records.is_empty() {
-        errs.push("\"records\" must not be empty".to_string());
-    }
-    for (i, r) in records.iter().enumerate() {
-        for key in ["workload", "variant"] {
-            if r.get_field(key).and_then(Value::as_str).is_none() {
-                errs.push(format!("records[{i}].{key} must be a string"));
-            }
-        }
-        for key in ["processes", "ops", "elapsed_ns"] {
-            if r.get_field(key).and_then(as_u64).is_none() {
-                errs.push(format!("records[{i}].{key} must be an unsigned integer"));
-            }
-        }
-        match r.get_field("ops_per_sec").and_then(as_f64) {
-            Some(value) if value > 0.0 => {}
-            _ => errs.push(format!(
-                "records[{i}].ops_per_sec must be a positive number"
-            )),
-        }
-        match r.get_field("detail") {
-            Some(Value::Object(_)) => {}
-            _ => errs.push(format!("records[{i}].detail must be an object")),
-        }
-    }
-    match doc.get_field("derived") {
-        Some(Value::Object(_)) => {}
-        _ => errs.push("\"derived\" must be an object".to_string()),
-    }
-    errs
+    let speedup = ratio(
+        rate(&records, "dynamic", "incremental"),
+        rate(&records, "dynamic", "recompute"),
+    );
+    let derived = obj(vec![(
+        "dynamic_speedup_incremental_vs_recompute",
+        Value::Float(speedup),
+    )]);
+    (records, derived)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out expects a path").clone()),
-            "--validate" => {
-                validate = Some(it.next().expect("--validate expects a path").clone());
-            }
-            // Tolerate cargo-bench plumbing (--bench, filter strings, ...).
-            _ => {}
-        }
-    }
-
-    let report = run_suite(smoke);
-    let mut failures = validate_report(&report);
-    let rendered = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&report).expect("report serialises")
-    );
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("online_runtime: report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(path) = &validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let doc: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let errs = validate_report(&doc);
-        if errs.is_empty() {
-            eprintln!("online_runtime: {path} conforms to {SCHEMA}");
-        } else {
-            failures.extend(errs.into_iter().map(|e| format!("{path}: {e}")));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("online_runtime: SCHEMA VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    report::main(&ONLINE_RUNTIME, run_suite);
 }

@@ -21,75 +21,28 @@
 //!   republishes continuously; the derived `dip_ratio` (during / steady)
 //!   is reported for the experiment table.
 //!
-//! Usage (a `harness = false` bench):
+//! Usage (a `harness = false` bench; the report schema and its floors are
+//! `synctime_bench::report::RECONFIG_CHURN`):
 //!
 //! ```text
 //! cargo bench -p synctime-bench --bench reconfig_churn              # full run, JSON to stdout
-//!   -- [--smoke] [--out PATH] [--validate PATH]
+//!   -- [--smoke] [--out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the churn script to CI scale; `--out` writes the
-//! JSON report to a file; `--validate` checks an existing report (e.g.
-//! the checked-in `results/BENCH_churn.json`) against the
-//! `synctime/bench_churn/v1` schema, including the p99 ceiling on full
-//! reports and the dimension bound always, and fails the process if it
-//! does not conform.
+//! JSON report to a file. The run fails if its report does not conform.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
+use synctime_bench::report::{self, obj, ratio, Record, RECONFIG_CHURN};
 use synctime_graph::decompose;
 use synctime_runtime::reconstruct_from_logs;
 use synctime_sim::churn::epoch_topology;
 use synctime_sim::{run_churn, ChurnConfig, ChurnPlan};
 use synctime_trace::MessageId;
-
-const SCHEMA: &str = "synctime/bench_churn/v1";
-
-/// The reconfiguration-latency ceiling (microseconds, p99) enforced on
-/// full reports.
-const P99_CEILING_US: f64 = 50_000.0;
-
-// ---------------------------------------------------- tiny Value builders
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(x: &str) -> Value {
-    Value::Str(x.to_string())
-}
-
-fn uint(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn float(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
 
 /// The nearest-rank percentile of a sorted sample.
 fn percentile(sorted: &[u64], p: f64) -> f64 {
@@ -102,7 +55,7 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 
 // ------------------------------------------------------------ the report
 
-fn run_suite(smoke: bool) -> Value {
+fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     let (universe, boundaries, query_iters) = if smoke {
         (6usize, 8usize, 20_000usize)
     } else {
@@ -187,216 +140,59 @@ fn run_suite(smoke: bool) -> Value {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let publishes = publisher.join().expect("publisher joins");
 
-    let qps = |ns: u128| {
-        if ns > 0 {
-            query_iters as f64 / (ns as f64 / 1e9)
-        } else {
-            0.0
-        }
+    let query = |variant, elapsed_ns, detail| Record {
+        workload: "query",
+        variant,
+        size: max_dim,
+        ops: query_iters as u64,
+        elapsed_ns,
+        detail,
     };
-    let qps_steady = qps(steady_ns);
-    let qps_during = qps(during_ns);
-
+    let steady = query(
+        "steady",
+        steady_ns,
+        obj(vec![("messages", Value::UInt(m as u64))]),
+    );
+    let during = query(
+        "during_rebase",
+        during_ns,
+        obj(vec![
+            ("messages", Value::UInt(m as u64)),
+            ("publishes", Value::UInt(publishes)),
+        ]),
+    );
+    let (qps_steady, qps_during) = (steady.ops_per_sec(), during.ops_per_sec());
     let records = vec![
-        obj(vec![
-            ("workload", string("reconfigure")),
-            ("variant", string("boundary")),
-            ("dim", uint(max_dim as u64)),
-            ("ops", uint(lat.len() as u64)),
-            ("elapsed_ns", uint(run_ns as u64)),
-            (
-                "ops_per_sec",
-                float(lat.len() as f64 / (run_ns as f64 / 1e9)),
-            ),
-            (
-                "detail",
-                obj(vec![
-                    ("universe", uint(universe as u64)),
-                    ("p50_us", float(p50)),
-                    ("p90_us", float(p90)),
-                    ("p99_us", float(p99)),
-                ]),
-            ),
-        ]),
-        obj(vec![
-            ("workload", string("query")),
-            ("variant", string("steady")),
-            ("dim", uint(max_dim as u64)),
-            ("ops", uint(query_iters as u64)),
-            ("elapsed_ns", uint(steady_ns as u64)),
-            ("ops_per_sec", float(qps_steady)),
-            ("detail", obj(vec![("messages", uint(m as u64))])),
-        ]),
-        obj(vec![
-            ("workload", string("query")),
-            ("variant", string("during_rebase")),
-            ("dim", uint(max_dim as u64)),
-            ("ops", uint(query_iters as u64)),
-            ("elapsed_ns", uint(during_ns as u64)),
-            ("ops_per_sec", float(qps_during)),
-            (
-                "detail",
-                obj(vec![
-                    ("messages", uint(m as u64)),
-                    ("publishes", uint(publishes)),
-                ]),
-            ),
-        ]),
-    ];
-
-    obj(vec![
-        ("schema", string(SCHEMA)),
-        ("mode", string(if smoke { "smoke" } else { "full" })),
-        ("records", Value::Array(records)),
-        (
-            "derived",
-            obj(vec![
-                ("reconfigure_p50_us", float(p50)),
-                ("reconfigure_p90_us", float(p90)),
-                ("reconfigure_p99_us", float(p99)),
-                ("max_dim", uint(max_dim as u64)),
-                ("bound_2alpha", uint(max_bound as u64)),
-                ("within_bound", Value::Bool(within_bound)),
-                ("qps_steady", float(qps_steady)),
-                ("qps_during_rebase", float(qps_during)),
-                (
-                    "dip_ratio",
-                    float(if qps_steady > 0.0 {
-                        qps_during / qps_steady
-                    } else {
-                        0.0
-                    }),
-                ),
+        Record {
+            workload: "reconfigure",
+            variant: "boundary",
+            size: max_dim,
+            ops: lat.len() as u64,
+            elapsed_ns: run_ns,
+            detail: obj(vec![
+                ("universe", Value::UInt(universe as u64)),
+                ("p50_us", Value::Float(p50)),
+                ("p90_us", Value::Float(p90)),
+                ("p99_us", Value::Float(p99)),
             ]),
-        ),
-    ])
-}
-
-// ------------------------------------------------------------ validation
-
-/// Checks a report against the v1 schema: the p99 ceiling on full
-/// reports, the dimension bound always. Returns every violation found
-/// (empty = conforming).
-fn validate_report(doc: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errs.push(format!("top-level \"schema\" must be \"{SCHEMA}\""));
-    }
-    let mode = doc.get_field("mode").and_then(Value::as_str);
-    match mode {
-        Some("full") | Some("smoke") => {}
-        other => errs.push(format!(
-            "\"mode\" must be \"full\" or \"smoke\", got {other:?}"
-        )),
-    }
-    let Some(records) = doc.get_field("records").and_then(Value::as_array) else {
-        errs.push("\"records\" must be an array".to_string());
-        return errs;
-    };
-    for (i, r) in records.iter().enumerate() {
-        for key in ["workload", "variant"] {
-            if r.get_field(key).and_then(Value::as_str).is_none() {
-                errs.push(format!("records[{i}].{key} must be a string"));
-            }
-        }
-        for key in ["dim", "ops", "elapsed_ns"] {
-            if r.get_field(key).and_then(as_u64).is_none() {
-                errs.push(format!("records[{i}].{key} must be an unsigned integer"));
-            }
-        }
-        match r.get_field("ops_per_sec").and_then(as_f64) {
-            Some(value) if value > 0.0 => {}
-            _ => errs.push(format!(
-                "records[{i}].ops_per_sec must be a positive number"
-            )),
-        }
-    }
-    for workload in ["reconfigure", "query"] {
-        if !records
-            .iter()
-            .any(|r| r.get_field("workload").and_then(Value::as_str) == Some(workload))
-        {
-            errs.push(format!("records must cover the \"{workload}\" workload"));
-        }
-    }
-    let Some(derived) = doc.get_field("derived") else {
-        errs.push("\"derived\" must be an object".to_string());
-        return errs;
-    };
-    match derived.get_field("within_bound") {
-        Some(Value::Bool(true)) => {}
-        _ => errs.push("derived.within_bound must be true (d <= 2*alpha, Theorem 6)".to_string()),
-    }
-    let full = mode == Some("full");
-    match derived.get_field("reconfigure_p99_us").and_then(as_f64) {
-        Some(x) if x > 0.0 => {
-            if full && x > P99_CEILING_US {
-                errs.push(format!(
-                    "derived.reconfigure_p99_us must be <= {P99_CEILING_US} in a full report, got {x:.0}"
-                ));
-            }
-        }
-        _ => errs.push("derived.reconfigure_p99_us must be positive".to_string()),
-    }
-    for key in ["qps_steady", "qps_during_rebase", "dip_ratio"] {
-        match derived.get_field(key).and_then(as_f64) {
-            Some(x) if x > 0.0 => {}
-            _ => errs.push(format!("derived.{key} must be positive")),
-        }
-    }
-    errs
+        },
+        steady,
+        during,
+    ];
+    let derived = obj(vec![
+        ("reconfigure_p50_us", Value::Float(p50)),
+        ("reconfigure_p90_us", Value::Float(p90)),
+        ("reconfigure_p99_us", Value::Float(p99)),
+        ("max_dim", Value::UInt(max_dim as u64)),
+        ("bound_2alpha", Value::UInt(max_bound as u64)),
+        ("within_bound", Value::Bool(within_bound)),
+        ("qps_steady", Value::Float(qps_steady)),
+        ("qps_during_rebase", Value::Float(qps_during)),
+        ("dip_ratio", Value::Float(ratio(qps_during, qps_steady))),
+    ]);
+    (records, derived)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out expects a path").clone()),
-            "--validate" => {
-                validate = Some(it.next().expect("--validate expects a path").clone());
-            }
-            // Tolerate cargo-bench plumbing (--bench, filter strings, ...).
-            _ => {}
-        }
-    }
-
-    let report = run_suite(smoke);
-    let mut failures: Vec<String> = validate_report(&report);
-
-    let rendered = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&report).expect("report serialises")
-    );
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("reconfig_churn: report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(path) = &validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let doc: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let errs = validate_report(&doc);
-        if errs.is_empty() {
-            eprintln!("reconfig_churn: {path} conforms to {SCHEMA}");
-        } else {
-            failures.extend(errs.into_iter().map(|e| format!("{path}: {e}")));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("reconfig_churn: SCHEMA VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    report::main(&RECONFIG_CHURN, run_suite);
 }

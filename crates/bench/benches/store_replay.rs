@@ -33,90 +33,34 @@
 //! The recovered logs are asserted equal to the run's own logs before the
 //! report is emitted (`derived.round_trip_identical`).
 //!
-//! Usage (a `harness = false` bench):
+//! Usage (a `harness = false` bench; the report schema and its floors are
+//! `synctime_bench::report::STORE_REPLAY`):
 //!
 //! ```text
 //! cargo bench -p synctime-bench --bench store_replay                # full run, JSON to stdout
-//!   -- [--smoke] [--out PATH] [--validate PATH]
+//!   -- [--smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` shrinks the workload to CI scale (and lifts the floors —
-//! tiny runs are dominated by fixed fsync costs); `--out` writes the
-//! JSON report to a file; `--validate` checks an existing report (e.g.
-//! the checked-in `results/BENCH_store.json`) against the
-//! `synctime/bench_store/v1` record schema, including both floors on
-//! full reports, and fails the process if it does not conform.
+//! `--smoke` shrinks the workload to CI scale (the floors bind full
+//! reports only — tiny runs are dominated by fixed fsync costs); `--out`
+//! writes the JSON report to a file. The run fails if its report does not
+//! conform.
 
 use std::path::Path;
 use std::time::Instant;
 
 use serde_json::Value;
+use synctime_bench::report::{self, obj, ratio, Record, STORE_REPLAY};
 use synctime_graph::{decompose, topology};
 use synctime_runtime::{Behavior, LogEntry, Runtime};
-
-const SCHEMA: &str = "synctime/bench_store/v1";
 
 /// Ring width for the ingest workload (must be even for the send/receive
 /// phasing below).
 const RING: usize = 8;
 
-/// The ingest-overhead ceiling enforced on full reports from machines
-/// with at least two hardware threads, where the store writer's CPU
-/// overlaps the run and the wall ratio measures what durability costs
-/// the protocol.
-const INGEST_CEILING: f64 = 1.10;
-
-/// The ceiling for full reports from a single hardware thread, where
-/// every cycle the writer spends encoding and writing is a cycle taken
-/// from the run: the wall ratio then bounds run + writer CPU combined,
-/// and 10% is physically unreachable however cheap the seam is.
-const SERIAL_INGEST_CEILING: f64 = 1.5;
-
-/// The replay-throughput floor (records/s) enforced on full reports.
-const REPLAY_FLOOR: f64 = 20_000.0;
-
 /// Timed repetitions per ingest variant; the best (minimum) elapsed time
 /// is reported, the standard way to strip scheduler noise from a ratio.
 const INGEST_REPS: usize = 3;
-
-// ---------------------------------------------------- tiny Value builders
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(x: &str) -> Value {
-    Value::Str(x.to_string())
-}
-
-fn uint(x: u64) -> Value {
-    Value::UInt(x)
-}
-
-fn float(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
-}
 
 // -------------------------------------------------------------- workload
 
@@ -127,7 +71,7 @@ fn ring_behavior(p: usize, n: usize, rounds: u64) -> Behavior {
     let right = (p + 1) % n;
     let left = (p + n - 1) % n;
     Box::new(move |ctx| {
-        if p % 2 == 0 {
+        if p.is_multiple_of(2) {
             for r in 0..rounds {
                 ctx.send(right, r)?;
                 ctx.receive_from(left)?;
@@ -195,44 +139,9 @@ fn run_ring(rounds: u64, sink: Sink) -> (u128, u128, Vec<Vec<LogEntry>>) {
     (run_ns, seal_ns, run.logs().to_vec())
 }
 
-// --------------------------------------------------------------- records
-
-struct Record {
-    workload: &'static str,
-    variant: &'static str,
-    dim: usize,
-    ops: usize,
-    elapsed_ns: u128,
-    detail: Vec<(&'static str, Value)>,
-}
-
-impl Record {
-    fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed_ns as f64 / 1e9;
-        if secs > 0.0 {
-            self.ops as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(self) -> Value {
-        let rate = self.ops_per_sec();
-        obj(vec![
-            ("workload", string(self.workload)),
-            ("variant", string(self.variant)),
-            ("dim", uint(self.dim as u64)),
-            ("ops", uint(self.ops as u64)),
-            ("elapsed_ns", uint(self.elapsed_ns as u64)),
-            ("ops_per_sec", float(rate)),
-            ("detail", obj(self.detail)),
-        ])
-    }
-}
-
 // ------------------------------------------------------------ the report
 
-fn run_suite(smoke: bool) -> Value {
+fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     let (rounds, replay_iters) = if smoke { (64u64, 3usize) } else { (12_000, 10) };
     let entries = RING * 2 * rounds as usize;
     let root = std::env::temp_dir().join(format!("synctime-bench-store-{}", std::process::id()));
@@ -285,246 +194,50 @@ fn run_suite(smoke: bool) -> Value {
     }
     let _ = std::fs::remove_dir_all(&root);
 
+    let ingest = |variant, elapsed_ns| Record {
+        workload: "ingest",
+        variant,
+        size: RING,
+        ops: entries as u64,
+        elapsed_ns,
+        detail: obj(vec![
+            ("rounds", Value::UInt(rounds)),
+            ("reps", Value::UInt(INGEST_REPS as u64)),
+        ]),
+    };
+    let replay = |variant, elapsed_ns| Record {
+        workload: "replay",
+        variant,
+        size: RING,
+        ops: (entries * replay_iters) as u64,
+        elapsed_ns,
+        detail: obj(vec![("iters", Value::UInt(replay_iters as u64))]),
+    };
     let records = vec![
-        Record {
-            workload: "ingest",
-            variant: "bare",
-            dim: RING,
-            ops: entries,
-            elapsed_ns: bare_ns,
-            detail: vec![("rounds", uint(rounds)), ("reps", uint(INGEST_REPS as u64))],
-        },
-        Record {
-            workload: "ingest",
-            variant: "persist",
-            dim: RING,
-            ops: entries,
-            elapsed_ns: persist_ns,
-            detail: vec![("rounds", uint(rounds)), ("reps", uint(INGEST_REPS as u64))],
-        },
-        Record {
-            workload: "ingest",
-            variant: "channel",
-            dim: RING,
-            ops: entries,
-            elapsed_ns: channel_ns,
-            detail: vec![("rounds", uint(rounds)), ("reps", uint(INGEST_REPS as u64))],
-        },
-        Record {
-            workload: "ingest",
-            variant: "seal",
-            dim: RING,
-            ops: entries,
-            elapsed_ns: seal_ns,
-            detail: vec![("rounds", uint(rounds)), ("reps", uint(INGEST_REPS as u64))],
-        },
-        Record {
-            workload: "replay",
-            variant: "recover",
-            dim: RING,
-            ops: entries * replay_iters,
-            elapsed_ns: recover_ns,
-            detail: vec![("iters", uint(replay_iters as u64))],
-        },
-        Record {
-            workload: "replay",
-            variant: "materialize",
-            dim: RING,
-            ops: entries * replay_iters,
-            elapsed_ns: materialize_ns,
-            detail: vec![("iters", uint(replay_iters as u64))],
-        },
+        ingest("bare", bare_ns),
+        ingest("persist", persist_ns),
+        ingest("channel", channel_ns),
+        ingest("seal", seal_ns),
+        replay("recover", recover_ns),
+        replay("materialize", materialize_ns),
     ];
-
-    let ingest_overhead = if bare_ns > 0 {
-        persist_ns as f64 / bare_ns as f64
-    } else {
-        0.0
-    };
-    let replay_rate = if recover_ns > 0 {
-        (entries * replay_iters) as f64 / (recover_ns as f64 / 1e9)
-    } else {
-        0.0
-    };
-
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    obj(vec![
-        ("schema", string(SCHEMA)),
-        ("mode", string(if smoke { "smoke" } else { "full" })),
-        ("parallelism", uint(parallelism as u64)),
+    let derived = obj(vec![
         (
-            "records",
-            Value::Array(records.into_iter().map(Record::to_json).collect()),
+            "ingest_overhead",
+            Value::Float(ratio(persist_ns as f64, bare_ns as f64)),
         ),
         (
-            "derived",
-            obj(vec![
-                ("ingest_overhead", float(ingest_overhead)),
-                ("replay_records_per_sec", float(replay_rate)),
-                ("round_trip_identical", Value::Bool(round_trip_identical)),
-            ]),
-        ),
-    ])
-}
-
-// ------------------------------------------------------------ validation
-
-/// Checks a report against the v1 record schema, including both floors
-/// on full reports. Returns every violation found (empty = conforming).
-fn validate_report(doc: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errs.push(format!("top-level \"schema\" must be \"{SCHEMA}\""));
-    }
-    let mode = doc.get_field("mode").and_then(Value::as_str);
-    match mode {
-        Some("full") | Some("smoke") => {}
-        other => errs.push(format!(
-            "\"mode\" must be \"full\" or \"smoke\", got {other:?}"
-        )),
-    }
-    let Some(records) = doc.get_field("records").and_then(Value::as_array) else {
-        errs.push("\"records\" must be an array".to_string());
-        return errs;
-    };
-    if records.is_empty() {
-        errs.push("\"records\" must not be empty".to_string());
-    }
-    for (i, r) in records.iter().enumerate() {
-        for key in ["workload", "variant"] {
-            if r.get_field(key).and_then(Value::as_str).is_none() {
-                errs.push(format!("records[{i}].{key} must be a string"));
-            }
-        }
-        for key in ["dim", "ops", "elapsed_ns"] {
-            if r.get_field(key).and_then(as_u64).is_none() {
-                errs.push(format!("records[{i}].{key} must be an unsigned integer"));
-            }
-        }
-        match r.get_field("ops_per_sec").and_then(as_f64) {
-            Some(value) if value > 0.0 => {}
-            _ => errs.push(format!(
-                "records[{i}].ops_per_sec must be a positive number"
+            "replay_records_per_sec",
+            Value::Float(ratio(
+                (entries * replay_iters) as f64,
+                recover_ns as f64 / 1e9,
             )),
-        }
-        match r.get_field("detail") {
-            Some(Value::Object(_)) => {}
-            _ => errs.push(format!("records[{i}].detail must be an object")),
-        }
-    }
-    for workload in ["ingest", "replay"] {
-        if !records
-            .iter()
-            .any(|r| r.get_field("workload").and_then(Value::as_str) == Some(workload))
-        {
-            errs.push(format!("records must cover the \"{workload}\" workload"));
-        }
-    }
-    let Some(derived) = doc.get_field("derived") else {
-        errs.push("\"derived\" must be an object".to_string());
-        return errs;
-    };
-    match derived.get_field("round_trip_identical") {
-        Some(Value::Bool(true)) => {}
-        _ => errs.push("derived.round_trip_identical must be true".to_string()),
-    }
-    let full = mode == Some("full");
-    let parallelism = match doc.get_field("parallelism").and_then(as_u64) {
-        Some(p) if p > 0 => p,
-        _ => {
-            errs.push("\"parallelism\" must be a positive integer".to_string());
-            1
-        }
-    };
-    // The 10% claim is enforced wherever the writer's CPU can overlap
-    // the run; a single hardware thread serialises the writer with the
-    // run, so the wall ratio is gated at the serial ceiling there.
-    let ceiling = if parallelism >= 2 {
-        INGEST_CEILING
-    } else {
-        SERIAL_INGEST_CEILING
-    };
-    match derived.get_field("ingest_overhead").and_then(as_f64) {
-        Some(x) if x > 0.0 => {
-            // Full reports carry the durability-is-cheap claim; smoke
-            // runs are dominated by fixed fsync costs over tiny work.
-            if full && x > ceiling {
-                errs.push(format!(
-                    "derived.ingest_overhead must be <= {ceiling} in a full report \
-                     at parallelism {parallelism}, got {x:.3}"
-                ));
-            }
-        }
-        _ => errs.push("derived.ingest_overhead must be positive".to_string()),
-    }
-    match derived.get_field("replay_records_per_sec").and_then(as_f64) {
-        Some(x) if x > 0.0 => {
-            if full && x < REPLAY_FLOOR {
-                errs.push(format!(
-                    "derived.replay_records_per_sec must be >= {REPLAY_FLOOR} in a full report, got {x:.0}"
-                ));
-            }
-        }
-        _ => errs.push("derived.replay_records_per_sec must be positive".to_string()),
-    }
-    errs
+        ),
+        ("round_trip_identical", Value::Bool(round_trip_identical)),
+    ]);
+    (records, derived)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out expects a path").clone()),
-            "--validate" => {
-                validate = Some(it.next().expect("--validate expects a path").clone());
-            }
-            // Tolerate cargo-bench plumbing (--bench, filter strings, ...).
-            _ => {}
-        }
-    }
-
-    let report = run_suite(smoke);
-    let failures_own = validate_report(&report);
-    let mut failures: Vec<String> = Vec::new();
-    failures.extend(failures_own);
-
-    let rendered = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&report).expect("report serialises")
-    );
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("store_replay: report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(path) = &validate {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let doc: Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let errs = validate_report(&doc);
-        if errs.is_empty() {
-            eprintln!("store_replay: {path} conforms to {SCHEMA}");
-        } else {
-            failures.extend(errs.into_iter().map(|e| format!("{path}: {e}")));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("store_replay: SCHEMA VIOLATION: {f}");
-        }
-        std::process::exit(1);
-    }
+    report::main(&STORE_REPLAY, run_suite);
 }

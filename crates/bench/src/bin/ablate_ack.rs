@@ -11,7 +11,7 @@ use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
 use serde::Serialize;
-use synctime_bench::{emit, Table};
+use synctime_bench::{emit, print_host, Table};
 use synctime_graph::{decompose, topology};
 use synctime_runtime::{Behavior, Runtime};
 
@@ -116,6 +116,7 @@ fn main() {
             },
         ]);
     }
+    print_host();
     emit(
         "Ablation — piggybacking cost per rendezvous on the threaded runtime",
         &table,

@@ -7,7 +7,7 @@
 //! vector component. This is the table form of `synctime run --stats`.
 
 use serde::Serialize;
-use synctime_bench::{emit, Table};
+use synctime_bench::{emit, print_host, Table};
 use synctime_graph::{decompose, topology, Graph};
 use synctime_runtime::{Behavior, RunStats, Runtime};
 
@@ -137,6 +137,7 @@ fn main() {
         assert!(r.stats.total_wire_bytes > 0);
         assert!(r.stats.total_wire_bytes <= r.stats.total_wire_bytes_full);
     }
+    print_host();
     emit(
         "R3 — threaded runtime observability (RunStats per workload)",
         &table,

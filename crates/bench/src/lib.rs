@@ -2,12 +2,15 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-//! recorded outputs); the Criterion benches in `benches/` cover the timing
-//! claims. Binaries print an aligned human-readable table to stdout and,
-//! when `--json` is passed, a machine-readable JSON array to stderr.
+//! recorded outputs); the benches in `benches/` cover the timing claims,
+//! the self-timed suites among them through [`report`]. Binaries print an
+//! aligned human-readable table to stdout and, when `--json` is passed, a
+//! machine-readable JSON array to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod report;
 
 use std::fmt::Display;
 
@@ -62,6 +65,17 @@ impl Table {
         }
         out
     }
+}
+
+/// Prints the host's hardware threads and the git rev, the header of a
+/// table whose figures are timings (the same fields a bench report
+/// records).
+pub fn print_host() {
+    println!(
+        "host: parallelism {}, rev {}\n",
+        report::parallelism(),
+        report::git_rev()
+    );
 }
 
 /// Prints the table to stdout and, when `--json` was passed on the command

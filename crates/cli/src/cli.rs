@@ -872,19 +872,18 @@ fn op_behavior(ops: Vec<ProgramOp>) -> synctime_runtime::Behavior {
 /// not given.
 const DEFAULT_PERSIST_TRACE: &str = "run";
 
-/// Opens the durable-ingestion writer when `--persist DIR` was given:
-/// returns the sink to install on the runtime and the handle that seals
-/// the store once every sender is gone.
+/// The sink a persisted run installs on the runtime, and the handle that
+/// seals the store once every sender is gone.
+type PersistSink = (
+    std::sync::mpsc::Sender<Vec<synctime_store::PersistEvent>>,
+    synctime_store::StoreWriter,
+);
+
+/// Opens the durable-ingestion writer when `--persist DIR` was given.
 fn persist_writer(
     opts: &BTreeMap<String, String>,
     process_count: usize,
-) -> Result<
-    Option<(
-        std::sync::mpsc::Sender<Vec<synctime_store::PersistEvent>>,
-        synctime_store::StoreWriter,
-    )>,
-    String,
-> {
+) -> Result<Option<PersistSink>, String> {
     let Some(root) = opts.get("persist") else {
         return Ok(None);
     };
@@ -1479,9 +1478,9 @@ fn render_epoch_reports(epochs: &[synctime_sim::EpochReport]) -> String {
     let mut out = String::from("[\n");
     for (i, e) in epochs.iter().enumerate() {
         let active: Vec<String> = e.active.iter().map(ToString::to_string).collect();
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "  {{\"epoch\": {}, \"active\": [{}], \"dim\": {}, \"reconfigure_micros\": {}, \"survivors\": {}}}{}\n",
+            "  {{\"epoch\": {}, \"active\": [{}], \"dim\": {}, \"reconfigure_micros\": {}, \"survivors\": {}}}{}",
             e.epoch,
             active.join(", "),
             e.dim,

@@ -212,7 +212,7 @@ pub(crate) fn begin_frame(out: &mut Vec<u8>, ty: u8) -> usize {
 
 /// Finishes a frame started by [`begin_frame`]: backpatches the length
 /// prefix from whatever the caller appended in between.
-pub(crate) fn end_frame(out: &mut Vec<u8>, start: usize) {
+pub(crate) fn end_frame(out: &mut [u8], start: usize) {
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }

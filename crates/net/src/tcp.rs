@@ -402,6 +402,12 @@ fn accept_deadline(
     }
 }
 
+/// The per-peer transport endpoints `Runtime::run_process` takes.
+type PeerChannels = (
+    HashMap<usize, Arc<dyn TxChannel>>,
+    HashMap<usize, Arc<dyn RxChannel>>,
+);
+
 /// One node's established connections to its adjacent peers, ready to be
 /// split into the runtime's per-channel transport endpoints.
 #[derive(Debug)]
@@ -412,12 +418,7 @@ pub struct TcpMesh {
 impl TcpMesh {
     /// The per-peer channel endpoints for `Runtime::run_process`: one
     /// [`TxChannel`] and one [`RxChannel`] per adjacent peer. Call once.
-    pub fn channels(
-        &self,
-    ) -> (
-        HashMap<usize, Arc<dyn TxChannel>>,
-        HashMap<usize, Arc<dyn RxChannel>>,
-    ) {
+    pub fn channels(&self) -> PeerChannels {
         let mut tx: HashMap<usize, Arc<dyn TxChannel>> = HashMap::new();
         let mut rx: HashMap<usize, Arc<dyn RxChannel>> = HashMap::new();
         for (&peer, conn) in &self.conns {

@@ -503,8 +503,9 @@ mod tests {
             cuts,
             ops: vec![(0, 0, 1)],
         };
-        let store = persist_logs_with_reconfigs(&root, "churned", &merged, &[boundary.clone()])
-            .expect("persist");
+        let store =
+            persist_logs_with_reconfigs(&root, "churned", &merged, std::slice::from_ref(&boundary))
+                .expect("persist");
         let rec = read_trace_dir(store.dir()).expect("recover");
         assert_eq!(rec.reconfigs, vec![boundary]);
         let (epoch, comp, stamps) = materialize_latest_epoch(&rec).expect("latest epoch");

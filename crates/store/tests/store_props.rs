@@ -44,10 +44,10 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// Arbitrary stamp bytes as any clock backend would produce them: every
-/// backend serialises through `wire::encode_full`, so an arbitrary
-/// component vector covers dense and tree-summarised clocks alike (they
-/// differ in how they *compute* components, not in the wire form).
+// Arbitrary stamp bytes as any clock backend would produce them: every
+// backend serialises through `wire::encode_full`, so an arbitrary
+// component vector covers dense and tree-summarised clocks alike (they
+// differ in how they *compute* components, not in the wire form).
 prop_compose! {
     fn arb_stamp()(components in collection::vec(0u64..1_000_000, 0..9)) -> Vec<u8> {
         wire::encode_full(&synctime_core::VectorTime::from(components))

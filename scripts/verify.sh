@@ -5,38 +5,24 @@
 #
 # Steps:
 #   1. formatting gate: `cargo fmt --check`
-#  1b. lint gate: `cargo clippy --offline --all-targets -- -D warnings`
-#      (any clippy warning fails the run)
+#  1b. lint gate: `cargo clippy --offline --workspace --all-targets -- -D
+#      warnings` (any clippy warning in any crate or target fails the run)
 #   2. release build (tier-1)
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
-#   4. full workspace tests
+#   4. full workspace tests, among them the bench report validator's,
+#      which check the six checked-in results/BENCH_*.json reports
 #   5. test-registration gate: no test binary of the workspace lists the
 #      same test name twice (a doubly registered test runs twice at once
 #      and races itself on shared temp state)
 #   6. workspace doctests
 #   7. strict doc build: `cargo doc --no-deps` with rustdoc warnings as errors
-#   8. bench-smoke: the online_runtime suite at 1-iteration scale, checking
-#      both its own smoke report and the checked-in results/ JSON against
-#      the synctime/bench_online_runtime/v1 schema
-#   9. bench-smoke: the offline_pipeline suite at CI scale, checking both
-#      its own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_offline_pipeline/v1 schema (including the >= 10x
-#      sparse-vs-dense speedup claim in the full report)
-#  10. bench-smoke: the net_query suite at CI scale, checking both its own
-#      smoke report and the checked-in results/ JSON against the
-#      synctime/bench_net/v4 schema (full reports must clear the >= 10k
-#      single-query floor, >= 3x batch-256 speedup over single queries on
-#      one connection, >= 500k aggregate fabric queries/sec at amortised
-#      p99 <= 250us, >= 1.5x W=16 pipelined speedup over lock-step
-#      batch-256, >= 1.3x vectorized merge-kernel speedup at d=256, and
-#      zero steady-state serving allocations)
-#  11. bench-smoke: the clock_backends suite at CI scale, checking both its
-#      own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_clocks/v2 schema (full reports must clear the >= 2x
-#      TreeClock-over-DenseVec sparse-delta merge floor at N=256, record
-#      the k=d gossip ratio, and agree bit-for-bit on final clocks across
-#      the two backends)
-#  12. fault-smoke: ring and gossip workloads under fixed crash and desync
+#   8. bench-smoke: each of the six self-timed bench suites runs at CI
+#      scale and validates its own report; every schema rule and floor is
+#      one row of the table in crates/bench/src/report.rs
+#   9. paper tables: the 11 deterministic table binaries must print their
+#      results/<name>.txt byte for byte; the two timed ones (ablate_ack,
+#      table_runtime_obs) run for the claims they assert
+#  10. fault-smoke: ring and gossip workloads under fixed crash and desync
 #      plans must exit 0 with typed outcomes, inject every scheduled fault,
 #      and recover desyncs through full-vector resync frames; 20 live
 #      `run --ring 6 --rounds 2000` and 20 live `run --gossip 8 --rounds
@@ -44,13 +30,13 @@
 #      counts only waits the channel confirms, so no rendezvous in flight
 #      reads as a deadlock); `run` and `launch` with `--watchdog-ms 0`
 #      must exit non-zero with the typed zero-timeout diagnostic
-#  13. net-smoke: `launch --transport tcp` (one OS process per synchronous
+#  11. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`; `serve-query` must answer the fixture's three
 #      known precedence queries over the wire; a 2-trace `--traces-dir`
 #      catalog must answer named-trace and batched queries with the same
 #      verdicts
-#  14. pipeline-smoke: against the live catalog server, a `--window 16`
+#  12. pipeline-smoke: against the live catalog server, a `--window 16`
 #      batch (one pair per QUERY3 frame, 16 in flight) must print
 #      byte-identical output to the same `--batch` sent as one lock-step
 #      QUERY3 frame; two counting-allocator gates: the steady-state
@@ -59,24 +45,12 @@
 #      pump loads a batch's rows before answering it), and the
 #      steady-state rendezvous path at most two per message (the stamps
 #      both endpoints log)
-#  15. clock-smoke: `run --ring 8` must produce byte-identical output under
+#  13. clock-smoke: `run --ring 8` must produce byte-identical output under
 #      `--clock dense` and `--clock tree`; `run --clock fixed`, `--clock
 #      auto` and an unknown name must be refused as unknown backends, and
 #      `stamp --clock tree` must be refused with a diagnostic naming the
 #      commands that take `--clock` (run, launch, serve-node)
-#  16. bench-smoke: the store_replay suite at CI scale, checking both its
-#      own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_store/v1 schema (full reports must recover byte-
-#      identical logs, clear the >= 20k records/s replay floor, and keep
-#      ingest overhead <= 1.10 on hosts with a second hardware thread —
-#      <= 1.5 on single-thread hosts, where the writer's CPU serialises
-#      with the run)
-#  17. bench-smoke: the reconfig_churn suite at CI scale, checking both
-#      its own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_churn/v1 schema (full reports must keep reconfigure
-#      p99 <= 50ms and the rebased clock dimension within 2*alpha in
-#      every epoch)
-#  18. store-smoke: a ring run with `--persist` is served from its store
+#  14. store-smoke: a ring run with `--persist` is served from its store
 #      by `serve-query --store-dir`; the serving node is killed with
 #      SIGKILL mid-ingest while a second persisted run grows the store,
 #      restarted from the store alone, and must then answer the same
@@ -85,7 +59,7 @@
 #      a served 10-round trace persisted again under its name with 40
 #      rounds must be re-read by the live server, whose answers must
 #      equal the uninterrupted run's within 5 s
-#  19. churn-smoke: a churned run (join + leave + swap across three
+#  15. churn-smoke: a churned run (join + leave + swap across three
 #      epochs) must produce byte-identical final-epoch traces over the
 #      distributed TCP path, the in-process engine, and an uninterrupted
 #      reference run whose membership is the final active set (the
@@ -93,9 +67,9 @@
 #      report every epoch; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
-#  20. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
+#  16. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
 #      non-test source (typed RuntimeError paths only)
-#  21. perfbench-build + perfbench-smoke: the end-to-end benchmark under
+#  17. perfbench-build + perfbench-smoke: the end-to-end benchmark under
 #      perfbench/ (its own cargo workspace, path deps on crates/) must
 #      build, so a public-API change that would break the benchmark fails
 #      here instead; then each of its four workloads runs for one second
@@ -120,7 +94,7 @@ listening_addr() {
 }
 
 run cargo fmt --check
-run cargo clippy --offline --all-targets -- -D warnings
+run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo build --release
 # The root `synctime` package is a lib; the CLI binary the smoke stages
 # drive lives in `synctime-cli`, which a bare root build does not touch.
@@ -141,26 +115,31 @@ run cargo test --doc --workspace -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 SMOKE_OUT="$(mktemp)"
-SMOKE_OUT2="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"' EXIT
-# Absolute paths: cargo runs bench binaries from the package directory.
-run cargo bench -q -p synctime-bench --bench online_runtime -- \
-  --smoke --out "$SMOKE_OUT" --validate "$PWD/results/BENCH_online_runtime.json"
-run cargo bench -q -p synctime-bench --bench offline_pipeline -- \
-  --smoke --out "$SMOKE_OUT2" --validate "$PWD/results/BENCH_offline_pipeline.json"
-run cargo bench -q -p synctime-bench --bench net_query -- \
-  --smoke --out "$SMOKE_OUT" --validate "$PWD/results/BENCH_net.json"
-run cargo bench -q -p synctime-bench --bench clock_backends -- \
-  --smoke --out "$SMOKE_OUT2" --validate "$PWD/results/BENCH_clocks.json"
-run cargo bench -q -p synctime-bench --bench store_replay -- \
-  --smoke --out "$SMOKE_OUT" --validate "$PWD/results/BENCH_store.json"
-run cargo bench -q -p synctime-bench --bench reconfig_churn -- \
-  --smoke --out "$SMOKE_OUT2" --validate "$PWD/results/BENCH_churn.json"
+TABLE_DIR="$(mktemp -d)"
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR"' EXIT
+for suite in online_runtime offline_pipeline net_query clock_backends \
+             store_replay reconfig_churn; do
+  run cargo bench -q -p synctime-bench --bench "$suite" -- --smoke --out "$SMOKE_OUT"
+done
+
+echo "==> paper tables: the deterministic tables reprint results/ byte for byte"
+for bin in fig_reproductions table_correctness table_clock_size \
+           table_greedy_ratio table_acyclic_opt table_width \
+           table_client_server table_plausible table_wire_bytes \
+           table_dimension_gap ablate_step3; do
+  "target/release/$bin" > "$TABLE_DIR/$bin.txt"
+  cmp "$TABLE_DIR/$bin.txt" "results/$bin.txt" || {
+    echo "verify: $bin no longer prints results/$bin.txt" >&2; exit 1; }
+done
+# Timings differ run to run: these two run for the claims they assert.
+for bin in ablate_ack table_runtime_obs; do
+  "target/release/$bin" > /dev/null
+done
 
 # --- fault-smoke: seeded fault plans must degrade gracefully, never panic.
 SYNCTIME="target/release/synctime"
 FAULT_DIR="$(mktemp -d)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR"' EXIT
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR" "$FAULT_DIR"' EXIT
 
 # Assert `"field": value` in a fault-run report satisfies a predicate.
 stat_check() { # file field op value
@@ -225,7 +204,7 @@ done
 # --- net-smoke: the distributed path must match the in-process run, and
 # --- the query server must answer known-precedence queries over TCP.
 NET_DIR="$(mktemp -d)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR"' EXIT
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR" "$FAULT_DIR" "$NET_DIR"' EXIT
 
 echo "==> net-smoke: launch --transport tcp vs run (ring:6, byte-identical)"
 "$SYNCTIME" run --ring 6 --rounds 3 > "$NET_DIR/local.json"
@@ -315,7 +294,7 @@ run cargo test -q --test rendezvous_alloc
 # --- clock-smoke: the tree clock must be a drop-in representation of the
 # --- dense one — same traces, byte for byte.
 CLOCK_DIR="$(mktemp -d)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR"' EXIT
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR" "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR"' EXIT
 
 echo "==> clock-smoke: run ring:8 byte-identical under dense and tree"
 "$SYNCTIME" run --ring 8 --rounds 3 --clock dense > "$CLOCK_DIR/run-dense.json"
@@ -344,7 +323,7 @@ grep -q '`run`, `launch` and `serve-node`' "$CLOCK_DIR/stamp.err" || {
 # --- store-smoke: durable ingestion must survive a SIGKILL of the serving
 # --- node and recover query answers byte-identical to an uninterrupted run.
 STORE_DIR="$(mktemp -d)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR" "$STORE_DIR"' EXIT
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR" "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR" "$STORE_DIR"' EXIT
 
 # The ring workload is deterministic: two persisted runs of the same shape
 # produce byte-identical stores, so the crashed and uninterrupted servers
@@ -443,7 +422,7 @@ wait "$REUSE_PID" 2>/dev/null || true
 # --- churn-smoke: live reconfiguration must be invisible in the final
 # --- epoch — distributed, in-process, and reference runs byte-identical.
 CHURN_DIR="$(mktemp -d)"
-trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR" "$STORE_DIR" "$CHURN_DIR"' EXIT
+trap 'rm -f "$SMOKE_OUT"; rm -rf "$TABLE_DIR" "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR" "$STORE_DIR" "$CHURN_DIR"' EXIT
 
 echo "==> churn-smoke: churn generator is deterministic under a seed"
 "$SYNCTIME" churn --universe 6 --boundaries 2 --mean-rounds 3 --seed 7 \
