@@ -141,6 +141,15 @@ fn stamped_trace(processes: usize, messages: usize, seed: u64) -> (MessageTimest
     (stamps, dec.len())
 }
 
+/// Wire bytes per query of one QUERY3 frame of `batch_size` precedes
+/// queries against `trace` and its all-boolean ANSWER3, priced by the
+/// core model.
+fn bytes_per_query(trace: &str, batch_size: usize) -> f64 {
+    (wire::batch_query3_frame_bytes(trace.len(), batch_size)
+        + wire::batch_answer3_frame_bytes(batch_size, batch_size)) as f64
+        / batch_size as f64
+}
+
 /// Spawns a query server over a freshly stamped random trace and runs
 /// `connections` closed-loop clients, each issuing `per_client` single
 /// queries of the given kind against the server's default trace (the
@@ -287,12 +296,6 @@ fn bench_batch(
     let elapsed_ns = started.elapsed().as_nanos();
     amortised.sort_unstable();
     let ops = (connections * batches_per_client * batch_size) as u64;
-    // Wire cost per query, priced by the core model: the batch request and
-    // its all-boolean answer, spread over the batch.
-    let trace_id_bytes = "trace-0".len();
-    let bytes_per_query = (wire::batch_query3_frame_bytes(trace_id_bytes, batch_size)
-        + wire::batch_answer3_frame_bytes(batch_size, batch_size)) as f64
-        / batch_size as f64;
     Record {
         workload,
         variant,
@@ -305,7 +308,10 @@ fn bench_batch(
             ("shards", Value::UInt(shards as u64)),
             ("traces", Value::UInt(traces as u64)),
             ("batch_size", Value::UInt(batch_size as u64)),
-            ("bytes_per_query", Value::Float(bytes_per_query)),
+            (
+                "bytes_per_query",
+                Value::Float(bytes_per_query("trace-0", batch_size)),
+            ),
             (
                 "p50_ns",
                 Value::UInt(nearest_rank_percentile(&amortised, 50, 100)),
@@ -363,12 +369,6 @@ fn bench_pipeline(
     let elapsed_ns = started.elapsed().as_nanos();
     amortised.sort_unstable();
     let ops = (calls * pairs.len()) as u64;
-    // Wire cost per query: the batch request and its all-boolean answer,
-    // spread over the batch.
-    let trace_id_bytes = "trace-0".len();
-    let bytes_per_query = (wire::batch_query3_frame_bytes(trace_id_bytes, batch_size)
-        + wire::batch_answer3_frame_bytes(batch_size, batch_size)) as f64
-        / batch_size as f64;
     Record {
         workload: "query_pipeline",
         variant,
@@ -380,7 +380,10 @@ fn bench_pipeline(
             ("window", Value::UInt(window as u64)),
             ("batch_size", Value::UInt(batch_size as u64)),
             ("chunks_per_call", Value::UInt(chunks_per_call as u64)),
-            ("bytes_per_query", Value::Float(bytes_per_query)),
+            (
+                "bytes_per_query",
+                Value::Float(bytes_per_query("trace-0", batch_size)),
+            ),
             (
                 "p50_ns",
                 Value::UInt(nearest_rank_percentile(&amortised, 50, 100)),
@@ -724,13 +727,9 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
             .unwrap_or(Value::Null)
     };
     let batch256 = qps("query_batch", "batch_256");
-    // Wire cost of one lone precedes exchange (a batch of one against the
-    // default trace), from the same pricing model.
-    let bytes_per_query_single =
-        (wire::batch_query3_frame_bytes(0, 1) + wire::batch_answer3_frame_bytes(1, 1)) as f64;
-    let bytes_per_query_batch256 = (wire::batch_query3_frame_bytes("trace-0".len(), 256)
-        + wire::batch_answer3_frame_bytes(256, 256)) as f64
-        / 256.0;
+    // A lone precedes query is a batch of one against the default trace.
+    let bytes_per_query_single = bytes_per_query("", 1);
+    let bytes_per_query_batch256 = bytes_per_query("trace-0", 256);
     let derived = obj(vec![
         ("query_precedes_qps", Value::Float(qps("query", "precedes"))),
         ("query_chain_qps", Value::Float(qps("query", "chain_of"))),
