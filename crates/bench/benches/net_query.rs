@@ -62,6 +62,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_bench::report::{self, obj, rate, ratio, Record, NET_QUERY};
+use synctime_bench::ring_behaviors;
 use synctime_core::online::OnlineStamper;
 use synctime_core::{kernel, wire, MessageTimestamps};
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
@@ -71,8 +72,7 @@ use synctime_net::{
     DEFAULT_TRACE_NAME,
 };
 use synctime_obs::{nearest_rank_percentile, RunStats};
-use synctime_runtime::{Behavior, Runtime};
-use synctime_sim::ring_behavior;
+use synctime_runtime::Runtime;
 
 // ------------------------------------------------- counting allocator
 //
@@ -515,15 +515,6 @@ fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
 }
 
 // -------------------------------------------------------- ring transport
-
-/// The token ring over the whole universe `0..n`, process 0 at its head.
-fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
-    let active: Vec<usize> = (0..n).collect();
-    active
-        .iter()
-        .map(|&p| ring_behavior(&active, p, rounds))
-        .collect()
-}
 
 fn transport_detail(stats: &RunStats) -> Value {
     obj(vec![

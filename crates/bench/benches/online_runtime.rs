@@ -31,10 +31,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_bench::report::{self, obj, rate, ratio, Record, ONLINE_RUNTIME};
+use synctime_bench::{client_server_behaviors, ring_behaviors};
 use synctime_core::online::OnlineSession;
 use synctime_graph::{decompose, topology, Edge, Graph, IncrementalDecomposition};
-use synctime_runtime::{Behavior, Runtime};
-use synctime_sim::ring_behavior;
+use synctime_runtime::Runtime;
 
 // ------------------------------------------------------------------- ring
 
@@ -42,11 +42,7 @@ fn bench_ring(n: usize, rounds: u64) -> Record {
     let topo = topology::cycle(n);
     let dec = decompose::best_known(&topo);
     let rt = Runtime::new(&topo, &dec);
-    let active: Vec<usize> = (0..n).collect();
-    let behaviors = active
-        .iter()
-        .map(|&p| ring_behavior(&active, p, rounds))
-        .collect();
+    let behaviors = ring_behaviors(n, rounds);
     let started = Instant::now();
     let run = rt.run(behaviors).expect("ring run failed");
     let elapsed_ns = started.elapsed().as_nanos();
@@ -70,39 +66,6 @@ fn bench_ring(n: usize, rounds: u64) -> Record {
 }
 
 // ---------------------------------------------------------- client-server
-
-fn client_server_behaviors(servers: usize, clients: usize, rounds: u64) -> Vec<Behavior> {
-    // topology::client_server(s, c): servers are 0..s, clients s..s+c, with
-    // every client wired to every server. Client k talks to server k mod s;
-    // each server round-robins its own clients in id order.
-    let mut behaviors: Vec<Behavior> = Vec::with_capacity(servers + clients);
-    for s in 0..servers {
-        let mine: Vec<usize> = (0..clients)
-            .filter(|c| c % servers == s)
-            .map(|c| servers + c)
-            .collect();
-        behaviors.push(Box::new(move |ctx| {
-            for _ in 0..rounds {
-                for &c in &mine {
-                    let (x, _) = ctx.receive_from(c)?;
-                    ctx.send(c, x + 1)?;
-                }
-            }
-            Ok(())
-        }));
-    }
-    for c in 0..clients {
-        let server = c % servers;
-        behaviors.push(Box::new(move |ctx| {
-            for r in 0..rounds {
-                ctx.send(server, r)?;
-                ctx.receive_from(server)?;
-            }
-            Ok(())
-        }));
-    }
-    behaviors
-}
 
 fn bench_client_server(servers: usize, clients: usize, rounds: u64) -> Record {
     let topo = topology::client_server(servers, clients);

@@ -6,16 +6,26 @@
 //! timestamping (vectors of several dimensions) against a bare
 //! rendezvous-only baseline implemented with the same channel structure,
 //! isolating the cost of carrying and merging the vectors.
+//!
+//! One sample is one timed run of [`ROUNDS`] rendezvous, and a single
+//! sample mostly times how the host schedules two threads. So each row
+//! takes [`SAMPLES`] samples, interleaved with the other rows' so that
+//! host drift reaches every row alike, and prints their median with the
+//! min–max range.
 
 use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
 use serde::Serialize;
 use synctime_bench::{emit, print_host, Table};
-use synctime_graph::{decompose, topology};
+use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
 use synctime_runtime::{Behavior, Runtime};
 
-const ROUNDS: u64 = 20_000;
+/// Rendezvous per sample.
+const ROUNDS: u64 = 10_000;
+
+/// Samples per row.
+const SAMPLES: usize = 9;
 
 /// Bare two-thread rendezvous (zero-capacity channel + ack channel), no
 /// vectors at all: the floor the protocol adds its piggybacking onto.
@@ -40,85 +50,108 @@ fn bare_rendezvous_ns() -> f64 {
     start.elapsed().as_nanos() as f64 / ROUNDS as f64
 }
 
-/// Timestamped rendezvous over a `leaves`-leaf star (dimension 1) or a
-/// complete graph (dimension n-2): ping messages from one leaf.
-fn stamped_rendezvous_ns(dim_hint: &str) -> (usize, f64) {
-    let (topo, a, b) = match dim_hint {
-        "star" => (topology::star(2), 1usize, 0usize),
-        _ => (topology::complete(12), 1usize, 0usize),
-    };
-    let dec = decompose::best_known(&topo);
-    let dim = dec.len();
-    let rt = Runtime::new(&topo, &dec);
-    let sender: Behavior = Box::new(move |ctx| {
+/// Timestamped rendezvous over `topo`: process 1 pings process 0, and
+/// every other process exits at once.
+fn stamped_rendezvous_ns(topo: &Graph, dec: &EdgeDecomposition) -> f64 {
+    let (a, b) = (1usize, 0usize);
+    let mut behaviors: Vec<Behavior> = (0..topo.node_count())
+        .map(|_| -> Behavior { Box::new(|_| Ok(())) })
+        .collect();
+    behaviors[a] = Box::new(move |ctx| {
         for i in 0..ROUNDS {
             ctx.send(b, i)?;
         }
         Ok(())
     });
-    let receiver: Behavior = Box::new(move |ctx| {
+    behaviors[b] = Box::new(move |ctx| {
         for _ in 0..ROUNDS {
             ctx.receive_from(a)?;
         }
         Ok(())
     });
-    let mut behaviors: Vec<Behavior> = vec![];
-    for p in 0..topo.node_count() {
-        if p == a {
-            behaviors.push(Box::new(|_| Ok(()))); // placeholder, replaced below
-        } else if p == b {
-            behaviors.push(Box::new(|_| Ok(())));
-        } else {
-            behaviors.push(Box::new(|_| Ok(())));
-        }
-    }
-    behaviors[a] = sender;
-    behaviors[b] = receiver;
+    let rt = Runtime::new(topo, dec);
     let start = Instant::now();
     rt.run(behaviors).expect("run succeeds");
-    (dim, start.elapsed().as_nanos() as f64 / ROUNDS as f64)
+    start.elapsed().as_nanos() as f64 / ROUNDS as f64
 }
 
 #[derive(Serialize)]
 struct Record {
     configuration: String,
     dim: usize,
-    ns_per_rendezvous: f64,
+    samples: usize,
+    median_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
 }
 
 fn main() {
-    let mut records = Vec::new();
-    let bare = bare_rendezvous_ns();
-    records.push(Record {
-        configuration: "bare rendezvous (no clocks)".into(),
-        dim: 0,
-        ns_per_rendezvous: bare,
-    });
-    for hint in ["star", "complete"] {
-        let (dim, ns) = stamped_rendezvous_ns(hint);
-        records.push(Record {
-            configuration: format!("figure 5 protocol over {hint}"),
-            dim,
-            ns_per_rendezvous: ns,
-        });
+    // A star of two leaves (dimension 1) and a complete graph (dimension
+    // n - 2), each after the bare baseline, which has no topology.
+    let stamped: Vec<(&str, Graph, EdgeDecomposition)> = [
+        ("star", topology::star(2)),
+        ("complete", topology::complete(12)),
+    ]
+    .into_iter()
+    .map(|(name, topo)| {
+        let dec = decompose::best_known(&topo);
+        (name, topo, dec)
+    })
+    .collect();
+    let mut samples = vec![Vec::with_capacity(SAMPLES); 1 + stamped.len()];
+    for _ in 0..SAMPLES {
+        samples[0].push(bare_rendezvous_ns());
+        for (row, (_, topo, dec)) in stamped.iter().enumerate() {
+            samples[row + 1].push(stamped_rendezvous_ns(topo, dec));
+        }
     }
+    let configurations = std::iter::once(("bare rendezvous (no clocks)".to_string(), 0)).chain(
+        stamped
+            .iter()
+            .map(|(name, _, dec)| (format!("figure 5 protocol over {name}"), dec.len())),
+    );
+    let records: Vec<Record> = configurations
+        .zip(&mut samples)
+        .map(|((configuration, dim), row)| {
+            row.sort_by(f64::total_cmp);
+            Record {
+                configuration,
+                dim,
+                samples: row.len(),
+                median_ns: row[row.len() / 2],
+                min_ns: row[0],
+                max_ns: row[row.len() - 1],
+            }
+        })
+        .collect();
 
-    let mut table = Table::new(&["configuration", "dim", "ns/rendezvous", "overhead"]);
+    let bare = records[0].median_ns;
+    let mut table = Table::new(&[
+        "configuration",
+        "dim",
+        "median ns/rendezvous",
+        "min-max",
+        "overhead",
+    ]);
     for r in &records {
         table.row(&[
             r.configuration.clone(),
             r.dim.to_string(),
-            format!("{:.0}", r.ns_per_rendezvous),
+            format!("{:.0}", r.median_ns),
+            format!("{:.0}-{:.0}", r.min_ns, r.max_ns),
             if r.dim == 0 {
                 "baseline".to_string()
             } else {
-                format!("{:+.1}%", (r.ns_per_rendezvous / bare - 1.0) * 100.0)
+                format!("{:+.1}%", (r.median_ns / bare - 1.0) * 100.0)
             },
         ]);
     }
     print_host();
     emit(
-        "Ablation — piggybacking cost per rendezvous on the threaded runtime",
+        &format!(
+            "Ablation — piggybacking cost per rendezvous on the threaded runtime \
+             (median of {SAMPLES} interleaved samples of {ROUNDS} rendezvous)"
+        ),
         &table,
         &records,
     );

@@ -7,7 +7,7 @@
 //! vector component. This is the table form of `synctime run --stats`.
 
 use serde::Serialize;
-use synctime_bench::{emit, print_host, Table};
+use synctime_bench::{client_server_behaviors, emit, print_host, ring_behaviors, Table};
 use synctime_graph::{decompose, topology, Graph};
 use synctime_runtime::{Behavior, RunStats, Runtime};
 
@@ -17,59 +17,6 @@ struct Record {
     processes: usize,
     dim: usize,
     stats: RunStats,
-}
-
-/// Token ring: process 0 injects a token that makes `rounds` trips.
-fn ring_behaviors(n: usize, rounds: usize) -> Vec<Behavior> {
-    (0..n)
-        .map(|p| -> Behavior {
-            Box::new(move |ctx| {
-                for i in 0..rounds {
-                    if p == 0 {
-                        ctx.send(1, i as u64)?;
-                        ctx.receive_from(n - 1)?;
-                    } else {
-                        let (token, _) = ctx.receive_from(p - 1)?;
-                        ctx.send((p + 1) % n, token)?;
-                    }
-                }
-                Ok(())
-            })
-        })
-        .collect()
-}
-
-/// Client-server: every client sends `requests` requests to its server
-/// (round-robin over servers) and awaits a reply for each.
-fn client_server_behaviors(servers: usize, clients: usize, requests: usize) -> Vec<Behavior> {
-    let mut behaviors: Vec<Behavior> = Vec::with_capacity(servers + clients);
-    for s in 0..servers {
-        // Server s serves the clients assigned to it, in a fixed order.
-        let mine: Vec<usize> = (0..clients)
-            .filter(|c| c % servers == s)
-            .map(|c| servers + c)
-            .collect();
-        behaviors.push(Box::new(move |ctx| {
-            for _ in 0..requests {
-                for &c in &mine {
-                    let (x, _) = ctx.receive_from(c)?;
-                    ctx.send(c, x + 1)?;
-                }
-            }
-            Ok(())
-        }));
-    }
-    for c in 0..clients {
-        let server = c % servers;
-        behaviors.push(Box::new(move |ctx| {
-            for i in 0..requests {
-                ctx.send(server, i as u64)?;
-                ctx.receive_from(server)?;
-            }
-            Ok(())
-        }));
-    }
-    behaviors
 }
 
 fn measure(workload: &str, topo: &Graph, behaviors: Vec<Behavior>) -> Record {

@@ -15,6 +15,52 @@ pub mod report;
 use std::fmt::Display;
 
 use serde::Serialize;
+use synctime_runtime::Behavior;
+use synctime_sim::ring_behavior;
+
+/// A token ring over the whole universe `0..n`, process 0 at its head:
+/// [`ring_behavior`] for every process.
+pub fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
+    let active: Vec<usize> = (0..n).collect();
+    active
+        .iter()
+        .map(|&p| ring_behavior(&active, p, rounds))
+        .collect()
+}
+
+/// Client-server over `topology::client_server(servers, clients)`, whose
+/// servers are `0..servers` and clients the rest: client `k` sends
+/// `rounds` requests to server `k mod servers` and awaits a reply to
+/// each, and each server round-robins its own clients in id order.
+pub fn client_server_behaviors(servers: usize, clients: usize, rounds: u64) -> Vec<Behavior> {
+    let mut behaviors: Vec<Behavior> = Vec::with_capacity(servers + clients);
+    for s in 0..servers {
+        let mine: Vec<usize> = (0..clients)
+            .filter(|c| c % servers == s)
+            .map(|c| servers + c)
+            .collect();
+        behaviors.push(Box::new(move |ctx| {
+            for _ in 0..rounds {
+                for &c in &mine {
+                    let (x, _) = ctx.receive_from(c)?;
+                    ctx.send(c, x + 1)?;
+                }
+            }
+            Ok(())
+        }));
+    }
+    for c in 0..clients {
+        let server = c % servers;
+        behaviors.push(Box::new(move |ctx| {
+            for r in 0..rounds {
+                ctx.send(server, r)?;
+                ctx.receive_from(server)?;
+            }
+            Ok(())
+        }));
+    }
+    behaviors
+}
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]

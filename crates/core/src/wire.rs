@@ -64,8 +64,9 @@ pub fn encode_full(v: &VectorTime) -> Vec<u8> {
     out
 }
 
-/// Appends [`encode_full`]'s bytes for the components `v` to `out`.
-fn push_full(out: &mut Vec<u8>, v: &[u64]) {
+/// Appends [`encode_full`]'s bytes for the components `v` to `out`, for
+/// a caller that frames the vector inside a larger buffer.
+pub fn push_full(out: &mut Vec<u8>, v: &[u64]) {
     push_varint(out, v.len() as u64);
     for &c in v {
         push_varint(out, c);

@@ -41,9 +41,10 @@
 //!   [`QueryClient`] with lock-step and pipelined batches —
 //!   [`Pipeline`] keeps a window of batches in flight on one
 //!   connection, completing out of order by correlation id).
-//! * [`report`] — [`NodeReport`], the JSON document each OS process
-//!   prints so a launcher can merge a distributed run back into one
-//!   trace and one [`RunStats`].
+//! * [`report`] — [`NodeReport`], the report each OS process prints so a
+//!   launcher can merge a distributed run back into one trace and one
+//!   [`RunStats`]: a small JSON envelope whose `log` field carries the
+//!   node's log as the store's framed records.
 //!
 //! The crate is std-only: no async runtime, no serialization framework —
 //! blocking sockets, reader threads, and hand-framed bytes, in keeping

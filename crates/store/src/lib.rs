@@ -30,6 +30,10 @@
 //! causally consistent prefix of the run (see [`read_trace_dir`]). A store
 //! written by an earlier build may also hold `snapshot.st`, its compacted
 //! records, which recovery still reads.
+//!
+//! The same records carry one process's log between OS processes:
+//! [`encode_log`] writes exactly the bytes [`persist_logs`] appends for
+//! that process, and [`decode_log`] reads them back, strictly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +52,8 @@ pub use log::{
 };
 pub use record::{FileScan, Meta, ReconfigRecord, StampRecord, TailScan, FORMAT_VERSION};
 pub use replay::{
-    materialize, materialize_latest_epoch, persist_logs, persist_logs_with_reconfigs,
-    record_from_event, record_from_log_entry, spawn_writer, StoreWriter,
+    decode_log, encode_log, materialize, materialize_latest_epoch, persist_logs,
+    persist_logs_with_reconfigs, record_from_log_entry, spawn_writer, StoreWriter,
 };
 
 // Re-exported so store consumers can name the ingestion seam without

@@ -50,8 +50,8 @@ use std::path::{Path, PathBuf};
 use synctime_runtime::{LogEntry, PersistEvent};
 
 use crate::record::{
-    encode_meta, encode_reconfig, encode_record, scan_meta, scan_records, Meta, ReconfigRecord,
-    StampRecord, FORMAT_VERSION,
+    encode_entry, encode_meta, encode_reconfig, encode_record, scan_meta, scan_records, Meta,
+    ReconfigRecord, StampRecord, FORMAT_VERSION,
 };
 use crate::StoreError;
 
@@ -200,6 +200,20 @@ impl TraceStore {
     pub fn append(&mut self, rec: StampRecord) -> Result<(), StoreError> {
         self.scratch.clear();
         encode_record(&mut self.scratch, &rec);
+        self.append_scratch()
+    }
+
+    /// Appends `entry` as the record at coordinate `(process, pseq)`
+    /// (buffered, like [`TraceStore::append`]), encoding its stamp in
+    /// place.
+    pub(crate) fn append_entry(
+        &mut self,
+        process: u64,
+        pseq: u64,
+        entry: &LogEntry,
+    ) -> Result<(), StoreError> {
+        self.scratch.clear();
+        encode_entry(&mut self.scratch, process, pseq, entry);
         self.append_scratch()
     }
 

@@ -182,27 +182,42 @@ impl ReconfigRecord {
     }
 }
 
-/// Frames `payload` (length prefix + CRC) onto `out`.
-fn frame_payload(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one framed record to `out`: an 8-byte header placeholder, the
+/// payload `write_payload` writes straight after it, then the payload's
+/// length and CRC patched into the header.
+fn framed(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    write_payload(out);
+    let payload = &out[start + 8..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + 8].copy_from_slice(&crc);
+}
+
+/// Writes a payload's tag and its leading varint fields.
+fn push_head(out: &mut Vec<u8>, tag: u8, fields: &[u64]) {
+    out.push(tag);
+    for &field in fields {
+        wire::push_varint(out, field);
+    }
 }
 
 /// Appends a framed META record to `out`.
 pub fn encode_meta(out: &mut Vec<u8>, meta: &Meta) {
-    let mut payload = Vec::with_capacity(16);
-    payload.push(TAG_META);
-    wire::push_varint(&mut payload, meta.version);
-    wire::push_varint(&mut payload, meta.process_count);
-    wire::push_varint(&mut payload, meta.generation);
-    frame_payload(out, &payload);
+    framed(out, |out| {
+        push_head(
+            out,
+            TAG_META,
+            &[meta.version, meta.process_count, meta.generation],
+        );
+    });
 }
 
 /// Appends a framed entry record to `out`.
 pub fn encode_record(out: &mut Vec<u8>, rec: &StampRecord) {
-    let mut payload = Vec::with_capacity(24);
-    match rec {
+    framed(out, |out| match rec {
         StampRecord::Sent {
             process,
             pseq,
@@ -210,12 +225,8 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &StampRecord) {
             key,
             stamp,
         } => {
-            payload.push(TAG_SENT);
-            wire::push_varint(&mut payload, *process);
-            wire::push_varint(&mut payload, *pseq);
-            wire::push_varint(&mut payload, *peer);
-            wire::push_varint(&mut payload, *key);
-            payload.extend_from_slice(stamp);
+            push_head(out, TAG_SENT, &[*process, *pseq, *peer, *key]);
+            out.extend_from_slice(stamp);
         }
         StampRecord::Received {
             process,
@@ -224,38 +235,47 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &StampRecord) {
             key,
             stamp,
         } => {
-            payload.push(TAG_RECEIVED);
-            wire::push_varint(&mut payload, *process);
-            wire::push_varint(&mut payload, *pseq);
-            wire::push_varint(&mut payload, *peer);
-            wire::push_varint(&mut payload, *key);
-            payload.extend_from_slice(stamp);
+            push_head(out, TAG_RECEIVED, &[*process, *pseq, *peer, *key]);
+            out.extend_from_slice(stamp);
         }
         StampRecord::Internal { process, pseq } => {
-            payload.push(TAG_INTERNAL);
-            wire::push_varint(&mut payload, *process);
-            wire::push_varint(&mut payload, *pseq);
+            push_head(out, TAG_INTERNAL, &[*process, *pseq]);
         }
-    }
-    frame_payload(out, &payload);
+    });
+}
+
+/// Appends the framed record that
+/// [`record_from_log_entry`](crate::record_from_log_entry)`(process, pseq,
+/// entry)` encodes to, writing the stamp in place instead of through an
+/// intermediate [`StampRecord`].
+pub(crate) fn encode_entry(out: &mut Vec<u8>, process: u64, pseq: u64, entry: &LogEntry) {
+    framed(out, |out| match entry {
+        LogEntry::Sent { to, key, stamp } => {
+            push_head(out, TAG_SENT, &[process, pseq, *to as u64, *key]);
+            wire::push_full(out, stamp.as_slice());
+        }
+        LogEntry::Received { from, key, stamp } => {
+            push_head(out, TAG_RECEIVED, &[process, pseq, *from as u64, *key]);
+            wire::push_full(out, stamp.as_slice());
+        }
+        LogEntry::Internal => push_head(out, TAG_INTERNAL, &[process, pseq]),
+    });
 }
 
 /// Appends a framed RECONFIG record to `out`.
 pub fn encode_reconfig(out: &mut Vec<u8>, rec: &ReconfigRecord) {
-    let mut payload = Vec::with_capacity(24);
-    payload.push(TAG_RECONFIG);
-    wire::push_varint(&mut payload, rec.epoch);
-    wire::push_varint(&mut payload, rec.cuts.len() as u64);
-    for &cut in &rec.cuts {
-        wire::push_varint(&mut payload, cut);
-    }
-    wire::push_varint(&mut payload, rec.ops.len() as u64);
-    for &(kind, u, v) in &rec.ops {
-        wire::push_varint(&mut payload, kind as u64);
-        wire::push_varint(&mut payload, u);
-        wire::push_varint(&mut payload, v);
-    }
-    frame_payload(out, &payload);
+    framed(out, |out| {
+        push_head(out, TAG_RECONFIG, &[rec.epoch, rec.cuts.len() as u64]);
+        for &cut in &rec.cuts {
+            wire::push_varint(out, cut);
+        }
+        wire::push_varint(out, rec.ops.len() as u64);
+        for &(kind, u, v) in &rec.ops {
+            wire::push_varint(out, kind as u64);
+            wire::push_varint(out, u);
+            wire::push_varint(out, v);
+        }
+    });
 }
 
 /// What a scan of one store file's bytes yielded: the valid prefix, and
@@ -543,7 +563,7 @@ mod tests {
     fn sample_records() -> Vec<StampRecord> {
         sample_events()
             .iter()
-            .map(crate::record_from_event)
+            .map(|e| crate::record_from_log_entry(e.process as u64, e.pseq, &e.entry))
             .collect()
     }
 
@@ -575,6 +595,21 @@ mod tests {
         assert_eq!(scan.meta, Some(meta));
         assert_eq!(scan.records, sample_events());
         assert_eq!(scan.torn_bytes, 0);
+    }
+
+    #[test]
+    fn entries_encode_in_place_as_their_records() {
+        for (event, record) in sample_events().iter().zip(sample_records()) {
+            let (mut in_place, mut via_record) = (vec![7], vec![7]);
+            encode_entry(
+                &mut in_place,
+                event.process as u64,
+                event.pseq,
+                &event.entry,
+            );
+            encode_record(&mut via_record, &record);
+            assert_eq!(in_place, via_record);
+        }
     }
 
     #[test]

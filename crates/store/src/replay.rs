@@ -10,10 +10,10 @@ use std::thread::JoinHandle;
 use synctime_core::wire;
 use synctime_core::MessageTimestamps;
 use synctime_runtime::{reconstruct_from_logs, LogEntry, PersistEvent};
-use synctime_trace::SyncComputation;
+use synctime_trace::{ProcessId, SyncComputation};
 
 use crate::log::TraceStore;
-use crate::record::StampRecord;
+use crate::record::{encode_entry, scan_records, StampRecord};
 use crate::StoreError;
 
 /// Encodes one runtime log entry as a store record at coordinate
@@ -40,10 +40,73 @@ pub fn record_from_log_entry(process: u64, pseq: u64, entry: &LogEntry) -> Stamp
     }
 }
 
-/// Encodes a live-ingestion event (as emitted through
-/// `Runtime::with_log_sink`) as a store record.
-pub fn record_from_event(event: &PersistEvent) -> StampRecord {
-    record_from_log_entry(event.process as u64, event.pseq, &event.entry)
+/// Appends process `process`'s `log` to `out` as the framed records
+/// [`persist_logs`] writes for it: entry `i` becomes the record that
+/// [`record_from_log_entry`]`(process, i, entry)` encodes to. A META
+/// record followed by each process's bytes, in process order, is the
+/// `log.st` of [`persist_logs`]. [`decode_log`] reads them back.
+pub fn encode_log(out: &mut Vec<u8>, process: ProcessId, log: &[LogEntry]) {
+    for (pseq, entry) in log.iter().enumerate() {
+        encode_entry(out, process as u64, pseq as u64, entry);
+    }
+}
+
+/// Decodes [`encode_log`]'s bytes for `process` back into its log, in one
+/// pass of the store's scanner.
+///
+/// Unlike recovery, which keeps the valid prefix of a torn file, this is
+/// strict: the bytes come whole from another OS process, so any damage
+/// is an error.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] when trailing bytes do not form a valid record
+/// (torn, checksum mismatch or malformed payload), when a record names
+/// another process or a `pseq` other than the next index, or when the
+/// bytes hold a RECONFIG record.
+pub fn decode_log(process: ProcessId, bytes: &[u8]) -> Result<Vec<LogEntry>, StoreError> {
+    let mut log = Vec::new();
+    let mut fault = None;
+    let mut reconfigs = Vec::new();
+    let valid = scan_records(
+        bytes,
+        |event| {
+            if fault.is_some() {
+                return;
+            }
+            let at = log.len();
+            if event.process != process {
+                fault = Some(format!(
+                    "record {at} names process {}, not {process}",
+                    event.process
+                ));
+            } else if event.pseq != at as u64 {
+                fault = Some(format!(
+                    "record {at} of process {process} has pseq {}",
+                    event.pseq
+                ));
+            } else {
+                log.push(event.entry);
+            }
+        },
+        &mut reconfigs,
+    );
+    if let Some(fault) = fault {
+        return Err(StoreError::Corrupt(fault));
+    }
+    if !reconfigs.is_empty() {
+        return Err(StoreError::Corrupt(format!(
+            "the log of process {process} holds a RECONFIG record"
+        )));
+    }
+    if valid != bytes.len() {
+        return Err(StoreError::Corrupt(format!(
+            "{} trailing bytes after record {} of process {process} form no valid record",
+            bytes.len() - valid,
+            log.len()
+        )));
+    }
+    Ok(log)
 }
 
 /// Persists already-collected per-process logs (e.g. a finished
@@ -86,7 +149,7 @@ pub fn persist_logs_with_reconfigs(
     let mut store = TraceStore::create(root, trace, logs.len())?;
     for (process, log) in logs.iter().enumerate() {
         for (pseq, entry) in log.iter().enumerate() {
-            store.append(record_from_log_entry(process as u64, pseq as u64, entry))?;
+            store.append_entry(process as u64, pseq as u64, entry)?;
         }
     }
     for boundary in reconfigs {
@@ -228,7 +291,7 @@ pub fn spawn_writer(
                     // every pending burst.
                     for burst in std::iter::once(burst).chain(rx.try_iter()) {
                         for event in &burst {
-                            store.append(record_from_event(event))?;
+                            store.append_entry(event.process as u64, event.pseq, &event.entry)?;
                             let unsynced = store.records() - synced;
                             if unsynced >= SYNC_EVERY_RECORDS && unsynced >= synced {
                                 store.sync()?;

@@ -10,7 +10,9 @@
 #   2. release build (tier-1)
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
 #   4. full workspace tests, among them the bench report validator's,
-#      which check the six checked-in results/BENCH_*.json reports
+#      which check the six checked-in results/BENCH_*.json reports; then
+#      each offline shim's own unit tests (shims/*, packages outside the
+#      workspace, built into target/shims)
 #   5. test-registration gate: no test binary of the workspace lists the
 #      same test name twice (a doubly registered test runs twice at once
 #      and races itself on shared temp state)
@@ -32,10 +34,11 @@
 #      must exit non-zero with the typed zero-timeout diagnostic
 #  11. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
-#      in-process `run`; `serve-query` must answer the fixture's three
-#      known precedence queries over the wire; a 2-trace `--traces-dir`
-#      catalog must answer named-trace and batched queries with the same
-#      verdicts
+#      in-process `run`, for ring:6 x 3 and for gossip:8 x 200 (node
+#      reports of several KB with d > 1); `serve-query` must answer the
+#      fixture's three known precedence queries over the wire; a 2-trace
+#      `--traces-dir` catalog must answer named-trace and batched queries
+#      with the same verdicts
 #  12. pipeline-smoke: against the live catalog server, a `--window 16`
 #      batch (one pair per QUERY3 frame, 16 in flight) must print
 #      byte-identical output to the same `--batch` sent as one lock-step
@@ -102,6 +105,9 @@ run cargo build --release
 run cargo build --release --workspace
 run cargo test -q
 run cargo test --workspace -q
+for shim in shims/*/; do
+  run cargo test --offline -q --manifest-path "${shim}Cargo.toml" --target-dir target/shims
+done
 
 echo "==> test-registration gate: every test registered once per binary"
 # Without -q each binary's list ends in its "N tests, M benchmarks" line,
@@ -211,6 +217,12 @@ echo "==> net-smoke: launch --transport tcp vs run (ring:6, byte-identical)"
 "$SYNCTIME" launch --ring 6 --rounds 3 --transport tcp > "$NET_DIR/tcp.json"
 diff "$NET_DIR/local.json" "$NET_DIR/tcp.json" || {
   echo "verify: tcp launch diverged from the in-process run" >&2; exit 1; }
+
+echo "==> net-smoke: launch --transport tcp vs run (gossip:8 x 200, byte-identical)"
+"$SYNCTIME" run --gossip 8 --rounds 200 > "$NET_DIR/gossip-local.json"
+"$SYNCTIME" launch --gossip 8 --rounds 200 --transport tcp > "$NET_DIR/gossip-tcp.json"
+diff "$NET_DIR/gossip-local.json" "$NET_DIR/gossip-tcp.json" || {
+  echo "verify: tcp gossip launch diverged from the in-process run" >&2; exit 1; }
 
 echo "==> net-smoke: serve-query answers the fixture's known precedences"
 cat > "$NET_DIR/fixture.json" <<'EOF'

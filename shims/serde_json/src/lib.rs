@@ -133,25 +133,35 @@ fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Each run of bytes that needs no
+/// escape is copied with one `push_str`; every escaped byte is ASCII, so
+/// the runs split `s` at char boundaries.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 // ----------------------------------------------------------------- parser
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -159,6 +169,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -310,15 +321,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
+                    // Take the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -389,6 +398,58 @@ mod tests {
         assert!(pretty.contains("\n  \"k\": ["));
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// The per-char string writer this crate used before it copied plain
+    /// runs whole: the reference the run writer must match byte for byte.
+    fn per_char_write_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn strings_roundtrip_byte_identically_to_the_per_char_writer() {
+        let mut cases: Vec<String> = vec![
+            String::new(),
+            "plain ascii run".to_string(),
+            "\"\\/\n\r\t\u{8}\u{c}".to_string(),
+            (0u8..0x20).map(char::from).collect(),
+            "\u{7f}é日🦀 mixed \"quoted\" runs\\ and\ttabs\n".to_string(),
+            "🦀".repeat(5) + "\u{0}" + &"日本".repeat(3) + "\"",
+        ];
+        // Every run length around each kind of break.
+        for piece in ["\"", "\\", "\n", "\u{1}", "é", "🦀"] {
+            for n in 0..4 {
+                cases.push(format!("{}{piece}{}", "ab".repeat(n), "x".repeat(3 - n)));
+            }
+        }
+        for s in &cases {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            write_string(s, &mut runs);
+            per_char_write_string(s, &mut per_char);
+            assert_eq!(runs, per_char, "{s:?}");
+            let back = Parser::new(&runs).parse_string().unwrap();
+            assert_eq!(&back, s);
+        }
+        // The parser also reads every escape the writer never emits.
+        let parsed = Parser::new(r#""a\/b\bc\fd\u00e9\u65e5e""#)
+            .parse_string()
+            .unwrap();
+        assert_eq!(parsed, "a/b\u{8}c\u{c}d\u{e9}\u{65e5}e");
+        for bad in [r#""open"#, r#""bad \q""#, r#""\u12""#, r#""\ud800""#] {
+            assert!(Parser::new(bad).parse_string().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
