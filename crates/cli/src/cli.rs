@@ -8,6 +8,7 @@ use synctime_core::clock::ClockBackend;
 use synctime_core::online::OnlineStamper;
 use synctime_core::{fm, lamport, offline, MessageTimestamps};
 use synctime_graph::{cover, decompose, topology, Graph};
+use synctime_sim::Op;
 use synctime_trace::{diagram, MessageId, Oracle, SyncComputation};
 
 /// Runs a parsed command line, returning what to print.
@@ -49,30 +50,31 @@ USAGE:
                      (with --connect: trace name, not file)
   synctime generate  --topology <SPEC> --messages <M> [--internals <I>] [--seed <S>]
   synctime simulate  --programs <FILE> [--topology <SPEC>] [--seed <S>]
-  synctime run       (--programs <FILE> | --ring <N> | --gossip <N> [--rounds <R>])
-                     [--topology <SPEC>] [--stats] [--watchdog-ms <MS>]
-                     [--fault-plan <FILE>]
-                     [--rendezvous-timeout <MS>] [--rendezvous-retries <K>]
-                     [--clock dense|tree] [--seed <S>]
-                     [--persist <DIR> [--trace-name <NAME>]]
+  synctime run       <WORKLOAD> [<RUNTIME>] [--stats] [--fault-plan <FILE>]
+                     [--epochs] [--persist <DIR> [--trace-name <NAME>]]
   synctime faultplan --processes <N> --max-op <M> [--crashes <K>]
                      [--desyncs <D>] [--seed <S>]
   synctime churn     --universe <N> --boundaries <B> [--mean-rounds <R>]
                      [--seed <S>]
-  synctime launch    (--programs <FILE> | --ring <N> | --gossip <N> [--rounds <R>]
-                      | --churn-plan <FILE>)
-                     [--transport tcp|local] [--stats] [--seed <S>]
-                     [--topology <SPEC>] [--establish-timeout-ms <MS>]
-                     [--watchdog-ms <MS>]
+  synctime launch    <WORKLOAD> [<RUNTIME>] [--stats] [--transport tcp|local]
+                     [--establish-timeout-ms <MS>]
                      [--persist <DIR> [--trace-name <NAME>]]
-  synctime serve-node --process <P> (--programs <FILE> | --ring <N> | --gossip <N>
-                      | --churn-plan <FILE>)
-                     [--peers <A0,A1,..>] [--topology <SPEC>] [--rounds <R>]
-                     [--seed <S>] [--establish-timeout-ms <MS>]
+                     (with --transport local: every `run` flag)
+  synctime serve-node --process <P> <WORKLOAD> [<RUNTIME>]
+                     [--peers <A0,A1,..>] [--establish-timeout-ms <MS>]
   synctime serve-query (--topology <SPEC> --trace <FILE>
                        | --traces-dir <DIR> [--topology <SPEC>] [--shards <S>]
                        | --store-dir <DIR> [--poll-ms <MS>] [--shards <S>])
                      [--listen <ADDR>] [--pool <W>]
+
+WORKLOAD (run, launch, serve-node):
+  (--programs <FILE> | --ring <N> | --gossip <N>) [--rounds <R>]
+  [--topology <SPEC>] [--seed <S>]          one epoch over one topology
+  | --churn-plan <FILE>                     one token-ring epoch per active set
+
+RUNTIME (run, launch, serve-node):
+  [--watchdog-ms <MS>] [--rendezvous-timeout <MS>] [--rendezvous-retries <K>]
+  [--clock dense|tree]
 
 TOPOLOGY SPECS:
   star:L  triangle  complete:N  clients:SxC  tree:BxD  cycle:N  path:N
@@ -112,7 +114,7 @@ RUN:
   selects the per-process clock: `dense` (default, a plain vector) or
   `tree` (a segment tree whose merges of the delta streams' change-sets
   are sublinear in the dimension). The stamped trace is identical under
-  both, and `launch`/`serve-node` forward the flag to distributed nodes.
+  both, and `launch` forwards the flag to its `serve-node` children.
 
 FAULTPLAN:
   Generates a random fault schedule as JSON for `run --fault-plan`:
@@ -120,12 +122,12 @@ FAULTPLAN:
   desyncs land at operation indices drawn from 0..M. Same seed, same plan.
 
 CHURN:
-  Generates a random reconfiguration script as JSON for `launch
-  --churn-plan`: `--boundaries B` join/leave/swap events over a fixed
-  `--universe N` process pool, with exponential gaps of mean
-  `--mean-rounds` token laps between events (Poisson churn arrivals).
-  Same seed, same plan. `launch --churn-plan plan.json` then runs the
-  multi-epoch workload: every epoch is a token ring over the plan's
+  Generates a random reconfiguration script as JSON for `--churn-plan`:
+  `--boundaries B` join/leave/swap events over a fixed `--universe N`
+  process pool, with exponential gaps of mean `--mean-rounds` token laps
+  between events (Poisson churn arrivals). Same seed, same plan. `run
+  --churn-plan plan.json` (or `launch`, over either transport) then runs
+  the multi-epoch workload: every epoch is a token ring over the plan's
   active set, and every boundary ships a RECONFIGURE prepare/commit round
   through the coordinator (process 0) — in-flight traffic quiesces at the
   epoch boundary, every node rebases its clock through the group remap,
@@ -134,15 +136,20 @@ CHURN:
   command prints the FINAL epoch's reconstructed trace (byte-identical to
   an uninterrupted reference run over the post-churn topology); with
   `--persist DIR` the boundaries are stored as reconfiguration records so
-  `serve-query --store-dir` serves the latest epoch across restarts.
+  `serve-query --store-dir` serves the latest epoch across restarts, and
+  `--epochs` prints each epoch's active set, dimension and reconfiguration
+  latency instead (in process only).
 
 DISTRIBUTED:
   `launch --transport tcp` runs the same workload as `run`, but as one OS
   process per synchronous process, meshed over loopback TCP: it spawns
   `serve-node` children on ephemeral ports, hands each the full peer list,
   and merges their node reports back into one trace (or one `--stats`
-  summary). `serve-node --peers a0,a1,..` runs a single node standalone —
-  one terminal per process, every terminal given the same address list.
+  summary), byte-identical to `run`'s. A static run is one epoch: each
+  node meshes once and runs every epoch of its workload over that mesh.
+  `--fault-plan` runs in process only and is refused over TCP.
+  `serve-node --peers a0,a1,..` runs a single node standalone — one
+  terminal per process, every terminal given the same address list.
   `serve-query` stamps a trace and serves precedence queries over the same
   frame protocol; `query --connect HOST:PORT` asks it `--m1/--m2` (which
   precedes, or concurrent) or `--chain K` (every message comparable with
@@ -192,6 +199,18 @@ fn require<'a>(opts: &'a BTreeMap<String, String>, name: &str) -> Result<&'a str
     opts.get(name)
         .map(String::as_str)
         .ok_or_else(|| format!("missing required flag --{name}"))
+}
+
+/// Parses an optional flag: `None` when it is absent, and "`--NAME expects
+/// WHAT`" when its value does not parse.
+fn opt_flag<T: std::str::FromStr>(
+    opts: &BTreeMap<String, String>,
+    name: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    opts.get(name)
+        .map(|s| s.parse().map_err(|_| format!("--{name} expects {what}")))
+        .transpose()
 }
 
 // ---------------------------------------------------------------- topology
@@ -587,19 +606,8 @@ fn cmd_generate(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let messages: usize = require(opts, "messages")?
         .parse()
         .map_err(|_| "--messages expects a number".to_string())?;
-    let internals: usize = opts
-        .get("internals")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--internals expects a number".to_string())
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number".to_string()))
-        .transpose()?
-        .unwrap_or(0);
+    let internals = opt_flag(opts, "internals", "a number")?.unwrap_or(0);
+    let seed = opt_flag(opts, "seed", "a number")?.unwrap_or(0);
     if topo.edge_count() == 0 && messages > 0 {
         return Err("topology has no channels to send messages over".to_string());
     }
@@ -612,48 +620,32 @@ fn cmd_generate(opts: &BTreeMap<String, String>) -> Result<String, String> {
 
 #[derive(Deserialize)]
 struct ProgramsFile {
-    programs: Vec<Vec<ProgramOp>>,
+    programs: Vec<Vec<Op>>,
 }
 
-#[derive(Deserialize)]
-enum ProgramOp {
-    #[serde(rename = "send_to")]
-    SendTo(usize),
-    #[serde(rename = "receive_from")]
-    ReceiveFrom(usize),
-    #[serde(rename = "internal")]
-    Internal,
-    #[serde(rename = "receive_any")]
-    ReceiveAny,
-}
-
-fn cmd_simulate(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let path = require(opts, "programs")?;
+/// Reads a programs file: one op list per process.
+fn load_programs(path: &str) -> Result<Vec<Vec<Op>>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read programs `{path}`: {e}"))?;
     let file: ProgramsFile =
         serde_json::from_str(&text).map_err(|e| format!("bad programs JSON: {e}"))?;
-    let programs: Vec<synctime_sim::Program> = file
-        .programs
+    Ok(file.programs)
+}
+
+fn cmd_simulate(opts: &BTreeMap<String, String>) -> Result<String, String> {
+    let programs: Vec<synctime_sim::Program> = load_programs(require(opts, "programs")?)?
         .iter()
         .map(|ops| {
-            let mut p = synctime_sim::Program::new();
-            for op in ops {
-                p = match op {
-                    ProgramOp::SendTo(q) => p.send_to(*q),
-                    ProgramOp::ReceiveFrom(q) => p.receive_from(*q),
-                    ProgramOp::Internal => p.internal(),
-                    ProgramOp::ReceiveAny => p.receive_any(),
-                };
-            }
-            p
+            ops.iter()
+                .fold(synctime_sim::Program::new(), |p, op| match *op {
+                    Op::SendTo(q) => p.send_to(q),
+                    Op::ReceiveFrom(q) => p.receive_from(q),
+                    Op::Internal => p.internal(),
+                    Op::ReceiveAny => p.receive_any(),
+                })
         })
         .collect();
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number".to_string()))
-        .transpose()?
-        .unwrap_or(0);
+    let seed = opt_flag(opts, "seed", "a number")?.unwrap_or(0);
     let mut simulator = synctime_sim::Simulator::new().with_seed(seed);
     if let Some(spec) = opts.get("topology") {
         simulator = simulator.with_topology(&parse_topology(spec)?);
@@ -662,118 +654,52 @@ fn cmd_simulate(opts: &BTreeMap<String, String>) -> Result<String, String> {
     Ok(synctime_trace::json::to_json_string(&comp))
 }
 
-// --------------------------------------------------------------------- run
+// ---------------------------------------------------------------- workload
 
-/// Loads program op lists for `run`: from a `--programs` file, or the
-/// built-in `--ring N` token-ring workload (`--rounds R` trips around a
-/// `cycle:N` topology).
-fn run_programs(opts: &BTreeMap<String, String>) -> Result<Vec<Vec<ProgramOp>>, String> {
+/// Loads program op lists: from a `--programs` file, the built-in
+/// `--ring N` token-ring workload (`--rounds R` trips around a `cycle:N`
+/// topology), or the seeded `--gossip N` workload over `complete:N`.
+fn run_programs(opts: &BTreeMap<String, String>) -> Result<Vec<Vec<Op>>, String> {
     if let Some(path) = opts.get("programs") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read programs `{path}`: {e}"))?;
-        let file: ProgramsFile =
-            serde_json::from_str(&text).map_err(|e| format!("bad programs JSON: {e}"))?;
-        return Ok(file.programs);
+        return load_programs(path);
     }
-    if let Some(n_str) = opts.get("ring") {
-        let n: usize = n_str
-            .parse()
-            .map_err(|_| "--ring expects a process count".to_string())?;
+    if let Some(n) = opt_flag::<usize>(opts, "ring", "a process count")? {
         if n < 3 {
             return Err("--ring needs at least 3 processes (cycle topology)".to_string());
         }
-        let rounds: usize = opts
-            .get("rounds")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| "--rounds expects a number".to_string())
-            })
-            .transpose()?
-            .unwrap_or(1);
+        let rounds = opt_flag(opts, "rounds", "a number")?.unwrap_or(1);
         // Process 0 injects the token each round; everyone else forwards it.
-        let programs = (0..n)
-            .map(|p| {
-                let mut ops = Vec::with_capacity(2 * rounds);
-                for _ in 0..rounds {
-                    if p == 0 {
-                        ops.push(ProgramOp::SendTo(1));
-                        ops.push(ProgramOp::ReceiveFrom(n - 1));
-                    } else {
-                        ops.push(ProgramOp::ReceiveFrom(p - 1));
-                        ops.push(ProgramOp::SendTo((p + 1) % n));
-                    }
-                }
-                ops
+        return Ok((0..n)
+            .map(|p| match p {
+                0 => [Op::SendTo(1), Op::ReceiveFrom(n - 1)].repeat(rounds),
+                _ => [Op::ReceiveFrom(p - 1), Op::SendTo((p + 1) % n)].repeat(rounds),
             })
-            .collect();
-        return Ok(programs);
+            .collect());
     }
-    if let Some(n_str) = opts.get("gossip") {
+    if let Some(n) = opt_flag::<usize>(opts, "gossip", "a process count")? {
         use rand::SeedableRng;
-        let n: usize = n_str
-            .parse()
-            .map_err(|_| "--gossip expects a process count".to_string())?;
         if n < 2 {
             return Err("--gossip needs at least 2 processes".to_string());
         }
-        let rounds: usize = opts
-            .get("rounds")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| "--rounds expects a number".to_string())
-            })
-            .transpose()?
-            .unwrap_or(1);
-        let seed: u64 = opts
-            .get("seed")
-            .map(|s| s.parse().map_err(|_| "--seed expects a number".to_string()))
-            .transpose()?
-            .unwrap_or(0);
+        let rounds: usize = opt_flag(opts, "rounds", "a number")?.unwrap_or(1);
+        let seed = opt_flag(opts, "seed", "a number")?.unwrap_or(0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let scenario = synctime_sim::scenarios::gossip(n, rounds.max(1), &mut rng);
         // Gossip computations are confluent, so their extracted scripts
         // replay deadlock-free on the threaded runtime.
-        let programs = synctime_sim::programs::from_computation(&scenario.computation)
-            .iter()
-            .map(|prog| {
-                prog.ops()
-                    .iter()
-                    .map(|op| match op {
-                        synctime_sim::Op::SendTo(q) => ProgramOp::SendTo(*q),
-                        synctime_sim::Op::ReceiveFrom(q) => ProgramOp::ReceiveFrom(*q),
-                        synctime_sim::Op::Internal => ProgramOp::Internal,
-                        synctime_sim::Op::ReceiveAny => ProgramOp::ReceiveAny,
-                    })
-                    .collect()
-            })
-            .collect();
-        return Ok(programs);
-    }
-    Err("run needs --programs <FILE>, --ring <N>, or --gossip <N>".to_string())
-}
-
-/// Rejects op lists the threaded runtime cannot execute.
-fn reject_receive_any(programs: &[Vec<ProgramOp>]) -> Result<(), String> {
-    if programs
-        .iter()
-        .flatten()
-        .any(|op| matches!(op, ProgramOp::ReceiveAny))
-    {
-        return Err(
-            "receive_any is only supported by `simulate` (the threaded runtime needs a \
-             concrete peer per receive)"
-                .to_string(),
+        return Ok(
+            synctime_sim::programs::from_computation(&scenario.computation)
+                .iter()
+                .map(|prog| prog.ops().to_vec())
+                .collect(),
         );
     }
-    Ok(())
+    Err("run needs --programs <FILE>, --ring <N>, --gossip <N> or --churn-plan <FILE>".to_string())
 }
 
 /// The topology a set of programs runs over: `--topology SPEC`, or
 /// inferred from the channels the programs use.
-fn run_topology(
-    programs: &[Vec<ProgramOp>],
-    opts: &BTreeMap<String, String>,
-) -> Result<Graph, String> {
+fn run_topology(programs: &[Vec<Op>], opts: &BTreeMap<String, String>) -> Result<Graph, String> {
     let n = programs.len();
     let topo = match opts.get("topology") {
         Some(spec) => parse_topology(spec)?,
@@ -782,11 +708,8 @@ fn run_topology(
             let mut edges = std::collections::BTreeSet::new();
             for (p, ops) in programs.iter().enumerate() {
                 for op in ops {
-                    match op {
-                        ProgramOp::SendTo(q) | ProgramOp::ReceiveFrom(q) => {
-                            edges.insert((p.min(*q), p.max(*q)));
-                        }
-                        _ => {}
+                    if let Op::SendTo(q) | Op::ReceiveFrom(q) = *op {
+                        edges.insert((p.min(q), p.max(q)));
                     }
                 }
             }
@@ -803,22 +726,166 @@ fn run_topology(
     Ok(topo)
 }
 
+/// One process's ops as a runtime behavior. The payload convention (the op
+/// index) matches between `run` and `serve-node`, so local and distributed
+/// executions of the same programs are comparable rendezvous-for-rendezvous.
+fn op_behavior(ops: Vec<Op>) -> synctime_runtime::Behavior {
+    Box::new(move |ctx| {
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Op::SendTo(q) => {
+                    ctx.send(q, i as u64)?;
+                }
+                Op::ReceiveFrom(q) => {
+                    ctx.receive_from(q)?;
+                }
+                Op::Internal => ctx.internal(),
+                Op::ReceiveAny => unreachable!("rejected before running"),
+            }
+        }
+        Ok(())
+    })
+}
+
+/// What a run is. Programs (`--programs`, `--ring`, `--gossip`) are one
+/// epoch over one topology; a `--churn-plan` is one token-ring epoch per
+/// active set, with a RECONFIGURE round at each boundary between two. A
+/// static run is thus a run with no boundaries, and `run`, `launch` and
+/// `serve-node` each have one body for both kinds.
+struct Workload {
+    /// Epoch 0's topology, over every process of the run.
+    topology: Graph,
+    /// Epoch 0's decomposition: `best_known` for programs, the greedy
+    /// start of the reconfiguration plane's `IncrementalDecomposition`
+    /// (which later epochs edit) for a plan.
+    decomposition: synctime_graph::EdgeDecomposition,
+    kind: WorkloadKind,
+}
+
+enum WorkloadKind {
+    Programs(Vec<Vec<Op>>),
+    Plan {
+        plan: synctime_sim::ChurnPlan,
+        actives: Vec<Vec<usize>>,
+    },
+}
+
+impl Workload {
+    /// Loads the workload the flags name. A `--churn-plan` runs its own
+    /// token rings, so it is refused alongside a program flag.
+    fn load(opts: &BTreeMap<String, String>) -> Result<Self, String> {
+        let Some(path) = opts.get("churn-plan") else {
+            let programs = run_programs(opts)?;
+            if programs.iter().flatten().any(|op| *op == Op::ReceiveAny) {
+                return Err(
+                    "receive_any is only supported by `simulate` (the threaded runtime needs a \
+                     concrete peer per receive)"
+                        .to_string(),
+                );
+            }
+            let topology = run_topology(&programs, opts)?;
+            return Ok(Workload {
+                decomposition: decompose::best_known(&topology),
+                topology,
+                kind: WorkloadKind::Programs(programs),
+            });
+        };
+        if let Some(flag) = ["programs", "ring", "gossip"]
+            .into_iter()
+            .find(|flag| opts.contains_key(*flag))
+        {
+            return Err(format!(
+                "--churn-plan runs its own token rings and cannot be combined with --{flag}"
+            ));
+        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read churn plan `{path}`: {e}"))?;
+        let plan = synctime_sim::ChurnPlan::from_json(&text)
+            .map_err(|e| format!("bad churn plan JSON: {e}"))?;
+        let actives = plan.active_sets().map_err(|e| e.to_string())?;
+        let topology = synctime_sim::churn::epoch_topology(plan.universe, &actives[0])
+            .map_err(|e| e.to_string())?;
+        let decomposition = synctime_graph::IncrementalDecomposition::new(&topology)
+            .decomposition()
+            .clone();
+        Ok(Workload {
+            topology,
+            decomposition,
+            kind: WorkloadKind::Plan { plan, actives },
+        })
+    }
+
+    fn processes(&self) -> usize {
+        self.topology.node_count()
+    }
+
+    fn epochs(&self) -> usize {
+        match &self.kind {
+            WorkloadKind::Programs(_) => 1,
+            WorkloadKind::Plan { actives, .. } => actives.len(),
+        }
+    }
+
+    /// What `process` runs in `epoch`.
+    fn behavior(&self, epoch: usize, process: usize) -> synctime_runtime::Behavior {
+        match &self.kind {
+            WorkloadKind::Programs(programs) => op_behavior(programs[process].clone()),
+            WorkloadKind::Plan { plan, actives } => {
+                let rounds = plan
+                    .events
+                    .get(epoch)
+                    .map_or(plan.tail_rounds, |event| event.after_rounds);
+                synctime_sim::ring_behavior(&actives[epoch], process, rounds)
+            }
+        }
+    }
+
+    /// The edge edits of the boundary that ends `epoch`.
+    fn edge_ops(&self, epoch: usize) -> Vec<synctime_graph::EdgeOp> {
+        match &self.kind {
+            WorkloadKind::Programs(_) => Vec::new(),
+            WorkloadKind::Plan { actives, .. } => {
+                synctime_sim::churn::edge_ops(&actives[epoch], &actives[epoch + 1])
+            }
+        }
+    }
+
+    /// The peers one TCP node meshes with, and the hash every node checks
+    /// at the handshake: the topology for programs; for a plan, the union
+    /// of its rings plus the control star to the coordinator (process 0),
+    /// so every RECONFIGURE round has a socket even when an epoch's ring
+    /// skips the coordinator. The mesh is set up once for every epoch.
+    fn mesh(&self, process: usize) -> Result<(Vec<usize>, u64), String> {
+        let n = self.processes();
+        let WorkloadKind::Plan { plan, .. } = &self.kind else {
+            let hash = synctime_net::topology_hash_of(n, &self.decomposition);
+            return Ok((self.topology.neighbors(process).collect(), hash));
+        };
+        let union = plan.union_topology().map_err(|e| e.to_string())?;
+        let mut peers: std::collections::BTreeSet<usize> = union.neighbors(process).collect();
+        if process == 0 {
+            peers.extend(1..n);
+        } else {
+            peers.insert(0);
+        }
+        peers.remove(&process);
+        let hash = synctime_net::topology_hash_of(n, &decompose::best_known(&union));
+        Ok((peers.into_iter().collect(), hash))
+    }
+}
+
+// --------------------------------------------------------------------- run
+
 /// Parses `--watchdog-ms`, refusing zero with the runtime's typed
 /// diagnostic.
 fn parse_watchdog(opts: &BTreeMap<String, String>) -> Result<Option<std::time::Duration>, String> {
-    let Some(ms) = opts.get("watchdog-ms") else {
-        return Ok(None);
-    };
-    let ms: u64 = ms
-        .parse()
-        .map_err(|_| "--watchdog-ms expects milliseconds".to_string())?;
-    if ms == 0 {
-        return Err(format!(
+    match opt_flag(opts, "watchdog-ms", "milliseconds")? {
+        Some(0) => Err(format!(
             "--watchdog-ms 0: {}",
             synctime_runtime::RuntimeError::ZeroWatchdogTimeout
-        ));
+        )),
+        ms => Ok(ms.map(std::time::Duration::from_millis)),
     }
-    Ok(Some(std::time::Duration::from_millis(ms)))
 }
 
 /// Applies the runtime tuning flags shared by `run` and `serve-node`.
@@ -829,16 +896,10 @@ fn configure_runtime(
     if let Some(timeout) = parse_watchdog(opts)? {
         rt = rt.with_watchdog(timeout).map_err(|e| e.to_string())?;
     }
-    if let Some(ms) = opts.get("rendezvous-timeout") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| "--rendezvous-timeout expects milliseconds".to_string())?;
+    if let Some(ms) = opt_flag(opts, "rendezvous-timeout", "milliseconds")? {
         rt = rt.with_rendezvous_timeout(std::time::Duration::from_millis(ms));
     }
-    if let Some(k) = opts.get("rendezvous-retries") {
-        let k: u32 = k
-            .parse()
-            .map_err(|_| "--rendezvous-retries expects a count".to_string())?;
+    if let Some(k) = opt_flag(opts, "rendezvous-retries", "a count")? {
         rt = rt.with_rendezvous_retries(k);
     }
     if let Some(backend) = parse_clock(opts)? {
@@ -847,132 +908,191 @@ fn configure_runtime(
     Ok(rt)
 }
 
-/// One process's ops as a runtime behavior. The payload convention (the op
-/// index) matches between `run` and `serve-node`, so local and distributed
-/// executions of the same programs are comparable rendezvous-for-rendezvous.
-fn op_behavior(ops: Vec<ProgramOp>) -> synctime_runtime::Behavior {
-    Box::new(move |ctx| {
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                ProgramOp::SendTo(q) => {
-                    ctx.send(*q, i as u64)?;
-                }
-                ProgramOp::ReceiveFrom(q) => {
-                    ctx.receive_from(*q)?;
-                }
-                ProgramOp::Internal => ctx.internal(),
-                ProgramOp::ReceiveAny => unreachable!("rejected before running"),
-            }
-        }
-        Ok(())
-    })
+/// `--persist DIR` and the trace name a run is stored under there
+/// (`--trace-name`, default `run`).
+fn persist_target(opts: &BTreeMap<String, String>) -> Option<(&std::path::Path, &str)> {
+    let root = opts.get("persist")?;
+    let trace = opts.get("trace-name").map_or("run", String::as_str);
+    Some((std::path::Path::new(root), trace))
 }
 
-/// The trace id a persisted run is stored under when `--trace-name` is
-/// not given.
-const DEFAULT_PERSIST_TRACE: &str = "run";
-
-/// The sink a persisted run installs on the runtime, and the handle that
-/// seals the store once every sender is gone.
-type PersistSink = (
-    std::sync::mpsc::Sender<Vec<synctime_store::PersistEvent>>,
-    synctime_store::StoreWriter,
-);
-
-/// Opens the durable-ingestion writer when `--persist DIR` was given.
-fn persist_writer(
-    opts: &BTreeMap<String, String>,
-    process_count: usize,
-) -> Result<Option<PersistSink>, String> {
-    let Some(root) = opts.get("persist") else {
-        return Ok(None);
-    };
-    let trace = opts
-        .get("trace-name")
-        .map(String::as_str)
-        .unwrap_or(DEFAULT_PERSIST_TRACE);
-    let (tx, writer) =
-        synctime_store::spawn_writer(std::path::Path::new(root), trace, process_count)
-            .map_err(|e| format!("cannot open the stamp store under `{root}`: {e}"))?;
-    Ok(Some((tx, writer)))
-}
-
-/// Joins the store writer after a persisted run. Every sender must be
-/// dropped first (the runtime holds one until it is dropped), or the
-/// join blocks forever. Reports where the sealed trace landed on stderr
-/// so stdout stays reserved for the command's JSON output.
-fn seal_store(writer: Option<synctime_store::StoreWriter>) -> Result<(), String> {
-    let Some(writer) = writer else {
-        return Ok(());
-    };
-    let store = writer
-        .finish()
-        .map_err(|e| format!("stamp store writer failed: {e}"))?;
-    eprintln!("persisted trace to {}", store.dir().display());
-    Ok(())
-}
-
+/// `run`, and `launch --transport local`: the whole workload in this OS
+/// process. Programs run on the threaded runtime, streaming their stamps
+/// to the live store writer under `--persist`; a plan runs through
+/// `run_churn`, with the epochs and boundaries a TCP launch drives.
 fn cmd_run(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let programs = run_programs(opts)?;
-    reject_receive_any(&programs)?;
-    let topo = run_topology(&programs, opts)?;
-    let dec = decompose::best_known(&topo);
-    let mut rt = configure_runtime(synctime_runtime::Runtime::new(&topo, &dec), opts)?;
-    let mut store_writer = None;
-    if let Some((tx, writer)) = persist_writer(opts, topo.node_count())? {
-        rt = rt.with_log_sink(tx);
-        store_writer = Some(writer);
-    }
-    let fault_plan = opts
-        .get("fault-plan")
-        .map(|path| -> Result<synctime_sim::FaultPlan, String> {
+    // Refused for both kinds, though only the threaded runtime reads it.
+    parse_watchdog(opts)?;
+    let workload = Workload::load(opts)?;
+    let fault_plan = match opts.get("fault-plan") {
+        Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
-            synctime_sim::FaultPlan::from_json(&text)
-                .map_err(|e| format!("bad fault plan JSON: {e}"))
-        })
-        .transpose()?;
-    let behaviors: Vec<synctime_runtime::Behavior> =
-        programs.into_iter().map(op_behavior).collect();
+            Some(
+                synctime_sim::FaultPlan::from_json(&text)
+                    .map_err(|e| format!("bad fault plan JSON: {e}"))?,
+            )
+        }
+        None => None,
+    };
+    if let WorkloadKind::Plan { plan, .. } = &workload.kind {
+        let mut cfg = synctime_sim::ChurnConfig::default();
+        if let Some(backend) = parse_clock(opts)? {
+            cfg.backend = backend;
+        }
+        cfg.fault = fault_plan.unwrap_or_default();
+        let run = synctime_sim::run_churn(plan, &cfg).map_err(|e| e.to_string())?;
+        if opts.contains_key("epochs") {
+            return Ok(render_epoch_reports(&run.epochs));
+        }
+        let records: Vec<synctime_store::ReconfigRecord> = run
+            .boundaries
+            .iter()
+            .map(|b| synctime_store::ReconfigRecord {
+                epoch: b.epoch,
+                cuts: b.cuts.clone(),
+                ops: b.ops.clone(),
+            })
+            .collect();
+        return finish_run(opts, &run.logs, &records, &run.stats, &run.outcomes, None);
+    }
+    let n = workload.processes();
+    let mut rt = configure_runtime(
+        synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
+        opts,
+    )?;
+    let mut writer = None;
+    if let Some((root, trace)) = persist_target(opts) {
+        let (tx, live) = synctime_store::spawn_writer(root, trace, n).map_err(|e| {
+            format!(
+                "cannot open the stamp store under `{}`: {e}",
+                root.display()
+            )
+        })?;
+        rt = rt.with_log_sink(tx);
+        writer = Some(live);
+    }
+    let faulted = fault_plan.is_some();
     if let Some(plan) = fault_plan {
-        // Under injected faults, per-process failures are the *expected*
-        // outcome: run fault-tolerantly and report every process's typed
-        // verdict alongside the stats, succeeding as a command.
         rt = rt.with_fault_injector(std::sync::Arc::new(plan));
-        let run = rt.run_tolerant(behaviors);
-        drop(rt); // release the store sink so the writer can seal
-        seal_store(store_writer)?;
-        let outcomes: Vec<String> = run
-            .outcomes()
+    }
+    let run = rt.run_tolerant((0..n).map(|p| workload.behavior(0, p)).collect());
+    drop(rt); // release the store sink so the writer can seal
+
+    // Without a fault plan the first failure fails the command; under one,
+    // per-process failures are the expected outcome and get reported.
+    if !faulted {
+        if let Some(err) = run.outcomes().iter().flatten().next() {
+            return Err(err.to_string());
+        }
+    }
+    let outcomes: Vec<Option<String>> = run
+        .outcomes()
+        .iter()
+        .map(|o| o.as_ref().map(ToString::to_string))
+        .collect();
+    finish_run(opts, run.logs(), &[], run.stats(), &outcomes, writer)
+}
+
+/// The one output tail of `run` and `launch`. Under `--persist` it seals
+/// the live writer, or stores the logs with one reconfiguration record
+/// per boundary. Then it prints each process's outcome (for a run given
+/// `--fault-plan`, or one in which a process failed: typed failures are
+/// a reportable result, not a command error), else the merged `--stats`,
+/// else the final epoch's trace.
+fn finish_run(
+    opts: &BTreeMap<String, String>,
+    logs: &[Vec<synctime_runtime::LogEntry>],
+    records: &[synctime_store::ReconfigRecord],
+    stats: &synctime_obs::RunStats,
+    outcomes: &[Option<String>],
+    writer: Option<synctime_store::StoreWriter>,
+) -> Result<String, String> {
+    // Every sender of a live writer is gone by now, so the join returns.
+    let store = match (writer, persist_target(opts)) {
+        (Some(writer), _) => Some(
+            writer
+                .finish()
+                .map_err(|e| format!("stamp store writer failed: {e}"))?,
+        ),
+        (None, Some((root, trace))) => Some(
+            synctime_store::persist_logs_with_reconfigs(root, trace, logs, records)
+                .map_err(|e| format!("cannot persist the run under `{}`: {e}", root.display()))?,
+        ),
+        (None, None) => None,
+    };
+    if let Some(store) = store {
+        // stderr, so stdout stays the command's output.
+        eprintln!("persisted trace to {}", store.dir().display());
+    }
+    if opts.contains_key("fault-plan") || outcomes.iter().any(Option::is_some) {
+        let rendered: Vec<String> = outcomes
             .iter()
             .map(|o| match o {
                 None => "null".to_string(),
-                Some(e) => {
-                    serde_json::to_string(&e.to_string()).expect("strings serialise infallibly")
-                }
+                Some(e) => serde_json::to_string(e).expect("strings serialise infallibly"),
             })
             .collect();
         return Ok(format!(
             "{{\n  \"stats\": {},\n  \"outcomes\": [{}]\n}}\n",
-            run.stats().to_json(),
-            outcomes.join(", ")
+            stats.to_json(),
+            rendered.join(", ")
         ));
     }
-    let run = rt.run(behaviors).map_err(|e| e.to_string())?;
-    drop(rt); // release the store sink so the writer can seal
-    seal_store(store_writer)?;
     if opts.contains_key("stats") {
-        let mut out = run.stats().to_json();
-        out.push('\n');
-        return Ok(out);
+        return Ok(stats.to_json() + "\n");
     }
-    let (comp, _stamps) = run
-        .reconstruct()
-        .map_err(|e| format!("internal error reconstructing the run: {e}"))?;
+    // Only the final epoch reconstructs whole (earlier epochs recycle
+    // message keys and live in other dimensions); that is exactly the
+    // trace a fresh run over the final topology would produce.
+    let final_logs: std::borrow::Cow<[Vec<synctime_runtime::LogEntry>]> = match records.last() {
+        None => logs.into(),
+        Some(last) => logs
+            .iter()
+            .zip(&last.cuts)
+            .map(|(log, &cut)| log.get(cut as usize..).unwrap_or(&[]).to_vec())
+            .collect::<Vec<_>>()
+            .into(),
+    };
+    let (comp, _stamps) = synctime_runtime::reconstruct_from_logs(&final_logs)
+        .map_err(|e| format!("cannot reconstruct the run: {e}"))?;
     Ok(synctime_trace::json::to_json_string(&comp))
 }
 
+/// Renders `--epochs` output: one JSON object per epoch with its active
+/// set, stamp dimension, reconfiguration latency, and survivor count.
+fn render_epoch_reports(epochs: &[synctime_sim::EpochReport]) -> String {
+    let mut out = String::from("[\n");
+    for (i, e) in epochs.iter().enumerate() {
+        let active: Vec<String> = e.active.iter().map(ToString::to_string).collect();
+        let _ = writeln!(
+            out,
+            "  {{\"epoch\": {}, \"active\": [{}], \"dim\": {}, \"reconfigure_micros\": {}, \"survivors\": {}}}{}",
+            e.epoch,
+            active.join(", "),
+            e.dim,
+            e.reconfigure_micros,
+            e.survivors,
+            if i + 1 < epochs.len() { "," } else { "" }
+        );
+    }
+    out.push_str("]\n");
+    out
+}
+
 // ------------------------------------------- distributed (serve-node etc.)
+
+/// Loads the workload of a TCP run. Faults are injected in process only:
+/// over TCP a crashed node would still take part in later epochs'
+/// RECONFIGURE rounds, so it could not match `run_churn`.
+fn tcp_workload(opts: &BTreeMap<String, String>) -> Result<Workload, String> {
+    if opts.contains_key("fault-plan") {
+        return Err(
+            "--fault-plan runs in process only (`run` or `launch --transport local`)".to_string(),
+        );
+    }
+    Workload::load(opts)
+}
 
 /// Parses a `--peers` comma-separated address list of exactly `n` entries.
 fn parse_addr_list(list: &str, n: usize) -> Result<Vec<std::net::SocketAddr>, String> {
@@ -993,54 +1113,20 @@ fn parse_addr_list(list: &str, n: usize) -> Result<Vec<std::net::SocketAddr>, St
     Ok(addrs)
 }
 
-fn establish_timeout(opts: &BTreeMap<String, String>) -> Result<std::time::Duration, String> {
-    let ms: u64 = opts
-        .get("establish-timeout-ms")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--establish-timeout-ms expects milliseconds".to_string())
-        })
-        .transpose()?
-        .unwrap_or(10_000);
-    Ok(std::time::Duration::from_millis(ms))
-}
-
 /// `serve-node`: run ONE process of the workload over TCP. With `--peers`
 /// the address list is fixed up front (one terminal per process); without
 /// it the node binds an ephemeral port, announces `listening on ADDR` on
 /// stdout, and reads the comma-separated peer list from stdin — the
-/// contract `launch --transport tcp` drives. Prints a node report.
+/// contract `launch --transport tcp` drives. The node meshes once, then
+/// runs every epoch over that mesh. Between two epochs the coordinator
+/// (process 0) drives `coordinate_reconfigure`, everyone else
+/// `follow_reconfigure`, and each node applies the committed epoch to its
+/// own runtime. Prints a node report: the epochs' logs concatenated, and
+/// the log length at each boundary, which the launcher persists as
+/// reconfiguration records.
 fn cmd_serve_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    if opts.contains_key("churn-plan") {
-        return cmd_serve_churn_node(opts);
-    }
-    let programs = run_programs(opts)?;
-    reject_receive_any(&programs)?;
-    let n = programs.len();
-    let process = node_process(opts, n)?;
-    let topo = run_topology(&programs, opts)?;
-    let dec = decompose::best_known(&topo);
-    let hash = synctime_net::topology_hash_of(n, &dec);
-    let neighbors: Vec<usize> = topo.neighbors(process).collect();
-    let mesh = node_mesh(opts, process, n, &neighbors, hash)?;
-    let (tx, rx) = mesh.channels();
-    let rt = configure_runtime(synctime_runtime::Runtime::new(&topo, &dec), opts)?;
-    let behavior = op_behavior(programs.into_iter().nth(process).expect("index checked"));
-    let run = rt.run_process(process, behavior, tx, rx);
-    drop(mesh); // close peer sockets before reporting
-    let (p, log, outcome, stats) = run.into_parts();
-    let report = synctime_net::NodeReport {
-        process: p,
-        outcome: outcome.map(|e| e.to_string()),
-        log,
-        cuts: Vec::new(),
-        stats,
-    };
-    Ok(report.to_json() + "\n")
-}
-
-/// Parses and range-checks `--process` against the workload size.
-fn node_process(opts: &BTreeMap<String, String>, n: usize) -> Result<usize, String> {
+    let workload = tcp_workload(opts)?;
+    let n = workload.processes();
     let process: usize = require(opts, "process")?
         .parse()
         .map_err(|_| "--process expects a process index".to_string())?;
@@ -1049,21 +1135,91 @@ fn node_process(opts: &BTreeMap<String, String>, n: usize) -> Result<usize, Stri
             "--process {process} out of range (workload has {n} processes)"
         ));
     }
-    Ok(process)
+    let timeout = std::time::Duration::from_millis(
+        opt_flag(opts, "establish-timeout-ms", "milliseconds")?.unwrap_or(10_000),
+    );
+    let mesh = node_mesh(opts, process, &workload, timeout)?;
+    let mut session = synctime_net::ReconfigSession::new(&workload.topology);
+    let mut rt = configure_runtime(
+        synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
+        opts,
+    )?;
+    let epochs = workload.epochs();
+    let (mut log, mut cuts, mut stats_parts) = (Vec::new(), Vec::new(), Vec::new());
+    let mut outcome: Option<String> = None;
+    for e in 0..epochs {
+        let (tx, rx) = mesh.channels();
+        let run = rt.run_process(process, workload.behavior(e, process), tx, rx);
+        let final_clock = run.final_clock().clone();
+        let (_, epoch_log, epoch_outcome, stats) = run.into_parts();
+        log.extend(epoch_log);
+        stats_parts.push(stats);
+        if outcome.is_none() {
+            // As `run` and `run_churn` word it: a plan names the epoch.
+            outcome = epoch_outcome.map(|err| match epochs {
+                1 => err.to_string(),
+                _ => format!("epoch {e}: {err}"),
+            });
+        }
+        if e + 1 == epochs {
+            break;
+        }
+        let ops = workload.edge_ops(e);
+        let committed = if process == 0 {
+            let peers: Vec<usize> = (1..n).collect();
+            synctime_net::coordinate_reconfigure(
+                &mesh,
+                &mut session,
+                &peers,
+                &ops,
+                &final_clock,
+                timeout,
+            )
+        } else {
+            synctime_net::follow_reconfigure(
+                &mesh,
+                &mut session,
+                0,
+                process as u32,
+                &final_clock,
+                timeout,
+            )
+        }
+        .map_err(|err| format!("reconfiguration into epoch {}: {err}", e + 1))?;
+        let applied = synctime_runtime::AppliedReconfigure {
+            epoch: committed.epoch,
+            topology: session.graph().clone(),
+            decomposition: session.decomposition().clone(),
+            remap: committed.remap,
+            baseline: committed.baseline,
+        };
+        rt.apply_reconfigure(&applied)
+            .map_err(|err| format!("applying epoch {}: {err}", e + 1))?;
+        cuts.push(log.len() as u64);
+    }
+    drop(mesh); // close peer sockets before reporting
+    let report = synctime_net::NodeReport {
+        process,
+        outcome,
+        log,
+        cuts,
+        stats: synctime_obs::RunStats::merged(&stats_parts),
+    };
+    Ok(report.to_json() + "\n")
 }
 
 /// Binds this node's socket, exchanges the peer address list (fixed via
 /// `--peers`, or the announce-on-stdout / list-on-stdin contract `launch`
-/// drives), and establishes the mesh over `neighbors`.
+/// drives), and establishes the workload's mesh.
 fn node_mesh(
     opts: &BTreeMap<String, String>,
     process: usize,
-    n: usize,
-    neighbors: &[usize],
-    hash: u64,
+    workload: &Workload,
+    timeout: std::time::Duration,
 ) -> Result<synctime_net::TcpMesh, String> {
     use std::io::Write as _;
-    let timeout = establish_timeout(opts)?;
+    let n = workload.processes();
+    let (neighbors, hash) = workload.mesh(process)?;
     let (builder, addrs) = match opts.get("peers") {
         Some(list) => {
             let addrs = parse_addr_list(list, n)?;
@@ -1088,143 +1244,18 @@ fn node_mesh(
         }
     };
     builder
-        .establish(process, &addrs, neighbors, hash, timeout)
+        .establish(process, &addrs, &neighbors, hash, timeout)
         .map_err(|e| format!("mesh establishment failed: {e}"))
 }
 
-/// Reads and validates the `--churn-plan` JSON file.
-fn load_churn_plan(opts: &BTreeMap<String, String>) -> Result<synctime_sim::ChurnPlan, String> {
-    let path = require(opts, "churn-plan")?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read churn plan `{path}`: {e}"))?;
-    let plan = synctime_sim::ChurnPlan::from_json(&text)
-        .map_err(|e| format!("bad churn plan JSON: {e}"))?;
-    plan.validate().map_err(|e| e.to_string())?;
-    Ok(plan)
-}
-
-/// The mesh neighbors of one process in a churn run: its union-topology
-/// neighbors plus the control-star edge to the coordinator (process 0
-/// connects to everyone), so RECONFIGURE rounds always have a socket even
-/// when an epoch's ring does not touch the coordinator.
-fn churn_neighbors(union: &Graph, process: usize, n: usize) -> Vec<usize> {
-    let mut nb: std::collections::BTreeSet<usize> = union.neighbors(process).collect();
-    if process == 0 {
-        nb.extend(1..n);
-    } else {
-        nb.insert(0);
-    }
-    nb.remove(&process);
-    nb.into_iter().collect()
-}
-
-/// `serve-node --churn-plan`: one process of a multi-epoch churn run.
-/// Establishes the mesh over the plan's *union* topology (plus control
-/// star), then alternates epoch execution with reconfiguration rounds:
-/// the coordinator drives `coordinate_reconfigure`, everyone else
-/// `follow_reconfigure`, and each node applies the committed epoch to its
-/// own runtime. The report carries the concatenated log and the
-/// per-boundary cuts the launcher persists as reconfiguration records.
-fn cmd_serve_churn_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let plan = load_churn_plan(opts)?;
-    let actives = plan.active_sets().map_err(|e| e.to_string())?;
-    let n = plan.universe;
-    let process = node_process(opts, n)?;
-    let union = plan.union_topology().map_err(|e| e.to_string())?;
-    let union_dec = decompose::best_known(&union);
-    let hash = synctime_net::topology_hash_of(n, &union_dec);
-    let neighbors = churn_neighbors(&union, process, n);
-    let mesh = node_mesh(opts, process, n, &neighbors, hash)?;
-    let reconfig_timeout = establish_timeout(opts)?;
-
-    let epoch0 = synctime_sim::churn::epoch_topology(n, &actives[0]).map_err(|e| e.to_string())?;
-    let mut session = synctime_net::ReconfigSession::new(&epoch0);
-    let mut rt = configure_runtime(
-        synctime_runtime::Runtime::new(session.graph(), session.decomposition()),
-        opts,
-    )?;
-
-    let mut log: Vec<synctime_runtime::LogEntry> = Vec::new();
-    let mut cuts: Vec<u64> = Vec::new();
-    let mut stats_parts = Vec::new();
-    let mut outcome: Option<String> = None;
-    for (e, active) in actives.iter().enumerate() {
-        let rounds = match plan.events.get(e) {
-            Some(ev) => ev.after_rounds,
-            None => plan.tail_rounds,
-        };
-        let behavior = synctime_sim::ring_behavior(active, process, rounds);
-        let (tx, rx) = mesh.channels();
-        let run = rt.run_process(process, behavior, tx, rx);
-        let final_clock = run.final_clock().clone();
-        let (_, epoch_log, epoch_outcome, stats) = run.into_parts();
-        log.extend(epoch_log);
-        stats_parts.push(stats);
-        if outcome.is_none() {
-            outcome = epoch_outcome.map(|err| format!("epoch {e}: {err}"));
-        }
-        if e + 1 < actives.len() {
-            let ops = synctime_sim::churn::edge_ops(active, &actives[e + 1]);
-            let committed = if process == 0 {
-                let peers: Vec<usize> = (1..n).collect();
-                synctime_net::coordinate_reconfigure(
-                    &mesh,
-                    &mut session,
-                    &peers,
-                    &ops,
-                    &final_clock,
-                    reconfig_timeout,
-                )
-            } else {
-                synctime_net::follow_reconfigure(
-                    &mesh,
-                    &mut session,
-                    0,
-                    process as u32,
-                    &final_clock,
-                    reconfig_timeout,
-                )
-            }
-            .map_err(|err| format!("reconfiguration into epoch {}: {err}", e + 1))?;
-            let applied = synctime_runtime::AppliedReconfigure {
-                epoch: committed.epoch,
-                topology: session.graph().clone(),
-                decomposition: session.decomposition().clone(),
-                remap: committed.remap,
-                baseline: committed.baseline,
-            };
-            rt.apply_reconfigure(&applied)
-                .map_err(|err| format!("applying epoch {}: {err}", e + 1))?;
-            cuts.push(log.len() as u64);
-        }
-    }
-    drop(mesh); // close peer sockets before reporting
-    let report = synctime_net::NodeReport {
-        process,
-        outcome,
-        log,
-        cuts,
-        stats: synctime_obs::RunStats::merged(&stats_parts),
-    };
-    Ok(report.to_json() + "\n")
-}
-
 /// `launch`: the whole workload, one OS process per synchronous process.
-/// `--transport local` is an alias for `run`; `--transport tcp` (default)
-/// spawns `serve-node` children, wires them into a loopback mesh, and
-/// merges their reports into the same outputs `run` produces.
+/// `--transport local` is `run`; `--transport tcp` (default) spawns one
+/// `serve-node` per process, wires them into a loopback mesh, and merges
+/// their reports into the outputs `run` prints: their logs into one
+/// trace, their cuts into the store's reconfiguration records.
 fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    // Checked before any path runs, so a bad timeout never spawns a node.
-    parse_watchdog(opts)?;
-    let churn = opts.contains_key("churn-plan");
-    match opts.get("transport").map(String::as_str).unwrap_or("tcp") {
-        "local" => {
-            return if churn {
-                cmd_launch_churn_local(opts)
-            } else {
-                cmd_run(opts)
-            }
-        }
+    match opts.get("transport").map_or("tcp", String::as_str) {
+        "local" => return cmd_run(opts),
         "tcp" => {}
         other => {
             return Err(format!(
@@ -1232,92 +1263,76 @@ fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
             ))
         }
     }
-    if churn {
-        return cmd_launch_churn_tcp(opts);
+    let workload = tcp_workload(opts)?;
+    // Every node would refuse a bad runtime flag: refuse it once, here,
+    // before any node spawns.
+    configure_runtime(
+        synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
+        opts,
+    )?;
+    let reports = launch_nodes(opts, workload.processes())?;
+    let boundaries = workload.epochs() - 1;
+    if let Some(report) = reports.iter().find(|r| r.cuts.len() != boundaries) {
+        return Err(format!(
+            "process {} reported {} cuts, expected {boundaries}",
+            report.process,
+            report.cuts.len()
+        ));
     }
-    let programs = run_programs(opts)?;
-    reject_receive_any(&programs)?;
-    // Validate the topology before spawning anything.
-    let _ = run_topology(&programs, opts)?;
-    let n = programs.len();
-    const FORWARDED: [&str; 10] = [
+    let records: Vec<synctime_store::ReconfigRecord> = (0..boundaries)
+        .map(|b| synctime_store::ReconfigRecord {
+            epoch: (b + 1) as u64,
+            cuts: reports.iter().map(|r| r.cuts[b]).collect(),
+            ops: workload
+                .edge_ops(b)
+                .iter()
+                .map(|op| match *op {
+                    synctime_graph::EdgeOp::Insert(u, v) => (0u8, u as u64, v as u64),
+                    synctime_graph::EdgeOp::Remove(u, v) => (1u8, u as u64, v as u64),
+                })
+                .collect(),
+        })
+        .collect();
+    let (mut logs, mut stats_parts, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
+    for report in reports {
+        logs.push(report.log);
+        stats_parts.push(report.stats);
+        outcomes.push(report.outcome);
+    }
+    let stats = synctime_obs::RunStats::merged(&stats_parts);
+    finish_run(opts, &logs, &records, &stats, &outcomes, None)
+}
+
+/// Spawns `n` `serve-node` children (forwarding the workload and runtime
+/// flags), drives the three-phase bootstrap — scrape each node's announced
+/// address, hand everyone the full peer list, collect one JSON report per
+/// process — and waits for every child to exit cleanly.
+fn launch_nodes(
+    opts: &BTreeMap<String, String>,
+    n: usize,
+) -> Result<Vec<synctime_net::NodeReport>, String> {
+    use std::io::{BufRead as _, Read as _, Write as _};
+    const FORWARDED: [&str; 12] = [
         "programs",
         "ring",
         "gossip",
         "rounds",
         "seed",
         "topology",
+        "churn-plan",
         "clock",
+        "watchdog-ms",
         "rendezvous-timeout",
         "rendezvous-retries",
         "establish-timeout-ms",
     ];
-    let reports = launch_nodes(opts, n, &FORWARDED)?;
-    let mut logs = Vec::with_capacity(n);
-    let mut stats_parts = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    for report in reports {
-        logs.push(report.log);
-        stats_parts.push(report.stats);
-        outcomes.push(report.outcome);
-    }
-    if let Some(root) = opts.get("persist") {
-        // The launcher persists the *merged* logs after the fact: node
-        // children stream nothing durably themselves, so a single sealed
-        // store appears atomically once every report is in. Recovery
-        // trims any partial per-process suffix to a consistent prefix.
-        let trace = opts
-            .get("trace-name")
-            .map(String::as_str)
-            .unwrap_or(DEFAULT_PERSIST_TRACE);
-        let store = synctime_store::persist_logs(std::path::Path::new(root), trace, &logs)
-            .map_err(|e| format!("cannot persist the run under `{root}`: {e}"))?;
-        eprintln!("persisted trace to {}", store.dir().display());
-    }
-    let stats = synctime_obs::RunStats::merged(&stats_parts);
-    if outcomes.iter().any(Option::is_some) {
-        // Mirror `run --fault-plan`: typed per-process failures are a
-        // reportable result, not a launcher error.
-        let rendered: Vec<String> = outcomes
-            .iter()
-            .map(|o| match o {
-                None => "null".to_string(),
-                Some(e) => serde_json::to_string(e).expect("strings serialise infallibly"),
-            })
-            .collect();
-        return Ok(format!(
-            "{{\n  \"stats\": {},\n  \"outcomes\": [{}]\n}}\n",
-            stats.to_json(),
-            rendered.join(", ")
-        ));
-    }
-    if opts.contains_key("stats") {
-        let mut out = stats.to_json();
-        out.push('\n');
-        return Ok(out);
-    }
-    let (comp, _stamps) = synctime_runtime::reconstruct_from_logs(&logs)
-        .map_err(|e| format!("cannot reconstruct the distributed run: {e}"))?;
-    Ok(synctime_trace::json::to_json_string(&comp))
-}
-
-/// Spawns `n` `serve-node` children (forwarding the named flags), drives
-/// the three-phase bootstrap — scrape each node's announced address, hand
-/// everyone the full peer list, collect one JSON report per process — and
-/// waits for every child to exit cleanly.
-fn launch_nodes(
-    opts: &BTreeMap<String, String>,
-    n: usize,
-    forwarded: &[&str],
-) -> Result<Vec<synctime_net::NodeReport>, String> {
-    use std::io::{BufRead as _, Read as _, Write as _};
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
     let mut children = Vec::with_capacity(n);
     for p in 0..n {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("serve-node").arg("--process").arg(p.to_string());
-        for name in forwarded {
-            if let Some(value) = opts.get(*name) {
+        for name in FORWARDED {
+            if let Some(value) = opts.get(name) {
                 cmd.arg(format!("--{name}")).arg(value);
             }
         }
@@ -1382,174 +1397,6 @@ fn launch_nodes(
         .collect())
 }
 
-/// Persists a multi-epoch run and returns the final-epoch trace JSON (or
-/// the merged stats / per-process outcomes, mirroring plain `launch`).
-/// Shared tail of the local and distributed churn launch paths.
-fn churn_output(
-    opts: &BTreeMap<String, String>,
-    logs: Vec<Vec<synctime_runtime::LogEntry>>,
-    records: Vec<synctime_store::ReconfigRecord>,
-    stats: synctime_obs::RunStats,
-    outcomes: Vec<Option<String>>,
-) -> Result<String, String> {
-    if let Some(root) = opts.get("persist") {
-        let trace = opts
-            .get("trace-name")
-            .map(String::as_str)
-            .unwrap_or(DEFAULT_PERSIST_TRACE);
-        let store = synctime_store::persist_logs_with_reconfigs(
-            std::path::Path::new(root),
-            trace,
-            &logs,
-            &records,
-        )
-        .map_err(|e| format!("cannot persist the run under `{root}`: {e}"))?;
-        eprintln!("persisted trace to {}", store.dir().display());
-    }
-    if outcomes.iter().any(Option::is_some) {
-        let rendered: Vec<String> = outcomes
-            .iter()
-            .map(|o| match o {
-                None => "null".to_string(),
-                Some(e) => serde_json::to_string(e).expect("strings serialise infallibly"),
-            })
-            .collect();
-        return Ok(format!(
-            "{{\n  \"stats\": {},\n  \"outcomes\": [{}]\n}}\n",
-            stats.to_json(),
-            rendered.join(", ")
-        ));
-    }
-    if opts.contains_key("stats") {
-        let mut out = stats.to_json();
-        out.push('\n');
-        return Ok(out);
-    }
-    // Only the final epoch reconstructs whole (earlier epochs recycle
-    // message keys and live in other dimensions); that is exactly the
-    // post-churn trace a fresh run over the final topology would produce.
-    let final_logs: Vec<Vec<synctime_runtime::LogEntry>> = match records.last() {
-        None => logs,
-        Some(last) => logs
-            .iter()
-            .zip(&last.cuts)
-            .map(|(log, &cut)| log.get(cut as usize..).unwrap_or(&[]).to_vec())
-            .collect(),
-    };
-    let (comp, _stamps) = synctime_runtime::reconstruct_from_logs(&final_logs)
-        .map_err(|e| format!("cannot reconstruct the final epoch: {e}"))?;
-    Ok(synctime_trace::json::to_json_string(&comp))
-}
-
-/// `launch --transport local --churn-plan`: the whole multi-epoch run in
-/// this OS process via the sim engine — same epochs, same boundaries, same
-/// final-epoch trace as the distributed path, byte for byte.
-fn cmd_launch_churn_local(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let plan = load_churn_plan(opts)?;
-    let mut cfg = synctime_sim::ChurnConfig::default();
-    if let Some(backend) = parse_clock(opts)? {
-        cfg.backend = backend;
-    }
-    if let Some(path) = opts.get("fault-plan") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
-        cfg.fault = synctime_sim::FaultPlan::from_json(&text)
-            .map_err(|e| format!("bad fault plan JSON: {e}"))?;
-    }
-    let run = synctime_sim::run_churn(&plan, &cfg).map_err(|e| e.to_string())?;
-    let records: Vec<synctime_store::ReconfigRecord> = run
-        .boundaries
-        .iter()
-        .map(|b| synctime_store::ReconfigRecord {
-            epoch: b.epoch,
-            cuts: b.cuts.clone(),
-            ops: b.ops.clone(),
-        })
-        .collect();
-    if opts.contains_key("epochs") {
-        return Ok(render_epoch_reports(&run.epochs));
-    }
-    churn_output(opts, run.logs, records, run.stats, run.outcomes)
-}
-
-/// Renders `--epochs` output: one JSON object per epoch with its active
-/// set, stamp dimension, reconfiguration latency, and survivor count.
-fn render_epoch_reports(epochs: &[synctime_sim::EpochReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in epochs.iter().enumerate() {
-        let active: Vec<String> = e.active.iter().map(ToString::to_string).collect();
-        let _ = writeln!(
-            out,
-            "  {{\"epoch\": {}, \"active\": [{}], \"dim\": {}, \"reconfigure_micros\": {}, \"survivors\": {}}}{}",
-            e.epoch,
-            active.join(", "),
-            e.dim,
-            e.reconfigure_micros,
-            e.survivors,
-            if i + 1 < epochs.len() { "," } else { "" }
-        );
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// `launch --churn-plan` over TCP: spawns one `serve-node --churn-plan`
-/// per process in the plan's universe, lets the nodes drive the
-/// RECONFIGURE rounds among themselves, then assembles the per-node cuts
-/// into the store's reconfiguration records.
-fn cmd_launch_churn_tcp(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    let plan = load_churn_plan(opts)?;
-    let actives = plan.active_sets().map_err(|e| e.to_string())?;
-    let n = plan.universe;
-    const FORWARDED: [&str; 6] = [
-        "churn-plan",
-        "clock",
-        "rendezvous-timeout",
-        "rendezvous-retries",
-        "establish-timeout-ms",
-        "watchdog-ms",
-    ];
-    let reports = launch_nodes(opts, n, &FORWARDED)?;
-    let boundaries = plan.events.len();
-    for report in &reports {
-        if report.cuts.len() != boundaries {
-            return Err(format!(
-                "process {} reported {} cuts, expected {boundaries}",
-                report.process,
-                report.cuts.len()
-            ));
-        }
-    }
-    let records: Vec<synctime_store::ReconfigRecord> = (0..boundaries)
-        .map(|b| synctime_store::ReconfigRecord {
-            epoch: (b + 1) as u64,
-            cuts: reports.iter().map(|r| r.cuts[b]).collect(),
-            ops: synctime_sim::churn::edge_ops(&actives[b], &actives[b + 1])
-                .iter()
-                .map(|op| match *op {
-                    synctime_graph::EdgeOp::Insert(u, v) => (0u8, u as u64, v as u64),
-                    synctime_graph::EdgeOp::Remove(u, v) => (1u8, u as u64, v as u64),
-                })
-                .collect(),
-        })
-        .collect();
-    let mut logs = Vec::with_capacity(n);
-    let mut stats_parts = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    for report in reports {
-        logs.push(report.log);
-        stats_parts.push(report.stats);
-        outcomes.push(report.outcome);
-    }
-    churn_output(
-        opts,
-        logs,
-        records,
-        synctime_obs::RunStats::merged(&stats_parts),
-        outcomes,
-    )
-}
-
 /// `serve-query`: stamp one trace (`--trace`) or a whole directory of
 /// traces (`--traces-dir`) once, then serve precedence queries over TCP
 /// until killed. The bound address is announced as `listening on ADDR` so
@@ -1557,33 +1404,13 @@ fn cmd_launch_churn_tcp(opts: &BTreeMap<String, String>) -> Result<String, Strin
 /// trace and the shard it hashed to.
 fn cmd_serve_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
     use std::io::Write as _;
-    let pool = opts
-        .get("pool")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| "--pool expects a worker count".to_string())
-        })
-        .transpose()?
-        .unwrap_or_else(synctime_net::default_pool_size);
-    let shards = opts
-        .get("shards")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| "--shards expects a shard count".to_string())
-        })
-        .transpose()?
-        .unwrap_or(synctime_net::DEFAULT_SHARDS);
+    let pool =
+        opt_flag(opts, "pool", "a worker count")?.unwrap_or_else(synctime_net::default_pool_size);
+    let shards = opt_flag(opts, "shards", "a shard count")?.unwrap_or(synctime_net::DEFAULT_SHARDS);
     if shards == 0 {
         return Err("--shards expects at least 1".to_string());
     }
-    let poll_ms: u64 = opts
-        .get("poll-ms")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--poll-ms expects milliseconds".to_string())
-        })
-        .transpose()?
-        .unwrap_or(100);
+    let poll_ms = opt_flag(opts, "poll-ms", "milliseconds")?.unwrap_or(100);
     let store_dir = opts.get("store-dir");
     let is_catalog = opts.contains_key("traces-dir") || store_dir.is_some();
     let fabric = if let Some(root) = store_dir {
@@ -1786,19 +1613,9 @@ fn cmd_faultplan(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let max_op: u64 = require(opts, "max-op")?
         .parse()
         .map_err(|_| "--max-op expects a number".to_string())?;
-    let num = |name: &str| -> Result<usize, String> {
-        opts.get(name)
-            .map(|s| s.parse().map_err(|_| format!("--{name} expects a count")))
-            .transpose()
-            .map(|v| v.unwrap_or(0))
-    };
-    let crashes = num("crashes")?;
-    let desyncs = num("desyncs")?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number".to_string()))
-        .transpose()?
-        .unwrap_or(0);
+    let crashes = opt_flag(opts, "crashes", "a count")?.unwrap_or(0);
+    let desyncs = opt_flag(opts, "desyncs", "a count")?.unwrap_or(0);
+    let seed = opt_flag(opts, "seed", "a number")?.unwrap_or(0);
     if crashes >= processes && crashes > 0 {
         return Err(format!(
             "--crashes {crashes} would kill all {processes} processes; leave survivors"
@@ -1819,19 +1636,8 @@ fn cmd_churn(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let boundaries: usize = require(opts, "boundaries")?
         .parse()
         .map_err(|_| "--boundaries expects a count".to_string())?;
-    let mean_rounds: u64 = opts
-        .get("mean-rounds")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--mean-rounds expects a round count".to_string())
-        })
-        .transpose()?
-        .unwrap_or(3);
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number".to_string()))
-        .transpose()?
-        .unwrap_or(0);
+    let mean_rounds = opt_flag(opts, "mean-rounds", "a round count")?.unwrap_or(3);
+    let seed = opt_flag(opts, "seed", "a number")?.unwrap_or(0);
     if universe < 3 {
         return Err("--universe expects at least 3 (joins and leaves need headroom)".to_string());
     }
@@ -2690,6 +2496,15 @@ mod tests {
         let err =
             run_strs(&["launch", "--ring", "3", "--transport", "carrier-pigeon"]).unwrap_err();
         assert!(err.contains("tcp"), "{err}");
+        // And the runtime flags every node would refuse.
+        for (flag, value, diagnostic) in [
+            ("--rendezvous-timeout", "soon", "milliseconds"),
+            ("--rendezvous-retries", "many", "a count"),
+            ("--clock", "warp", "unknown clock backend"),
+        ] {
+            let err = run_strs(&["launch", "--ring", "3", flag, value]).unwrap_err();
+            assert!(err.contains(diagnostic), "{flag}: {err}");
+        }
         // A malformed or wrong-arity peer list is rejected up front.
         let err = run_strs(&[
             "serve-node",
@@ -2713,6 +2528,75 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("bad socket address"), "{err}");
+        // Faults are injected in process only: a TCP launch given a fault
+        // plan is refused before any node spawns (a spawned node would be
+        // this test binary), and so is a standalone node.
+        let dir = std::env::temp_dir().join("synctime-cli-distributed-flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let crash = dir.join("crash.json");
+        std::fs::write(
+            &crash,
+            r#"{"faults": [{"process": 2, "at_op": 1, "kind": "crash"}]}"#,
+        )
+        .unwrap();
+        let crash = crash.to_str().unwrap();
+        for cmd in [
+            &[
+                "launch",
+                "--ring",
+                "5",
+                "--rounds",
+                "4",
+                "--fault-plan",
+                crash,
+            ][..],
+            &[
+                "launch",
+                "--ring",
+                "5",
+                "--transport",
+                "tcp",
+                "--fault-plan",
+                crash,
+            ][..],
+            &[
+                "serve-node",
+                "--process",
+                "0",
+                "--ring",
+                "5",
+                "--fault-plan",
+                crash,
+            ][..],
+        ] {
+            let err = run_strs(cmd).unwrap_err();
+            assert!(err.contains("runs in process only"), "{cmd:?}: {err}");
+        }
+        // A churn plan runs its own token rings: given together with a
+        // program flag it is refused, on every command, not silently
+        // preferred.
+        let plan = dir.join("plan.json");
+        std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
+        let plan = plan.to_str().unwrap();
+        for (flag, value) in [("--programs", "p.json"), ("--ring", "3"), ("--gossip", "4")] {
+            for cmd in [
+                &["run", "--churn-plan", plan, flag, value][..],
+                &["launch", "--churn-plan", plan, flag, value][..],
+                &[
+                    "serve-node",
+                    "--process",
+                    "0",
+                    "--churn-plan",
+                    plan,
+                    flag,
+                    value,
+                ][..],
+            ] {
+                let err = run_strs(cmd).unwrap_err();
+                assert!(err.contains("cannot be combined"), "{cmd:?}: {err}");
+                assert!(err.contains(flag), "{cmd:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -2829,5 +2713,16 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(run_out, launch_out);
+        // A churn plan too: `run --churn-plan` is the local launch.
+        let dir = std::env::temp_dir().join("synctime-cli-launch-local");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = dir.join("plan.json");
+        std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
+        let plan = plan.to_str().unwrap();
+        let run_out = run_strs(&["run", "--churn-plan", plan]).unwrap();
+        let launch_out =
+            run_strs(&["launch", "--churn-plan", plan, "--transport", "local"]).unwrap();
+        assert_eq!(run_out, launch_out);
+        assert_eq!(parse_trace(&run_out, None).unwrap().message_count(), 6);
     }
 }

@@ -177,7 +177,8 @@ fn launch_churn_tcp_matches_local() {
 
 /// Persist a distributed churn run, then serve it: `serve-query
 /// --store-dir` recovers the store, materialises the latest epoch, and
-/// answers precedence queries over it.
+/// answers precedence queries over it. The same plan persisted in process
+/// writes the same store bytes: one run, two transports.
 #[test]
 fn churn_store_serves_latest_epoch() {
     use std::io::{BufRead as _, BufReader};
@@ -207,6 +208,24 @@ fn churn_store_serves_latest_epoch() {
         "churn",
     ]);
     assert!(ok, "{stderr}");
+    let local_root = dir.join("store-local");
+    let (_, stderr, ok) = synctime(&[
+        "launch",
+        "--churn-plan",
+        plan_path.to_str().unwrap(),
+        "--transport",
+        "local",
+        "--persist",
+        local_root.to_str().unwrap(),
+        "--trace-name",
+        "churn",
+    ]);
+    assert!(ok, "{stderr}");
+    let log = |root: &std::path::Path| std::fs::read(root.join("churn").join("log.st")).unwrap();
+    assert!(
+        log(&root) == log(&local_root),
+        "tcp and local churn stores differ"
+    );
 
     let mut server = Command::new(env!("CARGO_BIN_EXE_synctime"))
         .args(["serve-query", "--store-dir", root.to_str().unwrap()])

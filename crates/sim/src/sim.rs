@@ -18,19 +18,26 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Deserialize;
 use synctime_graph::Graph;
 use synctime_trace::{Builder, ProcessId, SyncComputation, TraceError};
 
-/// One operation of a process script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One operation of a process script. It reads from a programs file as
+/// `{"send_to": q}`, `{"receive_from": q}`, `"receive_any"` or
+/// `"internal"`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum Op {
     /// Blocking send to a specific peer.
+    #[serde(rename = "send_to")]
     SendTo(ProcessId),
     /// Blocking receive from a specific peer.
+    #[serde(rename = "receive_from")]
     ReceiveFrom(ProcessId),
     /// Blocking receive from whichever peer sends first.
+    #[serde(rename = "receive_any")]
     ReceiveAny,
     /// A local step (never blocks).
+    #[serde(rename = "internal")]
     Internal,
 }
 

@@ -30,8 +30,10 @@
 #      `run --ring 6 --rounds 2000` and 20 live `run --gossip 8 --rounds
 #      500` runs under `--watchdog-ms 1` must all exit 0 (the watchdog
 #      counts only waits the channel confirms, so no rendezvous in flight
-#      reads as a deadlock); `run` and `launch` with `--watchdog-ms 0`
-#      must exit non-zero with the typed zero-timeout diagnostic
+#      reads as a deadlock); `launch --transport tcp --fault-plan` must
+#      be refused (faults are injected in process only); `run` and
+#      `launch` with `--watchdog-ms 0` must exit non-zero with the typed
+#      zero-timeout diagnostic
 #  11. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`, for ring:6 x 3 and for gossip:8 x 200 (node
@@ -67,7 +69,8 @@
 #      distributed TCP path, the in-process engine, and an uninterrupted
 #      reference run whose membership is the final active set (the
 #      uniform-baseline order-isomorphism, end to end); `--epochs` must
-#      report every epoch; a persisted churned store served by
+#      report every epoch; `--persist` over TCP and in process must write
+#      byte-identical stores; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
 #  16. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
@@ -196,6 +199,15 @@ for i in $(seq 1 20); do
   "$SYNCTIME" run --gossip 8 --rounds 500 --watchdog-ms 1 > /dev/null || {
     echo "verify: live gossip run $i failed under --watchdog-ms 1" >&2; exit 1; }
 done
+
+echo "==> fault-smoke: a TCP launch refuses a fault plan before any node spawns"
+if "$SYNCTIME" launch --ring 5 --rounds 4 --transport tcp \
+    --fault-plan "$FAULT_DIR/crash.json" > /dev/null 2> "$FAULT_DIR/tcp-crash.err"; then
+  echo "verify: launch --transport tcp ran a fault plan" >&2; exit 1
+fi
+grep -q 'runs in process only' "$FAULT_DIR/tcp-crash.err" || {
+  echo "verify: launch --transport tcp --fault-plan lacks the in-process diagnostic" >&2
+  exit 1; }
 
 echo "==> fault-smoke: a zero watchdog timeout is refused"
 for cmd in run launch; do
@@ -480,9 +492,15 @@ EPOCHS="$(grep -c '"reconfigure_micros"' "$CHURN_DIR/epochs.json")"
 [ "$EPOCHS" -eq 3 ] || {
   echo "verify: expected 3 epoch reports, got $EPOCHS" >&2; exit 1; }
 
-echo "==> churn-smoke: persisted churned store serves the latest epoch"
+echo "==> churn-smoke: tcp and local --persist write the same store bytes"
 "$SYNCTIME" launch --churn-plan "$CHURN_DIR/plan.json" --transport local \
   --persist "$CHURN_DIR/store" --trace-name churned > /dev/null
+"$SYNCTIME" launch --churn-plan "$CHURN_DIR/plan.json" --transport tcp \
+  --persist "$CHURN_DIR/store-tcp" --trace-name churned > /dev/null
+cmp "$CHURN_DIR/store/churned/log.st" "$CHURN_DIR/store-tcp/churned/log.st" || {
+  echo "verify: churned tcp store diverged from the in-process one" >&2; exit 1; }
+
+echo "==> churn-smoke: persisted churned store serves the latest epoch"
 "$SYNCTIME" serve-query --store-dir "$CHURN_DIR/store" \
   > "$CHURN_DIR/store-server.out" &
 CHURN_PID=$!
