@@ -62,7 +62,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_bench::report::{self, obj, rate, ratio, Record, NET_QUERY};
-use synctime_bench::ring_behaviors;
+use synctime_bench::token_ring;
 use synctime_core::online::OnlineStamper;
 use synctime_core::{kernel, wire, MessageTimestamps};
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
@@ -530,7 +530,7 @@ fn bench_ring_local(n: usize, rounds: u64) -> Record {
     let dec = decompose::best_known(&topo);
     let rt = Runtime::new(&topo, &dec);
     let started = Instant::now();
-    let run = rt.run(ring_behaviors(n, rounds)).expect("local ring run");
+    let run = rt.run(token_ring(n, rounds)).expect("local ring run");
     let elapsed_ns = started.elapsed().as_nanos();
     let stats = run.stats();
     assert_eq!(stats.messages, n as u64 * rounds);
@@ -555,7 +555,7 @@ fn bench_ring_tcp(n: usize, rounds: u64) -> Record {
     let started = Instant::now();
     let handles: Vec<_> = builders
         .into_iter()
-        .zip(ring_behaviors(n, rounds))
+        .zip(token_ring(n, rounds))
         .enumerate()
         .map(|(id, (builder, behavior))| {
             let topo: Graph = topo.clone();

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_bench::report::{self, obj, rate, ratio, Record, ONLINE_RUNTIME};
-use synctime_bench::{client_server_behaviors, ring_behaviors};
+use synctime_bench::{client_server_behaviors, token_ring};
 use synctime_core::online::OnlineSession;
 use synctime_graph::{decompose, topology, Edge, Graph, IncrementalDecomposition};
 use synctime_runtime::Runtime;
@@ -42,7 +42,7 @@ fn bench_ring(n: usize, rounds: u64) -> Record {
     let topo = topology::cycle(n);
     let dec = decompose::best_known(&topo);
     let rt = Runtime::new(&topo, &dec);
-    let behaviors = ring_behaviors(n, rounds);
+    let behaviors = token_ring(n, rounds);
     let started = Instant::now();
     let run = rt.run(behaviors).expect("ring run failed");
     let elapsed_ns = started.elapsed().as_nanos();

@@ -7,7 +7,7 @@
 //! vector component. This is the table form of `synctime run --stats`.
 
 use serde::Serialize;
-use synctime_bench::{client_server_behaviors, emit, print_host, ring_behaviors, Table};
+use synctime_bench::{client_server_behaviors, emit, print_host, token_ring, Table};
 use synctime_graph::{decompose, topology, Graph};
 use synctime_runtime::{Behavior, RunStats, Runtime};
 
@@ -34,8 +34,8 @@ fn measure(workload: &str, topo: &Graph, behaviors: Vec<Behavior>) -> Record {
 
 fn main() {
     let records = vec![
-        measure("ring(4) x 50", &topology::cycle(4), ring_behaviors(4, 50)),
-        measure("ring(8) x 50", &topology::cycle(8), ring_behaviors(8, 50)),
+        measure("ring(4) x 50", &topology::cycle(4), token_ring(4, 50)),
+        measure("ring(8) x 50", &topology::cycle(8), token_ring(8, 50)),
         measure(
             "clients(2x8) x 25",
             &topology::client_server(2, 8),

@@ -20,7 +20,7 @@ use synctime_sim::ring_behavior;
 
 /// A token ring over the whole universe `0..n`, process 0 at its head:
 /// [`ring_behavior`] for every process.
-pub fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
+pub fn token_ring(n: usize, rounds: u64) -> Vec<Behavior> {
     let active: Vec<usize> = (0..n).collect();
     active
         .iter()

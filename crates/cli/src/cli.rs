@@ -72,7 +72,7 @@ WORKLOAD (run, launch, serve-node):
   [--topology <SPEC>] [--seed <S>]          one epoch over one topology
   | --churn-plan <FILE>                     one token-ring epoch per active set
 
-RUNTIME (run, launch, serve-node):
+RUNTIME (run, launch, serve-node; programs and plans alike):
   [--watchdog-ms <MS>] [--rendezvous-timeout <MS>] [--rendezvous-retries <K>]
   [--clock dense|tree]
 
@@ -93,28 +93,33 @@ ALGORITHMS: online (default), offline, fm, lamport
   chains + chain-merge reachability, scales to millions of messages).
 
 RUN:
-  Executes programs on real OS threads (one per process) with the Figure 5
-  rendezvous protocol; a watchdog aborts stalled runs with a wait-for-graph
-  diagnosis. `--watchdog-ms MS` (default 10000, must be above zero) is how
-  long a wait-for cycle must stay parked before the run is aborted; only
-  waits the channel confirms count (an untaken offer, or an empty slot
-  for a receiver), so live runs are never flagged at any timeout above
-  zero. `--ring N` is a built-in token-ring workload over cycle:N.
-  `--stats` prints the run's observability summary as JSON (message counts,
-  p50/p99 ack and rendezvous-wakeup latency, wire bytes, max vector
-  component) instead of the reconstructed trace. Blocked endpoints park on
-  their channel slot's condvar (zero idle CPU). `--gossip N` runs a
-  seeded random pairwise-gossip workload over complete:N.
-  `--fault-plan FILE` injects a deterministic fault schedule (see
-  `faultplan`); the run then tolerates per-process failures
-  and prints {\"stats\": .., \"outcomes\": [null | \"error\", ..]} instead
-  of a trace — the process exits 0 because typed failures are the expected
-  result. `--rendezvous-timeout MS` bounds every blocking rendezvous, with
-  `--rendezvous-retries K` backoff re-arms before giving up. `--clock`
-  selects the per-process clock: `dense` (default, a plain vector) or
-  `tree` (a segment tree whose merges of the delta streams' change-sets
-  are sublinear in the dimension). The stamped trace is identical under
-  both, and `launch` forwards the flag to its `serve-node` children.
+  Executes the workload on real OS threads (one per process) with the
+  Figure 5 rendezvous protocol; a watchdog aborts stalled runs with a
+  wait-for-graph diagnosis. `--watchdog-ms MS` (default 10000, must be
+  above zero) is how long a wait-for cycle must stay parked before the run
+  is aborted; only waits the channel confirms count (an untaken offer, or
+  an empty slot for a receiver), so live runs are never flagged at any
+  timeout above zero. `--ring N` is a built-in token-ring workload over
+  cycle:N. `--stats` prints the run's observability summary as JSON
+  (message counts, p50/p99 ack and rendezvous-wakeup latency, wire bytes,
+  max vector component) instead of the reconstructed trace. Blocked
+  endpoints park on their channel slot's condvar (zero idle CPU).
+  `--gossip N` runs a seeded random pairwise-gossip workload over
+  complete:N. A failed process fails the command: the first failure (in
+  process order) is the error, with exit code 1, on every command and
+  transport. Under `--fault-plan FILE`, which injects a deterministic
+  fault schedule (see `faultplan`), the run instead tolerates per-process
+  failures and prints {\"stats\": .., \"outcomes\": [null | \"error\", ..]}
+  instead of a trace — the process exits 0 because typed failures are the
+  expected result. `--rendezvous-timeout MS` bounds every blocking
+  rendezvous, with `--rendezvous-retries K` backoff re-arms before giving
+  up. `--clock` selects the per-process clock: `dense` (default, a plain
+  vector) or `tree` (a segment tree whose merges of the delta streams'
+  change-sets are sublinear in the dimension); the stamped trace is
+  identical under both. `--epochs` prints one report per epoch (active
+  set, dimension, reconfiguration latency, survivors) instead; a program
+  run is one epoch and gets one report. `--fault-plan` and `--epochs` run
+  in process only.
 
 FAULTPLAN:
   Generates a random fault schedule as JSON for `run --fault-plan`:
@@ -128,17 +133,16 @@ CHURN:
   between events (Poisson churn arrivals). Same seed, same plan. `run
   --churn-plan plan.json` (or `launch`, over either transport) then runs
   the multi-epoch workload: every epoch is a token ring over the plan's
-  active set, and every boundary ships a RECONFIGURE prepare/commit round
-  through the coordinator (process 0) — in-flight traffic quiesces at the
-  epoch boundary, every node rebases its clock through the group remap,
-  and the committed max-merged baseline keeps post-change stamps
-  order-isomorphic with an uninterrupted run over the new topology. The
-  command prints the FINAL epoch's reconstructed trace (byte-identical to
-  an uninterrupted reference run over the post-churn topology); with
+  active set. At each boundary in-flight traffic quiesces, every clock is
+  rebased through the group remap, and all processes resume from the
+  max-merged baseline, which keeps post-change stamps order-isomorphic
+  with an uninterrupted run over the new topology. Over TCP the boundary
+  is a RECONFIGURE prepare/commit round through the coordinator (process
+  0); in process it merges the final clocks directly. The command prints
+  the FINAL epoch's reconstructed trace (byte-identical to an
+  uninterrupted reference run over the post-churn topology); with
   `--persist DIR` the boundaries are stored as reconfiguration records so
-  `serve-query --store-dir` serves the latest epoch across restarts, and
-  `--epochs` prints each epoch's active set, dimension and reconfiguration
-  latency instead (in process only).
+  `serve-query --store-dir` serves the latest epoch across restarts.
 
 DISTRIBUTED:
   `launch --transport tcp` runs the same workload as `run`, but as one OS
@@ -147,7 +151,8 @@ DISTRIBUTED:
   and merges their node reports back into one trace (or one `--stats`
   summary), byte-identical to `run`'s. A static run is one epoch: each
   node meshes once and runs every epoch of its workload over that mesh.
-  `--fault-plan` runs in process only and is refused over TCP.
+  `--fault-plan` and `--epochs` run in process only and are refused over
+  TCP.
   `serve-node --peers a0,a1,..` runs a single node standalone — one
   terminal per process, every terminal given the same address list.
   `serve-query` stamps a trace and serves precedence queries over the same
@@ -749,7 +754,7 @@ fn op_behavior(ops: Vec<Op>) -> synctime_runtime::Behavior {
 
 /// What a run is. Programs (`--programs`, `--ring`, `--gossip`) are one
 /// epoch over one topology; a `--churn-plan` is one token-ring epoch per
-/// active set, with a RECONFIGURE round at each boundary between two. A
+/// active set, with a reconfiguration at each boundary between two. A
 /// static run is thus a run with no boundaries, and `run`, `launch` and
 /// `serve-node` each have one body for both kinds.
 struct Workload {
@@ -831,11 +836,7 @@ impl Workload {
         match &self.kind {
             WorkloadKind::Programs(programs) => op_behavior(programs[process].clone()),
             WorkloadKind::Plan { plan, actives } => {
-                let rounds = plan
-                    .events
-                    .get(epoch)
-                    .map_or(plan.tail_rounds, |event| event.after_rounds);
-                synctime_sim::ring_behavior(&actives[epoch], process, rounds)
+                synctime_sim::ring_behavior(&actives[epoch], process, plan.rounds(epoch))
             }
         }
     }
@@ -917,95 +918,56 @@ fn persist_target(opts: &BTreeMap<String, String>) -> Option<(&std::path::Path, 
 }
 
 /// `run`, and `launch --transport local`: the whole workload in this OS
-/// process. Programs run on the threaded runtime, streaming their stamps
-/// to the live store writer under `--persist`; a plan runs through
-/// `run_churn`, with the epochs and boundaries a TCP launch drives.
+/// process, as `run_epochs` on the runtime the flags and the fault plan
+/// configure. A one-epoch run streams its stamps to the live store writer
+/// under `--persist`; a run with boundaries is stored when it ends.
 fn cmd_run(opts: &BTreeMap<String, String>) -> Result<String, String> {
-    // Refused for both kinds, though only the threaded runtime reads it.
-    parse_watchdog(opts)?;
     let workload = Workload::load(opts)?;
-    let fault_plan = match opts.get("fault-plan") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
-            Some(
-                synctime_sim::FaultPlan::from_json(&text)
-                    .map_err(|e| format!("bad fault plan JSON: {e}"))?,
-            )
-        }
-        None => None,
-    };
-    if let WorkloadKind::Plan { plan, .. } = &workload.kind {
-        let mut cfg = synctime_sim::ChurnConfig::default();
-        if let Some(backend) = parse_clock(opts)? {
-            cfg.backend = backend;
-        }
-        cfg.fault = fault_plan.unwrap_or_default();
-        let run = synctime_sim::run_churn(plan, &cfg).map_err(|e| e.to_string())?;
-        if opts.contains_key("epochs") {
-            return Ok(render_epoch_reports(&run.epochs));
-        }
-        let records: Vec<synctime_store::ReconfigRecord> = run
-            .boundaries
-            .iter()
-            .map(|b| synctime_store::ReconfigRecord {
-                epoch: b.epoch,
-                cuts: b.cuts.clone(),
-                ops: b.ops.clone(),
-            })
-            .collect();
-        return finish_run(opts, &run.logs, &records, &run.stats, &run.outcomes, None);
-    }
-    let n = workload.processes();
     let mut rt = configure_runtime(
         synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
         opts,
     )?;
+    if let Some(path) = opts.get("fault-plan") {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
+        let plan = synctime_sim::FaultPlan::from_json(&text)
+            .map_err(|e| format!("bad fault plan JSON: {e}"))?;
+        rt = rt.with_fault_injector(std::sync::Arc::new(plan));
+    }
     let mut writer = None;
-    if let Some((root, trace)) = persist_target(opts) {
-        let (tx, live) = synctime_store::spawn_writer(root, trace, n).map_err(|e| {
-            format!(
-                "cannot open the stamp store under `{}`: {e}",
-                root.display()
-            )
-        })?;
+    if let (Some((root, trace)), 1) = (persist_target(opts), workload.epochs()) {
+        let (tx, live) =
+            synctime_store::spawn_writer(root, trace, workload.processes()).map_err(|e| {
+                format!(
+                    "cannot open the stamp store under `{}`: {e}",
+                    root.display()
+                )
+            })?;
         rt = rt.with_log_sink(tx);
         writer = Some(live);
     }
-    let faulted = fault_plan.is_some();
-    if let Some(plan) = fault_plan {
-        rt = rt.with_fault_injector(std::sync::Arc::new(plan));
-    }
-    let run = rt.run_tolerant((0..n).map(|p| workload.behavior(0, p)).collect());
-    drop(rt); // release the store sink so the writer can seal
-
-    // Without a fault plan the first failure fails the command; under one,
-    // per-process failures are the expected outcome and get reported.
-    if !faulted {
-        if let Some(err) = run.outcomes().iter().flatten().next() {
-            return Err(err.to_string());
-        }
-    }
-    let outcomes: Vec<Option<String>> = run
-        .outcomes()
-        .iter()
-        .map(|o| o.as_ref().map(ToString::to_string))
-        .collect();
-    finish_run(opts, run.logs(), &[], run.stats(), &outcomes, writer)
+    // The runtime, and with it the store sink, is dropped when the run
+    // ends, so the writer can seal.
+    let run = synctime_sim::run_epochs(
+        rt,
+        workload.epochs(),
+        |e, p| workload.behavior(e, p),
+        |e| workload.edge_ops(e),
+    )
+    .map_err(|e| e.to_string())?;
+    finish_run(opts, &run, writer)
 }
 
-/// The one output tail of `run` and `launch`. Under `--persist` it seals
-/// the live writer, or stores the logs with one reconfiguration record
-/// per boundary. Then it prints each process's outcome (for a run given
-/// `--fault-plan`, or one in which a process failed: typed failures are
-/// a reportable result, not a command error), else the merged `--stats`,
-/// else the final epoch's trace.
+/// The one output tail of `run` and `launch`. Under `--persist` it first
+/// seals the live writer, or stores the logs with one reconfiguration
+/// record per boundary. Without `--fault-plan` the first failed process
+/// (in process order) fails the command; under one, typed failures are
+/// the reported result. It prints the `--epochs` reports, else `{stats,
+/// outcomes}` under `--fault-plan`, else the merged `--stats`, else the
+/// final epoch's trace.
 fn finish_run(
     opts: &BTreeMap<String, String>,
-    logs: &[Vec<synctime_runtime::LogEntry>],
-    records: &[synctime_store::ReconfigRecord],
-    stats: &synctime_obs::RunStats,
-    outcomes: &[Option<String>],
+    run: &synctime_sim::ChurnRun,
     writer: Option<synctime_store::StoreWriter>,
 ) -> Result<String, String> {
     // Every sender of a live writer is gone by now, so the join returns.
@@ -1016,7 +978,7 @@ fn finish_run(
                 .map_err(|e| format!("stamp store writer failed: {e}"))?,
         ),
         (None, Some((root, trace))) => Some(
-            synctime_store::persist_logs_with_reconfigs(root, trace, logs, records)
+            synctime_store::persist_logs_with_reconfigs(root, trace, &run.logs, &run.boundaries)
                 .map_err(|e| format!("cannot persist the run under `{}`: {e}", root.display()))?,
         ),
         (None, None) => None,
@@ -1025,8 +987,16 @@ fn finish_run(
         // stderr, so stdout stays the command's output.
         eprintln!("persisted trace to {}", store.dir().display());
     }
-    if opts.contains_key("fault-plan") || outcomes.iter().any(Option::is_some) {
-        let rendered: Vec<String> = outcomes
+    let faulted = opts.contains_key("fault-plan");
+    if let (false, Some(err)) = (faulted, run.outcomes.iter().flatten().next()) {
+        return Err(err.clone());
+    }
+    if opts.contains_key("epochs") {
+        return Ok(render_epoch_reports(&run.epochs));
+    }
+    if faulted {
+        let rendered: Vec<String> = run
+            .outcomes
             .iter()
             .map(|o| match o {
                 None => "null".to_string(),
@@ -1035,26 +1005,17 @@ fn finish_run(
             .collect();
         return Ok(format!(
             "{{\n  \"stats\": {},\n  \"outcomes\": [{}]\n}}\n",
-            stats.to_json(),
+            run.stats.to_json(),
             rendered.join(", ")
         ));
     }
     if opts.contains_key("stats") {
-        return Ok(stats.to_json() + "\n");
+        return Ok(run.stats.to_json() + "\n");
     }
     // Only the final epoch reconstructs whole (earlier epochs recycle
     // message keys and live in other dimensions); that is exactly the
     // trace a fresh run over the final topology would produce.
-    let final_logs: std::borrow::Cow<[Vec<synctime_runtime::LogEntry>]> = match records.last() {
-        None => logs.into(),
-        Some(last) => logs
-            .iter()
-            .zip(&last.cuts)
-            .map(|(log, &cut)| log.get(cut as usize..).unwrap_or(&[]).to_vec())
-            .collect::<Vec<_>>()
-            .into(),
-    };
-    let (comp, _stamps) = synctime_runtime::reconstruct_from_logs(&final_logs)
+    let (comp, _stamps) = synctime_runtime::reconstruct_from_logs(&run.final_epoch_logs())
         .map_err(|e| format!("cannot reconstruct the run: {e}"))?;
     Ok(synctime_trace::json::to_json_string(&comp))
 }
@@ -1084,12 +1045,17 @@ fn render_epoch_reports(epochs: &[synctime_sim::EpochReport]) -> String {
 
 /// Loads the workload of a TCP run. Faults are injected in process only:
 /// over TCP a crashed node would still take part in later epochs'
-/// RECONFIGURE rounds, so it could not match `run_churn`.
+/// RECONFIGURE rounds, so it could not match `run_epochs`. Node reports
+/// carry no per-epoch dimension, latency or survivor count, so `--epochs`
+/// is in process only too.
 fn tcp_workload(opts: &BTreeMap<String, String>) -> Result<Workload, String> {
-    if opts.contains_key("fault-plan") {
-        return Err(
-            "--fault-plan runs in process only (`run` or `launch --transport local`)".to_string(),
-        );
+    if let Some(flag) = ["fault-plan", "epochs"]
+        .into_iter()
+        .find(|flag| opts.contains_key(*flag))
+    {
+        return Err(format!(
+            "--{flag} runs in process only (`run` or `launch --transport local`)"
+        ));
     }
     Workload::load(opts)
 }
@@ -1155,7 +1121,7 @@ fn cmd_serve_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
         log.extend(epoch_log);
         stats_parts.push(stats);
         if outcome.is_none() {
-            // As `run` and `run_churn` word it: a plan names the epoch.
+            // As `run_epochs` words it: a run with boundaries names the epoch.
             outcome = epoch_outcome.map(|err| match epochs {
                 1 => err.to_string(),
                 _ => format!("epoch {e}: {err}"),
@@ -1270,7 +1236,8 @@ fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
         synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
         opts,
     )?;
-    let reports = launch_nodes(opts, workload.processes())?;
+    let n = workload.processes();
+    let reports = launch_nodes(opts, n)?;
     let boundaries = workload.epochs() - 1;
     if let Some(report) = reports.iter().find(|r| r.cuts.len() != boundaries) {
         return Err(format!(
@@ -1279,18 +1246,10 @@ fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
             report.cuts.len()
         ));
     }
-    let records: Vec<synctime_store::ReconfigRecord> = (0..boundaries)
-        .map(|b| synctime_store::ReconfigRecord {
-            epoch: (b + 1) as u64,
-            cuts: reports.iter().map(|r| r.cuts[b]).collect(),
-            ops: workload
-                .edge_ops(b)
-                .iter()
-                .map(|op| match *op {
-                    synctime_graph::EdgeOp::Insert(u, v) => (0u8, u as u64, v as u64),
-                    synctime_graph::EdgeOp::Remove(u, v) => (1u8, u as u64, v as u64),
-                })
-                .collect(),
+    let records = (0..boundaries)
+        .map(|b| {
+            let cuts = reports.iter().map(|r| r.cuts[b]).collect();
+            synctime_sim::boundary_record((b + 1) as u64, cuts, &workload.edge_ops(b))
         })
         .collect();
     let (mut logs, mut stats_parts, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
@@ -1299,19 +1258,54 @@ fn cmd_launch(opts: &BTreeMap<String, String>) -> Result<String, String> {
         stats_parts.push(report.stats);
         outcomes.push(report.outcome);
     }
-    let stats = synctime_obs::RunStats::merged(&stats_parts);
-    finish_run(opts, &logs, &records, &stats, &outcomes, None)
+    let run = synctime_sim::ChurnRun {
+        universe: n,
+        logs,
+        boundaries: records,
+        epochs: Vec::new(),
+        stats: synctime_obs::RunStats::merged(&stats_parts),
+        outcomes,
+    };
+    finish_run(opts, &run, None)
 }
 
 /// Spawns `n` `serve-node` children (forwarding the workload and runtime
 /// flags), drives the three-phase bootstrap — scrape each node's announced
 /// address, hand everyone the full peer list, collect one JSON report per
-/// process — and waits for every child to exit cleanly.
+/// process — and waits for every child to exit cleanly. On any failure it
+/// kills the nodes still running and reaps every child before returning
+/// the failure, so no node outlives the launcher.
 fn launch_nodes(
     opts: &BTreeMap<String, String>,
     n: usize,
 ) -> Result<Vec<synctime_net::NodeReport>, String> {
-    use std::io::{BufRead as _, Read as _, Write as _};
+    let mut children = Vec::with_capacity(n);
+    let reports = bootstrap_nodes(opts, n, &mut children);
+    let mut statuses = Vec::with_capacity(n);
+    for (p, child) in children.iter_mut().enumerate() {
+        if reports.is_err() {
+            let _ = child.kill(); // fails only for a node that already exited
+        }
+        statuses.push(child.wait().map_err(|e| format!("node {p}: {e}")));
+    }
+    let reports = reports?;
+    for (p, status) in statuses.into_iter().enumerate() {
+        let status = status?;
+        if !status.success() {
+            return Err(format!("node {p} exited with {status}"));
+        }
+    }
+    Ok(reports)
+}
+
+/// The three phases of [`launch_nodes`], pushing each spawned child onto
+/// `children` so the caller reaps it whatever happens.
+fn bootstrap_nodes(
+    opts: &BTreeMap<String, String>,
+    n: usize,
+    children: &mut Vec<std::process::Child>,
+) -> Result<Vec<synctime_net::NodeReport>, String> {
+    use std::io::{BufRead as _, Write as _};
     const FORWARDED: [&str; 12] = [
         "programs",
         "ring",
@@ -1327,7 +1321,6 @@ fn launch_nodes(
         "establish-timeout-ms",
     ];
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
-    let mut children = Vec::with_capacity(n);
     for p in 0..n {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("serve-node").arg("--process").arg(p.to_string());
@@ -1370,13 +1363,18 @@ fn launch_nodes(
         let mut stdin = child.stdin.take().expect("stdin piped");
         writeln!(stdin, "{list}").map_err(|e| format!("node {p}: cannot send peer list: {e}"))?;
     }
-    // Phase 3: collect one report per process.
+    // Phase 3: read every node's output to its end first. A meshed node
+    // ends on its own, and a failed one has printed its error by then.
+    let mut texts = Vec::with_capacity(n);
+    for (p, reader) in outs.into_iter().enumerate() {
+        texts.push(std::io::read_to_string(reader).map_err(|e| format!("node {p}: {e}")));
+    }
     let mut reports: Vec<Option<synctime_net::NodeReport>> = (0..n).map(|_| None).collect();
-    for (p, mut reader) in outs.into_iter().enumerate() {
-        let mut text = String::new();
-        reader
-            .read_to_string(&mut text)
-            .map_err(|e| format!("node {p}: {e}"))?;
+    for (p, text) in texts.into_iter().enumerate() {
+        let text = text?;
+        if text.trim().is_empty() {
+            return Err(format!("node {p} exited without a report"));
+        }
         let report = synctime_net::NodeReport::from_json(text.trim())
             .map_err(|e| format!("node {p} produced a bad report: {e}"))?;
         let slot = report.process;
@@ -1384,12 +1382,6 @@ fn launch_nodes(
             return Err(format!("node {p} reported as process {slot} unexpectedly"));
         }
         reports[slot] = Some(report);
-    }
-    for (p, child) in children.iter_mut().enumerate() {
-        let status = child.wait().map_err(|e| format!("node {p}: {e}"))?;
-        if !status.success() {
-            return Err(format!("node {p} exited with {status}"));
-        }
     }
     Ok(reports
         .into_iter()
@@ -2123,6 +2115,38 @@ mod tests {
                 .unwrap_err()
                 .contains("milliseconds")
         );
+        // A plan's runtime applies the timeout too: process 1 sleeps past
+        // it at its first operation, so its ring neighbour times out.
+        let dir = std::env::temp_dir().join("synctime-cli-rendezvous-timeout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (plan, delay) = (dir.join("plan.json"), dir.join("delay.json"));
+        std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
+        std::fs::write(
+            &delay,
+            r#"{"faults": [{"process": 1, "at_op": 0, "kind": {"delay": {"ms": 400}}}]}"#,
+        )
+        .unwrap();
+        let out = run_strs(&[
+            "run",
+            "--churn-plan",
+            plan.to_str().unwrap(),
+            "--fault-plan",
+            delay.to_str().unwrap(),
+            "--rendezvous-timeout",
+            "20",
+            "--rendezvous-retries",
+            "0",
+        ])
+        .unwrap();
+        let parsed: FaultRunOutput = serde_json::from_str(&out).unwrap();
+        assert!(
+            parsed
+                .outcomes
+                .iter()
+                .flatten()
+                .any(|o| o.contains("rendezvous with process 1 timed out after 20ms")),
+            "{out}"
+        );
     }
 
     #[test]
@@ -2220,6 +2244,28 @@ mod tests {
         // Mismatched topology is rejected before spawning threads.
         let err = run_strs(&["run", "--ring", "4", "--topology", "cycle:5"]).unwrap_err();
         assert!(err.contains("5 nodes"), "{err}");
+        // The runtime flags configure a plan's runtime as they do a
+        // program's: a bad value is refused with the same text, in process
+        // under either command.
+        let dir = std::env::temp_dir().join("synctime-cli-run-flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = dir.join("plan.json");
+        std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
+        let plan = plan.to_str().unwrap();
+        for (flag, value) in [
+            ("--rendezvous-timeout", "soon"),
+            ("--rendezvous-retries", "x"),
+        ] {
+            for command in [&["run"][..], &["launch", "--transport", "local"][..]] {
+                let with = |workload: &[&str]| {
+                    let args = [command, workload, &[flag, value][..]].concat();
+                    run_strs(&args).unwrap_err()
+                };
+                let ring = with(&["--ring", "3"]);
+                assert!(ring.contains("expects"), "{flag}: {ring}");
+                assert_eq!(with(&["--churn-plan", plan]), ring, "{command:?} {flag}");
+            }
+        }
     }
 
     #[test]
@@ -2568,6 +2614,8 @@ mod tests {
                 "--fault-plan",
                 crash,
             ][..],
+            &["launch", "--ring", "5", "--transport", "tcp", "--epochs"][..],
+            &["serve-node", "--process", "0", "--ring", "5", "--epochs"][..],
         ] {
             let err = run_strs(cmd).unwrap_err();
             assert!(err.contains("runs in process only"), "{cmd:?}: {err}");
@@ -2696,6 +2744,22 @@ mod tests {
         let (epoch, comp, _stamps) = synctime_store::materialize_latest_epoch(&rec).unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(comp.message_count(), 6);
+        // `--epochs` changes what is printed, not what is stored.
+        let epochs = run_strs(&[
+            "run",
+            "--churn-plan",
+            plan.to_str().unwrap(),
+            "--epochs",
+            "--persist",
+            root.to_str().unwrap(),
+            "--trace-name",
+            "epochs",
+        ])
+        .unwrap();
+        assert_eq!(epochs.matches("\"epoch\"").count(), 3, "{epochs}");
+        let again = synctime_store::read_trace_dir(&root.join("epochs")).unwrap();
+        assert_eq!(again.logs, rec.logs);
+        assert_eq!(again.reconfigs, rec.reconfigs);
     }
 
     /// `launch --transport local` is `run` by another name.
@@ -2724,5 +2788,14 @@ mod tests {
             run_strs(&["launch", "--churn-plan", plan, "--transport", "local"]).unwrap();
         assert_eq!(run_out, launch_out);
         assert_eq!(parse_trace(&run_out, None).unwrap().message_count(), 6);
+        // A program run is one epoch: `--epochs` prints its one report.
+        let run_out = run_strs(&["run", "--ring", "3", "--epochs"]).unwrap();
+        let launch_out =
+            run_strs(&["launch", "--ring", "3", "--transport", "local", "--epochs"]).unwrap();
+        assert_eq!(run_out, launch_out);
+        assert_eq!(
+            run_out,
+            "[\n  {\"epoch\": 0, \"active\": [0, 1, 2], \"dim\": 1, \"reconfigure_micros\": 0, \"survivors\": 3}\n]\n"
+        );
     }
 }

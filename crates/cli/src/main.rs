@@ -33,7 +33,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            // One write, so the lines of nodes sharing a launcher's stderr
+            // never interleave.
+            let line = format!("error: {e}\n");
+            let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
             ExitCode::FAILURE
         }
     }

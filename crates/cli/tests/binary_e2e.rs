@@ -89,6 +89,50 @@ fn launch_tcp_matches_run_local() {
     assert!(ok, "{stderr}");
     assert_eq!(local, tcp);
     assert!(tcp.contains("\"processes\": 5"), "{tcp}");
+    // A failed process fails the command alike on every path: the lone
+    // sender's peer ends without receiving.
+    let dir = std::env::temp_dir().join("synctime-bin-e2e-lone");
+    std::fs::create_dir_all(&dir).unwrap();
+    let lone = dir.join("lone.json");
+    std::fs::write(&lone, r#"{"programs": [[{"send_to": 1}], []]}"#).unwrap();
+    let lone = lone.to_str().unwrap();
+    let workload = ["--programs", lone, "--topology", "path:2"];
+    let (stdout, stderr, ok) = synctime(&[&["run"][..], &workload].concat());
+    assert!(!ok && stdout.is_empty(), "{stdout}");
+    assert_eq!(
+        stderr,
+        "error: peer process 1 terminated during a rendezvous\n"
+    );
+    for transport in ["local", "tcp"] {
+        let args = [&["launch", "--transport", transport][..], &workload].concat();
+        assert_eq!(synctime(&args), (String::new(), stderr.clone(), false));
+    }
+}
+
+/// A failed TCP launch kills and reaps every node before it returns: here
+/// every node fails to mesh, and the launcher's own error comes after all
+/// of theirs.
+#[test]
+fn launch_reaps_every_node_on_failure() {
+    let (stdout, stderr, ok) = synctime(&[
+        "launch",
+        "--ring",
+        "4",
+        "--rounds",
+        "2",
+        "--establish-timeout-ms",
+        "0",
+    ]);
+    assert!(!ok && stdout.is_empty(), "{stdout}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 5, "{stderr}");
+    for line in &lines[..4] {
+        assert!(
+            line.starts_with("error: mesh establishment failed"),
+            "{stderr}"
+        );
+    }
+    assert_eq!(lines[4], "error: node 0 exited without a report");
 }
 
 /// `serve-query` + `query --connect`: start the server on an ephemeral

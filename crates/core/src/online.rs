@@ -196,12 +196,7 @@ impl<C: Clock> GenericProcessClock<C> {
                 got: remap.old_to_new.len(),
             });
         }
-        let mut fresh = vec![0u64; remap.new_len];
-        for (old, target) in remap.old_to_new.iter().enumerate() {
-            if let Some(new) = target {
-                fresh[*new] = self.vector.component(old);
-            }
-        }
+        let fresh = remap.apply(self.vector.as_slice());
         self.vector = C::from_vector(&VectorTime::from(fresh));
         Ok(())
     }

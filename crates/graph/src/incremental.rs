@@ -79,6 +79,19 @@ impl GroupRemap {
                 .all(|(i, m)| *m == Some(i))
     }
 
+    /// Rebases per-group counts (a clock vector) through this remap: a
+    /// surviving group's count moves to its new index, dissolved groups'
+    /// counts are dropped, and fresh groups start at zero.
+    pub fn apply(&self, counts: &[u64]) -> Vec<u64> {
+        let mut out = vec![0; self.new_len];
+        for (slot, &count) in self.old_to_new.iter().zip(counts) {
+            if let Some(new) = slot {
+                out[*new] = count;
+            }
+        }
+        out
+    }
+
     /// Composes two sequential edits: `self` first, `next` second.
     pub fn then(&self, next: &GroupRemap) -> GroupRemap {
         GroupRemap {
@@ -368,6 +381,16 @@ mod tests {
         assert_eq!(both.old_to_new, vec![Some(1), None, Some(0)]);
         assert_eq!(both.new_len, 3);
         assert_eq!(id.then(&drop1), drop1);
+    }
+
+    #[test]
+    fn apply_moves_survivors_and_zeroes_fresh_groups() {
+        let remap = GroupRemap {
+            old_to_new: vec![Some(2), None, Some(0)],
+            new_len: 4,
+        };
+        assert_eq!(remap.apply(&[5, 7, 9]), vec![9, 0, 5, 0]);
+        assert_eq!(GroupRemap::identity(2).apply(&[3, 4]), vec![3, 4]);
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub use query::{
     answer_query, answer_query_into, pump_frames, Pipeline, QueryClient, DEFAULT_TRACE_NAME,
 };
 pub use reconfig::{
-    coordinate_reconfigure, follow_reconfigure, remap_vector, ReconfigAckFrame, ReconfigCommit,
-    ReconfigFrame, ReconfigOutcome, ReconfigPrepare, ReconfigSession, ReconfigStatus,
+    coordinate_reconfigure, follow_reconfigure, ReconfigAckFrame, ReconfigCommit, ReconfigFrame,
+    ReconfigOutcome, ReconfigPrepare, ReconfigSession, ReconfigStatus,
 };
 pub use report::{NodeReport, NODE_REPORT_SCHEMA};
 pub use tcp::{TcpMesh, TcpMeshBuilder};

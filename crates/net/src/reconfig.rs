@@ -270,19 +270,6 @@ pub(crate) fn decode_reconfig_ack(body: &[u8]) -> Result<ReconfigAckFrame, NetEr
     })
 }
 
-/// Rebases a plain vector through a remap: surviving components carry
-/// their counts to their new slots, fresh components start at zero. The
-/// vector form of `GenericProcessClock::remap`.
-pub fn remap_vector(v: &VectorTime, remap: &GroupRemap) -> VectorTime {
-    let mut fresh = vec![0u64; remap.new_len];
-    for (old, slot) in remap.old_to_new.iter().enumerate() {
-        if let (Some(slot), Some(&count)) = (slot, v.as_slice().get(old)) {
-            fresh[*slot] = count;
-        }
-    }
-    VectorTime::from(fresh)
-}
-
 /// One node's replica of the reconfiguration state machine: the current
 /// epoch, the topology/decomposition replica every node patches in
 /// lockstep, and (on the coordinator) the prepare history used to resync
@@ -433,7 +420,7 @@ pub fn coordinate_reconfigure(
     let deadline = Instant::now() + timeout;
     let prepare = session.propose(ops)?;
     let epoch = prepare.epoch;
-    let mut baseline = remap_vector(final_clock, &prepare.remap);
+    let mut baseline = VectorTime::from(prepare.remap.apply(final_clock.as_slice()));
     for &peer in peers {
         mesh.send_reconfigure(peer, &ReconfigFrame::Prepare(prepare.clone()))?;
     }
@@ -507,7 +494,7 @@ pub fn follow_reconfigure(
                 let epoch = msg.epoch;
                 match session.prepare(&msg) {
                     Ok(remap) => {
-                        clock = remap_vector(&clock, &remap);
+                        clock = VectorTime::from(remap.apply(clock.as_slice()));
                         composed = composed.then(&remap);
                         mesh.send_reconfig_ack(
                             coordinator,
@@ -649,16 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_vector_moves_survivors_and_zeroes_fresh_components() {
-        let v = VectorTime::from(vec![5, 7, 9]);
-        let remap = GroupRemap {
-            old_to_new: vec![Some(2), None, Some(0)],
-            new_len: 4,
-        };
-        assert_eq!(remap_vector(&v, &remap).as_slice(), &[9, 0, 5, 0]);
-    }
-
-    #[test]
     fn round_trips_a_reconfiguration_over_a_live_mesh() {
         let n = 3;
         let g = topology::path(n);
@@ -704,8 +681,8 @@ mod tests {
         // The baseline dominates every rebased input clock (it is their
         // component-wise max).
         for ((outcome, _), clock) in results.iter().zip(&clocks) {
-            let rebased = remap_vector(clock, &outcome.remap);
-            for (b, r) in baseline.as_slice().iter().zip(rebased.as_slice()) {
+            let rebased = outcome.remap.apply(clock.as_slice());
+            for (b, r) in baseline.as_slice().iter().zip(&rebased) {
                 assert!(b >= r);
             }
         }

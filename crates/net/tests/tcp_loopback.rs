@@ -57,7 +57,7 @@ fn run_over_tcp(
 /// Token-ring behaviors: `laps` full laps of a token around `0 → 1 → ... →
 /// n-1 → 0`, the payload incremented at each hop. Fully sequential, so the
 /// computation — and therefore every stamp — is deterministic.
-fn ring_behaviors(n: usize, laps: u64) -> Vec<Behavior> {
+fn token_ring(n: usize, laps: u64) -> Vec<Behavior> {
     (0..n)
         .map(|i| -> Behavior {
             Box::new(move |ctx| {
@@ -132,8 +132,8 @@ fn tcp_stamp_vectors(runs: Vec<ProcessRun>) -> Vec<Vec<u64>> {
 fn ring_over_tcp_is_bit_identical_to_local() {
     let topo = topology::cycle(8);
     let dec = decompose::best_known(&topo);
-    let local = local_stamp_vectors(&topo, &dec, ring_behaviors(8, 3));
-    let tcp = tcp_stamp_vectors(run_over_tcp(&topo, &dec, ring_behaviors(8, 3)));
+    let local = local_stamp_vectors(&topo, &dec, token_ring(8, 3));
+    let tcp = tcp_stamp_vectors(run_over_tcp(&topo, &dec, token_ring(8, 3)));
     assert_eq!(local.len(), 8 * 3);
     assert_eq!(local, tcp);
 }

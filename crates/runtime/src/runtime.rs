@@ -1102,7 +1102,6 @@ pub struct Runtime {
     observer: Option<std::sync::mpsc::Sender<LiveObservation>>,
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
     watchdog: Option<Duration>,
-    ring_capacity: usize,
     fault: Option<Arc<dyn FaultInjector>>,
     rendezvous_timeout: Option<Duration>,
     rendezvous_retries: u32,
@@ -1120,7 +1119,8 @@ pub struct Runtime {
 /// Default stall timeout before the watchdog declares a deadlock.
 pub const DEFAULT_WATCHDOG_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default per-process event-ring capacity for run statistics.
+/// How many recent events each process retains for a run's latency
+/// percentiles (counters are exact regardless).
 pub const DEFAULT_EVENT_RING: usize = 4096;
 
 impl Runtime {
@@ -1138,7 +1138,6 @@ impl Runtime {
             observer: None,
             sink: None,
             watchdog: Some(DEFAULT_WATCHDOG_TIMEOUT),
-            ring_capacity: DEFAULT_EVENT_RING,
             fault: None,
             rendezvous_timeout: None,
             rendezvous_retries: DEFAULT_RENDEZVOUS_RETRIES,
@@ -1152,6 +1151,16 @@ impl Runtime {
     /// incremented by every [`Runtime::apply_reconfigure`].
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The topology the next run executes over (the current epoch's).
+    pub fn topology(&self) -> &Graph {
+        &self.topology
+    }
+
+    /// The decomposition the next run stamps with (the current epoch's).
+    pub fn decomposition(&self) -> &EdgeDecomposition {
+        &self.decomposition
     }
 
     /// Starts every process clock of subsequent runs from `baseline`
@@ -1277,14 +1286,6 @@ impl Runtime {
         self
     }
 
-    /// Sets how many recent events each process retains for the run's
-    /// latency percentiles (counters are exact regardless).
-    #[must_use]
-    pub fn with_event_ring(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
-    }
-
     /// Streams a [`LiveObservation`] per message to `tx` as the execution
     /// runs (sent from the sender's thread right after the rendezvous
     /// completes). Observer failures are ignored — monitoring must not
@@ -1379,7 +1380,7 @@ impl Runtime {
             }
         }
         let shared = Arc::new(RunShared::new(n, slots));
-        let recorder = Arc::new(Recorder::new(n, self.ring_capacity));
+        let recorder = Arc::new(Recorder::new(n, DEFAULT_EVENT_RING));
         let mut ctxs: Vec<ProcessCtx> = Vec::with_capacity(n);
         for (id, (tx, rx)) in tx_maps.into_iter().zip(rx_maps).enumerate() {
             ctxs.push(self.process_ctx(id, tx, rx, Arc::clone(&shared), Arc::clone(&recorder)));
@@ -1546,7 +1547,7 @@ impl Runtime {
         let n = self.topology.node_count();
         assert!(id < n, "process id {id} out of range for {n} processes");
         let shared = Arc::new(RunShared::new(n, HashMap::new()));
-        let recorder = Arc::new(Recorder::new(n, self.ring_capacity));
+        let recorder = Arc::new(Recorder::new(n, DEFAULT_EVENT_RING));
         let mut ctx = self.process_ctx(id, tx, rx, Arc::clone(&shared), Arc::clone(&recorder));
         let outcome = catch_unwind(AssertUnwindSafe(|| behavior(&mut ctx)))
             .unwrap_or(Err(RuntimeError::BehaviorPanicked { process: id }));

@@ -11,8 +11,10 @@
 //! deterministic token passing, and the boundary between epochs is the
 //! two-phase reconfiguration of `synctime-runtime`:
 //! quiesce → [`IncrementalDecomposition::apply_ops`] →
-//! rebase the max-merged final clocks through the
-//! [`GroupRemap`] → [`Runtime::apply_reconfigure`] → resume.
+//! rebase the max-merged final clocks through the remap
+//! ([`GroupRemap::apply`](synctime_graph::GroupRemap::apply)) →
+//! [`Runtime::apply_reconfigure`] → resume. [`run_epochs`] is that loop
+//! on any configured runtime; a static run is its one-epoch case.
 //!
 //! Inter-event gaps (`after_rounds`) are drawn from an exponential
 //! distribution by [`ChurnPlan::random`], so churn events arrive as a
@@ -39,6 +41,7 @@
 //! neighbours observe `PeerTerminated`, truncating that epoch to the
 //! survivor prefix.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,8 +51,11 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use synctime_core::clock::ClockBackend;
 use synctime_core::VectorTime;
-use synctime_graph::{EdgeOp, Graph, GraphError, GroupRemap, IncrementalDecomposition};
-use synctime_runtime::{AppliedReconfigure, Behavior, LogEntry, RunStats, Runtime, RuntimeError};
+use synctime_graph::{EdgeOp, Graph, GraphError, IncrementalDecomposition};
+use synctime_runtime::{
+    AppliedReconfigure, Behavior, LogEntry, ProcessCtx, RunStats, Runtime, RuntimeError,
+};
+use synctime_store::ReconfigRecord;
 
 use crate::fault::FaultPlan;
 
@@ -116,6 +122,10 @@ pub enum ChurnError {
     Graph(GraphError),
     /// The runtime refused a configuration or reconfiguration.
     Runtime(RuntimeError),
+    /// A run with boundaries did not start from
+    /// [`IncrementalDecomposition::new`]'s decomposition of its topology,
+    /// whose groups the boundaries' remaps index.
+    ForeignDecomposition,
 }
 
 impl std::fmt::Display for ChurnError {
@@ -124,6 +134,10 @@ impl std::fmt::Display for ChurnError {
             ChurnError::InvalidPlan(detail) => write!(f, "invalid churn plan: {detail}"),
             ChurnError::Graph(e) => write!(f, "churn topology edit failed: {e}"),
             ChurnError::Runtime(e) => write!(f, "churn runtime failed: {e}"),
+            ChurnError::ForeignDecomposition => write!(
+                f,
+                "a run with boundaries must start from the incremental decomposition of its topology"
+            ),
         }
     }
 }
@@ -146,6 +160,14 @@ impl ChurnPlan {
     /// Number of epochs the plan executes (`events.len() + 1`).
     pub fn epochs(&self) -> usize {
         self.events.len() + 1
+    }
+
+    /// Token laps epoch `epoch` runs: the `after_rounds` of the event that
+    /// ends it, or `tail_rounds` for the final epoch.
+    pub fn rounds(&self, epoch: usize) -> u64 {
+        self.events
+            .get(epoch)
+            .map_or(self.tail_rounds, |event| event.after_rounds)
     }
 
     /// The active process set of every epoch, validating the plan along
@@ -399,20 +421,8 @@ pub fn edge_ops(old: &[usize], new: &[usize]) -> Vec<EdgeOp> {
     ops
 }
 
-/// Rebases a clock vector through a remap: surviving components keep
-/// their values in their new slots, dissolved components are dropped,
-/// fresh components start at zero.
-fn rebase(v: &VectorTime, remap: &GroupRemap) -> VectorTime {
-    let mut out = vec![0u64; remap.new_len];
-    for (old, slot) in remap.old_to_new.iter().enumerate() {
-        if let Some(new) = slot {
-            out[*new] = v.component(old);
-        }
-    }
-    VectorTime::from(out)
-}
-
-/// How the multi-epoch engine runs each epoch.
+/// The runtime [`run_churn`] configures: its clock backend and the
+/// faults it injects.
 #[derive(Debug, Clone, Default)]
 pub struct ChurnConfig {
     /// Clock backend every epoch's runtime uses.
@@ -422,17 +432,18 @@ pub struct ChurnConfig {
     pub fault: FaultPlan,
 }
 
-/// One epoch boundary, in the shape `synctime-store` persists: the epoch
-/// it establishes, the per-process log lengths at the cut, and the edge
-/// ops as `(kind, u, v)` triples (0 = insert, 1 = remove).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochBoundary {
-    /// The epoch this boundary establishes.
-    pub epoch: u64,
-    /// Per-process cumulative log lengths before the new epoch's entries.
-    pub cuts: Vec<u64>,
-    /// The edge edits, encoded as `(kind, u, v)`.
-    pub ops: Vec<(u8, u64, u64)>,
+/// The store's record of the boundary that establishes `epoch`: the
+/// per-process log lengths at the cut, and the edge edits as `(kind, u,
+/// v)` triples (0 = insert, 1 = remove).
+pub fn boundary_record(epoch: u64, cuts: Vec<u64>, ops: &[EdgeOp]) -> ReconfigRecord {
+    let ops = ops
+        .iter()
+        .map(|op| match *op {
+            EdgeOp::Insert(u, v) => (0, u as u64, v as u64),
+            EdgeOp::Remove(u, v) => (1, u as u64, v as u64),
+        })
+        .collect();
+    ReconfigRecord { epoch, cuts, ops }
 }
 
 /// What one epoch looked like when it ran.
@@ -440,7 +451,8 @@ pub struct EpochBoundary {
 pub struct EpochReport {
     /// Epoch number (0-based).
     pub epoch: u64,
-    /// The active process set.
+    /// Every process with a channel in the epoch's topology (a plan's
+    /// active set).
     pub active: Vec<usize>,
     /// Stamp dimension (decomposition groups) of this epoch.
     pub dim: usize,
@@ -451,22 +463,24 @@ pub struct EpochReport {
     pub survivors: usize,
 }
 
-/// The result of a multi-epoch churn run: per-process logs concatenated
-/// across epochs, the boundaries that cut them, and per-epoch reports.
+/// The result of a multi-epoch run: per-process logs concatenated across
+/// epochs, the boundaries that cut them, and per-epoch reports.
 #[derive(Debug, Clone)]
 pub struct ChurnRun {
     /// The fixed process universe.
     pub universe: usize,
     /// Per-process logs, all epochs concatenated in order.
     pub logs: Vec<Vec<LogEntry>>,
-    /// The epoch boundaries (one per reconfiguration, in epoch order).
-    pub boundaries: Vec<EpochBoundary>,
+    /// The epoch boundaries as the store persists them (one per
+    /// reconfiguration, in epoch order).
+    pub boundaries: Vec<ReconfigRecord>,
     /// One report per epoch, in order.
     pub epochs: Vec<EpochReport>,
     /// Run statistics merged across every epoch.
     pub stats: RunStats,
-    /// First terminal outcome per process (`"epoch N: <error>"`), `None`
-    /// for processes that completed every epoch cleanly.
+    /// First terminal outcome per process, `None` for processes that
+    /// completed every epoch cleanly: the error's text in a one-epoch run,
+    /// `"epoch N: <error>"` in a run with boundaries.
     pub outcomes: Vec<Option<String>>,
 }
 
@@ -478,78 +492,94 @@ impl ChurnRun {
 
     /// The per-process logs of the final epoch alone (each process's
     /// suffix past the last boundary's cut) — complete and key-unique, so
-    /// they reconstruct directly.
-    pub fn final_epoch_logs(&self) -> Vec<Vec<LogEntry>> {
+    /// they reconstruct directly. Borrowed when the run has no boundary.
+    pub fn final_epoch_logs(&self) -> Cow<'_, [Vec<LogEntry>]> {
         let Some(last) = self.boundaries.last() else {
-            return self.logs.clone();
+            return Cow::Borrowed(&self.logs);
         };
         self.logs
             .iter()
             .zip(&last.cuts)
             .map(|(log, &cut)| log.get(cut as usize..).unwrap_or(&[]).to_vec())
-            .collect()
+            .collect::<Vec<_>>()
+            .into()
     }
 }
 
-/// Runs a churn plan end to end in one OS process: every epoch is a
-/// [`Runtime::run_tolerant`] over the epoch's ring, and every boundary is
-/// the full quiesce → apply-ops → rebase → [`Runtime::apply_reconfigure`]
-/// sequence the distributed control plane performs over sockets.
+/// Runs `epochs` epochs on a configured `runtime`: the in-process engine
+/// of every run, a static one being one epoch. Each epoch is one
+/// [`Runtime::run_tolerant`] of `behavior(epoch, process)` for every
+/// process; a process whose injected crash ended an epoch idles in every
+/// later one. Each boundary is the quiesce → apply-ops → rebase →
+/// [`Runtime::apply_reconfigure`] sequence the distributed control plane
+/// performs over sockets, with `edge_ops(e)` the edits of the boundary
+/// that ends epoch `e`.
 ///
 /// # Errors
 ///
-/// [`ChurnError::InvalidPlan`] for a malformed plan,
+/// [`ChurnError::ForeignDecomposition`] when a run with boundaries does
+/// not start from [`IncrementalDecomposition::new`]'s decomposition of
+/// the runtime's topology (the boundaries' remaps index its groups),
 /// [`ChurnError::Graph`] when an edge edit is rejected, and
 /// [`ChurnError::Runtime`] when a reconfiguration is refused.
-pub fn run_churn(plan: &ChurnPlan, cfg: &ChurnConfig) -> Result<ChurnRun, ChurnError> {
-    let actives = plan.active_sets()?;
-    let topo0 = epoch_topology(plan.universe, &actives[0])?;
-    let mut inc = IncrementalDecomposition::new(&topo0);
-    let mut runtime = Runtime::new(&topo0, inc.decomposition()).with_clock(cfg.backend);
-    if !cfg.fault.is_empty() {
-        runtime = runtime.with_fault_injector(Arc::new(cfg.fault.clone()));
+pub fn run_epochs(
+    mut runtime: Runtime,
+    epochs: usize,
+    mut behavior: impl FnMut(usize, usize) -> Behavior,
+    mut edge_ops: impl FnMut(usize) -> Vec<EdgeOp>,
+) -> Result<ChurnRun, ChurnError> {
+    let universe = runtime.topology().node_count();
+    let mut inc = IncrementalDecomposition::new(runtime.topology());
+    if epochs > 1 && inc.decomposition() != runtime.decomposition() {
+        return Err(ChurnError::ForeignDecomposition);
     }
 
-    let mut logs: Vec<Vec<LogEntry>> = vec![Vec::new(); plan.universe];
-    let mut alive = vec![true; plan.universe];
+    let mut logs: Vec<Vec<LogEntry>> = vec![Vec::new(); universe];
+    let mut alive = vec![true; universe];
     let mut boundaries = Vec::new();
     let mut reports = Vec::new();
     let mut epoch_stats = Vec::new();
-    let mut outcomes: Vec<Option<String>> = vec![None; plan.universe];
+    let mut outcomes: Vec<Option<String>> = vec![None; universe];
     let mut enter_micros = 0u64;
 
-    for (e, active) in actives.iter().enumerate() {
-        let rounds = match plan.events.get(e) {
-            Some(ev) => ev.after_rounds,
-            None => plan.tail_rounds,
-        };
-        let behaviors = ring_behaviors(plan.universe, active, &alive, rounds);
+    for e in 0..epochs {
+        let behaviors = (0..universe)
+            .map(|p| {
+                if alive[p] {
+                    behavior(e, p)
+                } else {
+                    Box::new(|_: &mut ProcessCtx| Ok(())) as Behavior
+                }
+            })
+            .collect();
         let run = runtime.run_tolerant(behaviors);
         for (p, outcome) in run.outcomes().iter().enumerate() {
             if matches!(outcome, Some(RuntimeError::FaultInjected { .. })) {
                 alive[p] = false;
             }
-            if let Some(err) = outcome {
-                if outcomes[p].is_none() {
-                    outcomes[p] = Some(format!("epoch {e}: {err}"));
-                }
+            if let (Some(err), None) = (outcome, &outcomes[p]) {
+                outcomes[p] = Some(match epochs {
+                    1 => err.to_string(),
+                    _ => format!("epoch {e}: {err}"),
+                });
             }
         }
         epoch_stats.push(run.stats().clone());
         for (p, log) in run.logs().iter().enumerate() {
             logs[p].extend_from_slice(log);
         }
+        let topology = runtime.topology();
         reports.push(EpochReport {
             epoch: e as u64,
-            active: active.clone(),
-            dim: inc.decomposition().len(),
+            active: (0..universe).filter(|&p| topology.degree(p) > 0).collect(),
+            dim: runtime.decomposition().len(),
             reconfigure_micros: enter_micros,
             survivors: run.survivors(),
         });
 
-        if e + 1 < actives.len() {
+        if e + 1 < epochs {
             let started = Instant::now();
-            let ops = edge_ops(active, &actives[e + 1]);
+            let ops = edge_ops(e);
             let remap = inc.apply_ops(&ops)?;
             let mut old_baseline = VectorTime::zero(remap.old_to_new.len());
             for clock in run.final_clocks() {
@@ -561,33 +591,48 @@ pub fn run_churn(plan: &ChurnPlan, cfg: &ChurnConfig) -> Result<ChurnRun, ChurnE
                 epoch: (e + 1) as u64,
                 topology: inc.graph().clone(),
                 decomposition: inc.decomposition().clone(),
-                baseline: rebase(&old_baseline, &remap),
+                baseline: VectorTime::from(remap.apply(old_baseline.as_slice())),
                 remap,
             };
             runtime.apply_reconfigure(&applied)?;
             enter_micros = started.elapsed().as_micros() as u64;
-            boundaries.push(EpochBoundary {
-                epoch: (e + 1) as u64,
-                cuts: logs.iter().map(|l| l.len() as u64).collect(),
-                ops: ops
-                    .iter()
-                    .map(|op| match *op {
-                        EdgeOp::Insert(u, v) => (0u8, u as u64, v as u64),
-                        EdgeOp::Remove(u, v) => (1u8, u as u64, v as u64),
-                    })
-                    .collect(),
-            });
+            let cuts = logs.iter().map(|l| l.len() as u64).collect();
+            boundaries.push(boundary_record((e + 1) as u64, cuts, &ops));
         }
     }
 
     Ok(ChurnRun {
-        universe: plan.universe,
+        universe,
         logs,
         boundaries,
         epochs: reports,
         stats: RunStats::merged(&epoch_stats),
         outcomes,
     })
+}
+
+/// Runs a churn plan end to end in one OS process: [`run_epochs`] on a
+/// runtime over the plan's first ring, configured by `cfg`, where every
+/// epoch is a token ring over its active set ([`ring_behavior`]).
+///
+/// # Errors
+///
+/// [`ChurnError::InvalidPlan`] for a malformed plan, and the errors of
+/// [`run_epochs`].
+pub fn run_churn(plan: &ChurnPlan, cfg: &ChurnConfig) -> Result<ChurnRun, ChurnError> {
+    let actives = plan.active_sets()?;
+    let topology = epoch_topology(plan.universe, &actives[0])?;
+    let start = IncrementalDecomposition::new(&topology);
+    let mut runtime = Runtime::new(&topology, start.decomposition()).with_clock(cfg.backend);
+    if !cfg.fault.is_empty() {
+        runtime = runtime.with_fault_injector(Arc::new(cfg.fault.clone()));
+    }
+    run_epochs(
+        runtime,
+        actives.len(),
+        |e, p| ring_behavior(&actives[e], p, plan.rounds(e)),
+        |e| edge_ops(&actives[e], &actives[e + 1]),
+    )
 }
 
 /// The token-ring behavior of one process for one epoch: the lowest
@@ -618,22 +663,6 @@ pub fn ring_behavior(active: &[usize], process: usize, rounds: u64) -> Behavior 
         }
         _ => Box::new(|_| Ok(())),
     }
-}
-
-/// Token-ring behaviors for one epoch across the whole universe: active
-/// live processes run [`ring_behavior`]; inactive or dead processes idle
-/// (their mailboxes close immediately, so ring neighbours of a dead
-/// member observe `PeerTerminated` rather than hanging).
-fn ring_behaviors(universe: usize, active: &[usize], alive: &[bool], rounds: u64) -> Vec<Behavior> {
-    (0..universe)
-        .map(|p| {
-            if alive[p] {
-                ring_behavior(active, p, rounds)
-            } else {
-                Box::new(|_: &mut synctime_runtime::ProcessCtx| Ok(())) as Behavior
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -767,6 +796,32 @@ mod tests {
         let (comp, stamps) = reconstruct_from_logs(&segment).unwrap();
         assert_eq!(comp.message_count(), 2 * 4, "2 laps around a 4-ring");
         assert!(stamps.encodes(&Oracle::new(&comp)));
+    }
+
+    #[test]
+    fn a_run_with_boundaries_refuses_a_foreign_start() {
+        let plan = sample_plan();
+        let actives = plan.active_sets().unwrap();
+        let topology = epoch_topology(plan.universe, &actives[0]).unwrap();
+        let foreign = synctime_graph::decompose::trivial(&topology);
+        assert_ne!(
+            &foreign,
+            IncrementalDecomposition::new(&topology).decomposition()
+        );
+        let run = |epochs| {
+            run_epochs(
+                Runtime::new(&topology, &foreign),
+                epochs,
+                |e, p| ring_behavior(&actives[e], p, 1),
+                |e| edge_ops(&actives[e], &actives[e + 1]),
+            )
+        };
+        assert!(matches!(run(2), Err(ChurnError::ForeignDecomposition)));
+        // One epoch has no boundary to remap, so any decomposition runs.
+        let one = run(1).unwrap();
+        assert!(one.boundaries.is_empty());
+        assert_eq!(one.epochs[0].active, actives[0]);
+        assert!(one.outcomes.iter().all(Option::is_none));
     }
 
     #[test]

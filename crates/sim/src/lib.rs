@@ -23,9 +23,10 @@
 //!   fault-injection hook for crash-robustness experiments;
 //! * [`churn`] — seeded, JSON-serialisable reconfiguration scripts
 //!   (join/leave/swap at Poisson arrival times over a fixed process
-//!   universe) plus a multi-epoch engine that drives the runtime's
-//!   epoch seam, producing boundary-cut logs for persistence and
-//!   per-epoch dimension/latency reports.
+//!   universe) plus the multi-epoch engine every in-process run uses
+//!   (a static run is one epoch), which drives the runtime's epoch seam
+//!   and produces boundary-cut logs for persistence and per-epoch
+//!   dimension/latency reports.
 //!
 //! Everything is seeded and deterministic: the same seed yields the same
 //! computation, so experiments are reproducible run-to-run.
@@ -41,8 +42,8 @@ pub mod sim;
 pub mod workload;
 
 pub use churn::{
-    ring_behavior, run_churn, ChurnConfig, ChurnError, ChurnEvent, ChurnKind, ChurnPlan, ChurnRun,
-    EpochBoundary, EpochReport,
+    boundary_record, ring_behavior, run_churn, run_epochs, ChurnConfig, ChurnError, ChurnEvent,
+    ChurnKind, ChurnPlan, ChurnRun, EpochReport,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use scenarios::Scenario;

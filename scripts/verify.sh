@@ -30,17 +30,19 @@
 #      `run --ring 6 --rounds 2000` and 20 live `run --gossip 8 --rounds
 #      500` runs under `--watchdog-ms 1` must all exit 0 (the watchdog
 #      counts only waits the channel confirms, so no rendezvous in flight
-#      reads as a deadlock); `launch --transport tcp --fault-plan` must
-#      be refused (faults are injected in process only); `run` and
-#      `launch` with `--watchdog-ms 0` must exit non-zero with the typed
-#      zero-timeout diagnostic
+#      reads as a deadlock); `launch --transport tcp --fault-plan` and
+#      `launch --transport tcp --epochs` must be refused (both run in
+#      process only); `run` and `launch` with `--watchdog-ms 0` must exit
+#      non-zero with the typed zero-timeout diagnostic
 #  11. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`, for ring:6 x 3 and for gossip:8 x 200 (node
-#      reports of several KB with d > 1); `serve-query` must answer the
-#      fixture's three known precedence queries over the wire; a 2-trace
-#      `--traces-dir` catalog must answer named-trace and batched queries
-#      with the same verdicts
+#      reports of several KB with d > 1); a lone sender whose peer ends
+#      without receiving must fail `run` and `launch --transport tcp`
+#      with identical stderr (one failure rule on both transports);
+#      `serve-query` must answer the fixture's three known precedence
+#      queries over the wire; a 2-trace `--traces-dir` catalog must answer
+#      named-trace and batched queries with the same verdicts
 #  12. pipeline-smoke: against the live catalog server, a `--window 16`
 #      batch (one pair per QUERY3 frame, 16 in flight) must print
 #      byte-identical output to the same `--batch` sent as one lock-step
@@ -69,7 +71,9 @@
 #      distributed TCP path, the in-process engine, and an uninterrupted
 #      reference run whose membership is the final active set (the
 #      uniform-baseline order-isomorphism, end to end); `--epochs` must
-#      report every epoch; `--persist` over TCP and in process must write
+#      report every epoch; `run --churn-plan` must refuse a bad
+#      `--rendezvous-timeout` (the runtime flags configure a plan's
+#      runtime too); `--persist` over TCP and in process must write
 #      byte-identical stores; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
@@ -209,6 +213,15 @@ grep -q 'runs in process only' "$FAULT_DIR/tcp-crash.err" || {
   echo "verify: launch --transport tcp --fault-plan lacks the in-process diagnostic" >&2
   exit 1; }
 
+echo "==> fault-smoke: a TCP launch refuses --epochs before any node spawns"
+if "$SYNCTIME" launch --ring 5 --rounds 4 --transport tcp --epochs \
+    > /dev/null 2> "$FAULT_DIR/tcp-epochs.err"; then
+  echo "verify: launch --transport tcp ran --epochs" >&2; exit 1
+fi
+grep -q 'runs in process only' "$FAULT_DIR/tcp-epochs.err" || {
+  echo "verify: launch --transport tcp --epochs lacks the in-process diagnostic" >&2
+  exit 1; }
+
 echo "==> fault-smoke: a zero watchdog timeout is refused"
 for cmd in run launch; do
   if "$SYNCTIME" "$cmd" --ring 4 --rounds 1 --watchdog-ms 0 \
@@ -235,6 +248,22 @@ echo "==> net-smoke: launch --transport tcp vs run (gossip:8 x 200, byte-identic
 "$SYNCTIME" launch --gossip 8 --rounds 200 --transport tcp > "$NET_DIR/gossip-tcp.json"
 diff "$NET_DIR/gossip-local.json" "$NET_DIR/gossip-tcp.json" || {
   echo "verify: tcp gossip launch diverged from the in-process run" >&2; exit 1; }
+
+echo "==> net-smoke: a failed process fails run and launch --transport tcp alike"
+cat > "$NET_DIR/lone.json" <<'EOF'
+{"programs": [[{"send_to": 1}], []]}
+EOF
+if "$SYNCTIME" run --programs "$NET_DIR/lone.json" --topology path:2 \
+    > /dev/null 2> "$NET_DIR/lone-run.err"; then
+  echo "verify: run succeeded although a process failed" >&2; exit 1
+fi
+if "$SYNCTIME" launch --programs "$NET_DIR/lone.json" --topology path:2 --transport tcp \
+    > /dev/null 2> "$NET_DIR/lone-tcp.err"; then
+  echo "verify: launch --transport tcp succeeded although a process failed" >&2; exit 1
+fi
+diff "$NET_DIR/lone-run.err" "$NET_DIR/lone-tcp.err" || {
+  echo "verify: run and launch --transport tcp report a failed process differently" >&2
+  exit 1; }
 
 echo "==> net-smoke: serve-query answers the fixture's known precedences"
 cat > "$NET_DIR/fixture.json" <<'EOF'
@@ -484,6 +513,12 @@ diff "$CHURN_DIR/tcp.json" "$CHURN_DIR/local.json" || {
 diff "$CHURN_DIR/local.json" "$CHURN_DIR/reference.json" || {
   echo "verify: churned final epoch diverged from the uninterrupted reference" >&2
   exit 1; }
+
+echo "==> churn-smoke: the runtime flags configure a plan's in-process runtime"
+if "$SYNCTIME" run --churn-plan "$CHURN_DIR/plan.json" --rendezvous-timeout soon \
+    > /dev/null 2> "$CHURN_DIR/soon.err"; then
+  echo "verify: run --churn-plan accepted --rendezvous-timeout soon" >&2; exit 1
+fi
 
 echo "==> churn-smoke: --epochs reports all three epochs"
 "$SYNCTIME" launch --churn-plan "$CHURN_DIR/plan.json" --transport local --epochs \

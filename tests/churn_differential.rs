@@ -107,18 +107,9 @@ proptest! {
         ));
         for backend in BACKENDS {
             let run = run_backend(&plan, backend, &fault)?;
-            let records: Vec<synctime_store::ReconfigRecord> = run
-                .boundaries
-                .iter()
-                .map(|b| synctime_store::ReconfigRecord {
-                    epoch: b.epoch,
-                    cuts: b.cuts.clone(),
-                    ops: b.ops.clone(),
-                })
-                .collect();
             let _ = std::fs::remove_dir_all(&root);
             let trace = backend.to_string();
-            synctime_store::persist_logs_with_reconfigs(&root, &trace, &run.logs, &records)
+            synctime_store::persist_logs_with_reconfigs(&root, &trace, &run.logs, &run.boundaries)
                 .map_err(|e| TestCaseError::Fail(format!("persist ({trace}): {e}")))?;
             let rec = synctime_store::read_trace_dir(&root.join(&trace))
                 .map_err(|e| TestCaseError::Fail(format!("recover ({trace}): {e}")))?;
