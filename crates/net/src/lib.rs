@@ -18,10 +18,10 @@
 //!   *exactly*, so [`RunStats`] wire accounting is identical whether a
 //!   run is local or distributed.
 //! * [`tcp`] — [`TcpMeshBuilder`] / [`TcpMesh`]: bind-then-establish
-//!   peer meshes with deterministic dial direction (lower id dials), a
-//!   reader thread per connection demultiplexing into bounded-poll
-//!   mailboxes, and `TxChannel`/`RxChannel` adapters the runtime drives
-//!   unmodified.
+//!   peer meshes with deterministic dial direction (higher id dials),
+//!   and `TxChannel`/`RxChannel` adapters the runtime drives unmodified.
+//!   A connection has no thread of its own: the thread that waits on it
+//!   reads its socket, filing each frame in a per-purpose queue.
 //! * [`reconfig`] — the live reconfiguration control plane: a
 //!   coordinator ships epoch-numbered topology edits (RECONFIGURE
 //!   prepare) to every node's [`IncrementalDecomposition`] replica,
@@ -47,8 +47,9 @@
 //!   node's log as the store's framed records.
 //!
 //! The crate is std-only: no async runtime, no serialization framework —
-//! blocking sockets, reader threads, and hand-framed bytes, in keeping
-//! with the workspace's no-external-dependency rule.
+//! blocking sockets read by the threads that wait on them, and
+//! hand-framed bytes, in keeping with the workspace's
+//! no-external-dependency rule.
 //!
 //! [`Behavior`]: synctime_runtime::Behavior
 //! [`RunStats`]: synctime_obs::RunStats
@@ -72,7 +73,6 @@
 pub mod catalog;
 mod error;
 pub mod frame;
-mod mailbox;
 pub mod pool;
 pub mod query;
 pub mod reconfig;

@@ -20,20 +20,30 @@
 //!
 //! # Runtime mapping
 //!
-//! * A send's `offer` writes an OFFER frame; the answering ACK or RESYNC
-//!   is routed back by the connection's reader thread. Over TCP the
+//! A connection has no thread of its own: the runtime only ever waits on
+//! the one channel it names, so the thread that waits reads that
+//! connection's socket itself. Every complete frame a read brings in is
+//! filed in its queue (offers from the peer, answers to this end's
+//! offers, reconfiguration controls), whichever poll asked, and a poll
+//! whose queue is empty reads the socket once: without waiting for a zero
+//! cap, otherwise for at most the cap (250 ms without one).
+//!
+//! * A send's `offer` writes an OFFER frame, and its `poll_answer` takes
+//!   the answering ACK or RESYNC off the answer queue. Over TCP the
 //!   sender cannot observe the remote take, so the ack-latency sample
 //!   starts at the offer write and measures the full round trip.
-//! * A receive's `poll_offer` drains the peer's OFFER frames from the
-//!   reader thread's mailbox; its `answer` writes the ACK/RESYNC back.
-//! * A peer's socket closing maps to [`TransportError::Closed`], which
-//!   the runtime reports as `PeerTerminated` — exactly how a local
-//!   thread's exit surfaces. Mailboxes drain queued frames before
-//!   reporting the close, so an acknowledgement that was written before
-//!   the peer went away still completes the rendezvous on this side.
+//! * A receive's `poll_offer` takes the peer's OFFER frames off the offer
+//!   queue; its `answer` writes the ACK/RESYNC back. An offer's
+//!   `offered_at` is when the waiting thread read it.
+//! * A peer's socket closing or resetting maps to
+//!   [`TransportError::Closed`], which the runtime reports as
+//!   `PeerTerminated` — exactly how a local thread's exit surfaces. Frames
+//!   read before the close are delivered before it is reported, so an
+//!   acknowledgement that was written before the peer went away still
+//!   completes the rendezvous on this side.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -46,11 +56,14 @@ use crate::error::NetError;
 use crate::frame::{
     encode_ack_into, encode_offer_into, encode_resync_into, Frame, FrameReader, PROTOCOL_VERSION,
 };
-use crate::mailbox::Mailbox;
 
 /// How long `establish` keeps retrying a refused connect before giving
 /// up: peers may not have bound their listeners yet.
 const CONNECT_RETRY_STEP: Duration = Duration::from_millis(20);
+
+/// How long one read may wait when the caller gives no cap; the caller
+/// re-runs its abort/liveness checks at least this often.
+const READ_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// An answer frame routed back to the sending endpoint.
 #[derive(Debug)]
@@ -59,29 +72,103 @@ enum AnswerMsg {
     Resync { key: u64 },
 }
 
-/// The write half of a connection: the socket plus a reusable encode
-/// buffer, both behind one lock so frames from the Tx and Rx endpoints
-/// interleave whole. Reusing the buffer keeps the steady-state offer/ack
-/// path free of per-frame allocation.
+/// The read side of a connection: the frames read off the socket and not
+/// yet taken, one queue per purpose. RECONFIGURE/RECONFIG_ACK controls
+/// have their own queue, so an in-flight reconfiguration never reorders
+/// against pending offers or acks.
 #[derive(Debug)]
-struct WriteHalf {
-    stream: TcpStream,
-    buf: Vec<u8>,
+struct ReadHalf {
+    /// Bytes read but not yet framed. It starts as the handshake's
+    /// reader: a peer may start protocol traffic the instant its own
+    /// handshake is done, so the handshake read can legitimately buffer
+    /// past its HELLO.
+    frames: FrameReader,
+    chunk: Vec<u8>,
+    /// Offers from the peer, each with its vector's bytes.
+    offers: VecDeque<(RawOffer, Vec<u8>)>,
+    answers: VecDeque<AnswerMsg>,
+    controls: VecDeque<Frame>,
+    /// How the connection ended, once a read met EOF (`Closed`), a reset
+    /// (`Closed`) or a failure or bad frame (`Io`). Frames filed before
+    /// stay poppable.
+    ended: Option<TransportError>,
+    /// The read timeout this end last set on the socket.
+    timeout: Option<Duration>,
 }
 
-/// One established peer connection: the write half (shared by the Tx and
-/// Rx endpoints under a lock) plus the reader thread's demultiplexed
-/// mailboxes.
+impl ReadHalf {
+    fn new(frames: FrameReader) -> Self {
+        let mut half = ReadHalf {
+            frames,
+            chunk: vec![0; 16 * 1024],
+            offers: VecDeque::new(),
+            answers: VecDeque::new(),
+            controls: VecDeque::new(),
+            ended: None,
+            timeout: None,
+        };
+        half.file_frames();
+        half
+    }
+
+    /// Moves every complete frame out of the reader into its queue. A
+    /// frame that does not decode, or has no place on a transport
+    /// connection, ends the connection: framing is lost.
+    fn file_frames(&mut self) {
+        loop {
+            let frame = match self.frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return,
+                Err(e) => {
+                    self.ended = Some(TransportError::Io(e.to_string()));
+                    return;
+                }
+            };
+            match frame {
+                Frame::Offer {
+                    key,
+                    payload,
+                    vector,
+                } => self.offers.push_back((
+                    RawOffer {
+                        key,
+                        payload,
+                        offered_at: Instant::now(),
+                        handed: false,
+                    },
+                    vector,
+                )),
+                Frame::Ack { key, ack } => self.answers.push_back(AnswerMsg::Ack {
+                    key,
+                    ack,
+                    at: Instant::now(),
+                }),
+                Frame::Resync { key } => self.answers.push_back(AnswerMsg::Resync { key }),
+                control @ (Frame::Reconfigure(_) | Frame::ReconfigAck(_)) => {
+                    self.controls.push_back(control);
+                }
+                other => {
+                    self.ended = Some(TransportError::Io(format!(
+                        "unexpected frame on a transport connection: {other:?}"
+                    )));
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// One established peer connection. The Tx and Rx endpoints share it:
+/// writes go through the encode buffer's lock so frames interleave
+/// whole, and whichever endpoint waits reads the socket under the read
+/// lock. Reusing the buffer keeps the steady-state offer/ack path free of
+/// per-frame allocation.
 #[derive(Debug)]
 struct Conn {
-    writer: Mutex<WriteHalf>,
-    /// Offers from the peer, each with its vector's bytes.
-    offers: Mailbox<(RawOffer, Vec<u8>)>,
-    answers: Mailbox<AnswerMsg>,
-    /// RECONFIGURE/RECONFIG_ACK control frames, kept out of the data
-    /// mailboxes so an in-flight reconfiguration never reorders against
-    /// pending offers or acks.
-    controls: Mailbox<Frame>,
+    /// The socket, in blocking mode outside a zero-cap read.
+    stream: TcpStream,
+    out: Mutex<Vec<u8>>,
+    read: Mutex<ReadHalf>,
 }
 
 impl Conn {
@@ -89,16 +176,77 @@ impl Conn {
     /// writes it, mapping close-like failures to
     /// [`TransportError::Closed`].
     fn write_with(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), TransportError> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let WriteHalf { stream, buf } = &mut *writer;
+        let mut buf = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         buf.clear();
-        fill(buf);
-        stream.write_all(buf).map_err(map_io)
+        fill(&mut buf);
+        (&self.stream).write_all(&buf).map_err(map_io)
     }
 
+    /// One bounded poll of the queue `queue` picks: pops its next frame
+    /// or, when it is empty, reads the socket once (see
+    /// [`Conn::read_once`]) and pops again. Queued frames are always
+    /// delivered before the connection's end is reported.
+    fn poll<T>(
+        &self,
+        cap: Option<Duration>,
+        queue: fn(&mut ReadHalf) -> &mut VecDeque<T>,
+    ) -> Result<Polled<T>, TransportError> {
+        let mut half = self.read.lock().unwrap_or_else(PoisonError::into_inner);
+        if queue(&mut half).is_empty() && half.ended.is_none() {
+            self.read_once(&mut half, cap);
+        }
+        if let Some(item) = queue(&mut half).pop_front() {
+            return Ok(Polled::Ready(item));
+        }
+        match &half.ended {
+            Some(e) => Err(e.clone()),
+            None => Ok(Polled::Pending),
+        }
+    }
+
+    /// Reads the socket once and files every complete frame. A zero cap
+    /// takes only what the kernel already holds; any other cap waits at
+    /// most that long, backstopped by [`READ_BACKSTOP`]. A read that would
+    /// block, times out or is interrupted leaves the connection as it was.
+    fn read_once(&self, half: &mut ReadHalf, cap: Option<Duration>) {
+        let mut stream = &self.stream;
+        let read = if cap == Some(Duration::ZERO) {
+            // Non-blocking is a flag of the socket, not of this read: the
+            // write lock keeps every write from seeing it.
+            let _writes = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+            let read = stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.read(&mut half.chunk));
+            stream.set_nonblocking(false).and(read)
+        } else {
+            let wait = Some(cap.map_or(READ_BACKSTOP, |c| c.min(READ_BACKSTOP)));
+            let set = if half.timeout == wait {
+                Ok(())
+            } else {
+                half.timeout = wait;
+                stream.set_read_timeout(wait)
+            };
+            set.and_then(|()| stream.read(&mut half.chunk))
+        };
+        match read {
+            Ok(0) => half.ended = Some(TransportError::Closed),
+            Ok(n) => {
+                half.frames.feed(&half.chunk[..n]);
+                half.file_frames();
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => half.ended = Some(map_io(e)),
+        }
+    }
+
+    /// Shuts the socket down, waking any read blocked on it. Takes no
+    /// lock, so it never waits behind a read or a write.
     fn shutdown(&self) {
-        let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = writer.stream.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -110,7 +258,6 @@ fn transport_to_net(e: TransportError) -> NetError {
 }
 
 fn map_io(e: std::io::Error) -> TransportError {
-    use std::io::ErrorKind;
     match e.kind() {
         ErrorKind::BrokenPipe
         | ErrorKind::ConnectionReset
@@ -118,76 +265,6 @@ fn map_io(e: std::io::Error) -> TransportError {
         | ErrorKind::UnexpectedEof
         | ErrorKind::NotConnected => TransportError::Closed,
         _ => TransportError::Io(e.to_string()),
-    }
-}
-
-/// Reads whole frames off `stream` forever, routing them into the
-/// connection's mailboxes; on EOF or error, closes both mailboxes (queued
-/// frames stay deliverable). `reader` is the handshake's FrameReader: a
-/// peer may start protocol traffic the instant its own handshake is done,
-/// so the handshake read can legitimately buffer past its HELLO — those
-/// bytes are the head of the frame stream and must not be dropped.
-fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, mut reader: FrameReader) {
-    let mut buf = [0u8; 16 * 1024];
-    let close = |detail: Option<String>| {
-        conn.offers.close(detail.clone());
-        conn.answers.close(detail.clone());
-        conn.controls.close(detail);
-    };
-    loop {
-        // Drain every complete frame already buffered (including any the
-        // handshake read ahead) before blocking on the socket again.
-        loop {
-            match reader.next_frame() {
-                Ok(Some(Frame::Offer {
-                    key,
-                    payload,
-                    vector,
-                })) => conn.offers.push((
-                    RawOffer {
-                        key,
-                        payload,
-                        offered_at: Instant::now(),
-                        handed: false,
-                    },
-                    vector,
-                )),
-                Ok(Some(Frame::Ack { key, ack })) => conn.answers.push(AnswerMsg::Ack {
-                    key,
-                    ack,
-                    at: Instant::now(),
-                }),
-                Ok(Some(Frame::Resync { key })) => conn.answers.push(AnswerMsg::Resync { key }),
-                Ok(Some(control @ (Frame::Reconfigure(_) | Frame::ReconfigAck(_)))) => {
-                    conn.controls.push(control);
-                }
-                Ok(Some(other)) => {
-                    close(Some(format!(
-                        "unexpected frame on a transport connection: {other:?}"
-                    )));
-                    return;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    close(Some(e.to_string()));
-                    return;
-                }
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                close(None);
-                return;
-            }
-            Ok(n) => reader.feed(&buf[..n]),
-            Err(e) => {
-                match map_io(e) {
-                    TransportError::Closed => close(None),
-                    TransportError::Io(detail) => close(Some(detail)),
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -332,27 +409,15 @@ impl TcpMeshBuilder {
             streams.insert(said, (stream, reader));
         }
 
-        // Promote each handshaken stream into a connection with a reader
-        // thread.
         let mut conns = BTreeMap::new();
-        for (peer, (stream, reader)) in streams {
-            stream.set_read_timeout(None)?;
+        for (peer, (stream, frames)) in streams {
             stream.set_nodelay(true)?;
-            let read_half = stream.try_clone()?;
-            let conn = Arc::new(Conn {
-                writer: Mutex::new(WriteHalf {
-                    stream,
-                    buf: Vec::new(),
-                }),
-                offers: Mailbox::new(),
-                answers: Mailbox::new(),
-                controls: Mailbox::new(),
-            });
-            let for_reader = Arc::clone(&conn);
-            std::thread::Builder::new()
-                .name(format!("synctime-net-rx-{process}-{peer}"))
-                .spawn(move || reader_loop(read_half, for_reader, reader))?;
-            conns.insert(peer, conn);
+            let conn = Conn {
+                stream,
+                out: Mutex::new(Vec::new()),
+                read: Mutex::new(ReadHalf::new(frames)),
+            };
+            conns.insert(peer, Arc::new(conn));
         }
         Ok(TcpMesh { conns })
     }
@@ -417,7 +482,10 @@ pub struct TcpMesh {
 
 impl TcpMesh {
     /// The per-peer channel endpoints for `Runtime::run_process`: one
-    /// [`TxChannel`] and one [`RxChannel`] per adjacent peer. Call once.
+    /// [`TxChannel`] and one [`RxChannel`] per adjacent peer. Every call
+    /// returns endpoints over the same connections, sharing their queues,
+    /// so a node that runs several epochs over one mesh calls it once per
+    /// epoch.
     pub fn channels(&self) -> PeerChannels {
         let mut tx: HashMap<usize, Arc<dyn TxChannel>> = HashMap::new();
         let mut rx: HashMap<usize, Arc<dyn RxChannel>> = HashMap::new();
@@ -484,10 +552,10 @@ impl TcpMesh {
     }
 
     /// Waits (until `deadline`) for the next control frame from `peer` —
-    /// a [`Frame::Reconfigure`] or [`Frame::ReconfigAck`] routed to the
-    /// connection's control mailbox by its reader thread. Data traffic
-    /// (offers, acks) is unaffected: it flows through its own mailboxes
-    /// while a reconfiguration is in flight.
+    /// a [`Frame::Reconfigure`] or [`Frame::ReconfigAck`], read off the
+    /// connection into its control queue. Data traffic (offers, acks) is
+    /// unaffected: a read files it in its own queues while a
+    /// reconfiguration is in flight.
     ///
     /// # Errors
     ///
@@ -502,7 +570,10 @@ impl TcpMesh {
                     "timed out waiting for a control frame from process {peer}"
                 )));
             }
-            match conn.controls.pop(Some(left)).map_err(transport_to_net)? {
+            match conn
+                .poll(Some(left), |r| &mut r.controls)
+                .map_err(transport_to_net)?
+            {
                 Polled::Ready(frame) => return Ok(frame),
                 Polled::Pending => continue,
             }
@@ -515,9 +586,10 @@ impl TcpMesh {
             .ok_or_else(|| NetError::Io(format!("no connection to process {peer}")))
     }
 
-    /// Closes every peer socket. Peers observe the close as this process
-    /// terminating — the distributed analogue of a thread exiting. Also
-    /// runs on drop, so a panicking node still unblocks its peers.
+    /// Closes every peer socket, waking any read blocked on one. Peers
+    /// observe the close as this process terminating — the distributed
+    /// analogue of a thread exiting. Also runs on drop, so a panicking
+    /// node still unblocks its peers.
     pub fn shutdown(&self) {
         for conn in self.conns.values() {
             conn.shutdown();
@@ -543,7 +615,7 @@ struct TcpTx {
 
 impl TxChannel for TcpTx {
     fn poll_ready(&self, _cap: Option<Duration>) -> Result<Polled<ReadySlot>, TransportError> {
-        // A socket has no slot occupancy: the peer's mailbox queues
+        // A socket has no slot occupancy: the peer's socket queues
         // offers, and resync debris surfaces as a RESYNC answer to the
         // next offer rather than as channel state.
         Ok(Polled::Ready(ReadySlot {
@@ -575,7 +647,7 @@ impl TxChannel for TcpTx {
         ack: &mut Vec<u8>,
     ) -> Result<Polled<SendAnswer>, TransportError> {
         loop {
-            match self.conn.answers.pop(cap)? {
+            match self.conn.poll(cap, |r| &mut r.answers)? {
                 Polled::Ready(AnswerMsg::Ack {
                     key: k,
                     ack: bytes,
@@ -626,7 +698,7 @@ impl RxChannel for TcpRx {
     ) -> Result<Polled<RawOffer>, TransportError> {
         // A posted ack is ignored: the sender is on another machine, so
         // the offer is always answered with an ACK frame.
-        match self.conn.offers.pop(cap)? {
+        match self.conn.poll(cap, |r| &mut r.offers)? {
             Polled::Ready((offer, bytes)) => {
                 *self.pending.lock().unwrap_or_else(PoisonError::into_inner) = Some(offer.key);
                 vector.clear();

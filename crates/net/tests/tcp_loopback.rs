@@ -5,12 +5,13 @@
 //! order oracle of the reconstructed computation.
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
-use synctime_net::{topology_hash_of, NetError, TcpMeshBuilder};
+use synctime_net::{topology_hash_of, NetError, TcpMesh, TcpMeshBuilder};
 use synctime_runtime::{
-    reconstruct_from_logs, Behavior, LogEntry, ProcessRun, Runtime, RuntimeError,
+    reconstruct_from_logs, Behavior, LogEntry, OfferAnswer, Polled, ProcessRun, Runtime,
+    RuntimeError, SendAnswer, TransportError,
 };
 use synctime_trace::Oracle;
 
@@ -270,4 +271,242 @@ fn establish_refuses_protocol_version_mismatch() {
         }
         other => panic!("expected version-mismatch refusal, got {other:?}"),
     }
+}
+
+/// Establishes a two-node loopback mesh: node 1 dials, node 0 accepts.
+fn two_node_meshes(hash: u64) -> (TcpMesh, TcpMesh) {
+    let b0 = TcpMeshBuilder::bind("127.0.0.1:0").expect("bind loopback");
+    let b1 = TcpMeshBuilder::bind("127.0.0.1:0").expect("bind loopback");
+    let addrs = [b0.local_addr(), b1.local_addr()];
+    std::thread::scope(|s| {
+        let node1 = s.spawn(|| b1.establish(1, &addrs, &[0], hash, ESTABLISH_TIMEOUT));
+        let m0 = b0.establish(0, &addrs, &[1], hash, ESTABLISH_TIMEOUT);
+        let m1 = node1.join().expect("node 1 thread");
+        (m0.expect("node 0 mesh"), m1.expect("node 1 mesh"))
+    })
+}
+
+/// Establishes node 0 of a two-process run against a raw socket that
+/// completes the handshake as process 1 and never reads.
+fn raw_peer() -> (TcpMesh, std::net::TcpStream) {
+    use std::io::Write;
+    use synctime_net::{Frame, PROTOCOL_VERSION};
+
+    let builder = TcpMeshBuilder::bind("127.0.0.1:0").unwrap();
+    let addr = builder.local_addr();
+    let node =
+        std::thread::spawn(move || builder.establish(0, &[addr], &[1], 7, ESTABLISH_TIMEOUT));
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        topology_hash: 7,
+        process: 1,
+    };
+    raw.write_all(&hello.encode().unwrap()).unwrap();
+    (node.join().unwrap().expect("handshake"), raw)
+}
+
+/// Polls until the poll is no longer pending (at most 10 s).
+fn settle<T>(
+    mut poll: impl FnMut() -> Result<Polled<T>, TransportError>,
+) -> Result<T, TransportError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match poll()? {
+            Polled::Ready(value) => return Ok(value),
+            Polled::Pending => assert!(Instant::now() < deadline, "poll still pending"),
+        }
+    }
+}
+
+#[test]
+fn frames_read_before_a_reset_are_delivered_before_the_close() {
+    let (m0, m1) = two_node_meshes(7);
+    let (tx0, rx0) = m0.channels();
+    let (tx1, rx1) = m1.channels();
+    let mut bytes = Vec::new();
+    // Node 1 takes node 0's offer and acknowledges it, then offers one of
+    // its own.
+    tx0[&1].offer(1, 10, &[1, 2], false).unwrap();
+    assert_eq!(
+        settle(|| rx1[&0].poll_offer(None, None, &mut bytes))
+            .unwrap()
+            .key,
+        1
+    );
+    rx1[&0].answer(OfferAnswer::Ack(&[3, 4])).unwrap();
+    tx1[&0].offer(2, 20, &[5], false).unwrap();
+    // Node 0 writes a frame that node 1 never reads, so node 1 dropping
+    // its mesh sends a reset behind the FIN of its shutdown.
+    tx0[&1].offer(3, 30, &[6], false).unwrap();
+    drop((tx1, rx1));
+    drop(m1);
+
+    let mut ack = Vec::new();
+    assert!(matches!(
+        settle(|| tx0[&1].poll_answer(1, None, &mut ack)),
+        Ok(SendAnswer::Acked { .. })
+    ));
+    assert_eq!(ack, [3, 4]);
+    let offer = settle(|| rx0[&1].poll_offer(None, None, &mut bytes)).unwrap();
+    assert_eq!((offer.key, offer.payload, &bytes[..]), (2, 20, &[5][..]));
+    assert!(matches!(
+        settle(|| rx0[&1].poll_offer(None, None, &mut bytes)),
+        Err(TransportError::Closed)
+    ));
+    assert!(matches!(
+        settle(|| tx0[&1].poll_answer(3, Some(Duration::ZERO), &mut ack)),
+        Err(TransportError::Closed)
+    ));
+}
+
+#[test]
+fn frames_sent_before_a_bare_reset_are_delivered_before_the_close() {
+    use std::io::Write;
+    use synctime_net::Frame;
+
+    // A peer that dies without shutting its socket down (a killed node)
+    // resets the connection with no FIN ahead of the reset: it never read
+    // this node's HELLO.
+    let (mesh, mut raw) = raw_peer();
+    let (tx, rx) = mesh.channels();
+    tx[&1].offer(1, 10, &[1], false).unwrap();
+    let ack = Frame::Ack {
+        key: 1,
+        ack: vec![3, 4],
+    };
+    let offer = Frame::Offer {
+        key: 2,
+        payload: 20,
+        vector: vec![5],
+    };
+    // One write: a segment held back by Nagle would die with the socket.
+    raw.write_all(&[ack.encode().unwrap(), offer.encode().unwrap()].concat())
+        .unwrap();
+    drop(raw);
+
+    let mut bytes = Vec::new();
+    assert!(matches!(
+        settle(|| tx[&1].poll_answer(1, None, &mut bytes)),
+        Ok(SendAnswer::Acked { .. })
+    ));
+    assert_eq!(bytes, [3, 4]);
+    let offer = settle(|| rx[&1].poll_offer(None, None, &mut bytes)).unwrap();
+    assert_eq!((offer.key, offer.payload, &bytes[..]), (2, 20, &[5][..]));
+    assert!(matches!(
+        settle(|| rx[&1].poll_offer(None, None, &mut bytes)),
+        Err(TransportError::Closed)
+    ));
+}
+
+#[test]
+fn a_zero_cap_poll_never_waits_but_reads_what_has_arrived() {
+    let (m0, m1) = two_node_meshes(7);
+    let (tx0, rx0) = m0.channels();
+    let (tx1, rx1) = m1.channels();
+    let mut bytes = Vec::new();
+    // Quiet connection: pending, without waiting out the 250 ms a poll
+    // without a cap may wait.
+    let probe = Instant::now();
+    assert!(matches!(
+        rx0[&1].poll_offer(Some(Duration::ZERO), None, &mut bytes),
+        Ok(Polled::Pending)
+    ));
+    assert!(
+        probe.elapsed() < Duration::from_millis(200),
+        "{:?}",
+        probe.elapsed()
+    );
+
+    // Node 1 writes an OFFER, then the ACK node 0 waits for. The read that
+    // brings the ACK has brought the OFFER ahead of it, so the next
+    // zero-cap poll takes the OFFER.
+    tx0[&1].offer(1, 10, &[1], false).unwrap();
+    settle(|| rx1[&0].poll_offer(None, None, &mut bytes)).unwrap();
+    tx1[&0].offer(2, 20, &[2], false).unwrap();
+    rx1[&0].answer(OfferAnswer::Ack(&[3])).unwrap();
+    let mut ack = Vec::new();
+    assert!(matches!(
+        settle(|| tx0[&1].poll_answer(1, None, &mut ack)),
+        Ok(SendAnswer::Acked { .. })
+    ));
+    match rx0[&1].poll_offer(Some(Duration::ZERO), None, &mut bytes) {
+        Ok(Polled::Ready(offer)) => assert_eq!((offer.key, &bytes[..]), (2, &[2][..])),
+        other => panic!("expected the queued offer, got {other:?}"),
+    }
+    assert!(matches!(
+        rx0[&1].poll_offer(Some(Duration::ZERO), None, &mut bytes),
+        Ok(Polled::Pending)
+    ));
+
+    // Nothing else reads node 0's socket: zero-cap polls alone must
+    // pick up node 1's next offer.
+    tx1[&0].offer(3, 30, &[4], false).unwrap();
+    let offer = settle(|| rx0[&1].poll_offer(Some(Duration::ZERO), None, &mut bytes)).unwrap();
+    assert_eq!((offer.key, &bytes[..]), (3, &[4][..]));
+}
+
+#[test]
+fn an_unknown_frame_fails_the_connection_with_its_diagnostic() {
+    use std::io::Write;
+
+    let (mesh, mut raw) = raw_peer();
+    // One frame of a type no protocol version defines.
+    raw.write_all(&[1, 0, 0, 0, 0xEE]).unwrap();
+    let (_tx, rx) = mesh.channels();
+    match settle(|| rx[&1].poll_offer(None, None, &mut Vec::new())) {
+        Err(TransportError::Io(detail)) => {
+            assert!(
+                detail.contains("unknown frame type"),
+                "diagnostic: {detail}"
+            )
+        }
+        other => panic!("expected an I/O failure, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_capped_tcp_wait_ends_in_a_rendezvous_timeout() {
+    // This test runs on real time: node 1 stays up for 300 ms without
+    // receiving, far past node 0's 20 ms cap. Node 0 must give up on its
+    // cap, before node 1's close could turn the wait into a
+    // PeerTerminated.
+    let topo = topology::path(2);
+    let dec = decompose::best_known(&topo);
+    let (m0, m1) = two_node_meshes(topology_hash_of(2, &dec));
+    let (run0, waited, run1) = std::thread::scope(|s| {
+        let node1 = s.spawn(|| {
+            let (tx, rx) = m1.channels();
+            let idle: Behavior = Box::new(|_| {
+                std::thread::sleep(Duration::from_millis(300));
+                Ok(())
+            });
+            Runtime::new(&topo, &dec).run_process(1, idle, tx, rx)
+        });
+        let (tx, rx) = m0.channels();
+        let started = Instant::now();
+        let run0 = Runtime::new(&topo, &dec)
+            .with_rendezvous_timeout(Duration::from_millis(20))
+            .with_rendezvous_retries(0)
+            .run_process(0, Box::new(|ctx| ctx.send(1, 7).map(|_| ())), tx, rx);
+        (
+            run0,
+            started.elapsed(),
+            node1.join().expect("node 1 thread"),
+        )
+    });
+    assert!(
+        matches!(
+            run0.outcome(),
+            Some(RuntimeError::RendezvousTimeout { peer: 1, .. })
+        ),
+        "node 0: {:?}",
+        run0.outcome()
+    );
+    assert!(
+        waited < Duration::from_millis(300),
+        "node 0 waited {waited:?}"
+    );
+    assert!(run0.log().is_empty());
+    assert_eq!(run1.outcome(), None);
 }

@@ -95,7 +95,9 @@ pub struct RunStats {
     /// receiver was parked first costs one wakeup, not two.
     pub wakeups: u64,
     /// Median rendezvous wakeup latency — nanoseconds between a peer making
-    /// a parked thread's condition true and the thread observing it.
+    /// a parked thread's condition true and the thread observing it. Over
+    /// TCP the parked thread reads the frame itself, so the sample starts
+    /// at that read and counts no thread handoff.
     pub wakeup_p50_ns: u64,
     /// 99th-percentile rendezvous wakeup latency, in nanoseconds.
     pub wakeup_p99_ns: u64,

@@ -63,8 +63,9 @@ pub struct RawOffer {
     pub key: u64,
     /// The program payload.
     pub payload: u64,
-    /// When the offer became observable at this endpoint (slot deposit
-    /// locally; frame arrival over TCP). Basis for wakeup-latency samples.
+    /// When the offer became observable at this endpoint: its slot
+    /// deposit locally; over TCP, the waiting thread's read of the frame,
+    /// so no thread handoff is counted. Basis for wakeup-latency samples.
     pub offered_at: Instant,
     /// The sender took this endpoint's posted acknowledgement and has
     /// completed its send: the offer is already answered. The receiver
