@@ -162,7 +162,7 @@ DISTRIBUTED:
 
 QUERY FABRIC:
   `serve-query --traces-dir DIR` loads every `DIR/*.json` trace into a
-  sharded catalog (trace id = file stem, consistent-hashed over `--shards`
+  sharded catalog (trace id = file stem, hashed over `--shards`
   in-process shards, default 4) and serves them from a fixed pool of
   `--pool` workers (default: available parallelism, min 4). With
   `--topology` the traces are online-stamped; without it the sparse

@@ -493,7 +493,7 @@ impl Frame {
             }
             TYPE_ANSWER_PIPELINED => {
                 at_least(4)?;
-                let entries = Self::decode_answers(&body[4..])?;
+                let entries = AnswerBatchView::parse(&body[4..])?.to_entries()?;
                 Ok(Frame::AnswerPipelined {
                     corr: u32_at(0),
                     entries,
@@ -513,26 +513,6 @@ impl Frame {
     fn decode_query_batch(body: &[u8]) -> Result<(String, Vec<BatchQuery>), NetError> {
         let view = QueryBatchView::parse(body)?;
         Ok((view.trace().to_string(), view.queries().collect()))
-    }
-
-    /// Parses an ANSWER3 entry list (correlation id already split off).
-    fn decode_answers(body: &[u8]) -> Result<Vec<BatchEntry>, NetError> {
-        let view = AnswerBatchView::parse(body)?;
-        let mut entries = Vec::with_capacity(view.count());
-        for (i, (status, bytes)) in view.entries().enumerate() {
-            entries.push(match status {
-                0 => BatchEntry::Answer(bytes.to_vec()),
-                1 => BatchEntry::Error(String::from_utf8(bytes.to_vec()).map_err(|_| {
-                    NetError::Protocol(format!("ANSWER3 entry {i} error text is not UTF-8"))
-                })?),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "ANSWER3 entry {i} has unknown status {other}"
-                    )))
-                }
-            });
-        }
-        Ok(entries)
     }
 }
 
@@ -680,6 +660,26 @@ impl<'a> AnswerBatchView<'a> {
     /// Number of entries.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// The entries as owned [`BatchEntry`] values: the one owned decode
+    /// of an ANSWER3 entry list, shared by [`Frame`] and the client.
+    pub(crate) fn to_entries(self) -> Result<Vec<BatchEntry>, NetError> {
+        let mut entries = Vec::with_capacity(self.count);
+        for (i, (status, bytes)) in self.entries().enumerate() {
+            entries.push(match status {
+                0 => BatchEntry::Answer(bytes.to_vec()),
+                1 => BatchEntry::Error(String::from_utf8(bytes.to_vec()).map_err(|_| {
+                    NetError::Protocol(format!("ANSWER3 entry {i} error text is not UTF-8"))
+                })?),
+                other => {
+                    return Err(NetError::Protocol(format!(
+                        "ANSWER3 entry {i} has unknown status {other}"
+                    )))
+                }
+            });
+        }
+        Ok(entries)
     }
 
     /// The `(status, body)` pairs in entry order, borrowed from the frame

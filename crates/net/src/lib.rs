@@ -31,16 +31,16 @@
 //!   stamps order-isomorphic with an uninterrupted reference run.
 //! * [`catalog`] — the multi-trace query fabric: [`QueryFabric`] holds
 //!   shared immutable [`Arc`](std::sync::Arc) snapshots of stamped
-//!   traces, keyed by trace id and spread across in-process shards by a
-//!   consistent-hash [`ShardRing`]; re-stamping publishes copy-on-write
-//!   so in-flight readers are never blocked.
+//!   traces, keyed by trace id and spread across in-process shards by
+//!   the id's hash modulo the shard count; re-stamping publishes
+//!   copy-on-write so in-flight readers are never blocked.
 //! * [`pool`] — [`serve_fabric`], the fixed-size worker pool that
 //!   replaced PR 5's thread-per-connection accept loop.
 //! * [`query`] — the precedence-query protocol: Theorem 4 of the paper
-//!   as a service over QUERY3/ANSWER3 ([`pump_frames`], and
-//!   [`QueryClient`] with lock-step and pipelined batches —
-//!   [`Pipeline`] keeps a window of batches in flight on one
-//!   connection, completing out of order by correlation id).
+//!   as a service over QUERY3/ANSWER3 ([`pump_frames`] on the server,
+//!   and [`QueryClient`] on the client, whose one engine, [`Pipeline`],
+//!   keeps a window of batches in flight on one connection and completes
+//!   them out of order by correlation id; lock-step is a window of one).
 //! * [`report`] — [`NodeReport`], the report each OS process prints so a
 //!   launcher can merge a distributed run back into one trace and one
 //!   [`RunStats`]: a small JSON envelope whose `log` field carries the
@@ -56,7 +56,6 @@
 //! [`QueryClient`]: query::QueryClient
 //! [`pump_frames`]: query::pump_frames
 //! [`QueryFabric`]: catalog::QueryFabric
-//! [`ShardRing`]: catalog::ShardRing
 //! [`serve_fabric`]: pool::serve_fabric
 //! [`NodeReport`]: report::NodeReport
 //! [`FrameReader`]: frame::FrameReader
@@ -79,7 +78,7 @@ pub mod reconfig;
 pub mod report;
 pub mod tcp;
 
-pub use catalog::{QueryFabric, ShardRing, VnodeTable, DEFAULT_SHARDS};
+pub use catalog::{QueryFabric, DEFAULT_SHARDS};
 pub use error::NetError;
 pub use frame::{
     encode_ack_into, encode_offer_into, encode_query_batch_into, encode_resync_into, topology_hash,

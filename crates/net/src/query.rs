@@ -368,33 +368,39 @@ pub fn pump_frames(
     }
 }
 
-fn read_frame(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    buf: &mut [u8],
-) -> Result<Frame, NetError> {
-    loop {
-        if let Some(frame) = reader.next_frame()? {
-            return Ok(frame);
-        }
+/// Reads from `stream` until `reader` holds a complete frame.
+fn fill(stream: &mut TcpStream, reader: &mut FrameReader, buf: &mut [u8]) -> Result<(), NetError> {
+    while reader.peek_frame()?.is_none() {
         let n = stream.read(buf)?;
         if n == 0 {
             return Err(NetError::Closed);
         }
         reader.feed(&buf[..n]);
     }
+    Ok(())
 }
 
-/// A blocking query connection: one handshake, then QUERY3 batches —
-/// lock-step, or up to W in flight via [`QueryClient::pipeline`].
+fn read_frame(
+    stream: &mut TcpStream,
+    reader: &mut FrameReader,
+    buf: &mut [u8],
+) -> Result<Frame, NetError> {
+    fill(stream, reader, buf)?;
+    reader.next_frame()?.ok_or(NetError::Closed)
+}
+
+/// A blocking query connection: one handshake, then QUERY3 batches with
+/// up to W in flight. Every request goes through one engine, a
+/// [`Pipeline`]: [`QueryClient::pipeline`] hands it to the caller, and
+/// [`QueryClient::precedes_many_pipelined`] and [`QueryClient::chain_of`]
+/// are short loops over it.
 #[derive(Debug)]
 pub struct QueryClient {
     stream: TcpStream,
     reader: FrameReader,
     scratch: FrameScratch,
-    /// Socket read buffer of [`QueryClient::precedes_many_pipelined`] and
-    /// of every [`Pipeline`], grown to [`RECV_BUF_LEN`] on first use and
-    /// kept, so reading an answer frame fills no fresh buffer.
+    /// Socket read buffer of every [`Pipeline`], allocated once at
+    /// connect, so reading an answer frame fills no fresh buffer.
     recv: Vec<u8>,
 }
 
@@ -420,13 +426,13 @@ impl QueryClient {
             .encode()?,
         )?;
         let mut reader = FrameReader::new();
-        let mut buf = [0u8; 4096];
-        match read_frame(&mut stream, &mut reader, &mut buf)? {
+        let mut recv = vec![0u8; RECV_BUF_LEN];
+        match read_frame(&mut stream, &mut reader, &mut recv)? {
             Frame::Hello { .. } => Ok(QueryClient {
                 stream,
                 reader,
                 scratch: FrameScratch::new(),
-                recv: Vec::new(),
+                recv,
             }),
             Frame::Error { message } => Err(NetError::Handshake(message)),
             other => Err(NetError::Handshake(format!(
@@ -486,23 +492,16 @@ impl QueryClient {
     /// 2^32 submissions keeps working; this seam lets tests start next to
     /// the wrap point instead of submitting 2^32 batches to reach it.
     pub fn pipeline_at(&mut self, window: usize, first_corr: u32) -> Pipeline<'_> {
-        Pipeline {
-            client: self,
-            window: window.max(1),
-            expected: Vec::new(),
-            results: Vec::new(),
-            outstanding: 0,
-            next_corr: first_corr,
-            inflight: HashMap::new(),
-        }
+        Pipeline::new(self, window, first_corr, Sink::Entries(Vec::new()))
     }
 
     /// Pipelined batched `precedes`: one boolean per `(m1, m2)` pair, in
     /// order, with the pairs split into `batch`-sized QUERY3 frames and up
     /// to `window` frames in flight at once. This is the fastest
     /// single-connection path: requests stream without waiting for
-    /// answers, and answers are decoded as borrowed views without
-    /// per-entry allocation.
+    /// answers, and each answer's borrowed view is read straight into the
+    /// booleans, with no per-entry allocation. The frames are numbered
+    /// 0, 1, 2, … in order.
     ///
     /// `batch` is clamped to `1..=`[`MAX_BATCH`]; `window` to at least 1
     /// (`window == 1` is lock-step: one frame, one answer, the next frame).
@@ -527,175 +526,118 @@ impl QueryClient {
         window: usize,
     ) -> Result<Vec<bool>, NetError> {
         let batch = batch.clamp(1, MAX_BATCH);
-        let window = window.max(1);
-        let mut results = vec![false; pairs.len()];
-        let chunk_count = pairs.len().div_ceil(batch);
-        let mut done = vec![false; chunk_count];
-        self.recv.resize(RECV_BUF_LEN, 0);
-        let mut submitted = 0usize;
-        let mut answered = 0usize;
+        let mut verdicts = vec![false; pairs.len()];
+        let mut queries = std::mem::take(&mut self.scratch.queries);
+        let sink = Sink::Verdicts {
+            batch,
+            out: &mut verdicts,
+        };
+        let mut pipeline = Pipeline::new(self, window, 0, sink);
+        let mut chunks = pairs.chunks(batch);
         // The first failed batch; once set, nothing more is submitted and
         // the loop only drains what is still in flight.
-        let mut failure: Option<NetError> = None;
+        let mut failure = None;
         loop {
-            while failure.is_none() && submitted < chunk_count && submitted - answered < window {
-                let lo = submitted * batch;
-                let hi = pairs.len().min(lo + batch);
-                self.scratch.queries.clear();
-                self.scratch
-                    .queries
-                    .extend(pairs[lo..hi].iter().map(|&(m1, m2)| BatchQuery {
+            let room = failure.is_none() && pipeline.pending() < pipeline.window;
+            let outcome = match room.then(|| chunks.next()).flatten() {
+                Some(chunk) => {
+                    queries.clear();
+                    queries.extend(chunk.iter().map(|&(m1, m2)| BatchQuery {
                         kind: QUERY_PRECEDES,
                         m1,
                         m2,
                     }));
-                self.scratch.out.clear();
-                if let Err(e) = encode_query_batch_into(
-                    &mut self.scratch.out,
-                    Some(submitted as u32),
-                    trace,
-                    &self.scratch.queries,
-                ) {
-                    // Nothing was sent for this batch.
-                    failure = Some(e);
-                    break;
+                    pipeline.send(trace, &queries)?.map(drop)
                 }
-                self.stream.write_all(&self.scratch.out)?;
-                submitted += 1;
-            }
-            if answered == submitted {
-                break;
-            }
-            let outcome = self.recv_pipelined_bools(batch, &mut results, &mut done)?;
-            // A stray correlation id answers none of this call's batches.
-            if !matches!(outcome, Err(NetError::Correlation(_))) {
-                answered += 1;
-            }
+                None if pipeline.pending() > 0 => pipeline.recv()?,
+                None => break,
+            };
             if let Err(e) = outcome {
                 failure.get_or_insert(e);
             }
         }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(results),
-        }
+        drop(pipeline);
+        self.scratch.queries = queries;
+        failure.map_or(Ok(verdicts), Err)
     }
+}
 
-    /// Receives one ANSWER3 frame and scatters its booleans into
-    /// `results` at the slot its correlation id names. The borrowed-view
-    /// decode path: nothing is allocated per entry.
-    ///
-    /// The outer error is a connection failure: the stream is unusable or
-    /// out of step. The inner one is a consumed answer that failed — a
-    /// rejected entry, a malformed entry list, or a correlation id that
-    /// matches no batch still in flight ([`NetError::Correlation`]); the
-    /// stream stays in step either way.
-    fn recv_pipelined_bools(
-        &mut self,
-        batch: usize,
-        results: &mut [bool],
-        done: &mut [bool],
-    ) -> Result<Result<(), NetError>, NetError> {
-        loop {
-            if self.reader.peek_frame()?.is_some() {
-                break;
-            }
-            let n = self.stream.read(&mut self.recv)?;
-            if n == 0 {
-                return Err(NetError::Closed);
-            }
-            self.reader.feed(&self.recv[..n]);
-        }
-        let Some((ty, body)) = self.reader.peek_frame()? else {
-            return Err(NetError::Protocol("peeked frame vanished".to_string()));
+/// Where a [`Pipeline`] files each answer it routes.
+#[derive(Debug)]
+enum Sink<'a> {
+    /// Per slot, the entry count its answer must carry and, once it
+    /// arrives, its owned entries: [`Pipeline::finish`] and
+    /// [`QueryClient::chain_of`].
+    Entries(Vec<(usize, Option<Vec<BatchEntry>>)>),
+    /// One boolean per pair of [`QueryClient::precedes_many_pipelined`];
+    /// slot `s` answers the pairs from `s * batch`.
+    Verdicts { batch: usize, out: &'a mut [bool] },
+}
+
+impl Sink<'_> {
+    /// Files the answer of `slot`, checking its entry count first.
+    fn file(&mut self, slot: usize, view: AnswerBatchView<'_>) -> Result<(), NetError> {
+        let want = match self {
+            Sink::Entries(slots) => slots[slot].0,
+            Sink::Verdicts { batch, out } => (*batch).min(out.len() - slot * *batch),
         };
-        if ty != TYPE_ANSWER_PIPELINED {
-            // Cold path: owned decode for ERROR or stray frames.
-            return match self.reader.next_frame()? {
-                Some(Frame::Error { message }) => Err(NetError::Query(message)),
-                Some(other) => Err(NetError::Protocol(format!(
-                    "expected ANSWER3, got {other:?}"
-                ))),
-                None => Err(NetError::Protocol("peeked frame vanished".to_string())),
-            };
+        if view.count() != want {
+            return Err(NetError::Protocol(format!(
+                "batch of {want} queries answered with {} entries",
+                view.count()
+            )));
         }
-        if body.len() < 4 {
-            return Err(NetError::Protocol(
-                "ANSWER3 body too short for correlation id".to_string(),
-            ));
-        }
-        let corr = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-        let view = AnswerBatchView::parse(&body[4..])?;
-        let slot = corr as usize;
-        // Resolve the slot before touching results; a stray or duplicate
-        // correlation id consumes its frame and surfaces typed, leaving
-        // the connection alive.
-        let outcome: Result<(), NetError> = if slot >= done.len() || done[slot] {
-            Err(NetError::Correlation(corr))
-        } else {
-            // Answered, whether its entries succeed or not.
-            done[slot] = true;
-            let lo = slot * batch;
-            let hi = results.len().min(lo + batch);
-            if view.count() != hi - lo {
-                Err(NetError::Protocol(format!(
-                    "batch of {} queries answered with {} entries",
-                    hi - lo,
-                    view.count()
-                )))
-            } else {
-                let mut failure: Option<NetError> = None;
-                for (i, (status, bytes)) in view.entries().enumerate() {
-                    match (status, bytes) {
-                        (0, [0]) => results[lo + i] = false,
-                        (0, [1]) => results[lo + i] = true,
+        match self {
+            Sink::Entries(slots) => slots[slot].1 = Some(view.to_entries()?),
+            Sink::Verdicts { batch, out } => {
+                for ((status, bytes), verdict) in view.entries().zip(&mut out[slot * *batch..]) {
+                    *verdict = match (status, bytes) {
+                        (0, [0]) => false,
+                        (0, [1]) => true,
                         (0, _) => {
-                            failure = Some(NetError::Protocol(
+                            return Err(NetError::Protocol(
                                 "boolean answer body is not a single 0/1 byte".to_string(),
-                            ));
-                            break;
+                            ))
                         }
-                        (1, msg) => {
-                            failure =
-                                Some(NetError::Query(String::from_utf8_lossy(msg).into_owned()));
-                            break;
+                        (1, message) => {
+                            return Err(NetError::Query(
+                                String::from_utf8_lossy(message).into_owned(),
+                            ))
                         }
                         (status, _) => {
-                            failure = Some(NetError::Protocol(format!(
+                            return Err(NetError::Protocol(format!(
                                 "ANSWER3 entry has unknown status {status}"
-                            )));
-                            break;
+                            )))
                         }
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(()),
+                    };
                 }
             }
-        };
-        self.reader.consume_frame();
-        Ok(outcome)
+        }
+        Ok(())
     }
 }
 
 /// A pipelined query session: keeps up to W QUERY3 batches in flight on
 /// one connection, completing them out of order by correlation id.
-/// Created by [`QueryClient::pipeline`].
+/// Created by [`QueryClient::pipeline`]; it is the client's one engine,
+/// which [`QueryClient::precedes_many_pipelined`] and
+/// [`QueryClient::chain_of`] run too.
 ///
 /// [`Pipeline::submit`] blocks only when the window is full (it receives
 /// one answer to make room); [`Pipeline::drain`] /[`Pipeline::finish`]
-/// receive whatever is still in flight. Results are returned in
-/// *submission* order regardless of the order answers arrived.
+/// receive whatever is still in flight. Each answer is decoded once, as
+/// a borrowed [`AnswerBatchView`], and frees its slot whatever it holds:
+/// an answer with the wrong entry count is an error, and that slot ends
+/// the session as a hole ([`NetError::Incomplete`]), never as a batch
+/// still awaited. Results are returned in *submission* order regardless
+/// of the order answers arrived.
 #[derive(Debug)]
 pub struct Pipeline<'a> {
     client: &'a mut QueryClient,
     window: usize,
-    /// Entry count each slot's answer must carry.
-    expected: Vec<u32>,
-    /// Slot-indexed answers; `None` until the slot's ANSWER3 arrives.
-    results: Vec<Option<Vec<BatchEntry>>>,
-    outstanding: usize,
+    sink: Sink<'a>,
+    /// Batches sent so far; the next one's slot.
+    sent: usize,
     /// Next correlation id to try; wraps around `u32::MAX` (ids are a
     /// cursor, not a slot index — slots keep growing past 2^32).
     next_corr: u32,
@@ -705,7 +647,18 @@ pub struct Pipeline<'a> {
     inflight: HashMap<u32, usize>,
 }
 
-impl Pipeline<'_> {
+impl<'a> Pipeline<'a> {
+    fn new(client: &'a mut QueryClient, window: usize, first_corr: u32, sink: Sink<'a>) -> Self {
+        Pipeline {
+            client,
+            window: window.max(1),
+            sink,
+            sent: 0,
+            next_corr: first_corr,
+            inflight: HashMap::new(),
+        }
+    }
+
     /// Sends one batch (at most [`MAX_BATCH`] queries) against a named
     /// trace, returning its submission slot. Blocks receiving answers
     /// only while the window is full.
@@ -717,38 +670,22 @@ impl Pipeline<'_> {
     /// [`NetError::Correlation`] when an answer matches no in-flight
     /// batch, transport errors otherwise.
     pub fn submit(&mut self, trace: &str, queries: &[BatchQuery]) -> Result<usize, NetError> {
-        while self.outstanding >= self.window {
-            self.recv_one()?;
+        while self.pending() >= self.window {
+            self.recv()??;
         }
-        // The correlation id is a wrapping cursor, not the slot index: a
-        // session past 2^32 submissions wraps around, and any id still in
-        // flight (the window bounds these to a handful) is skipped so two
-        // live batches can never share an id.
-        let mut corr = self.next_corr;
-        while self.inflight.contains_key(&corr) {
-            corr = corr.wrapping_add(1);
-        }
-        self.next_corr = corr.wrapping_add(1);
-        self.client.scratch.out.clear();
-        encode_query_batch_into(&mut self.client.scratch.out, Some(corr), trace, queries)?;
-        self.client.stream.write_all(&self.client.scratch.out)?;
-        let slot = self.results.len();
-        self.inflight.insert(corr, slot);
-        self.results.push(None);
-        self.expected.push(queries.len() as u32);
-        self.outstanding += 1;
-        Ok(slot)
+        self.send(trace, queries)?
     }
 
     /// Batches submitted but not yet answered.
     pub fn pending(&self) -> usize {
-        self.outstanding
+        self.inflight.len()
     }
 
     /// Receives answers until nothing is in flight. A
     /// [`NetError::Correlation`] return is recoverable: the stray frame
     /// has been consumed, and calling `drain` again resumes receiving the
-    /// real answers.
+    /// real answers. So is a [`NetError::Protocol`] for an answer whose
+    /// entries do not fit its batch: that batch is no longer in flight.
     ///
     /// # Errors
     ///
@@ -757,8 +694,8 @@ impl Pipeline<'_> {
     /// [`NetError::Protocol`] on malformed replies, transport errors
     /// otherwise.
     pub fn drain(&mut self) -> Result<(), NetError> {
-        while self.outstanding > 0 {
-            self.recv_one()?;
+        while self.pending() > 0 {
+            self.recv()??;
         }
         Ok(())
     }
@@ -768,52 +705,92 @@ impl Pipeline<'_> {
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::drain`].
+    /// As [`Pipeline::drain`], and [`NetError::Incomplete`] for the first
+    /// slot whose answer was refused.
     pub fn finish(mut self) -> Result<Vec<Vec<BatchEntry>>, NetError> {
         self.drain()?;
-        // A hole after a clean drain means an answer never arrived for
+        let Sink::Entries(slots) = self.sink else {
+            unreachable!("only precedes_many_pipelined files verdicts, and it never finishes")
+        };
+        // A hole after a clean drain means no usable answer arrived for
         // that submission. Fabricating an empty entry list would let the
         // caller zip results against queries and silently misattribute
         // every answer past the hole — surface the missing slot instead.
-        let mut out = Vec::with_capacity(self.results.len());
-        for (slot, result) in self.results.drain(..).enumerate() {
-            match result {
-                Some(entries) => out.push(entries),
-                None => return Err(NetError::Incomplete { slot }),
-            }
-        }
-        Ok(out)
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(slot, (_, entries))| entries.ok_or(NetError::Incomplete { slot }))
+            .collect()
     }
 
-    fn recv_one(&mut self) -> Result<(), NetError> {
-        let client = &mut *self.client;
-        client.recv.resize(RECV_BUF_LEN, 0);
-        match read_frame(&mut client.stream, &mut client.reader, &mut client.recv)? {
-            Frame::AnswerPipelined { corr, entries } => {
-                match self.inflight.remove(&corr) {
-                    Some(slot) => {
-                        if entries.len() as u32 != self.expected[slot] {
-                            return Err(NetError::Protocol(format!(
-                                "batch of {} queries answered with {} entries",
-                                self.expected[slot],
-                                entries.len()
-                            )));
-                        }
-                        self.results[slot] = Some(entries);
-                        self.outstanding -= 1;
-                        Ok(())
-                    }
-                    // Unknown or already-answered correlation id: the
-                    // frame is consumed, framing is intact, the session
-                    // continues.
-                    None => Err(NetError::Correlation(corr)),
-                }
-            }
-            Frame::Error { message } => Err(NetError::Query(message)),
-            other => Err(NetError::Protocol(format!(
-                "expected ANSWER3, got {other:?}"
-            ))),
+    /// The send step: encodes one batch under the next free correlation
+    /// id, writes it and opens its slot. The outer error is a failed
+    /// write; the inner one refuses the batch before anything is sent.
+    fn send(
+        &mut self,
+        trace: &str,
+        queries: &[BatchQuery],
+    ) -> Result<Result<usize, NetError>, NetError> {
+        // The correlation id is a wrapping cursor, not the slot index: a
+        // session past 2^32 submissions wraps around, and any id still in
+        // flight (the window bounds these to a handful) is skipped so two
+        // live batches can never share an id.
+        let mut corr = self.next_corr;
+        while self.inflight.contains_key(&corr) {
+            corr = corr.wrapping_add(1);
         }
+        let out = &mut self.client.scratch.out;
+        out.clear();
+        if let Err(e) = encode_query_batch_into(out, Some(corr), trace, queries) {
+            return Ok(Err(e));
+        }
+        self.client.stream.write_all(out)?;
+        self.next_corr = corr.wrapping_add(1);
+        let slot = self.sent;
+        self.sent += 1;
+        self.inflight.insert(corr, slot);
+        if let Sink::Entries(slots) = &mut self.sink {
+            slots.push((queries.len(), None));
+        }
+        Ok(Ok(slot))
+    }
+
+    /// The receive step: reads one frame and routes an ANSWER3 by its
+    /// correlation id to its slot, which it frees before the sink sees
+    /// the entries. The outer error is a connection failure: the stream
+    /// is unusable or out of step. The inner one is a consumed answer
+    /// that failed — a rejected entry, entries that do not fit the batch,
+    /// or a correlation id that matches no batch still in flight
+    /// ([`NetError::Correlation`]); the stream stays in step either way.
+    fn recv(&mut self) -> Result<Result<(), NetError>, NetError> {
+        let client = &mut *self.client;
+        fill(&mut client.stream, &mut client.reader, &mut client.recv)?;
+        let Some((ty, body)) = client.reader.peek_frame()? else {
+            return Err(NetError::Protocol("peeked frame vanished".to_string()));
+        };
+        if ty != TYPE_ANSWER_PIPELINED {
+            // Cold path: owned decode for ERROR or stray frames.
+            return Err(match client.reader.next_frame()? {
+                Some(Frame::Error { message }) => NetError::Query(message),
+                _ => NetError::Protocol(format!("expected ANSWER3, got frame type {ty}")),
+            });
+        }
+        let Some(&[a, b, c, d]) = body.get(..4) else {
+            return Err(NetError::Protocol(
+                "ANSWER3 body too short for correlation id".to_string(),
+            ));
+        };
+        let corr = u32::from_le_bytes([a, b, c, d]);
+        let outcome = match self.inflight.remove(&corr) {
+            Some(slot) => {
+                AnswerBatchView::parse(&body[4..]).and_then(|view| self.sink.file(slot, view))
+            }
+            // Unknown or already-answered correlation id: the frame is
+            // consumed, framing is intact, the session continues.
+            None => Err(NetError::Correlation(corr)),
+        };
+        client.reader.consume_frame();
+        Ok(outcome)
     }
 }
 
@@ -944,7 +921,7 @@ mod tests {
             stream,
             reader: FrameReader::new(),
             scratch: FrameScratch::new(),
-            recv: Vec::new(),
+            recv: vec![0; RECV_BUF_LEN],
         }
     }
 
@@ -969,11 +946,10 @@ mod tests {
         let mut pipeline = client.pipeline(4);
         // A slot whose answer never arrived, with nothing outstanding —
         // the defensive hole check must refuse to fabricate results.
-        pipeline
-            .results
-            .push(Some(vec![BatchEntry::Answer(vec![1])]));
-        pipeline.results.push(None);
-        pipeline.expected.extend([1, 1]);
+        pipeline.sink = Sink::Entries(vec![
+            (1, Some(vec![BatchEntry::Answer(vec![1])])),
+            (1, None),
+        ]);
         match pipeline.finish() {
             Err(NetError::Incomplete { slot }) => assert_eq!(slot, 1),
             other => panic!("expected Incomplete, got {other:?}"),

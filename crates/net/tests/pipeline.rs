@@ -2,12 +2,14 @@
 //! out-of-order ANSWER3 frames with shuffled correlation ids reassemble
 //! into exactly what lock-step QUERY3 batches return, an unknown
 //! correlation id is a typed, recoverable error that leaves the
-//! connection alive, and batch chunking at exact `MAX_BATCH` multiples
-//! sends no phantom trailing frame.
+//! connection alive, an answer with the wrong entry count frees its slot,
+//! and batch chunking at exact `MAX_BATCH` multiples sends no phantom
+//! trailing frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use synctime_core::{MessageTimestamps, VectorTime};
@@ -243,6 +245,72 @@ fn unknown_correlation_id_is_typed_and_recoverable() {
     let results = again.finish().expect("second session");
     assert_eq!(results[0], vec![BatchEntry::Answer(vec![1])]);
     assert_eq!(results[1], vec![BatchEntry::Answer(vec![0])]);
+}
+
+/// A mock server that answers its first QUERY3 with one entry more than
+/// the batch asked, then holds the socket open for `hold` before closing.
+fn wrong_count_server(hold: Duration) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = mock_handshake(&mut stream);
+        let mut buf = [0u8; 16384];
+        let (corr, queries) = loop {
+            match reader.next_frame().expect("query frame") {
+                Some(Frame::QueryPipelined { corr, queries, .. }) => break (corr, queries),
+                Some(other) => panic!("expected QUERY3, got {other:?}"),
+                None => {
+                    let n = stream.read(&mut buf).expect("read");
+                    assert!(n > 0, "client closed before its query");
+                    reader.feed(&buf[..n]);
+                }
+            }
+        };
+        let entries = vec![BatchEntry::Answer(vec![1]); queries.len() + 1];
+        stream
+            .write_all(
+                &Frame::AnswerPipelined { corr, entries }
+                    .encode()
+                    .expect("answer encodes"),
+            )
+            .expect("answer");
+        std::thread::sleep(hold);
+    });
+    addr
+}
+
+/// An answer whose entry count does not fit its batch frees the batch's
+/// slot: the drain that reads it fails with a protocol error, the next
+/// drain has nothing left to wait for and returns at once, and `finish`
+/// reports the slot as a hole. When the slot stayed counted as in flight,
+/// the second drain blocked until the server hung up.
+#[test]
+fn wrong_entry_count_frees_its_slot() {
+    let hold = Duration::from_secs(2);
+    let addr = wrong_count_server(hold);
+    let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
+    let mut pipeline = client.pipeline(1);
+    let query = BatchQuery {
+        kind: QUERY_PRECEDES,
+        m1: 0,
+        m2: 1,
+    };
+    assert_eq!(pipeline.submit("t", &[query]).expect("submit"), 0);
+    let err = pipeline.drain().unwrap_err();
+    assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    let started = Instant::now();
+    pipeline.drain().expect("nothing is left in flight");
+    assert!(
+        started.elapsed() < hold / 2,
+        "the second drain waited {:?} for an answer it had already read",
+        started.elapsed()
+    );
+    assert_eq!(pipeline.pending(), 0);
+    match pipeline.finish() {
+        Err(NetError::Incomplete { slot: 0 }) => {}
+        other => panic!("expected Incomplete {{ slot: 0 }}, got {other:?}"),
+    }
 }
 
 /// Chunking regression: batches of exactly `MAX_BATCH` and exactly

@@ -82,7 +82,7 @@ fn batched_answers_match_sequential_v1_across_shards() {
         fabric.publish(name, stamps.clone());
     }
     // The three traces land on more than one shard (determinism makes this
-    // a fixed fact of the ring, asserted so the test title stays honest).
+    // a fixed fact of the placement, asserted so the test title stays honest).
     let shards: std::collections::HashSet<usize> = traces
         .iter()
         .map(|(name, _)| fabric.shard_of(name))
@@ -266,32 +266,6 @@ fn republish_is_visible_to_live_connections() {
     );
 }
 
-/// Resharding a live catalog re-homes every trace to its new ring owner
-/// (same `Arc`, no copies) while reusing all previously hashed vnodes.
-#[test]
-fn reshard_rehomes_traces_and_reuses_vnode_hashes() {
-    let mut fabric = QueryFabric::new(2);
-    let before_hashes = fabric.vnode_hashes_computed();
-    let snap = fabric.publish("diamond", diamond());
-    fabric.publish("chain", chain());
-    fabric.reshard(3);
-    assert_eq!(fabric.shard_count(), 3);
-    // Only the new shard's vnodes were hashed (half of the 2-shard cost).
-    assert_eq!(fabric.vnode_hashes_computed(), before_hashes * 3 / 2);
-    // Both traces still resolve, to the same shared snapshot.
-    let after = fabric.snapshot("diamond").expect("rehomed");
-    assert!(Arc::ptr_eq(&snap, &after), "reshard must move, not copy");
-    assert_eq!(fabric.trace_names(), vec!["chain", "diamond"]);
-    // Placement agrees with a fresh 3-shard ring.
-    let fresh = QueryFabric::new(3);
-    assert_eq!(fabric.shard_of("diamond"), fresh.shard_of("diamond"));
-    // Shrinking back hashes nothing new.
-    let hashed = fabric.vnode_hashes_computed();
-    fabric.reshard(1);
-    assert_eq!(fabric.vnode_hashes_computed(), hashed);
-    assert_eq!(fabric.trace_count(), 2);
-}
-
 /// A one-worker pool serves connections to completion, one after another —
 /// nothing deadlocks and nothing is dropped.
 #[test]
@@ -308,75 +282,5 @@ fn single_worker_pool_serves_sequential_connections() {
             vec![true]
         );
         // Dropping the client closes the socket and frees the worker.
-    }
-}
-
-// ------------------------------------------------------------ resharding
-
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-    /// Consistent-hash stability: growing the ring from `S` to `S + 1`
-    /// shards moves at most `1/(S+1) + ε` of the keys (ε absorbs the
-    /// finite-vnode arc skew plus sampling noise), and every key that
-    /// moves lands on the *new* shard — no key ever shuffles between two
-    /// surviving shards.
-    #[test]
-    fn adding_a_shard_moves_at_most_its_fair_share_of_keys(
-        shards in 1usize..9,
-        seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 400..800),
-    ) {
-        use synctime_net::{ShardRing, VnodeTable};
-
-        // Structured trace-style ids, deduplicated: the fraction is over
-        // distinct keys.
-        let keys: std::collections::HashSet<String> =
-            seeds.iter().map(|s| format!("trace-{s:x}")).collect();
-        // Both rings share one vnode table: the rebuild must *reuse* the
-        // surviving shards' hashes, paying only for the newcomer's.
-        let mut table = VnodeTable::new();
-        let before = ShardRing::with_table(shards, &mut table);
-        let hashed_before = table.computed_hashes();
-        let after = ShardRing::with_table(shards + 1, &mut table);
-        let hashed_after = table.computed_hashes();
-        let per_shard = hashed_before / shards as u64;
-        proptest::prop_assert_eq!(
-            hashed_after - hashed_before,
-            per_shard,
-            "growing {} -> {} shards should hash exactly one shard's vnodes, not rehash all",
-            shards,
-            shards + 1
-        );
-        // The cache is an optimisation, not a behaviour change: cached
-        // rings place keys exactly as freshly hashed rings do.
-        let fresh_after = ShardRing::new(shards + 1);
-        let mut moved = 0usize;
-        for key in &keys {
-            let old = before.shard_of(key);
-            let new = after.shard_of(key);
-            proptest::prop_assert_eq!(new, fresh_after.shard_of(key));
-            if old != new {
-                moved += 1;
-                // A reshard only ever donates keys to the newcomer.
-                proptest::prop_assert_eq!(
-                    new,
-                    shards,
-                    "key `{}` moved from shard {} to surviving shard {}",
-                    key,
-                    old,
-                    new
-                );
-            }
-        }
-        let fair = 1.0 / (shards as f64 + 1.0);
-        let fraction = moved as f64 / keys.len() as f64;
-        proptest::prop_assert!(
-            fraction <= fair + 0.15,
-            "{} of {} keys moved ({:.3}); fair share is {:.3}",
-            moved,
-            keys.len(),
-            fraction,
-            fair
-        );
     }
 }

@@ -80,9 +80,8 @@ pub enum RuntimeError {
     },
     /// A clock baseline (or the group remap that produced it) does not
     /// have one component per edge group of the decomposition it was
-    /// given with (`Runtime::with_initial_clock`,
-    /// `Runtime::apply_reconfigure`). Every component would land in the
-    /// wrong group, so it is refused.
+    /// given with (`Runtime::apply_reconfigure`). Every component would
+    /// land in the wrong group, so it is refused.
     DimensionMismatch {
         /// The decomposition's edge-group count.
         expected: usize,

@@ -1163,27 +1163,6 @@ impl Runtime {
         &self.decomposition
     }
 
-    /// Starts every process clock of subsequent runs from `baseline`
-    /// instead of zero — the seam a committed reconfiguration uses so all
-    /// processes resume the new epoch from the same uniform vector
-    /// (`max(B+x, B+y) = B + max(x, y)`, so every precedence verdict
-    /// matches a zero-started reference run's).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::DimensionMismatch`] when `baseline`'s dimension
-    /// differs from the decomposition's.
-    pub fn with_initial_clock(mut self, baseline: VectorTime) -> Result<Self, RuntimeError> {
-        if baseline.dim() != self.decomposition.len() {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: self.decomposition.len(),
-                got: baseline.dim(),
-            });
-        }
-        self.initial_clock = Some(baseline);
-        Ok(self)
-    }
-
     /// Applies one committed reconfiguration: validates the epoch is the
     /// successor of the current one, swaps in the new topology and
     /// decomposition, and arms the uniform baseline every process clock of
@@ -2429,7 +2408,15 @@ mod tests {
                 got: new_dim + 2
             }
         );
-        assert!(err.to_string().contains("baseline"), "{err}");
+        // The message names the baseline and both widths, not a backend.
+        let msg = err.to_string();
+        assert!(msg.contains("baseline"), "{msg}");
+        assert!(
+            msg.contains(&format!("{} components", new_dim + 2)),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("{new_dim} edge groups")), "{msg}");
+        assert!(!msg.contains("backend"), "{msg}");
         wrong_width.baseline = baseline.clone();
         wrong_width.remap.new_len = new_dim + 1;
         assert_eq!(
@@ -2536,31 +2523,5 @@ mod tests {
             let (comp, stamps) = run.reconstruct().expect("every send was received");
             assert!(stamps.encodes(&Oracle::new(&comp)), "iteration {i}");
         }
-    }
-
-    #[test]
-    fn with_initial_clock_rejects_wrong_dimension() {
-        let topo = topology::path(3);
-        let dec = decompose::best_known(&topo);
-        let rt = Runtime::new(&topo, &dec);
-        let err = rt
-            .with_initial_clock(VectorTime::zero(dec.len() + 1))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RuntimeError::DimensionMismatch {
-                expected: dec.len(),
-                got: dec.len() + 1
-            }
-        );
-        // The message names the baseline and both widths, not a backend.
-        let msg = err.to_string();
-        assert!(msg.contains("baseline"), "{msg}");
-        assert!(
-            msg.contains(&format!("{} components", dec.len() + 1)),
-            "{msg}"
-        );
-        assert!(msg.contains(&format!("{} edge groups", dec.len())), "{msg}");
-        assert!(!msg.contains("backend"), "{msg}");
     }
 }

@@ -1,300 +1,17 @@
-//! Streaming trace ingestion: iterate the events of a JSON trace and build
-//! the *sparse* message poset without ever materializing the whole
-//! computation.
+//! The *sparse* message poset of a computation, built in one pass over
+//! its messages without a closure.
 //!
-//! [`json`](crate::json) parses a trace by loading the full text into a
-//! `serde_json` value tree and replaying it through [`Builder`] — three
-//! resident copies of the computation before stamping even starts. For the
-//! offline pipeline at millions of messages that is the first wall. This
-//! module replaces it with
-//!
-//! * [`JsonEventReader`] — a hand-rolled incremental pull parser for the
-//!   same schema (`{"processes": N, "events": [...]}`) that holds O(1)
-//!   state per event and yields [`StreamEvent`]s one at a time, and
-//! * [`SparsePosetAccumulator`] — a fold over those events keeping only
-//!   O(N) live state (the last message seen per process) while emitting the
-//!   generating edges and per-sender chains that
-//!   [`SparsePoset`] consumes.
-//!
-//! The two compose as [`sparse_poset_from_json`]; for computations already
-//! in memory, [`sparse_message_poset`] runs the same accumulator over
-//! [`SyncComputation::messages`].
-
-use std::fmt;
-use std::io::BufRead;
+//! [`SparsePosetAccumulator`] folds messages one at a time, keeping only
+//! O(N) live state (the last message seen per process) while emitting the
+//! generating edges and per-sender chains that [`SparsePoset`] consumes;
+//! [`sparse_message_poset`] runs it over [`SyncComputation::messages`].
 
 use synctime_poset::{PosetError, SparsePoset};
 
 use crate::computation::{ProcessId, SyncComputation};
 use crate::TraceError;
 
-/// One event pulled from a trace stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamEvent {
-    /// A rendezvous message from `sender` to `receiver`.
-    Message {
-        /// The sending process.
-        sender: ProcessId,
-        /// The receiving process.
-        receiver: ProcessId,
-    },
-    /// An internal event on a process (no effect on the message poset).
-    Internal(ProcessId),
-}
-
-/// Errors from streaming trace ingestion.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum StreamError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
-    /// The text deviates from the trace schema, with a byte offset.
-    Malformed {
-        /// Approximate byte offset of the problem.
-        offset: usize,
-        /// What the parser expected.
-        expected: &'static str,
-    },
-    /// An event is structurally invalid for the declared process count.
-    Invalid {
-        /// Index into the events array.
-        event: usize,
-        /// The underlying error.
-        source: TraceError,
-    },
-    /// The event stream does not generate a valid poset / chain family
-    /// (cannot happen for events validated against `processes`, but the
-    /// accumulator surfaces it rather than panicking).
-    Poset(PosetError),
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::Io(e) => write!(f, "trace stream: {e}"),
-            StreamError::Malformed { offset, expected } => {
-                write!(f, "bad trace JSON near byte {offset}: expected {expected}")
-            }
-            StreamError::Invalid { event, source } => write!(f, "event {event}: {source}"),
-            StreamError::Poset(e) => write!(f, "accumulated events: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Io(e) => Some(e),
-            StreamError::Invalid { source, .. } => Some(source),
-            StreamError::Poset(e) => Some(e),
-            StreamError::Malformed { .. } => None,
-        }
-    }
-}
-
-/// Incremental pull parser for the JSON trace schema.
-///
-/// Reads `{"processes": N, "events": [e, e, ...]}` (the format written by
-/// [`json::to_json_string`](crate::json::to_json_string), which emits
-/// `processes` before `events`) from any [`BufRead`], holding only the
-/// current event in memory. Iterate it to drain the events:
-///
-/// ```
-/// use synctime_trace::stream::{JsonEventReader, StreamEvent};
-///
-/// let text = r#"{"processes": 3, "events": [
-///     {"message": [0, 1]}, {"internal": 2}, {"message": [1, 2]}
-/// ]}"#;
-/// let mut r = JsonEventReader::new(text.as_bytes())?;
-/// assert_eq!(r.processes(), 3);
-/// let events: Vec<_> = r.by_ref().collect::<Result<_, _>>()?;
-/// assert_eq!(events[1], StreamEvent::Internal(2));
-/// # Ok::<(), synctime_trace::stream::StreamError>(())
-/// ```
-pub struct JsonEventReader<R: BufRead> {
-    reader: R,
-    processes: usize,
-    offset: usize,
-    /// Set once the closing `]` of the events array was consumed.
-    done: bool,
-    /// One byte of lookahead pushed back by the tokenizer.
-    peeked: Option<u8>,
-    /// Events yielded so far (for error indices).
-    yielded: usize,
-}
-
-impl<R: BufRead> JsonEventReader<R> {
-    /// Parses the header up to the opening `[` of the events array.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Io`] or [`StreamError::Malformed`]; the schema
-    /// requires the `processes` key before `events`.
-    pub fn new(reader: R) -> Result<Self, StreamError> {
-        let mut r = JsonEventReader {
-            reader,
-            processes: 0,
-            offset: 0,
-            done: false,
-            peeked: None,
-            yielded: 0,
-        };
-        r.expect_byte(b'{', "'{'")?;
-        r.expect_key("processes")?;
-        r.processes = r.read_usize()?;
-        r.expect_byte(b',', "','")?;
-        r.expect_key("events")?;
-        r.expect_byte(b'[', "'['")?;
-        Ok(r)
-    }
-
-    /// The declared process count.
-    pub fn processes(&self) -> usize {
-        self.processes
-    }
-
-    fn malformed<T>(&self, expected: &'static str) -> Result<T, StreamError> {
-        Err(StreamError::Malformed {
-            offset: self.offset,
-            expected,
-        })
-    }
-
-    /// Next byte, counting offsets; `None` at EOF.
-    fn next_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        if let Some(b) = self.peeked.take() {
-            return Ok(Some(b));
-        }
-        let mut buf = [0u8; 1];
-        loop {
-            return match self.reader.read(&mut buf) {
-                Ok(0) => Ok(None),
-                Ok(_) => {
-                    self.offset += 1;
-                    Ok(Some(buf[0]))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => Err(StreamError::Io(e)),
-            };
-        }
-    }
-
-    /// Next byte that is not JSON whitespace.
-    fn next_token_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        loop {
-            match self.next_byte()? {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => continue,
-                other => return Ok(other),
-            }
-        }
-    }
-
-    fn expect_byte(&mut self, want: u8, expected: &'static str) -> Result<(), StreamError> {
-        match self.next_token_byte()? {
-            Some(b) if b == want => Ok(()),
-            _ => self.malformed(expected),
-        }
-    }
-
-    /// A quoted string; trace keys contain no escapes.
-    fn read_string(&mut self) -> Result<String, StreamError> {
-        self.expect_byte(b'"', "'\"'")?;
-        let mut s = String::new();
-        loop {
-            match self.next_byte()? {
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => return self.malformed("a key without escapes"),
-                Some(b) => s.push(b as char),
-                None => return self.malformed("a closing '\"'"),
-            }
-        }
-    }
-
-    fn expect_key(&mut self, want: &'static str) -> Result<(), StreamError> {
-        let got = self.read_string()?;
-        if got != want {
-            return self.malformed(want);
-        }
-        self.expect_byte(b':', "':'")
-    }
-
-    /// A non-negative integer.
-    fn read_usize(&mut self) -> Result<usize, StreamError> {
-        let first = match self.next_token_byte()? {
-            Some(b @ b'0'..=b'9') => b,
-            _ => return self.malformed("a digit"),
-        };
-        let mut value = (first - b'0') as usize;
-        loop {
-            match self.next_byte()? {
-                Some(b @ b'0'..=b'9') => {
-                    value = value
-                        .checked_mul(10)
-                        .and_then(|v| v.checked_add((b - b'0') as usize))
-                        .ok_or(StreamError::Malformed {
-                            offset: self.offset,
-                            expected: "an integer in range",
-                        })?;
-                }
-                Some(other) => {
-                    self.peeked = Some(other);
-                    return Ok(value);
-                }
-                None => return Ok(value),
-            }
-        }
-    }
-
-    /// One event object, or `None` at the array's closing `]`.
-    fn read_event(&mut self) -> Result<Option<StreamEvent>, StreamError> {
-        if self.done {
-            return Ok(None);
-        }
-        // Separator handling: before every event but the first, a comma.
-        match self.next_token_byte()? {
-            Some(b']') => {
-                self.done = true;
-                return Ok(None);
-            }
-            Some(b',') if self.yielded > 0 => self.expect_byte(b'{', "'{'")?,
-            Some(b'{') if self.yielded == 0 => {}
-            _ => {
-                return self.malformed(if self.yielded == 0 {
-                    "'{' or ']'"
-                } else {
-                    "',' or ']'"
-                })
-            }
-        }
-        let kind = self.read_string()?;
-        self.expect_byte(b':', "':'")?;
-        let event = match kind.as_str() {
-            "message" => {
-                self.expect_byte(b'[', "'['")?;
-                let sender = self.read_usize()?;
-                self.expect_byte(b',', "','")?;
-                let receiver = self.read_usize()?;
-                self.expect_byte(b']', "']'")?;
-                StreamEvent::Message { sender, receiver }
-            }
-            "internal" => StreamEvent::Internal(self.read_usize()?),
-            _ => return self.malformed("\"message\" or \"internal\""),
-        };
-        self.expect_byte(b'}', "'}'")?;
-        self.yielded += 1;
-        Ok(Some(event))
-    }
-}
-
-impl<R: BufRead> Iterator for JsonEventReader<R> {
-    type Item = Result<StreamEvent, StreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_event().transpose()
-    }
-}
-
-/// Folds a stream of events into the inputs of
+/// Folds messages, in rendezvous order, into the inputs of
 /// [`SparsePoset::from_edges_and_chains`]: generating edges (per-process
 /// consecutive message pairs) and the per-sender chain partition.
 ///
@@ -394,48 +111,10 @@ pub fn sparse_message_poset(computation: &SyncComputation) -> SparsePoset {
         .expect("rendezvous order is a topological witness, so no cycle exists")
 }
 
-/// Streams a JSON trace into a sparse message poset without materializing
-/// the computation: `O(N + M)` resident (the poset itself) instead of the
-/// value tree + event list + computation that [`json::from_json_str`]
-/// (crate::json::from_json_str) holds.
-///
-/// Returns the declared process count alongside the poset.
-///
-/// # Errors
-///
-/// See [`StreamError`].
-pub fn sparse_poset_from_json<R: BufRead>(reader: R) -> Result<(usize, SparsePoset), StreamError> {
-    let mut events = JsonEventReader::new(reader)?;
-    let mut acc = SparsePosetAccumulator::new(events.processes());
-    for (i, ev) in events.by_ref().enumerate() {
-        match ev? {
-            StreamEvent::Message { sender, receiver } => acc
-                .message(sender, receiver)
-                .map_err(|source| StreamError::Invalid { event: i, source })?,
-            StreamEvent::Internal(p) => {
-                if p >= acc.processes {
-                    return Err(StreamError::Invalid {
-                        event: i,
-                        source: TraceError::ProcessOutOfRange {
-                            process: p,
-                            process_count: acc.processes,
-                        },
-                    });
-                }
-            }
-        }
-    }
-    let processes = events.processes();
-    acc.finish()
-        .map(|p| (processes, p))
-        .map_err(StreamError::Poset)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::computation::Builder;
-    use crate::json;
     use crate::Oracle;
 
     fn sample() -> SyncComputation {
@@ -447,64 +126,6 @@ mod tests {
         b.message(2, 3).unwrap();
         b.internal(0).unwrap();
         b.build()
-    }
-
-    #[test]
-    fn reader_yields_events_in_order() {
-        let comp = sample();
-        let text = json::to_json_string(&comp);
-        let mut r = JsonEventReader::new(text.as_bytes()).unwrap();
-        assert_eq!(r.processes(), 4);
-        let events: Vec<StreamEvent> = r.by_ref().collect::<Result<_, _>>().unwrap();
-        let messages: Vec<(usize, usize)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                StreamEvent::Message { sender, receiver } => Some((sender, receiver)),
-                StreamEvent::Internal(_) => None,
-            })
-            .collect();
-        assert_eq!(messages, vec![(0, 1), (2, 3), (1, 2), (2, 3)]);
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, StreamEvent::Internal(_)))
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn reader_handles_compact_and_empty_traces() {
-        let compact = r#"{"processes":2,"events":[{"message":[0,1]},{"internal":0}]}"#;
-        let r = JsonEventReader::new(compact.as_bytes()).unwrap();
-        assert_eq!(r.count(), 2);
-        let empty = r#"{"processes": 5, "events": []}"#;
-        let mut r = JsonEventReader::new(empty.as_bytes()).unwrap();
-        assert_eq!(r.processes(), 5);
-        assert!(r.next().is_none());
-        assert!(r.next().is_none());
-    }
-
-    #[test]
-    fn reader_rejects_malformed_text() {
-        for bad in [
-            "",
-            "{",
-            r#"{"events": []}"#,
-            r#"{"processes": 2}"#,
-            r#"{"processes": 2, "events": [{"massage": [0, 1]}]}"#,
-            r#"{"processes": 2, "events": [{"message": [0 1]}]}"#,
-            r#"{"processes": 2, "events": [{"message": [0, 1]}"#,
-        ] {
-            assert!(
-                matches!(
-                    JsonEventReader::new(bad.as_bytes())
-                        .and_then(|r| r.collect::<Result<Vec<_>, _>>()),
-                    Err(StreamError::Malformed { .. })
-                ),
-                "accepted: {bad}"
-            );
-        }
     }
 
     #[test]
@@ -534,34 +155,5 @@ mod tests {
         ));
         acc.message(1, 0).unwrap();
         assert_eq!(acc.message_count(), 1);
-    }
-
-    #[test]
-    fn json_stream_matches_in_memory_poset() {
-        let comp = sample();
-        let text = json::to_json_string(&comp);
-        let (processes, streamed) = sparse_poset_from_json(text.as_bytes()).unwrap();
-        assert_eq!(processes, 4);
-        let direct = sparse_message_poset(&comp);
-        assert_eq!(streamed.len(), direct.len());
-        for a in 0..direct.len() {
-            for b in 0..direct.len() {
-                assert_eq!(streamed.lt(a, b), direct.lt(a, b), "lt({a}, {b})");
-            }
-        }
-    }
-
-    #[test]
-    fn json_stream_reports_invalid_events_by_index() {
-        let text = r#"{"processes": 2, "events": [{"message": [0, 1]}, {"message": [1, 1]}]}"#;
-        assert!(matches!(
-            sparse_poset_from_json(text.as_bytes()),
-            Err(StreamError::Invalid { event: 1, .. })
-        ));
-        let internal = r#"{"processes": 2, "events": [{"internal": 9}]}"#;
-        assert!(matches!(
-            sparse_poset_from_json(internal.as_bytes()),
-            Err(StreamError::Invalid { event: 0, .. })
-        ));
     }
 }
