@@ -22,14 +22,17 @@
 //!   batches in flight (W ∈ {1, 4, 16}): requests stream without waiting
 //!   for answers, the server answers every buffered frame in one write,
 //!   and the client decodes answers as borrowed views straight into
-//!   booleans — no allocation on either side in steady state.
+//!   booleans — no allocation on either side in steady state. The
+//!   `batch_256` and `window_16` rows, whose ratio is floored, are each
+//!   the median of five runs alternating between the two.
 //! * `serve` — the steady-state serving loop driven in-process under a
 //!   counting global allocator: the record's `allocs` detail is the
 //!   number of heap allocations across thousands of pumped batches, and
 //!   the full-mode floor demands exactly zero.
 //! * `kernel` — the chunked 8-lane merge kernel behind every clock
 //!   backend, vectorized vs the black-box-per-element scalar loop at
-//!   d=256, reported as a speedup ratio.
+//!   d=256, reported as the ratio of the two sides' medians over five
+//!   alternating passes.
 //! * `fabric` — a 4-shard catalog of 8 stamped traces served by the
 //!   fixed worker pool; closed-loop connections spread batched load
 //!   across every trace, reporting aggregate queries/sec across shards.
@@ -460,9 +463,10 @@ fn bench_alloc_steady_state(pumps: usize) -> Record {
 // ------------------------------------------------------ kernel speedup
 
 /// The 8-lane chunked merge kernel against the black-box-per-element
-/// scalar loop, at clock dimension `dimension`. Both sides do the same
-/// `iters` merges over the same pseudo-random lanes; the detail carries
-/// the speedup the full-mode floor checks.
+/// scalar loop, at clock dimension `dimension`. Each of `SAMPLES`
+/// alternating passes times both sides doing the same `iters` merges over
+/// the same pseudo-random lanes; the detail carries each side's median
+/// and their ratio, the speedup the full-mode floor checks.
 fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
     use std::hint::black_box;
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -477,22 +481,31 @@ fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
     let mut dst_scalar: Vec<u64> = (0..dimension).map(|_| next()).collect();
     let mut dst_vector = dst_scalar.clone();
 
-    // Scalar baseline: black_box on every element defeats autovectorization,
-    // modelling the per-component loop the clocks used before the kernel.
-    let scalar_started = Instant::now();
-    for _ in 0..iters {
-        for (d, s) in dst_scalar.iter_mut().zip(&src) {
-            *d = black_box((*d).max(*s));
+    let (mut scalar, mut vector) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        // Scalar baseline: black_box on every element defeats
+        // autovectorization, modelling the per-component loop the clocks
+        // used before the kernel.
+        let scalar_started = Instant::now();
+        for _ in 0..iters {
+            for (d, s) in dst_scalar.iter_mut().zip(&src) {
+                *d = black_box((*d).max(*s));
+            }
         }
-    }
-    let scalar_ns = scalar_started.elapsed().as_nanos() as u64;
+        scalar.push(scalar_started.elapsed().as_nanos() as u64);
 
-    let vector_started = Instant::now();
-    for _ in 0..iters {
-        kernel::merge_max_lanes(black_box(&mut dst_vector), black_box(&src));
+        let vector_started = Instant::now();
+        for _ in 0..iters {
+            kernel::merge_max_lanes(black_box(&mut dst_vector), black_box(&src));
+        }
+        vector.push(vector_started.elapsed().as_nanos() as u64);
+        assert_eq!(dst_scalar, dst_vector, "kernels disagree on the merge");
     }
-    let vector_ns = vector_started.elapsed().as_nanos() as u64;
-    assert_eq!(dst_scalar, dst_vector, "kernels disagree on the merge");
+    let median = |mut ns: Vec<u64>| {
+        ns.sort_unstable();
+        ns[SAMPLES / 2]
+    };
+    let (scalar_ns, vector_ns) = (median(scalar), median(vector));
 
     let speedup = if vector_ns > 0 {
         scalar_ns as f64 / vector_ns as f64
@@ -511,31 +524,49 @@ fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
             ("scalar_ns", Value::UInt(scalar_ns)),
             ("vector_ns", Value::UInt(vector_ns)),
             ("speedup_vs_scalar", Value::Float(speedup)),
+            ("samples", Value::UInt(SAMPLES as u64)),
         ]),
     }
 }
 
+// ------------------------------------------------- alternating samples
+
+/// Runs per row of a ratio whose two sides are timed apart: the
+/// `ring_transport` rows, the kernel's scalar and vector passes, and the
+/// `batch_256` and `window_16` rows. Each side alternates with the other
+/// and reports its median run, so one host stall cannot move the ratio:
+/// one-run `tcp` rows spread from 7.1 k to 21.6 k ops/s across five suite
+/// runs, and one-pass ratios fell below their floors in 2 of 5 and 3 of
+/// 30 full suite runs.
+const SAMPLES: usize = 5;
+
+/// The median of one row's runs by elapsed time (each run does the same
+/// work), its detail noting how many runs it was taken from.
+fn median_run(mut runs: Vec<Record>) -> Record {
+    runs.sort_by_key(|r| r.elapsed_ns);
+    let count = runs.len();
+    let mut median = runs.swap_remove(count / 2);
+    if let Value::Object(fields) = &mut median.detail {
+        fields.push(("samples".to_string(), Value::UInt(count as u64)));
+    }
+    median
+}
+
 // -------------------------------------------------------- ring transport
 
-/// Runs timed per `ring_transport` row; each row reports its median run.
-/// One run of 2 400 rendezvous is short enough for a single host stall to
-/// move it: one-run `tcp` rows spread from 7.1 k to 21.6 k ops/s across
-/// five suite runs.
-const RING_SAMPLES: usize = 5;
-
 /// The token ring in process (parking matcher) and over a loopback TCP
-/// mesh, alternating `RING_SAMPLES` runs of each. Each row is its median
-/// run by elapsed time, with that run's wire accounting.
+/// mesh, alternating `SAMPLES` runs of each. Each row is its median run
+/// by elapsed time, with that run's wire accounting.
 fn bench_ring(n: usize, rounds: u64) -> [Record; 2] {
-    let mut local = Vec::with_capacity(RING_SAMPLES);
-    let mut tcp = Vec::with_capacity(RING_SAMPLES);
-    for _ in 0..RING_SAMPLES {
+    let mut local = Vec::with_capacity(SAMPLES);
+    let mut tcp = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
         local.push(ring_local(n, rounds));
         tcp.push(ring_tcp(n, rounds));
     }
     [("local", local), ("tcp", tcp)].map(|(variant, mut samples)| {
         samples.sort_by_key(|&(elapsed_ns, _)| elapsed_ns);
-        let (elapsed_ns, stats) = samples.swap_remove(RING_SAMPLES / 2);
+        let (elapsed_ns, stats) = samples.swap_remove(SAMPLES / 2);
         assert_eq!(stats.messages, n as u64 * rounds);
         Record {
             workload: "ring_transport",
@@ -544,7 +575,7 @@ fn bench_ring(n: usize, rounds: u64) -> [Record; 2] {
             ops: stats.messages,
             elapsed_ns,
             detail: obj(vec![
-                ("samples", Value::UInt(RING_SAMPLES as u64)),
+                ("samples", Value::UInt(SAMPLES as u64)),
                 ("total_wire_bytes", Value::UInt(stats.total_wire_bytes)),
                 ("wire_savings_ratio", Value::Float(stats.wire_savings_ratio)),
                 ("ack_latency_p50_ns", Value::UInt(stats.ack_latency_p50_ns)),
@@ -646,7 +677,7 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
         true,
         "chain_of",
     ));
-    eprintln!("net_query: lock-step batches (single connection, batch 16 and 256)");
+    eprintln!("net_query: lock-step batches (single connection, batch 16)");
     records.push(bench_batch(
         1,
         1,
@@ -655,15 +686,6 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
         16,
         messages,
         ("query_batch", "batch_16"),
-    ));
-    records.push(bench_batch(
-        1,
-        1,
-        1,
-        batches,
-        256,
-        messages,
-        ("query_batch", "batch_256"),
     ));
     // Full mode: 1024 calls of 8192 queries keep even the fastest row,
     // W=16 (~57 M queries/s on a 2-vCPU KVM guest), above 90 ms of work,
@@ -675,7 +697,7 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     };
     eprintln!(
         "net_query: pipelined windows (single connection, batch 256 x \
-         {pipe_chunks} chunks, W in {{1, 4, 16}})"
+         {pipe_chunks} chunks, W in {{1, 4}})"
     );
     records.push(bench_pipeline(
         1,
@@ -693,14 +715,32 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
         messages,
         "window_4",
     ));
-    records.push(bench_pipeline(
-        16,
-        256,
-        pipe_chunks,
-        pipe_calls,
-        messages,
-        "window_16",
-    ));
+    eprintln!(
+        "net_query: lock-step batch 256 vs pipelined window 16, median of {SAMPLES} \
+         alternating runs each"
+    );
+    let (mut batch256, mut window16) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        batch256.push(bench_batch(
+            1,
+            1,
+            1,
+            batches,
+            256,
+            messages,
+            ("query_batch", "batch_256"),
+        ));
+        window16.push(bench_pipeline(
+            16,
+            256,
+            pipe_chunks,
+            pipe_calls,
+            messages,
+            "window_16",
+        ));
+    }
+    records.push(median_run(batch256));
+    records.push(median_run(window16));
     eprintln!("net_query: steady-state serving allocations ({pumps} pumps x 256 queries)");
     records.push(bench_alloc_steady_state(pumps));
     eprintln!("net_query: merge kernel vs scalar (d=256, {kernel_iters} iters)");
@@ -717,7 +757,7 @@ fn run_suite(smoke: bool) -> (Vec<Record>, Value) {
     ));
     eprintln!(
         "net_query: ring transport ({ring_rounds} rounds x 6 processes, local vs tcp, \
-         median of {RING_SAMPLES} runs each)"
+         median of {SAMPLES} runs each)"
     );
     records.extend(bench_ring(6, ring_rounds));
 

@@ -133,12 +133,15 @@ CHURN:
   between events (Poisson churn arrivals). Same seed, same plan. `run
   --churn-plan plan.json` (or `launch`, over either transport) then runs
   the multi-epoch workload: every epoch is a token ring over the plan's
-  active set. At each boundary in-flight traffic quiesces, every clock is
-  rebased through the group remap, and all processes resume from the
-  max-merged baseline, which keeps post-change stamps order-isomorphic
-  with an uninterrupted run over the new topology. Over TCP the boundary
-  is a RECONFIGURE prepare/commit round through the coordinator (process
-  0); in process it merges the final clocks directly. The command prints
+  active set. At each boundary in-flight traffic quiesces, the max of
+  every final clock is rebased through the group remap, and all processes
+  resume from that one baseline, which keeps post-change stamps
+  order-isomorphic with an uninterrupted run over the new topology. In
+  process the engine merges the final clocks directly. Over TCP each node
+  applies the boundary's edits from its own copy of the plan, each
+  follower sends process 0 one RECONFIG_ACK (its final clock and the hash
+  of its new topology), and process 0 checks the hashes and sends each
+  the merge in one RECONFIGURE; the rebase is the same. The command prints
   the FINAL epoch's reconstructed trace (byte-identical to an
   uninterrupted reference run over the post-churn topology); with
   `--persist DIR` the boundaries are stored as reconfiguration records so
@@ -761,8 +764,8 @@ struct Workload {
     /// Epoch 0's topology, over every process of the run.
     topology: Graph,
     /// Epoch 0's decomposition: `best_known` for programs, the greedy
-    /// start of the reconfiguration plane's `IncrementalDecomposition`
-    /// (which later epochs edit) for a plan.
+    /// start of the `IncrementalDecomposition` (which later epochs edit)
+    /// for a plan.
     decomposition: synctime_graph::EdgeDecomposition,
     kind: WorkloadKind,
 }
@@ -854,8 +857,8 @@ impl Workload {
     /// The peers one TCP node meshes with, and the hash every node checks
     /// at the handshake: the topology for programs; for a plan, the union
     /// of its rings plus the control star to the coordinator (process 0),
-    /// so every RECONFIGURE round has a socket even when an epoch's ring
-    /// skips the coordinator. The mesh is set up once for every epoch.
+    /// so every boundary exchange has a socket even when an epoch's ring
+    /// skips process 0. The mesh is set up once for every epoch.
     fn mesh(&self, process: usize) -> Result<(Vec<usize>, u64), String> {
         let n = self.processes();
         let WorkloadKind::Plan { plan, .. } = &self.kind else {
@@ -1045,7 +1048,7 @@ fn render_epoch_reports(epochs: &[synctime_sim::EpochReport]) -> String {
 
 /// Loads the workload of a TCP run. Faults are injected in process only:
 /// over TCP a crashed node would still take part in later epochs'
-/// RECONFIGURE rounds, so it could not match `run_epochs`. Node reports
+/// boundary exchanges, so it could not match `run_epochs`. Node reports
 /// carry no per-epoch dimension, latency or survivor count, so `--epochs`
 /// is in process only too.
 fn tcp_workload(opts: &BTreeMap<String, String>) -> Result<Workload, String> {
@@ -1084,12 +1087,12 @@ fn parse_addr_list(list: &str, n: usize) -> Result<Vec<std::net::SocketAddr>, St
 /// it the node binds an ephemeral port, announces `listening on ADDR` on
 /// stdout, and reads the comma-separated peer list from stdin — the
 /// contract `launch --transport tcp` drives. The node meshes once, then
-/// runs every epoch over that mesh. Between two epochs the coordinator
-/// (process 0) drives `coordinate_reconfigure`, everyone else
-/// `follow_reconfigure`, and each node applies the committed epoch to its
-/// own runtime. Prints a node report: the epochs' logs concatenated, and
-/// the log length at each boundary, which the launcher persists as
-/// reconfiguration records.
+/// runs every epoch over that mesh. Each boundary is `cross_boundary`,
+/// the step `run_epochs` takes, over the merge of every final clock that
+/// process 0 gathers (`coordinate_reconfigure`) and sends back to each
+/// follower (`follow_reconfigure`). Prints a node report: the epochs'
+/// logs concatenated, and the log length at each boundary, which the
+/// launcher persists as reconfiguration records.
 fn cmd_serve_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let workload = tcp_workload(opts)?;
     let n = workload.processes();
@@ -1105,7 +1108,7 @@ fn cmd_serve_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
         opt_flag(opts, "establish-timeout-ms", "milliseconds")?.unwrap_or(10_000),
     );
     let mesh = node_mesh(opts, process, &workload, timeout)?;
-    let mut session = synctime_net::ReconfigSession::new(&workload.topology);
+    let mut inc = synctime_graph::IncrementalDecomposition::new(&workload.topology);
     let mut rt = configure_runtime(
         synctime_runtime::Runtime::new(&workload.topology, &workload.decomposition),
         opts,
@@ -1130,37 +1133,32 @@ fn cmd_serve_node(opts: &BTreeMap<String, String>) -> Result<String, String> {
         if e + 1 == epochs {
             break;
         }
-        let ops = workload.edge_ops(e);
-        let committed = if process == 0 {
-            let peers: Vec<usize> = (1..n).collect();
-            synctime_net::coordinate_reconfigure(
-                &mesh,
-                &mut session,
-                &peers,
-                &ops,
-                &final_clock,
-                timeout,
-            )
-        } else {
-            synctime_net::follow_reconfigure(
-                &mesh,
-                &mut session,
-                0,
-                process as u32,
-                &final_clock,
-                timeout,
-            )
-        }
-        .map_err(|err| format!("reconfiguration into epoch {}: {err}", e + 1))?;
-        let applied = synctime_runtime::AppliedReconfigure {
-            epoch: committed.epoch,
-            topology: session.graph().clone(),
-            decomposition: session.decomposition().clone(),
-            remap: committed.remap,
-            baseline: committed.baseline,
-        };
-        rt.apply_reconfigure(&applied)
-            .map_err(|err| format!("applying epoch {}: {err}", e + 1))?;
+        let epoch = (e + 1) as u64;
+        synctime_sim::cross_boundary(&mut rt, &mut inc, &workload.edge_ops(e), |inc| {
+            let hash = synctime_net::topology_hash_of(n, inc.decomposition());
+            let merged = if process == 0 {
+                let followers: Vec<usize> = (1..n).collect();
+                synctime_net::coordinate_reconfigure(
+                    &mesh,
+                    &followers,
+                    epoch,
+                    hash,
+                    &final_clock,
+                    timeout,
+                )
+            } else {
+                synctime_net::follow_reconfigure(
+                    &mesh,
+                    process as u32,
+                    epoch,
+                    hash,
+                    &final_clock,
+                    timeout,
+                )
+            };
+            merged.map_err(Box::<dyn std::error::Error>::from)
+        })
+        .map_err(|err| format!("reconfiguration into epoch {epoch}: {err}"))?;
         cuts.push(log.len() as u64);
     }
     drop(mesh); // close peer sockets before reporting
@@ -1405,13 +1403,16 @@ fn cmd_serve_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let poll_ms = opt_flag(opts, "poll-ms", "milliseconds")?.unwrap_or(100);
     let store_dir = opts.get("store-dir");
     let is_catalog = opts.contains_key("traces-dir") || store_dir.is_some();
+    let mut tailer = None;
     let fabric = if let Some(root) = store_dir {
         if opts.contains_key("trace") || opts.contains_key("traces-dir") {
             return Err(
                 "--store-dir is mutually exclusive with --trace and --traces-dir".to_string(),
             );
         }
-        load_store_catalog(root, shards)?
+        let (fabric, loaded) = load_store_catalog(root, shards)?;
+        tailer = Some(loaded);
+        fabric
     } else if let Some(dir) = opts.get("traces-dir") {
         if opts.contains_key("trace") {
             return Err("--trace and --traces-dir are mutually exclusive".to_string());
@@ -1447,12 +1448,14 @@ fn cmd_serve_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
     }
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let fabric = std::sync::Arc::new(fabric);
-    if let Some(root) = store_dir {
-        spawn_store_tailer(
-            std::path::PathBuf::from(root),
-            std::sync::Arc::clone(&fabric),
-            std::time::Duration::from_millis(poll_ms),
-        );
+    if let Some(mut tailer) = tailer {
+        let fabric = std::sync::Arc::clone(&fabric);
+        let poll = std::time::Duration::from_millis(poll_ms);
+        std::thread::spawn(move || loop {
+            std::thread::sleep(poll);
+            // A pass that cannot read the root retries on the next one.
+            let _ = tailer.pass(&fabric);
+        });
     }
     synctime_net::serve_fabric(listener, fabric, pool)
         .map_err(|e| format!("query server failed: {e}"))?;
@@ -1460,99 +1463,93 @@ fn cmd_serve_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
 }
 
 /// Recovers every trace directory under a `synctime-store` root and
-/// publishes the reconstructible prefix of each into a fresh fabric.
-/// Per-trace failures are warnings, not errors: a trace being written
-/// *right now* may be momentarily torn, and the tailer republishes it on
-/// a later poll. An empty root is fine — traces appear as runs persist
-/// them.
-fn load_store_catalog(root: &str, shards: usize) -> Result<synctime_net::QueryFabric, String> {
+/// publishes the reconstructible prefix of each into a fresh fabric, by
+/// one pass of the [`StoreTailer`] it returns, which then follows the
+/// root. Per-trace failures are warnings, not errors: a trace being
+/// written *right now* may be momentarily torn, and the tailer publishes
+/// it on a later pass. An empty root is fine — traces appear as runs
+/// persist them.
+fn load_store_catalog(
+    root: &str,
+    shards: usize,
+) -> Result<(synctime_net::QueryFabric, StoreTailer), String> {
     // A server may come up before the first persisted run: create the
     // root so an empty store is servable and the tailer picks up traces
     // as they appear.
     std::fs::create_dir_all(root)
         .map_err(|e| format!("cannot create --store-dir `{root}`: {e}"))?;
-    let dirs = synctime_store::trace_dirs(std::path::Path::new(root))
-        .map_err(|e| format!("cannot read --store-dir `{root}`: {e}"))?;
     let fabric = synctime_net::QueryFabric::new(shards);
-    for (name, dir) in dirs {
-        match publish_store_trace(&fabric, &name, &dir) {
-            Ok(()) => {}
-            Err(e) => eprintln!("warning: trace `{name}` not yet servable: {e}"),
-        }
+    let mut tailer = StoreTailer {
+        root: std::path::PathBuf::from(root),
+        seen: BTreeMap::new(),
+        readers: BTreeMap::new(),
+    };
+    let failed = tailer
+        .pass(&fabric)
+        .map_err(|e| format!("cannot read --store-dir `{root}`: {e}"))?;
+    for (name, e) in failed {
+        eprintln!("warning: trace `{name}` not yet servable: {e}");
     }
-    Ok(fabric)
+    Ok((fabric, tailer))
 }
 
-/// Recovers one store trace directory and publishes its stamps under
-/// `name` (copy-on-write: in-flight queries keep the old snapshot).
-fn publish_store_trace(
-    fabric: &synctime_net::QueryFabric,
-    name: &str,
-    dir: &std::path::Path,
-) -> Result<(), String> {
-    let rec = synctime_store::read_trace_dir(dir).map_err(|e| e.to_string())?;
-    publish_recovered(fabric, name, &rec)
-}
-
-/// Publishes the queryable view of a recovered trace: its **latest
-/// epoch**. For a single-epoch trace that is the whole run; for a churn
-/// trace it is the segment past the newest reconfiguration boundary — the
-/// only segment whose stamps share a dimension and whose keys are unique.
-fn publish_recovered(
-    fabric: &synctime_net::QueryFabric,
-    name: &str,
-    rec: &synctime_store::RecoveredTrace,
-) -> Result<(), String> {
-    let (_epoch, _comp, stamps) =
-        synctime_store::materialize_latest_epoch(rec).map_err(|e| e.to_string())?;
-    fabric.publish(name, stamps);
-    Ok(())
-}
-
-/// Watches a store root and republishes any trace whose on-disk bytes
-/// grew since the last poll, so a serving node follows live ingestion.
-/// Fingerprints are (snapshot len, log len) pairs — a store only appends
-/// to its log, so growth is always visible, and a store replaced under the
-/// same name is seen unless its log has exactly the old length. A changed
-/// trace is re-read through its per-trace
-/// [`synctime_store::TraceTailReader`], which replays only the appended
-/// suffix, or everything once the store was replaced. Failed recoveries
-/// (a torn in-progress write) leave the fingerprint unrecorded and retry
-/// next poll.
-fn spawn_store_tailer(
+/// Follows a store root so a serving node keeps up with live ingestion:
+/// one [`synctime_store::TraceTailReader`] per trace, which replays only
+/// the bytes appended since its last read (or everything once the store
+/// was replaced), and the fingerprint of the bytes each trace last
+/// published. Fingerprints are (snapshot len, log len) pairs — a store
+/// only appends to its log, so growth is always visible, and a store
+/// replaced under the same name is seen unless its log has exactly the
+/// old length.
+struct StoreTailer {
     root: std::path::PathBuf,
-    fabric: std::sync::Arc<synctime_net::QueryFabric>,
-    poll: std::time::Duration,
-) {
-    let file_len = |path: std::path::PathBuf| std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    std::thread::spawn(move || {
-        let mut seen: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        let mut readers: BTreeMap<String, synctime_store::TraceTailReader> = BTreeMap::new();
-        loop {
-            std::thread::sleep(poll);
-            let Ok(dirs) = synctime_store::trace_dirs(&root) else {
-                continue; // root may not exist yet; a run can create it later
-            };
-            for (name, dir) in dirs {
-                let fp = (
-                    file_len(dir.join(synctime_store::SNAPSHOT_FILE)),
-                    file_len(dir.join(synctime_store::LOG_FILE)),
-                );
-                if seen.get(&name) == Some(&fp) {
-                    continue;
+    seen: BTreeMap<String, (u64, u64)>,
+    readers: BTreeMap<String, synctime_store::TraceTailReader>,
+}
+
+impl StoreTailer {
+    /// Publishes the **latest epoch** of every trace under the root whose
+    /// fingerprint changed since it was last published: for a
+    /// single-epoch trace that is the whole run; for a churn trace it is
+    /// the segment past the newest reconfiguration boundary — the only
+    /// segment whose stamps share a dimension and whose keys are unique.
+    /// Publishing is copy-on-write, so in-flight queries keep the old
+    /// snapshot, and an unchanged trace keeps its snapshot. Each
+    /// fingerprint is taken before its read, so bytes that land during
+    /// the read are read again on the next pass. Returns the traces that
+    /// could not be published, with why; their fingerprints stay
+    /// unrecorded, so the next pass retries them.
+    fn pass(
+        &mut self,
+        fabric: &synctime_net::QueryFabric,
+    ) -> Result<Vec<(String, String)>, synctime_store::StoreError> {
+        let file_len = |path: std::path::PathBuf| std::fs::metadata(path).map_or(0, |m| m.len());
+        let mut failed = Vec::new();
+        for (name, dir) in synctime_store::trace_dirs(&self.root)? {
+            let fp = (
+                file_len(dir.join(synctime_store::SNAPSHOT_FILE)),
+                file_len(dir.join(synctime_store::LOG_FILE)),
+            );
+            if self.seen.get(&name) == Some(&fp) {
+                continue;
+            }
+            let reader = self
+                .readers
+                .entry(name.clone())
+                .or_insert_with(|| synctime_store::TraceTailReader::new(&dir));
+            let published = reader
+                .poll()
+                .and_then(|rec| synctime_store::materialize_latest_epoch(&rec))
+                .map(|(_epoch, _comp, stamps)| fabric.publish(&name, stamps));
+            match published {
+                Ok(_) => {
+                    self.seen.insert(name, fp);
                 }
-                let reader = readers
-                    .entry(name.clone())
-                    .or_insert_with(|| synctime_store::TraceTailReader::new(&dir));
-                let Ok(rec) = reader.poll() else {
-                    continue;
-                };
-                if publish_recovered(&fabric, &name, &rec).is_ok() {
-                    seen.insert(name, fp);
-                }
+                Err(e) => failed.push((name, e.to_string())),
             }
         }
-    });
+        Ok(failed)
+    }
 }
 
 /// Loads every `*.json` trace under `dir` into a sharded catalog; the
@@ -2760,6 +2757,45 @@ mod tests {
         let again = synctime_store::read_trace_dir(&root.join("epochs")).unwrap();
         assert_eq!(again.logs, rec.logs);
         assert_eq!(again.reconfigs, rec.reconfigs);
+    }
+
+    /// A tailer pass over an unchanged store republishes nothing: every
+    /// served snapshot stays the same `Arc`. A trace persisted again is
+    /// read and republished on the next pass.
+    #[test]
+    fn store_tailer_skips_unchanged_traces() {
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join("synctime-cli-store-tailer");
+        let _ = std::fs::remove_dir_all(&dir);
+        let root = dir.join("store");
+        let root = root.to_str().unwrap();
+        let persist = |name: &str, rounds: &str| {
+            run_strs(&[
+                "run",
+                "--ring",
+                "3",
+                "--rounds",
+                rounds,
+                "--persist",
+                root,
+                "--trace-name",
+                name,
+            ])
+            .unwrap();
+        };
+        persist("a", "2");
+        persist("b", "3");
+        let (fabric, mut tailer) = load_store_catalog(root, 2).unwrap();
+        let served = |name: &str| fabric.snapshot(name).unwrap();
+        let (a, b) = (served("a"), served("b"));
+        assert!(tailer.pass(&fabric).unwrap().is_empty());
+        assert!(Arc::ptr_eq(&a, &served("a")), "`a` was republished");
+        assert!(Arc::ptr_eq(&b, &served("b")), "`b` was republished");
+        persist("b", "5");
+        assert!(tailer.pass(&fabric).unwrap().is_empty());
+        assert!(Arc::ptr_eq(&a, &served("a")), "`a` was republished");
+        assert!(served("b").len() > b.len(), "`b` was not republished");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `launch --transport local` is `run` by another name.

@@ -187,10 +187,11 @@ fn serve_query_binary_roundtrip() {
     server.wait().ok();
 }
 
-/// The reconfiguration control plane end-to-end: `launch --churn-plan`
-/// spawns one OS process per universe slot, the nodes drive RECONFIGURE
-/// rounds over loopback TCP at every boundary, and the final-epoch trace
-/// is byte-identical to the same plan run in-process by the sim engine.
+/// The epoch boundary over TCP end-to-end: `launch --churn-plan` spawns
+/// one OS process per universe slot, the nodes trade their final clocks
+/// through process 0 over loopback TCP at every boundary, and the
+/// final-epoch trace is byte-identical to the same plan run in-process by
+/// the sim engine.
 #[test]
 fn launch_churn_tcp_matches_local() {
     let dir = std::env::temp_dir().join("synctime-bin-e2e-churn");

@@ -268,30 +268,18 @@ pub fn store_internal_record_bytes(process: u64, pseq: u64) -> u64 {
     STORE_RECORD_HEADER_BYTES + 1 + varint_bytes(process) + varint_bytes(pseq)
 }
 
-/// On-wire cost of one RECONFIGURE *prepare* frame carrying `ops` edge
-/// operations and an `old_len`-entry group remap: frame header + 1-byte
-/// phase + 8-byte epoch + 8-byte post-reconfiguration topology hash +
-/// 4-byte op count + 9 bytes (kind, u, v) per op + 4-byte old dimension +
-/// 4-byte new dimension + a 4-byte destination slot per old component
-/// (`u32::MAX` marks a dissolved component).
-pub fn reconfigure_prepare_frame_bytes(ops: usize, old_len: usize) -> u64 {
-    FRAME_HEADER_BYTES + 1 + 8 + 8 + 4 + 9 * ops as u64 + 4 + 4 + 4 * old_len as u64
-}
-
-/// On-wire cost of one RECONFIGURE *commit* frame carrying a
-/// `baseline_bytes`-byte [`encode_full`] baseline vector every node
-/// restarts the new epoch from: frame header + 1-byte phase + 8-byte
-/// epoch + the vector.
-pub fn reconfigure_commit_frame_bytes(baseline_bytes: usize) -> u64 {
-    FRAME_HEADER_BYTES + 1 + 8 + baseline_bytes as u64
+/// On-wire cost of one RECONFIGURE frame, process 0's commit of an
+/// epoch boundary carrying a `clock_bytes`-byte [`encode_full`] merged
+/// final clock: frame header + 8-byte epoch + the vector.
+pub fn reconfigure_commit_frame_bytes(clock_bytes: usize) -> u64 {
+    FRAME_HEADER_BYTES + 8 + clock_bytes as u64
 }
 
 /// On-wire cost of one RECONFIG_ACK frame carrying a `clock_bytes`-byte
-/// [`encode_full`] final clock (zero on an epoch-mismatch refusal): frame
-/// header + 8-byte acked epoch + 4-byte process id + 1-byte status +
-/// 8-byte current epoch + the vector.
+/// [`encode_full`] final clock: frame header + 8-byte epoch + 4-byte
+/// process id + 8-byte post-edit topology hash + the vector.
 pub fn reconfig_ack_frame_bytes(clock_bytes: usize) -> u64 {
-    FRAME_HEADER_BYTES + 8 + 4 + 1 + 8 + clock_bytes as u64
+    FRAME_HEADER_BYTES + 8 + 4 + 8 + clock_bytes as u64
 }
 
 /// On-disk cost of a store RECONFIG record marking an epoch boundary:

@@ -106,26 +106,16 @@ impl GroupRemap {
 }
 
 /// One topology edit in a reconfiguration: a channel appearing or
-/// disappearing. Sequences of these are the unit a control plane ships —
-/// deterministic to apply, so every replica that starts from the same
-/// decomposition and applies the same ops lands on the same groups.
+/// disappearing. Deterministic to apply, so every replica that starts
+/// from the same decomposition and applies the same ops lands on the same
+/// groups: a distributed run's nodes each apply them from their own copy
+/// of the plan, and nothing but a hash of the result crosses the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeOp {
     /// Add channel `(u, v)` to the topology.
     Insert(NodeId, NodeId),
     /// Remove channel `(u, v)` from the topology.
     Remove(NodeId, NodeId),
-}
-
-/// An epoch-numbered batch of topology edits — the payload of one
-/// reconfiguration round. Epoch `e` transforms the topology of epoch
-/// `e - 1` into the topology of epoch `e`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reconfiguration {
-    /// The epoch this batch establishes when applied.
-    pub epoch: u64,
-    /// The edits, applied in order.
-    pub ops: Vec<EdgeOp>,
 }
 
 /// A graph and its edge decomposition, kept consistent under edge edits

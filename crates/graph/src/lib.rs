@@ -54,4 +54,4 @@ pub mod topology;
 pub use decompose::{EdgeDecomposition, EdgeGroup};
 pub use error::GraphError;
 pub use graph::{Edge, Graph, NodeId};
-pub use incremental::{EdgeOp, GroupRemap, IncrementalDecomposition, Reconfiguration};
+pub use incremental::{EdgeOp, GroupRemap, IncrementalDecomposition};

@@ -26,16 +26,36 @@ pub enum NetError {
     /// been consumed and framing is intact, so the connection stays
     /// usable — the stray answer is dropped, not desynchronising.
     Correlation(u32),
-    /// A reconfiguration frame named an epoch this node is not at: a
-    /// RECONFIGURE prepare that is not the successor of the node's current
-    /// epoch, or a commit for an epoch the node never prepared. The
-    /// refusing node reports its own epoch so the coordinator can resync
-    /// the straggler by replaying the missed prepares in order.
+    /// A RECONFIG_ACK or RECONFIGURE frame named another epoch than the
+    /// boundary this node is crossing.
     EpochMismatch {
-        /// The epoch the node could have accepted.
+        /// The epoch of the boundary being crossed.
         expected: u64,
         /// The epoch the frame carried.
         got: u64,
+    },
+    /// A follower's RECONFIG_ACK hashed its post-edit topology and
+    /// decomposition differently from process 0: the replicas applied
+    /// different edits, and the boundary is refused before any commit.
+    ReplicaDiverged {
+        /// The epoch of the boundary being crossed.
+        epoch: u64,
+        /// The diverged follower.
+        process: u32,
+        /// Process 0's post-edit hash.
+        expected: u64,
+        /// The follower's post-edit hash.
+        got: u64,
+    },
+    /// A RECONFIG_ACK or RECONFIGURE clock's dimension is not the ending
+    /// epoch's.
+    ClockDimension {
+        /// The epoch of the boundary being crossed.
+        epoch: u64,
+        /// The ending epoch's dimension.
+        expected: usize,
+        /// The frame clock's dimension.
+        got: usize,
     },
     /// A pipelined session finished with a submitted batch still
     /// unanswered: the server never sent an ANSWER3 for the batch at this
@@ -64,6 +84,24 @@ impl fmt::Display for NetError {
                     "reconfiguration epoch mismatch: frame names epoch {got}, node expects {expected}"
                 )
             }
+            NetError::ReplicaDiverged {
+                epoch,
+                process,
+                expected,
+                got,
+            } => write!(
+                f,
+                "replica diverged at epoch {epoch}: process {process} hashes its topology to \
+                 {got:#x}, process 0 to {expected:#x}"
+            ),
+            NetError::ClockDimension {
+                epoch,
+                expected,
+                got,
+            } => write!(
+                f,
+                "reconfiguration into epoch {epoch}: clock of dimension {got}, expected {expected}"
+            ),
             NetError::Incomplete { slot } => {
                 write!(f, "pipelined batch at slot {slot} was never answered")
             }

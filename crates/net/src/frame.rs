@@ -17,8 +17,8 @@
 //! | 8    | —       | retired (v2 ANSWER2); decodes as an unknown frame type            |
 //! | 9    | QUERY3  | `u32` correlation id, `u16` trace len, trace id, `u32` count, count × (`u8` kind, `u32` m1, `u32` m2) |
 //! | 10   | ANSWER3 | `u32` correlation id, `u32` count, count × (`u8` status, `u32` len, body) |
-//! | 11   | RECONFIGURE | `u8` phase, `u64` epoch; phase 0 (prepare): `u64` topology hash, `u32` op count, count × (`u8` kind, `u32` u, `u32` v), `u32` old dim, `u32` new dim, old dim × `u32` remap slot; phase 1 (commit): full-encoded baseline vector |
-//! | 12   | RECONFIG_ACK | `u64` epoch, `u32` process, `u8` status, `u64` current epoch, full-encoded clock |
+//! | 11   | RECONFIGURE | `u64` epoch, full-encoded merged final clock (ending epoch's dimension) |
+//! | 12   | RECONFIG_ACK | `u64` epoch, `u32` process, `u64` post-edit topology hash, full-encoded final clock (ending epoch's dimension) |
 //!
 //! QUERY3/ANSWER3 are the only query frames. One QUERY3 carries up to
 //! [`MAX_BATCH`] queries against one named trace of a multi-trace catalog,
@@ -33,13 +33,11 @@
 //! followed by a UTF-8 diagnostic — one bad message id fails its entry,
 //! not the batch.
 //!
-//! RECONFIGURE/RECONFIG_ACK are the **reconfiguration control plane**
-//! frames (see [`crate::reconfig`]): a coordinator ships an
-//! epoch-numbered topology-edit batch plus its expected
-//! [`GroupRemap`](synctime_graph::GroupRemap) (prepare), each node
-//! answers with its rebased clock or an epoch-mismatch refusal, and the
-//! coordinator commits the max-merged uniform baseline vector every node
-//! restarts the new epoch from.
+//! RECONFIG_ACK/RECONFIGURE are the **epoch boundary** frames (see
+//! [`crate::reconfig`]): at each boundary every follower sends process 0
+//! one RECONFIG_ACK with its final clock and the hash of the topology and
+//! decomposition its own edits produced, and process 0 answers each with
+//! one RECONFIGURE carrying the component-wise max of every final clock.
 //!
 //! OFFER/ACK/RESYNC body layouts match `synctime_core::wire`'s frame
 //! pricing helpers (`offer_frame_bytes` and friends) byte for byte, and
@@ -61,6 +59,9 @@
 //! buffer, and [`FrameScratch`] bundles the reusable buffers a connection
 //! threads through encode/decode so steady state allocates nothing.
 
+use synctime_core::wire::{decode_full, push_full};
+use synctime_core::VectorTime;
+
 use crate::error::NetError;
 
 /// The protocol version carried in every HELLO. Bumped on any frame-layout
@@ -68,8 +69,9 @@ use crate::error::NetError;
 /// versions. Version 2 added the batched QUERY2/ANSWER2 frames, version 3
 /// the pipelined QUERY3/ANSWER3 frames, and version 4 retired the v1
 /// QUERY/ANSWER and v2 QUERY2/ANSWER2 frames, leaving QUERY3/ANSWER3 the
-/// only query frames.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// only query frames. Version 5 gave RECONFIGURE and RECONFIG_ACK the
+/// bodies of the one-round epoch boundary (no prepare phase).
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on a frame's length prefix: 16 MiB. A prefix beyond this is
 /// a desynchronised or hostile stream, not a real frame (the largest
@@ -103,10 +105,8 @@ const TYPE_ERROR: u8 = 6;
 pub(crate) const TYPE_QUERY_PIPELINED: u8 = 9;
 /// Wire type byte of an ANSWER3 frame.
 pub(crate) const TYPE_ANSWER_PIPELINED: u8 = 10;
-/// Wire type byte of a RECONFIGURE control frame (prepare or commit).
-pub(crate) const TYPE_RECONFIGURE: u8 = 11;
-/// Wire type byte of a RECONFIG_ACK control frame.
-pub(crate) const TYPE_RECONFIG_ACK: u8 = 12;
+const TYPE_RECONFIGURE: u8 = 11;
+const TYPE_RECONFIG_ACK: u8 = 12;
 
 /// One question inside a QUERY3 batch frame: a `(kind, m1, m2)` triple
 /// (see the `query::QUERY_*` kind constants).
@@ -192,13 +192,26 @@ pub enum Frame {
         /// One entry per query, in query order within the batch.
         entries: Vec<BatchEntry>,
     },
-    /// A reconfiguration control frame: an epoch-numbered prepare carrying
-    /// topology edits and the expected remap, or the commit carrying the
-    /// uniform baseline vector (see [`crate::reconfig`]).
-    Reconfigure(crate::reconfig::ReconfigFrame),
-    /// A node's answer to a RECONFIGURE prepare: applied (with its rebased
-    /// clock) or refused with an epoch mismatch.
-    ReconfigAck(crate::reconfig::ReconfigAckFrame),
+    /// Process 0's commit of an epoch boundary (see [`crate::reconfig`]).
+    Reconfigure {
+        /// The epoch the boundary establishes.
+        epoch: u64,
+        /// The component-wise max of every process's final clock, in the
+        /// ending epoch's dimension.
+        merged: VectorTime,
+    },
+    /// A follower's final clock at an epoch boundary.
+    ReconfigAck {
+        /// The epoch the boundary establishes.
+        epoch: u64,
+        /// The sending follower.
+        process: u32,
+        /// [`topology_hash_of`] the follower's topology and decomposition
+        /// after it applied the boundary's edits.
+        topology_hash: u64,
+        /// The follower's final clock, in the ending epoch's dimension.
+        clock: VectorTime,
+    },
 }
 
 /// Starts a frame in `out`: reserves the length prefix and writes the type
@@ -383,11 +396,24 @@ impl Frame {
             Frame::AnswerPipelined { corr, entries } => {
                 Self::encode_answers(out, *corr, entries)?;
             }
-            Frame::Reconfigure(frame) => {
-                crate::reconfig::encode_reconfigure_into(out, TYPE_RECONFIGURE, frame);
+            Frame::Reconfigure { epoch, merged } => {
+                let start = begin_frame(out, TYPE_RECONFIGURE);
+                out.extend_from_slice(&epoch.to_le_bytes());
+                push_full(out, merged.as_slice());
+                end_frame(out, start);
             }
-            Frame::ReconfigAck(ack) => {
-                crate::reconfig::encode_reconfig_ack_into(out, TYPE_RECONFIG_ACK, ack);
+            Frame::ReconfigAck {
+                epoch,
+                process,
+                topology_hash,
+                clock,
+            } => {
+                let start = begin_frame(out, TYPE_RECONFIG_ACK);
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&process.to_le_bytes());
+                out.extend_from_slice(&topology_hash.to_le_bytes());
+                push_full(out, clock.as_slice());
+                end_frame(out, start);
             }
         }
         Ok(())
@@ -450,6 +476,11 @@ impl Frame {
             b.copy_from_slice(&body[i..i + 8]);
             u64::from_le_bytes(b)
         };
+        let clock_at = |i: usize| {
+            decode_full(&body[i..]).ok_or_else(|| {
+                NetError::Protocol(format!("frame type {ty} carries an undecodable clock"))
+            })
+        };
         match ty {
             TYPE_HELLO => {
                 exact(14)?;
@@ -499,12 +530,22 @@ impl Frame {
                     entries,
                 })
             }
-            TYPE_RECONFIGURE => Ok(Frame::Reconfigure(crate::reconfig::decode_reconfigure(
-                body,
-            )?)),
-            TYPE_RECONFIG_ACK => Ok(Frame::ReconfigAck(crate::reconfig::decode_reconfig_ack(
-                body,
-            )?)),
+            TYPE_RECONFIGURE => {
+                at_least(8)?;
+                Ok(Frame::Reconfigure {
+                    epoch: u64_at(0),
+                    merged: clock_at(8)?,
+                })
+            }
+            TYPE_RECONFIG_ACK => {
+                at_least(20)?;
+                Ok(Frame::ReconfigAck {
+                    epoch: u64_at(0),
+                    process: u32_at(8),
+                    topology_hash: u64_at(12),
+                    clock: clock_at(20)?,
+                })
+            }
             other => Err(NetError::Protocol(format!("unknown frame type {other}"))),
         }
     }
@@ -1042,112 +1083,67 @@ mod tests {
         }
     }
 
+    /// A RECONFIGURE and a RECONFIG_ACK frame around the clock `clock`.
+    fn boundary_frames(clock: &[u64]) -> [Frame; 2] {
+        [
+            Frame::Reconfigure {
+                epoch: 9,
+                merged: VectorTime::from(clock.to_vec()),
+            },
+            Frame::ReconfigAck {
+                epoch: 9,
+                process: 2,
+                topology_hash: 0xdead_beef,
+                clock: VectorTime::from(clock.to_vec()),
+            },
+        ]
+    }
+
     #[test]
     fn reconfigure_frame_sizes_match_core_wire_pricing() {
-        use crate::reconfig::{
-            ReconfigAckFrame, ReconfigCommit, ReconfigFrame, ReconfigPrepare, ReconfigStatus,
-        };
         use synctime_core::wire::{
-            reconfig_ack_frame_bytes, reconfigure_commit_frame_bytes,
-            reconfigure_prepare_frame_bytes,
+            encode_full, reconfig_ack_frame_bytes, reconfigure_commit_frame_bytes,
         };
-        use synctime_graph::{EdgeOp, GroupRemap};
-        let prepare = Frame::Reconfigure(ReconfigFrame::Prepare(ReconfigPrepare {
-            epoch: 3,
-            topology_hash: 0xfeed,
-            ops: vec![EdgeOp::Insert(0, 5), EdgeOp::Remove(2, 3)],
-            remap: GroupRemap {
-                old_to_new: vec![Some(0), None, Some(1)],
-                new_len: 2,
-            },
-        }));
-        assert_eq!(
-            prepare.encode().unwrap().len() as u64,
-            reconfigure_prepare_frame_bytes(2, 3)
-        );
-        let commit = Frame::Reconfigure(ReconfigFrame::Commit(ReconfigCommit {
-            epoch: 3,
-            baseline: vec![0; 17],
-        }));
-        assert_eq!(
-            commit.encode().unwrap().len() as u64,
-            reconfigure_commit_frame_bytes(17)
-        );
-        let ack = Frame::ReconfigAck(ReconfigAckFrame {
-            epoch: 3,
-            process: 4,
-            status: ReconfigStatus::Prepared,
-            current_epoch: 3,
-            clock: vec![0; 9],
-        });
-        assert_eq!(
-            ack.encode().unwrap().len() as u64,
-            reconfig_ack_frame_bytes(9)
-        );
+        for clock in [&[][..], &[3, 0, 700, u64::MAX][..]] {
+            let clock_bytes = encode_full(&VectorTime::from(clock.to_vec())).len();
+            let [commit, ack] = boundary_frames(clock);
+            assert_eq!(
+                commit.encode().unwrap().len() as u64,
+                reconfigure_commit_frame_bytes(clock_bytes)
+            );
+            assert_eq!(
+                ack.encode().unwrap().len() as u64,
+                reconfig_ack_frame_bytes(clock_bytes)
+            );
+        }
     }
 
     #[test]
     fn reconfigure_frames_round_trip() {
-        use crate::reconfig::{
-            ReconfigAckFrame, ReconfigCommit, ReconfigFrame, ReconfigPrepare, ReconfigStatus,
-        };
-        use synctime_graph::{EdgeOp, GroupRemap};
-        let frames = [
-            Frame::Reconfigure(ReconfigFrame::Prepare(ReconfigPrepare {
-                epoch: 9,
-                topology_hash: 0xdead_beef,
-                ops: vec![EdgeOp::Remove(1, 2), EdgeOp::Insert(4, 0)],
-                remap: GroupRemap {
-                    old_to_new: vec![None, Some(1), Some(0)],
-                    new_len: 2,
-                },
-            })),
-            Frame::Reconfigure(ReconfigFrame::Prepare(ReconfigPrepare {
-                epoch: 1,
-                topology_hash: 0,
-                ops: Vec::new(),
-                remap: GroupRemap::identity(0),
-            })),
-            Frame::Reconfigure(ReconfigFrame::Commit(ReconfigCommit {
-                epoch: 9,
-                baseline: vec![1, 2, 3],
-            })),
-            Frame::ReconfigAck(ReconfigAckFrame {
-                epoch: 9,
-                process: 2,
-                status: ReconfigStatus::EpochMismatch,
-                current_epoch: 7,
-                clock: Vec::new(),
-            }),
-        ];
-        for frame in frames {
-            let mut reader = FrameReader::new();
-            reader.feed(&frame.encode().unwrap());
-            assert_eq!(reader.next_frame().unwrap(), Some(frame));
+        for clock in [&[][..], &[1, 2, 3][..], &[0, 300, u64::MAX][..]] {
+            for frame in boundary_frames(clock) {
+                let mut reader = FrameReader::new();
+                reader.feed(&frame.encode().unwrap());
+                assert_eq!(reader.next_frame().unwrap(), Some(frame));
+            }
         }
     }
 
     #[test]
     fn truncated_reconfigure_bodies_are_typed_protocol_errors() {
-        use crate::reconfig::{ReconfigFrame, ReconfigPrepare};
-        use synctime_graph::{EdgeOp, GroupRemap};
-        let good = Frame::Reconfigure(ReconfigFrame::Prepare(ReconfigPrepare {
-            epoch: 2,
-            topology_hash: 5,
-            ops: vec![EdgeOp::Insert(0, 1)],
-            remap: GroupRemap::identity(2),
-        }))
-        .encode()
-        .unwrap();
-        // Rewrite the length prefix to each shorter body length: every cut
-        // must surface as NetError::Protocol, never a panic or a misparse.
-        for cut in FRAME_HEADER_BYTES..good.len() {
-            let mut bytes = good[..cut].to_vec();
-            let len = (cut - FRAME_HEADER_BYTES + 1) as u32;
-            bytes[..4].copy_from_slice(&len.to_le_bytes());
-            let mut reader = FrameReader::new();
-            reader.feed(&bytes);
-            assert!(matches!(reader.next_frame(), Err(NetError::Protocol(_))));
+        for good in boundary_frames(&[4, 300, 0]) {
+            let good = good.encode().unwrap();
+            // Rewrite the length prefix to each shorter body length: every
+            // cut must surface as NetError::Protocol, never a panic or a
+            // misparse.
+            for cut in FRAME_HEADER_BYTES..good.len() {
+                let mut bytes = good[..cut].to_vec();
+                let len = (cut - FRAME_HEADER_BYTES + 1) as u32;
+                bytes[..4].copy_from_slice(&len.to_le_bytes());
+                let mut reader = FrameReader::new();
+                reader.feed(&bytes);
+                assert!(matches!(reader.next_frame(), Err(NetError::Protocol(_))));
+            }
         }
     }
 

@@ -9,8 +9,8 @@
 //!
 //! * [`frame`] — the wire protocol: `[u32 len][u8 type][body]` frames
 //!   (HELLO, OFFER, ACK, RESYNC, ERROR, the correlation-tagged
-//!   QUERY3/ANSWER3 query pair, and the RECONFIGURE/RECONFIG_ACK control
-//!   pair), an incremental [`FrameReader`] with
+//!   QUERY3/ANSWER3 query pair, and the RECONFIG_ACK/RECONFIGURE epoch
+//!   boundary pair), an incremental [`FrameReader`] with
 //!   zero-copy [`peek_frame`](frame::FrameReader::peek_frame) access,
 //!   borrowed batch views, reusable [`FrameScratch`] buffers, and
 //!   [`topology_hash`] for handshake validation. OFFER/ACK/RESYNC and
@@ -22,13 +22,15 @@
 //!   and `TxChannel`/`RxChannel` adapters the runtime drives unmodified.
 //!   A connection has no thread of its own: the thread that waits on it
 //!   reads its socket, filing each frame in a per-purpose queue.
-//! * [`reconfig`] — the live reconfiguration control plane: a
-//!   coordinator ships epoch-numbered topology edits (RECONFIGURE
-//!   prepare) to every node's [`IncrementalDecomposition`] replica,
-//!   collects rebased clocks (RECONFIG_ACK, with epoch-mismatch refusal
-//!   and straggler resync), and commits one max-merged baseline vector
-//!   all processes restart the new epoch from — keeping post-change
-//!   stamps order-isomorphic with an uninterrupted reference run.
+//! * [`reconfig`] — the epoch boundary over TCP: every node applies the
+//!   boundary's edits from its own copy of the plan to its own
+//!   [`IncrementalDecomposition`] replica; each follower sends process 0
+//!   one RECONFIG_ACK (its post-edit topology hash and final clock), and
+//!   process 0 checks the hashes, max-merges the clocks and commits the
+//!   merge in one RECONFIGURE to each. Every node rebases that one merge
+//!   into the uniform baseline of the next epoch, as the in-process
+//!   engine does, keeping post-change stamps order-isomorphic with an
+//!   uninterrupted reference run.
 //! * [`catalog`] — the multi-trace query fabric: [`QueryFabric`] holds
 //!   shared immutable [`Arc`](std::sync::Arc) snapshots of stamped
 //!   traces, keyed by trace id and spread across in-process shards by
@@ -89,9 +91,6 @@ pub use pool::{default_pool_size, serve_fabric};
 pub use query::{
     answer_query, answer_query_into, pump_frames, Pipeline, QueryClient, DEFAULT_TRACE_NAME,
 };
-pub use reconfig::{
-    coordinate_reconfigure, follow_reconfigure, ReconfigAckFrame, ReconfigCommit, ReconfigFrame,
-    ReconfigOutcome, ReconfigPrepare, ReconfigSession, ReconfigStatus,
-};
+pub use reconfig::{coordinate_reconfigure, follow_reconfigure};
 pub use report::{NodeReport, NODE_REPORT_SCHEMA};
 pub use tcp::{TcpMesh, TcpMeshBuilder};

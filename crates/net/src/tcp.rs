@@ -144,7 +144,7 @@ impl ReadHalf {
                     at: Instant::now(),
                 }),
                 Frame::Resync { key } => self.answers.push_back(AnswerMsg::Resync { key }),
-                control @ (Frame::Reconfigure(_) | Frame::ReconfigAck(_)) => {
+                control @ (Frame::Reconfigure { .. } | Frame::ReconfigAck { .. }) => {
                     self.controls.push_back(control);
                 }
                 other => {
@@ -508,46 +508,16 @@ impl TcpMesh {
         (tx, rx)
     }
 
-    /// Sends a RECONFIGURE control frame (prepare or commit) to `peer`.
+    /// Sends a control frame (RECONFIG_ACK or RECONFIGURE) to `peer`.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] when no connection to `peer` exists or the write
     /// fails, [`NetError::Closed`] when the peer has gone away.
-    pub fn send_reconfigure(
-        &self,
-        peer: usize,
-        frame: &crate::reconfig::ReconfigFrame,
-    ) -> Result<(), NetError> {
+    pub fn send_control(&self, peer: usize, frame: &Frame) -> Result<(), NetError> {
+        let bytes = frame.encode()?;
         self.conn_to(peer)?
-            .write_with(|out| {
-                crate::reconfig::encode_reconfigure_into(
-                    out,
-                    crate::frame::TYPE_RECONFIGURE,
-                    frame,
-                );
-            })
-            .map_err(transport_to_net)
-    }
-
-    /// Sends a RECONFIG_ACK control frame to `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TcpMesh::send_reconfigure`].
-    pub fn send_reconfig_ack(
-        &self,
-        peer: usize,
-        ack: &crate::reconfig::ReconfigAckFrame,
-    ) -> Result<(), NetError> {
-        self.conn_to(peer)?
-            .write_with(|out| {
-                crate::reconfig::encode_reconfig_ack_into(
-                    out,
-                    crate::frame::TYPE_RECONFIG_ACK,
-                    ack,
-                );
-            })
+            .write_with(|out| out.extend_from_slice(&bytes))
             .map_err(transport_to_net)
     }
 

@@ -78,14 +78,13 @@ pub enum RuntimeError {
         /// The transport's description of the failure.
         detail: String,
     },
-    /// A clock baseline (or the group remap that produced it) does not
-    /// have one component per edge group of the decomposition it was
-    /// given with (`Runtime::apply_reconfigure`). Every component would
+    /// A clock baseline does not have one component per edge group of the
+    /// decomposition it was given with (`Runtime::apply_reconfigure`). Every component would
     /// land in the wrong group, so it is refused.
     DimensionMismatch {
         /// The decomposition's edge-group count.
         expected: usize,
-        /// The baseline's (or remap's) width.
+        /// The baseline's width.
         got: usize,
     },
     /// `Runtime::with_watchdog` was given a zero timeout. Every wait is

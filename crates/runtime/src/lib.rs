@@ -70,8 +70,8 @@ mod transport;
 pub use error::RuntimeError;
 pub use fault::{FaultAction, FaultInjector};
 pub use runtime::{
-    reconstruct_from_logs, AppliedReconfigure, Behavior, LiveObservation, LogEntry, PersistEvent,
-    ProcessCtx, ProcessRun, Runtime, RuntimeRun, DEFAULT_EVENT_RING, DEFAULT_RENDEZVOUS_RETRIES,
+    reconstruct_from_logs, AppliedReconfigure, Behavior, LogEntry, PersistEvent, ProcessCtx,
+    ProcessRun, Runtime, RuntimeRun, DEFAULT_EVENT_RING, DEFAULT_RENDEZVOUS_RETRIES,
     DEFAULT_WATCHDOG_TIMEOUT,
 };
 pub use transport::{

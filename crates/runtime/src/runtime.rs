@@ -11,7 +11,7 @@ use synctime_core::wire::{
     StreamError,
 };
 use synctime_core::{CoreError, MessageTimestamps, VectorTime};
-use synctime_graph::{Edge, EdgeDecomposition, Graph, GroupRemap};
+use synctime_graph::{Edge, EdgeDecomposition, Graph};
 use synctime_obs::{DeadlockDiagnosis, Recorder, RunStats, WaitEdge, WaitOp};
 use synctime_trace::{EventId, EventKind, MessageId, ProcessId, SyncComputation, TraceError};
 
@@ -219,22 +219,6 @@ fn watchdog_loop(shared: &RunShared, timeout: Duration) {
     }
 }
 
-/// A live notification emitted to an observer as each rendezvous completes
-/// (from the sender's side, once the acknowledgement confirmed the agreed
-/// timestamp). This is what a monitoring service consumes — see
-/// `synctime-detect`'s `monitor` module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveObservation {
-    /// The message's globally unique key (sender id in the high bits).
-    pub key: u64,
-    /// The sending process.
-    pub sender: ProcessId,
-    /// The receiving process.
-    pub receiver: ProcessId,
-    /// The agreed timestamp.
-    pub stamp: VectorTime,
-}
-
 /// Entries buffered per process before a burst is delivered to the log
 /// sink. Bounds both the wakeup amortisation and how far a durable
 /// writer can lag a live process (a crash loses at most this many
@@ -380,7 +364,6 @@ pub struct ProcessCtx {
     id: ProcessId,
     clock: BackendClock,
     decomposition: EdgeDecomposition,
-    observer: Option<std::sync::mpsc::Sender<LiveObservation>>,
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
     /// Entries awaiting delivery to `sink`, shipped as one `Vec` per
     /// burst of [`SINK_BATCH`] (and at behavior exit): one send — one
@@ -833,15 +816,6 @@ impl ProcessCtx {
             self.rendezvous_bytes_full,
             taken.elapsed().as_nanos() as u64,
         );
-        if let Some(tx) = &self.observer {
-            // A lagging or dropped observer must never stall the protocol.
-            let _ = tx.send(LiveObservation {
-                key,
-                sender: self.id,
-                receiver: to,
-                stamp: stamp.clone(),
-            });
-        }
         Ok(self.log_message(LogEntry::Sent { to, key, stamp }))
     }
 
@@ -1036,10 +1010,10 @@ impl ProcessCtx {
 
     /// Mirrors a log entry to the durable-store sink, if any, tagged with
     /// the process id and the entry's position in this process's log. A
-    /// lagging or dropped sink must never stall the protocol — exactly the
-    /// observer's contract. Entries are buffered and sent in bursts of
-    /// [`SINK_BATCH`]: each send to an idle receiver costs a thread
-    /// wakeup, and paying that per entry would tax every rendezvous.
+    /// lagging or dropped sink must never stall the protocol. Entries are
+    /// buffered and sent in bursts of [`SINK_BATCH`]: each send to an idle
+    /// receiver costs a thread wakeup, and paying that per entry would tax
+    /// every rendezvous.
     fn persist(&mut self, entry: &LogEntry) {
         if self.sink.is_none() {
             return;
@@ -1072,10 +1046,9 @@ pub type Behavior = Box<dyn FnOnce(&mut ProcessCtx) -> Result<(), RuntimeError> 
 
 /// One committed reconfiguration, ready to be applied to a [`Runtime`]
 /// at an epoch boundary: the new topology and decomposition every replica
-/// agreed on, the remap from the previous dimension, and the uniform
-/// baseline vector all processes resume from (the max-merge of every
-/// process's rebased final clock, distributed by the control plane's
-/// commit — see `synctime-net`'s `reconfig` module).
+/// agreed on, and the uniform baseline vector all processes resume from
+/// (the component-wise max of every process's final clock, rebased into
+/// the new decomposition — `synctime-sim`'s `cross_boundary` builds it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedReconfigure {
     /// The epoch this reconfiguration establishes (must be the runtime's
@@ -1086,8 +1059,6 @@ pub struct AppliedReconfigure {
     /// The post-change decomposition (dimension of the new epoch's
     /// stamps).
     pub decomposition: EdgeDecomposition,
-    /// How group indices moved from the previous decomposition.
-    pub remap: GroupRemap,
     /// The uniform baseline every process clock starts the new epoch
     /// from.
     pub baseline: VectorTime,
@@ -1099,7 +1070,6 @@ pub struct AppliedReconfigure {
 pub struct Runtime {
     topology: Graph,
     decomposition: EdgeDecomposition,
-    observer: Option<std::sync::mpsc::Sender<LiveObservation>>,
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
     watchdog: Option<Duration>,
     fault: Option<Arc<dyn FaultInjector>>,
@@ -1135,7 +1105,6 @@ impl Runtime {
         Runtime {
             topology: topology.clone(),
             decomposition: decomposition.clone(),
-            observer: None,
             sink: None,
             watchdog: Some(DEFAULT_WATCHDOG_TIMEOUT),
             fault: None,
@@ -1173,8 +1142,7 @@ impl Runtime {
     ///
     /// [`RuntimeError::EpochMismatch`] when `r.epoch` is not
     /// `self.epoch() + 1`; [`RuntimeError::DimensionMismatch`] when the
-    /// remap or the baseline disagrees with the decomposition on the new
-    /// dimension.
+    /// baseline disagrees with the decomposition on the new dimension.
     pub fn apply_reconfigure(&mut self, r: &AppliedReconfigure) -> Result<(), RuntimeError> {
         if r.epoch != self.epoch + 1 {
             return Err(RuntimeError::EpochMismatch {
@@ -1182,11 +1150,9 @@ impl Runtime {
                 got: r.epoch,
             });
         }
-        let expected = r.decomposition.len();
-        for got in [r.remap.new_len, r.baseline.dim()] {
-            if got != expected {
-                return Err(RuntimeError::DimensionMismatch { expected, got });
-            }
+        let (expected, got) = (r.decomposition.len(), r.baseline.dim());
+        if got != expected {
+            return Err(RuntimeError::DimensionMismatch { expected, got });
         }
         self.topology = r.topology.clone();
         self.decomposition = r.decomposition.clone();
@@ -1265,23 +1231,15 @@ impl Runtime {
         self
     }
 
-    /// Streams a [`LiveObservation`] per message to `tx` as the execution
-    /// runs (sent from the sender's thread right after the rendezvous
-    /// completes). Observer failures are ignored — monitoring must not
-    /// perturb the system under observation.
-    #[must_use]
-    pub fn with_observer(mut self, tx: std::sync::mpsc::Sender<LiveObservation>) -> Self {
-        self.observer = Some(tx);
-        self
-    }
-
     /// Streams a [`PersistEvent`] per log entry to `tx` as the execution
     /// runs, from the logging process's own thread in per-process bursts:
     /// each send carries a `Vec` of up to [`SINK_BATCH`] events (flushed
     /// when the buffer fills and when the behavior exits) — the
-    /// durable-ingestion seam `synctime-store`'s writer thread consumes.
-    /// Sink failures are ignored, like observer failures: durability lag
-    /// must not perturb the protocol. Callers that need completeness join
+    /// durable-ingestion seam `synctime-store`'s writer thread consumes,
+    /// and the live stream a monitor reads (each message's stamp arrives
+    /// once, as its sender's [`LogEntry::Sent`]). Sink failures are
+    /// ignored: durability lag and monitoring must not perturb the
+    /// protocol. Callers that need completeness join
     /// the consuming writer *after* the run returns (every event is sent
     /// before the run's threads exit).
     #[must_use]
@@ -1465,7 +1423,6 @@ impl Runtime {
             id,
             clock,
             decomposition: self.decomposition.clone(),
-            observer: self.observer.clone(),
             sink: self.sink.clone(),
             sink_buf: Vec::new(),
             seq: 0,
@@ -1929,34 +1886,48 @@ mod tests {
     }
 
     #[test]
-    fn observer_streams_live_stamps() {
+    fn log_sink_streams_live_stamps() {
         let (rt, behaviors) = ping_pong(4);
         let (tx, rx) = std::sync::mpsc::channel();
-        let rt = rt.with_observer(tx);
-        let run = rt.run(behaviors).unwrap();
-        let observations: Vec<LiveObservation> = rx.try_iter().collect();
-        assert_eq!(observations.len(), 8, "one observation per message");
-        // Every observation's stamp matches the reconstructed run's stamp
-        // for the same key (keys appear in the logs).
+        let run = rt.with_log_sink(tx).run(behaviors).unwrap();
+        let events: Vec<PersistEvent> = rx.try_iter().flatten().collect();
+        // The sink carries every log entry at its log position...
+        for event in &events {
+            assert_eq!(
+                &run.logs()[event.process][event.pseq as usize],
+                &event.entry
+            );
+        }
+        assert_eq!(events.len(), run.logs().iter().map(Vec::len).sum::<usize>());
+        // ...so its `Sent` entries are one stamp per message, each the
+        // stamp the reconstructed run gives that key.
+        let sent: Vec<(u64, &VectorTime)> = events
+            .iter()
+            .filter_map(|e| match &e.entry {
+                LogEntry::Sent { key, stamp, .. } => Some((*key, stamp)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 8, "one stamp per message");
         let (comp, stamps) = run.reconstruct().unwrap();
         assert!(stamps.encodes(&Oracle::new(&comp)));
-        for obs in &observations {
-            let logged = run
+        for (key, stamp) in sent {
+            let received = run
                 .logs()
                 .iter()
                 .flatten()
                 .find_map(|e| match e {
-                    LogEntry::Sent { key, stamp, .. } if *key == obs.key => Some(stamp),
+                    LogEntry::Received { key: k, stamp, .. } if *k == key => Some(stamp),
                     _ => None,
                 })
-                .expect("observed key was logged");
-            assert_eq!(logged, &obs.stamp);
+                .expect("every sent key was received");
+            assert_eq!(received, stamp);
         }
         // Dropping the receiver must not break later runs.
         let (rt2, behaviors2) = ping_pong(2);
         let (tx2, rx2) = std::sync::mpsc::channel();
         drop(rx2);
-        assert!(rt2.with_observer(tx2).run(behaviors2).is_ok());
+        assert!(rt2.with_log_sink(tx2).run(behaviors2).is_ok());
     }
 
     #[test]
@@ -2368,20 +2339,13 @@ mod tests {
         assert_eq!(old_baseline.component(0), 6);
         let remap = inc.apply_ops(&[EdgeOp::Insert(1, 2)]).unwrap();
         let new_dim = inc.decomposition().len();
-        let mut slots = vec![0u64; new_dim];
-        for (old, new) in remap.old_to_new.iter().enumerate() {
-            if let Some(n) = new {
-                slots[*n] = old_baseline.component(old);
-            }
-        }
-        let baseline = VectorTime::from(slots);
+        let baseline = VectorTime::from(remap.apply(old_baseline.as_slice()));
 
         // Out-of-order epochs are refused before any state changes.
         let skipped = AppliedReconfigure {
             epoch: 2,
             topology: inc.graph().clone(),
             decomposition: inc.decomposition().clone(),
-            remap: remap.clone(),
             baseline: baseline.clone(),
         };
         assert_eq!(
@@ -2393,9 +2357,9 @@ mod tests {
         );
         assert_eq!(rt.epoch(), 0);
 
-        // So are a baseline and a remap whose width is not the new
-        // decomposition's, each reported with the width that disagrees.
-        let mut wrong_width = AppliedReconfigure {
+        // So is a baseline whose width is not the new decomposition's,
+        // reported with the width that disagrees.
+        let wrong_width = AppliedReconfigure {
             epoch: 1,
             baseline: VectorTime::zero(new_dim + 2),
             ..skipped.clone()
@@ -2417,15 +2381,6 @@ mod tests {
         );
         assert!(msg.contains(&format!("{new_dim} edge groups")), "{msg}");
         assert!(!msg.contains("backend"), "{msg}");
-        wrong_width.baseline = baseline.clone();
-        wrong_width.remap.new_len = new_dim + 1;
-        assert_eq!(
-            rt.apply_reconfigure(&wrong_width),
-            Err(RuntimeError::DimensionMismatch {
-                expected: new_dim,
-                got: new_dim + 1
-            })
-        );
         assert_eq!(rt.epoch(), 0);
 
         rt.apply_reconfigure(&AppliedReconfigure {

@@ -8,13 +8,13 @@
 //! is immutable); instead, joins and leaves edit the *edge set* — an
 //! inactive process simply has degree zero and an idle behavior. Each
 //! epoch's topology is a ring over the active processes, the workload is
-//! deterministic token passing, and the boundary between epochs is the
-//! two-phase reconfiguration of `synctime-runtime`:
-//! quiesce → [`IncrementalDecomposition::apply_ops`] →
-//! rebase the max-merged final clocks through the remap
+//! deterministic token passing, and the boundary between epochs is one
+//! [`cross_boundary`]: quiesce → [`IncrementalDecomposition::apply_ops`]
+//! → rebase the component-wise max of the final clocks through the remap
 //! ([`GroupRemap::apply`](synctime_graph::GroupRemap::apply)) →
 //! [`Runtime::apply_reconfigure`] → resume. [`run_epochs`] is that loop
-//! on any configured runtime; a static run is its one-epoch case.
+//! on any configured runtime; a static run is its one-epoch case. A TCP
+//! node takes the same step, with the merge it gets from the wire.
 //!
 //! Inter-event gaps (`after_rounds`) are drawn from an exponential
 //! distribution by [`ChurnPlan::random`], so churn events arrive as a
@@ -506,13 +506,56 @@ impl ChurnRun {
     }
 }
 
+/// Crosses one epoch boundary, the step both transports share: applies
+/// `ops` to `inc` (the replica of the runtime's current topology and
+/// decomposition), asks `merge` for the component-wise max of every
+/// process's final clock in the ending epoch's dimension, rebases it
+/// through the edits' remap, and applies the new topology, decomposition
+/// and that baseline to `runtime` as its next epoch. `merge` sees the
+/// post-edit replica, so a TCP node can hash it before it trades clocks:
+/// [`run_epochs`] merges its own processes' clocks, and `serve-node` gets
+/// the merge from the wire (`synctime-net`'s `reconfig`).
+///
+/// With every process restarting from the one baseline `B`, each later
+/// stamp is `B + s` for the stamp `s` of an uninterrupted run over the new
+/// topology started from zero (`max(B+x, B+y) = B + max(x, y)`), so every
+/// Theorem 4 verdict of the new epoch is that run's.
+///
+/// # Errors
+///
+/// [`ChurnError::Graph`] when an edit is rejected, [`ChurnError::Runtime`]
+/// when the merge is not in the ending epoch's dimension or the runtime
+/// refuses the epoch, and whatever `merge` returns. The runtime is
+/// unchanged on every error.
+pub fn cross_boundary<E: From<ChurnError>>(
+    runtime: &mut Runtime,
+    inc: &mut IncrementalDecomposition,
+    ops: &[EdgeOp],
+    merge: impl FnOnce(&IncrementalDecomposition) -> Result<VectorTime, E>,
+) -> Result<(), E> {
+    let remap = inc.apply_ops(ops).map_err(ChurnError::from)?;
+    let merged = merge(inc)?;
+    let (expected, got) = (remap.old_to_new.len(), merged.dim());
+    if got != expected {
+        return Err(ChurnError::Runtime(RuntimeError::DimensionMismatch { expected, got }).into());
+    }
+    runtime
+        .apply_reconfigure(&AppliedReconfigure {
+            epoch: runtime.epoch() + 1,
+            topology: inc.graph().clone(),
+            decomposition: inc.decomposition().clone(),
+            baseline: VectorTime::from(remap.apply(merged.as_slice())),
+        })
+        .map_err(ChurnError::from)?;
+    Ok(())
+}
+
 /// Runs `epochs` epochs on a configured `runtime`: the in-process engine
 /// of every run, a static one being one epoch. Each epoch is one
 /// [`Runtime::run_tolerant`] of `behavior(epoch, process)` for every
 /// process; a process whose injected crash ended an epoch idles in every
-/// later one. Each boundary is the quiesce → apply-ops → rebase →
-/// [`Runtime::apply_reconfigure`] sequence the distributed control plane
-/// performs over sockets, with `edge_ops(e)` the edits of the boundary
+/// later one. Each boundary is one [`cross_boundary`] over the max of the
+/// epoch's final clocks, with `edge_ops(e)` the edits of the boundary
 /// that ends epoch `e`.
 ///
 /// # Errors
@@ -520,8 +563,7 @@ impl ChurnRun {
 /// [`ChurnError::ForeignDecomposition`] when a run with boundaries does
 /// not start from [`IncrementalDecomposition::new`]'s decomposition of
 /// the runtime's topology (the boundaries' remaps index its groups),
-/// [`ChurnError::Graph`] when an edge edit is rejected, and
-/// [`ChurnError::Runtime`] when a reconfiguration is refused.
+/// and the errors of [`cross_boundary`].
 pub fn run_epochs(
     mut runtime: Runtime,
     epochs: usize,
@@ -580,21 +622,19 @@ pub fn run_epochs(
         if e + 1 < epochs {
             let started = Instant::now();
             let ops = edge_ops(e);
-            let remap = inc.apply_ops(&ops)?;
-            let mut old_baseline = VectorTime::zero(remap.old_to_new.len());
-            for clock in run.final_clocks() {
-                old_baseline
-                    .merge_max(clock)
-                    .map_err(|err| ChurnError::InvalidPlan(format!("clock merge: {err}")))?;
-            }
-            let applied = AppliedReconfigure {
-                epoch: (e + 1) as u64,
-                topology: inc.graph().clone(),
-                decomposition: inc.decomposition().clone(),
-                baseline: VectorTime::from(remap.apply(old_baseline.as_slice())),
-                remap,
-            };
-            runtime.apply_reconfigure(&applied)?;
+            let dim = runtime.decomposition().len();
+            cross_boundary(&mut runtime, &mut inc, &ops, |_| {
+                let mut merged = VectorTime::zero(dim);
+                for clock in run.final_clocks() {
+                    merged
+                        .merge_max(clock)
+                        .map_err(|_| RuntimeError::DimensionMismatch {
+                            expected: dim,
+                            got: clock.dim(),
+                        })?;
+                }
+                Ok::<_, ChurnError>(merged)
+            })?;
             enter_micros = started.elapsed().as_micros() as u64;
             let cuts = logs.iter().map(|l| l.len() as u64).collect();
             boundaries.push(boundary_record((e + 1) as u64, cuts, &ops));

@@ -42,8 +42,8 @@ pub mod sim;
 pub mod workload;
 
 pub use churn::{
-    boundary_record, ring_behavior, run_churn, run_epochs, ChurnConfig, ChurnError, ChurnEvent,
-    ChurnKind, ChurnPlan, ChurnRun, EpochReport,
+    boundary_record, cross_boundary, ring_behavior, run_churn, run_epochs, ChurnConfig, ChurnError,
+    ChurnEvent, ChurnKind, ChurnPlan, ChurnRun, EpochReport,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use scenarios::Scenario;

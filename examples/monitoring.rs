@@ -1,11 +1,12 @@
 //! Live monitoring: a profiler-style observer fed from the threaded
 //! runtime's piggybacked timestamps.
 //!
-//! The workers run a real rendezvous computation; each message's timestamp
-//! is forwarded to a [`Monitor`] in a scrambled order (observation
-//! channels are not causally ordered). The monitor reconstructs the order
-//! relation from the `d`-dimensional stamps alone: frontier, causal
-//! histories, and a parallelism metric.
+//! The workers run a real rendezvous computation with a log sink
+//! installed; every message's timestamp streams out of its sender's
+//! thread as the rendezvous completes, and is forwarded to a [`Monitor`]
+//! in a scrambled order (observation channels are not causally ordered).
+//! The monitor reconstructs the order relation from the `d`-dimensional
+//! stamps alone: frontier, causal histories, and a parallelism metric.
 //!
 //! Run with: `cargo run --example monitoring`
 
@@ -13,12 +14,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use synctime::detect::monitor::{Monitor, Observation};
 use synctime::prelude::*;
+use synctime::runtime::LogEntry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 2-server, 3-client system on real threads.
     let topo = graph::topology::client_server(2, 3);
     let dec = graph::decompose::best_known(&topo);
-    let runtime = Runtime::new(&topo, &dec);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runtime = Runtime::new(&topo, &dec).with_log_sink(tx);
 
     let client = |id: usize| -> Behavior {
         Box::new(move |ctx| {
@@ -67,14 +70,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stamps.dim()
     );
 
-    // Observation channel scrambles delivery order.
-    let mut order: Vec<usize> = (0..comp.message_count()).collect();
-    order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(17));
+    // The reconstructed trace numbers messages in its own order: map each
+    // runtime message key to its id there.
+    let mut id_of = std::collections::HashMap::new();
+    for (p, log) in run.logs().iter().enumerate() {
+        let keys = log.iter().filter_map(|entry| match entry {
+            LogEntry::Sent { key, .. } | LogEntry::Received { key, .. } => Some(*key),
+            LogEntry::Internal => None,
+        });
+        for (&id, key) in comp.process_messages(p).iter().zip(keys) {
+            id_of.insert(key, id);
+        }
+    }
+
+    // One stamp per message: the sender's `Sent` entry. The observation
+    // channel scrambles delivery order.
+    let mut observed: Vec<(u64, VectorTime)> = rx
+        .try_iter()
+        .flatten()
+        .filter_map(|event| match event.entry {
+            LogEntry::Sent { key, stamp, .. } => Some((key, stamp)),
+            _ => None,
+        })
+        .collect();
+    observed.shuffle(&mut rand::rngs::StdRng::seed_from_u64(17));
     let mut monitor = Monitor::new(stamps.dim());
-    for i in order {
+    for (key, stamp) in observed {
         monitor.observe(Observation {
-            message: MessageId(i),
-            stamp: stamps.vector(MessageId(i)),
+            message: id_of[&key],
+            stamp,
         })?;
     }
 

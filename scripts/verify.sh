@@ -77,8 +77,10 @@
 #      byte-identical stores; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
-#  16. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
-#      non-test source (typed RuntimeError paths only)
+#  16. panic-free gate: no new `.unwrap()` / `.expect(` on the non-test
+#      source of the runtime and of the net code that decodes peer bytes
+#      (`crates/net/src/{frame,tcp,reconfig,query}.rs`): typed
+#      RuntimeError and NetError paths only
 #  17. perfbench-build + perfbench-smoke: the end-to-end benchmark under
 #      perfbench/ (its own cargo workspace, path deps on crates/) must
 #      build, so a public-API change that would break the benchmark fails
@@ -571,12 +573,12 @@ diff "$CHURN_DIR/store-answers.out" "$CHURN_DIR/ref-answers.out" || {
   echo "verify: churned store answers diverged from the reference trace" >&2
   exit 1; }
 
-echo "==> panic-free gate: crates/runtime/src"
-for f in crates/runtime/src/*.rs; do
+echo "==> panic-free gate: crates/runtime/src, crates/net/src/{frame,tcp,reconfig,query}.rs"
+for f in crates/runtime/src/*.rs crates/net/src/{frame,tcp,reconfig,query}.rs; do
   # Only non-test code is gated: cut each file at its test module.
   if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
       | grep -nE '\.unwrap\(\)|\.expect\(' ; then
-    echo "verify: $f has unwrap/expect on a non-test path (use typed RuntimeError)" >&2
+    echo "verify: $f has unwrap/expect on a non-test path (use a typed error)" >&2
     exit 1
   fi
 done

@@ -1,18 +1,19 @@
-//! The full monitoring pipeline on real threads: the runtime streams
-//! LiveObservations while the computation executes; a Monitor ingests them
-//! (in whatever order the channel delivers) and must agree with the
-//! ground-truth oracle once the run completes.
+//! The full monitoring pipeline on real threads: the runtime streams its
+//! log entries to a sink while the computation executes; a Monitor
+//! ingests the `Sent` entries, one stamp per message, in whatever order
+//! the channel delivers them, and must agree with the ground-truth oracle
+//! once the run completes.
 
 use synctime::detect::monitor::{Monitor, Observation};
 use synctime::prelude::*;
-use synctime::runtime::LiveObservation;
+use synctime::runtime::{LogEntry, PersistEvent};
 
 #[test]
 fn live_observer_feeds_an_accurate_monitor() {
     let topo = graph::topology::client_server(2, 3);
     let dec = graph::decompose::best_known(&topo);
-    let (tx, rx) = std::sync::mpsc::channel::<LiveObservation>();
-    let runtime = Runtime::new(&topo, &dec).with_observer(tx);
+    let (tx, rx) = std::sync::mpsc::channel::<Vec<PersistEvent>>();
+    let runtime = Runtime::new(&topo, &dec).with_log_sink(tx);
 
     let client = |id: usize| -> Behavior {
         Box::new(move |ctx| {
@@ -47,18 +48,20 @@ fn live_observer_feeds_an_accurate_monitor() {
         ])
         .unwrap();
 
-    // Ingest the stream. Keys are runtime-internal; the monitor only needs
-    // distinct ids, so reuse them directly.
+    // Ingest the stream's sends. Keys are runtime-internal; the monitor
+    // only needs distinct ids, so reuse them directly.
     let mut monitor = Monitor::new(dec.len());
     let mut key_count = 0;
-    for obs in rx.try_iter() {
-        monitor
-            .observe(Observation {
-                message: MessageId(obs.key as usize),
-                stamp: obs.stamp,
-            })
-            .unwrap();
-        key_count += 1;
+    for event in rx.try_iter().flatten() {
+        if let LogEntry::Sent { key, stamp, .. } = event.entry {
+            monitor
+                .observe(Observation {
+                    message: MessageId(key as usize),
+                    stamp,
+                })
+                .unwrap();
+            key_count += 1;
+        }
     }
     let (comp, stamps) = run.reconstruct().unwrap();
     assert_eq!(key_count, comp.message_count());
@@ -71,9 +74,7 @@ fn live_observer_feeds_an_accurate_monitor() {
     for (p, log) in run.logs().iter().enumerate() {
         let mut next = 0usize;
         for entry in log {
-            if let synctime::runtime::LogEntry::Sent { key, .. }
-            | synctime::runtime::LogEntry::Received { key, .. } = entry
-            {
+            if let LogEntry::Sent { key, .. } | LogEntry::Received { key, .. } = entry {
                 let id = comp.process_messages(p)[next];
                 next += 1;
                 key_of[id.0].get_or_insert(*key);
